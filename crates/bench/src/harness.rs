@@ -637,44 +637,50 @@ pub fn check_regression(
     let rates = [
         (
             "serve miss",
+            "req/s",
             current.serve_miss_rps,
             baseline.after.serve_miss_rps,
         ),
         (
             "serve hit",
+            "req/s",
             current.serve_hit_rps,
             baseline.after.serve_hit_rps,
         ),
         (
             "bignet throughput",
+            "games/s",
             current.bignet_games_per_second,
             baseline.after.bignet_games_per_second,
         ),
         (
             "sweep throughput",
+            "cells/s",
             current.sweep_cells_per_second,
             baseline.after.sweep_cells_per_second,
         ),
         (
             "calibrate throughput",
+            "cells/s",
             current.calibrate_cells_per_second,
             baseline.after.calibrate_cells_per_second,
         ),
         (
             "distributed throughput",
+            "cells/s",
             current.distributed_cells_per_second,
             baseline.after.distributed_cells_per_second,
         ),
     ];
-    for (name, now, base) in rates {
+    for (name, unit, now, base) in rates {
         let Some(base) = base else { continue };
         match now {
             None => failures.push(format!(
-                "{name}: the baseline records {base:.0} req/s but the current report \
+                "{name}: the baseline records {base:.0} {unit} but the current report \
                  has no measurement"
             )),
             Some(now) if now * factor < base => failures.push(format!(
-                "{name}: {now:.0} req/s is less than 1/{factor} of the baseline {base:.0}"
+                "{name}: {now:.0} {unit} is less than 1/{factor} of the baseline {base:.0}"
             )),
             Some(_) => {}
         }
@@ -954,6 +960,17 @@ mod tests {
         slow.distributed_cells_per_second = Some(1e2 / 3.0);
         let err = check_regression(&slow, &baseline(), 2.0).unwrap_err();
         assert!(err.contains("distributed throughput"), "{err}");
+    }
+
+    #[test]
+    fn rate_failures_name_each_rows_unit() {
+        let mut slow = report(1.0);
+        slow.sweep_cells_per_second = Some(1e2 / 3.0);
+        slow.bignet_games_per_second = Some(1e5 / 3.0);
+        let err = check_regression(&slow, &baseline(), 2.0).unwrap_err();
+        assert!(err.contains("sweep throughput: 33 cells/s"), "{err}");
+        assert!(err.contains("bignet throughput: 33333 games/s"), "{err}");
+        assert!(!err.contains("req/s"), "{err}");
     }
 
     #[test]

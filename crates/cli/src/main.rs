@@ -666,18 +666,7 @@ fn worker(args: &[String]) {
     if flags.chaos.is_active() {
         eprintln!("worker: chaos enabled: {:?}", flags.chaos);
     }
-    let trace = flags.trace.as_deref().map(|path| {
-        match ahn_obs::TraceLog::open(
-            std::path::Path::new(path),
-            &format!("worker:{}", std::process::id()),
-        ) {
-            Ok(log) => log,
-            Err(e) => {
-                eprintln!("error: cannot open trace log {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    });
+    let trace = open_trace(flags.trace.as_deref(), "worker");
     let mut transport = ahn_serve::CircuitBreaker::new(
         ahn_serve::FlakyTransport::new(ahn_serve::HttpTransport::new(&flags.addr), flags.chaos),
         flags.breaker_threshold,
@@ -798,13 +787,13 @@ fn parse_sweep_flags(args: &[String]) -> Result<SweepFlags, String> {
     Ok(flags)
 }
 
-/// Opens the coordinator-side trace log for a `--via` run, exiting on
-/// failure (shared by `sweep` and `calibrate`).
-fn open_coordinator_trace(path: Option<&str>) -> Option<ahn_obs::TraceLog> {
+/// Opens a `--trace` span log whose events name this process
+/// `{role}:{pid}`, exiting on failure.
+fn open_trace(path: Option<&str>, role: &str) -> Option<ahn_obs::TraceLog> {
     path.map(|p| {
         match ahn_obs::TraceLog::open(
             std::path::Path::new(p),
-            &format!("coordinator:{}", std::process::id()),
+            &format!("{role}:{}", std::process::id()),
         ) {
             Ok(log) => log,
             Err(e) => {
@@ -856,88 +845,19 @@ fn sweep(args: &[String]) {
     );
     let report = if let Some(addr) = &flags.via {
         eprintln!("  distributing via {addr}...");
-        let trace = open_coordinator_trace(flags.trace.as_deref());
+        let trace = open_trace(flags.trace.as_deref(), "coordinator");
         let mut transport = ahn_serve::HttpTransport::new(addr);
         let journal = flags.journal.as_deref().map(std::path::Path::new);
-        match ahn_serve::run_sweep_via_traced(&mut transport, &grid, journal, 10, trace.as_ref()) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-    } else if let Some(path) = &flags.trace {
-        // The observed path: bit-identical report, but every cell
-        // lifecycle and per-generation hot-loop sample lands in the
-        // trace log (ahn_core::run_sweep_observed keeps the unobserved
-        // path's NoopRecorder at zero cost).
-        let log = match ahn_obs::TraceLog::open(
-            std::path::Path::new(path),
-            &format!("ahn-exp:{}", std::process::id()),
-        ) {
-            Ok(log) => log,
-            Err(e) => {
-                eprintln!("error: cannot open trace log {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let observe = |obs: ahn_core::SweepObservation<'_>| match obs {
-            ahn_core::SweepObservation::CellStart {
-                spec, config_hash, ..
-            } => {
-                log.emit(
-                    ahn_obs::TraceEvent::new(ahn_obs::trace_id_of_key(config_hash), "cell_start")
-                        .key(config_hash)
-                        .detail(format!(
-                            "{}case {} payoff {} size {} seed_block {}",
-                            spec.scenario
-                                .as_deref()
-                                .map(|s| format!("scenario {s} "))
-                                .unwrap_or_default(),
-                            spec.case_no,
-                            spec.payoff,
-                            spec.size,
-                            spec.seed_block
-                        )),
-                );
-            }
-            ahn_core::SweepObservation::Replication {
-                config_hash,
-                samples,
-                ..
-            } => {
-                let trace_id = ahn_obs::trace_id_of_key(config_hash);
-                for sample in samples {
-                    log.emit(ahn_obs::TraceEvent::new(trace_id, "generation").sample(sample));
-                }
-            }
-            ahn_core::SweepObservation::CellDone {
-                config_hash,
-                dur_us,
-                ..
-            } => {
-                log.emit(
-                    ahn_obs::TraceEvent::new(ahn_obs::trace_id_of_key(config_hash), "cell_done")
-                        .key(config_hash)
-                        .dur_us(dur_us)
-                        .outcome(true),
-                );
-            }
-        };
-        match ahn_core::run_sweep_observed(&grid, &observe) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
+        ahn_serve::run_sweep_via_traced(&mut transport, &grid, journal, 10, trace.as_ref())
     } else {
-        match ahn_core::run_sweep(&grid) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
+        let trace = open_trace(flags.trace.as_deref(), "ahn-exp");
+        ahn_core::run_sweep_traced(&grid, trace.as_ref())
+    };
+    let report = match report {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
         }
     };
     let json = match serde_json::to_string_pretty(&report) {
@@ -1280,7 +1200,7 @@ fn calibrate(args: &[String]) {
     );
     let report = if let Some(addr) = &flags.via {
         eprintln!("  distributing via {addr}...");
-        let trace = open_coordinator_trace(flags.trace.as_deref());
+        let trace = open_trace(flags.trace.as_deref(), "coordinator");
         let mut transport = ahn_serve::HttpTransport::new(addr);
         let journal = flags.journal.as_deref().map(std::path::Path::new);
         match ahn_serve::run_calibration_via_traced(
@@ -1538,33 +1458,7 @@ fn run_case(opts: &Options, case_no: usize) -> experiment::ExperimentResult {
         "running {} ({} replications x {} generations, R={})...",
         case.name, opts.config.replications, opts.config.generations, opts.config.rounds
     );
-    let Some(log) = &opts.trace else {
-        return experiment::run_experiment(&opts.config, &case);
-    };
-    // The observed path (--trace): same result bit for bit, plus a
-    // cell_start / per-generation / cell_done span tree keyed by the
-    // case's canonical hash — the same identity a serve node would
-    // cache it under.
-    let key = ahn_core::canonical_hash(&(&opts.config, &case)).unwrap_or(0);
-    let trace_id = ahn_obs::trace_id_of_key(key);
-    log.emit(
-        ahn_obs::TraceEvent::new(trace_id, "cell_start")
-            .key(key)
-            .detail(case.name.clone()),
-    );
-    let started = std::time::Instant::now();
-    let result = experiment::run_experiment_observed(&opts.config, &case, &|_, _, samples| {
-        for sample in samples {
-            log.emit(ahn_obs::TraceEvent::new(trace_id, "generation").sample(sample));
-        }
-    });
-    log.emit(
-        ahn_obs::TraceEvent::new(trace_id, "cell_done")
-            .key(key)
-            .dur_us(started.elapsed().as_micros() as u64)
-            .outcome(true),
-    );
-    result
+    experiment::run_experiment_traced(&opts.config, &case, opts.trace.as_ref())
 }
 
 fn fig4(opts: &Options) {

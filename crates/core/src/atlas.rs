@@ -9,10 +9,11 @@
 //! * `core` — CORE-style positive-only gossip;
 //! * `confidant` — CONFIDANT-style full gossip.
 //!
-//! Every cell is one [`run_experiment`] at a fixed smoke scale, so the
-//! whole atlas is a pure function of its [`AtlasGrid`]: two runs — at
-//! any `AHN_THREADS` — serialize to identical bytes, which is what
-//! lets CI regenerate the committed `atlas.json` and fail on drift.
+//! Every cell is one experiment at a fixed smoke scale, bit-identical
+//! to [`crate::run_experiment`] on the cell's resolved `(config, case)`,
+//! so the whole atlas is a pure function of its [`AtlasGrid`]: two
+//! runs — at any `AHN_THREADS` — serialize to identical bytes, which is
+//! what lets CI regenerate the committed `atlas.json` and fail on drift.
 //!
 //! A defense *holds* when the scenario keeps at least
 //! [`HOLD_FRACTION`] of the cooperation the base scenario reaches
@@ -22,7 +23,6 @@
 
 use crate::cases::CaseSpec;
 use crate::config::ExperimentConfig;
-use crate::experiment::run_experiment;
 use crate::scenarios::{resolve_scenario, Scenario};
 use ahn_net::{GossipConfig, PathMode};
 use ahn_stats::Summary;
@@ -150,10 +150,11 @@ pub struct AtlasReport {
     pub rows: Vec<AtlasRow>,
 }
 
-/// Runs the full atlas grid. Rows and columns run serially — each
-/// cell's [`run_experiment`] already fans replications out in
-/// parallel, and its parallel fold is pinned bit-identical to the
-/// serial one, so the report is deterministic at any `AHN_THREADS`.
+/// Runs the full atlas grid. All `rows × columns` cells run in parallel
+/// through the cell engine behind [`crate::run_sweep`], each a serial
+/// fold of its replications that is pinned bit-identical to
+/// [`crate::run_experiment`], so the report is deterministic at any
+/// `AHN_THREADS`.
 ///
 /// # Errors
 /// Errors when the grid fails [`AtlasGrid::validate`]; never errors
@@ -170,31 +171,34 @@ pub fn run_atlas(grid: &AtlasGrid) -> Result<AtlasReport, String> {
     // Evaluate every (scenario, defense) cell, then judge each against
     // the base row under the same defense. Without a base row, "holds"
     // falls back to an absolute bar at HOLD_FRACTION.
-    let mut raw: Vec<Vec<Summary>> = Vec::with_capacity(scenarios.len());
+    let mut cells = Vec::with_capacity(scenarios.len() * DEFENSES.len());
     for scenario in &scenarios {
-        let mut row = Vec::with_capacity(DEFENSES.len());
         for defense in DEFENSES {
             let mut config = grid.base.clone();
             config.gossip = resolve_defense(defense)?;
-            let (config, case) = scenario.apply(&config, &case)?;
-            row.push(run_experiment(&config, &case).final_coop);
+            cells.push(scenario.apply(&config, &case)?);
         }
-        raw.push(row);
     }
+    // The atlas is never traced, so no cell needs a span description.
+    let coops: Vec<Summary> = crate::cells::run_cells(&cells, None, |_| String::new())
+        .into_iter()
+        .map(|result| result.final_coop)
+        .collect();
+    let raw: Vec<&[Summary]> = coops.chunks(DEFENSES.len()).collect();
     let base_row = scenarios
         .iter()
         .position(|s| s.attackers.is_none() && s.name == "base");
     let rows = scenarios
         .iter()
         .zip(&raw)
-        .map(|(scenario, coops)| AtlasRow {
+        .map(|(scenario, row)| AtlasRow {
             scenario: scenario.name.clone(),
             scenario_hash: format!("{:016x}", scenario.canonical_hash()),
             summary: scenario.summary.clone(),
             attacker_share: scenario.attacker_share(),
             cells: DEFENSES
                 .iter()
-                .zip(coops)
+                .zip(row.iter())
                 .enumerate()
                 .map(|(col, (&defense, coop))| {
                     let bar = match base_row {
@@ -327,6 +331,26 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec!["watchdog", "core", "confidant"]
         );
+    }
+
+    #[test]
+    fn every_cell_equals_run_experiment_on_its_resolved_inputs() {
+        // Cells run in parallel, each folding its replications serially;
+        // with two replications a cell must still be exactly the
+        // experiment a direct call computes.
+        let mut grid = tiny_grid();
+        grid.base.replications = 2;
+        let report = run_atlas(&grid).unwrap();
+        for (row, name) in report.rows.iter().zip(&grid.scenarios) {
+            let scenario = resolve_scenario(name).unwrap();
+            for cell in &row.cells {
+                let mut config = grid.base.clone();
+                config.gossip = resolve_defense(&cell.defense).unwrap();
+                let (config, case) = scenario.apply(&config, &grid.case()).unwrap();
+                let direct = crate::run_experiment(&config, &case).final_coop;
+                assert_eq!(cell.cooperation, direct, "{name} / {}", cell.defense);
+            }
+        }
     }
 
     #[test]

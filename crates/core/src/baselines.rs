@@ -12,8 +12,8 @@
 
 use crate::cases::CaseSpec;
 use crate::config::ExperimentConfig;
-use ahn_game::{Arena, EnvMetrics, EvaluationSchedule, GameConfig};
-use ahn_net::{PathGenerator, RouteSelection};
+use ahn_game::{Arena, EnvMetrics, EvaluationSchedule};
+use ahn_net::RouteSelection;
 use ahn_strategy::Strategy;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -34,14 +34,7 @@ pub fn evaluate_static(
     let population: Vec<Strategy> = (0..config.population)
         .map(|i| strategies[i % strategies.len()].clone())
         .collect();
-    let game_config = GameConfig {
-        payoff: config.payoff,
-        trust: config.trust,
-        activity: config.activity,
-        paths: PathGenerator::for_mode(case.mode),
-        route_selection: config.route_selection,
-        gossip: config.gossip,
-    };
+    let game_config = crate::game_config_of(config, case);
     let mut arena = Arena::new(
         population,
         schedule.required_csn(),

@@ -310,17 +310,7 @@ impl Default for ExperimentConfig {
 /// processes and restarts.
 pub fn canonical_hash<T: ?Sized + serde::Serialize>(value: &T) -> Result<u64, String> {
     let json = serde_json::to_string(value).map_err(|e| format!("cannot canonicalize: {e}"))?;
-    Ok(fnv1a_64(json.as_bytes()))
-}
-
-/// FNV-1a, 64-bit: the standard offset basis and prime.
-fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    Ok(ahn_obs::fnv1a64(json.as_bytes()))
 }
 
 #[cfg(test)]
@@ -477,9 +467,10 @@ mod tests {
     fn canonical_hash_is_fnv1a() {
         // Pin the reference vectors so the on-disk cache-key format can
         // never drift silently (FNV-1a 64 of the compact JSON bytes).
-        assert_eq!(canonical_hash("").unwrap(), fnv1a_64(b"\"\""));
-        assert_eq!(fnv1a_64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63dc4c8601ec8c);
+        use ahn_obs::fnv1a64;
+        assert_eq!(canonical_hash("").unwrap(), fnv1a64(b"\"\""));
+        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
     }
 
     #[test]

@@ -11,9 +11,8 @@ use crate::cases::CaseSpec;
 use crate::config::ExperimentConfig;
 use ahn_bitstr::BitStr;
 use ahn_ga::{next_generation_into, GenStats};
-use ahn_game::{Arena, EnvMetrics, EvaluationSchedule, GameConfig};
+use ahn_game::{Arena, EnvMetrics, EvaluationSchedule};
 use ahn_net::energy::{EnergyLedger, PowerProfile};
-use ahn_net::PathGenerator;
 use ahn_stats::{Series, Summary};
 use ahn_strategy::analysis::StrategyCensus;
 use ahn_strategy::Strategy;
@@ -80,14 +79,7 @@ pub fn run_replication_with<R: ahn_obs::Recorder>(
 
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let schedule = EvaluationSchedule::new(case.envs.clone(), config.rounds, config.plays_per_env);
-    let game_config = GameConfig {
-        payoff: config.payoff,
-        trust: config.trust,
-        activity: config.activity,
-        paths: PathGenerator::for_mode(case.mode),
-        route_selection: config.route_selection,
-        gossip: config.gossip,
-    };
+    let game_config = crate::game_config_of(config, case);
 
     let bits = config.codec.genome_bits();
     let mut genomes: Vec<BitStr> = (0..config.population)
@@ -246,37 +238,46 @@ pub struct ExperimentResult {
 /// Runs `config.replications` replications of `case` in parallel and
 /// aggregates them.
 pub fn run_experiment(config: &ExperimentConfig, case: &CaseSpec) -> ExperimentResult {
-    let results: Vec<ReplicationResult> = (0..config.replications)
-        .into_par_iter()
-        .map(|k| run_replication(config, case, config.base_seed.wrapping_add(k as u64)))
-        .collect();
-    aggregate(config, case, &results)
+    run_experiment_traced(config, case, None)
 }
 
-/// [`run_experiment`] with per-replication hot-loop telemetry: each
-/// replication runs under an [`ahn_obs::SeriesRecorder`] and `observe`
-/// receives its (replication index, seed, per-generation samples) as
-/// soon as it finishes — the CLI's `--trace` paths forward these into
-/// the trace log. Kept separate from [`run_experiment`] (rather than
-/// delegating with a no-op observer) so the default path never pays
-/// for the enabled recorder's clock reads. The aggregated result is
-/// bit-identical to [`run_experiment`]'s.
-pub fn run_experiment_observed<F>(
+/// [`run_experiment`], traced into `trace` when one is given: the case
+/// becomes one cell with a `cell_start` span, one `generation` span per
+/// generation of every replication, and a `cell_done` span, keyed by
+/// the canonical hash of `(config, case)`. Without a log every
+/// replication runs under [`ahn_obs::NoopRecorder`], so the untraced
+/// path pays nothing; either way the result is bit-identical.
+pub fn run_experiment_traced(
     config: &ExperimentConfig,
     case: &CaseSpec,
-    observe: &F,
-) -> ExperimentResult
-where
-    F: Fn(usize, u64, &[ahn_obs::GenSample]) + Sync,
-{
+    trace: Option<&ahn_obs::TraceLog>,
+) -> ExperimentResult {
+    match trace {
+        None => fan_out(config, case, || ahn_obs::NoopRecorder),
+        Some(log) => {
+            crate::cells::CellSpans::around(log, config, case, case.name.clone(), |spans| {
+                fan_out(config, case, || spans.recorder())
+            })
+        }
+    }
+}
+
+/// Every replication in parallel, each under a fresh recorder, then
+/// aggregated.
+fn fan_out<R: ahn_obs::Recorder>(
+    config: &ExperimentConfig,
+    case: &CaseSpec,
+    recorder: impl Fn() -> R + Sync,
+) -> ExperimentResult {
     let results: Vec<ReplicationResult> = (0..config.replications)
         .into_par_iter()
         .map(|k| {
-            let seed = config.base_seed.wrapping_add(k as u64);
-            let mut recorder = ahn_obs::SeriesRecorder::default();
-            let result = run_replication_with(config, case, seed, &mut recorder);
-            observe(k, seed, &recorder.samples);
-            result
+            run_replication_with(
+                config,
+                case,
+                config.base_seed.wrapping_add(k as u64),
+                &mut recorder(),
+            )
         })
         .collect();
     aggregate(config, case, &results)

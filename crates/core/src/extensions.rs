@@ -16,8 +16,8 @@
 use crate::cases::CaseSpec;
 use crate::config::{ExperimentConfig, SleeperSpec, StrategyCodec};
 use crate::experiment::run_replication;
-use ahn_game::{game::Scratch, play_game, Arena, GameConfig};
-use ahn_net::{NodeId, PathGenerator};
+use ahn_game::{game::Scratch, play_game, Arena};
+use ahn_net::NodeId;
 use ahn_strategy::Strategy;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -148,14 +148,7 @@ pub fn newcomer_join(
     let newcomer = NodeId::from(strategies.len());
     strategies.push(Strategy::always_forward());
 
-    let game_config = GameConfig {
-        payoff: config.payoff,
-        trust: config.trust,
-        activity: config.activity,
-        paths: PathGenerator::for_mode(case.mode),
-        route_selection: config.route_selection,
-        gossip: config.gossip,
-    };
+    let game_config = crate::game_config_of(config, case);
     let mut arena = Arena::new(strategies, 0, game_config, 1);
     let participants: Vec<NodeId> = (0..arena.n_total() as u32).map(NodeId).collect();
     let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(transfer_salt()));
@@ -333,14 +326,7 @@ pub fn sleeper_study(
         // Observation phase: the converged strategies play one CSN-free
         // tournament with the same duty cycles; per-source deliveries are
         // tracked directly.
-        let game_config = GameConfig {
-            payoff: cfg.payoff,
-            trust: cfg.trust,
-            activity: cfg.activity,
-            paths: PathGenerator::for_mode(case.mode),
-            route_selection: cfg.route_selection,
-            gossip: cfg.gossip,
-        };
+        let game_config = crate::game_config_of(&cfg, case);
         let size = case.envs[0].normal().min(rep.final_population.len());
         let mut arena = Arena::new(rep.final_population[..size].to_vec(), 0, game_config, 1);
         for s in 0..n_sleepers.min(size) {

@@ -52,6 +52,7 @@ pub mod atlas;
 pub mod baselines;
 pub mod calibrate;
 pub mod cases;
+mod cells;
 pub mod checks;
 pub mod config;
 pub mod experiment;
@@ -67,13 +68,13 @@ pub use calibrate::{run_calibration, score_calibration, CalibrationGrid, Calibra
 pub use cases::CaseSpec;
 pub use config::{canonical_hash, ExperimentConfig, StrategyCodec};
 pub use experiment::{
-    run_experiment, run_experiment_observed, run_replication, run_replication_with,
-    ExperimentResult, ReplicationResult,
+    run_experiment, run_experiment_traced, run_replication, run_replication_with, ExperimentResult,
+    ReplicationResult,
 };
 pub use scenarios::{builtin_scenarios, find_scenario, resolve_scenario, AttackerShare, Scenario};
 pub use sweeps::{
-    cell_from_result, merge_sweep, run_sweep, run_sweep_observed, SweepCell, SweepCellSpec,
-    SweepGrid, SweepObservation, SweepReport,
+    cell_from_result, merge_sweep, run_sweep, run_sweep_traced, SweepCell, SweepCellSpec,
+    SweepGrid, SweepReport,
 };
 
 // Re-exports used by downstream tooling (the `ahn-exp trace` command and

@@ -14,8 +14,9 @@
 //! # The scenario-sweep engine
 //!
 //! [`run_sweep`] evaluates a full grid — **case × payoff-variant ×
-//! network-size × seed-block** — one [`crate::experiment::run_experiment`]
-//! per cell, cells in parallel. Every cell is a *pure function* of its
+//! network-size × seed-block** (optionally × scenario) — one experiment
+//! per cell, cells in parallel through the same cell engine as
+//! [`crate::run_atlas`]. Every cell is a *pure function* of its
 //! resolved `(ExperimentConfig, CaseSpec)`:
 //!
 //! * the network-size axis rescales each paper environment to `size`
@@ -36,13 +37,10 @@
 
 use crate::cases::CaseSpec;
 use crate::config::ExperimentConfig;
-use crate::experiment::{
-    aggregate, run_experiment, run_replication, run_replication_with, ExperimentResult,
-};
+use crate::experiment::{run_experiment, ExperimentResult};
 use ahn_game::{EnvironmentSpec, PayoffConfig};
 use ahn_net::PathMode;
 use ahn_stats::Summary;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// One point of a sweep curve.
@@ -391,25 +389,6 @@ pub struct SweepReport {
     pub cells: Vec<SweepCell>,
 }
 
-/// Evaluates one resolved cell: a serial fold of `run_replication` over
-/// the cell's seeds, which `tests/determinism.rs` pins as bit-identical
-/// to [`run_experiment`]'s parallel fan-out. Serial-inside /
-/// parallel-across-cells is the right shape once the grid has at least
-/// as many cells as cores.
-fn run_cell(spec: SweepCellSpec, config: &ExperimentConfig, case: &CaseSpec) -> SweepCell {
-    let results: Vec<_> = (0..config.replications as u64)
-        .map(|k| run_replication(config, case, config.base_seed.wrapping_add(k)))
-        .collect();
-    let aggregated = aggregate(config, case, &results);
-    SweepCell {
-        spec,
-        config_hash: crate::config::canonical_hash(&(config, case)).unwrap_or(0),
-        final_coop: aggregated.final_coop,
-        per_env_coop: aggregated.per_env_coop,
-        per_env_csn_free: aggregated.per_env_csn_free,
-    }
-}
-
 /// Reduces the [`ExperimentResult`] of a cell's resolved
 /// `(config, case)` to the [`SweepCell`] a local [`run_sweep`] would
 /// have produced — bit for bit, because `run_experiment`'s parallel
@@ -500,138 +479,48 @@ pub fn merge_sweep(grid: &SweepGrid, cells: &[SweepCell]) -> Result<SweepReport,
 /// Errors when the grid fails [`SweepGrid::validate`]; never errors
 /// mid-run.
 pub fn run_sweep(grid: &SweepGrid) -> Result<SweepReport, String> {
-    grid.validate()?;
-    crate::threads::log_once("sweep");
-    let resolved: Vec<(SweepCellSpec, ExperimentConfig, CaseSpec)> = grid
-        .cell_specs()
-        .into_iter()
-        .map(|spec| {
-            let (config, case) = grid.resolve(&spec).expect("validated above");
-            (spec, config, case)
-        })
-        .collect();
-    let cells: Vec<SweepCell> = resolved
-        .into_par_iter()
-        .map(|(spec, config, case)| run_cell(spec, &config, &case))
-        .collect();
-    Ok(SweepReport {
-        schema: "ahn-sweep/1".into(),
-        replications: grid.base.replications,
-        cells,
-    })
+    run_sweep_traced(grid, None)
 }
 
-/// One progress event from [`run_sweep_observed`]. `config_hash` is
-/// the cell's canonical-hash identity (see [`SweepCell::config_hash`])
-/// — the CLI derives local trace ids from it.
-#[derive(Debug, Clone, Copy)]
-pub enum SweepObservation<'a> {
-    /// A cell started evaluating.
-    CellStart {
-        /// Position in [`SweepGrid::cell_specs`] order.
-        index: usize,
-        /// The cell's grid coordinates.
-        spec: &'a SweepCellSpec,
-        /// Canonical hash of the resolved `(config, case)`.
-        config_hash: u64,
-    },
-    /// One replication of a cell finished, with its per-generation
-    /// hot-loop samples.
-    Replication {
-        /// Position in [`SweepGrid::cell_specs`] order.
-        index: usize,
-        /// The cell's grid coordinates.
-        spec: &'a SweepCellSpec,
-        /// Canonical hash of the resolved `(config, case)`.
-        config_hash: u64,
-        /// Replication index within the cell.
-        replication: u64,
-        /// The replication's derived seed.
-        seed: u64,
-        /// Per-generation cooperation + phase-timing samples.
-        samples: &'a [ahn_obs::GenSample],
-    },
-    /// A cell finished all its replications.
-    CellDone {
-        /// Position in [`SweepGrid::cell_specs`] order.
-        index: usize,
-        /// The cell's grid coordinates.
-        spec: &'a SweepCellSpec,
-        /// Canonical hash of the resolved `(config, case)`.
-        config_hash: u64,
-        /// Wall-clock microseconds the cell took.
-        dur_us: u64,
-    },
-}
-
-/// [`run_sweep`] with live progress introspection: every replication
-/// runs under an [`ahn_obs::SeriesRecorder`] and `observe` receives
-/// cell-start / per-replication / cell-done events as they happen
-/// (cells run in parallel, so events from different cells interleave).
-/// Kept separate from [`run_sweep`] so the unobserved path keeps its
-/// zero-cost [`ahn_obs::NoopRecorder`]. The report is bit-identical to
-/// [`run_sweep`]'s: observation never touches seeds or results.
+/// [`run_sweep`], traced into `trace` when one is given: every cell
+/// emits a `cell_start` span naming its coordinates, one `generation`
+/// span per generation of every replication, and a `cell_done` span,
+/// keyed by its [`SweepCell::config_hash`] (cells run in parallel, so
+/// spans of different cells interleave). Without a log every
+/// replication runs under [`ahn_obs::NoopRecorder`], so the untraced
+/// path pays nothing; either way the report is bit-identical.
 ///
 /// # Errors
 /// Errors when the grid fails [`SweepGrid::validate`]; never errors
 /// mid-run.
-pub fn run_sweep_observed<F>(grid: &SweepGrid, observe: &F) -> Result<SweepReport, String>
-where
-    F: Fn(SweepObservation<'_>) + Sync,
-{
+pub fn run_sweep_traced(
+    grid: &SweepGrid,
+    trace: Option<&ahn_obs::TraceLog>,
+) -> Result<SweepReport, String> {
     grid.validate()?;
     crate::threads::log_once("sweep");
-    // The vendored rayon shim has no `enumerate`; carry the index.
-    let resolved: Vec<(usize, SweepCellSpec, ExperimentConfig, CaseSpec)> = grid
-        .cell_specs()
-        .into_iter()
-        .enumerate()
-        .map(|(index, spec)| {
-            let (config, case) = grid.resolve(&spec).expect("validated above");
-            (index, spec, config, case)
-        })
+    let specs = grid.cell_specs();
+    let resolved: Vec<(ExperimentConfig, CaseSpec)> = specs
+        .iter()
+        .map(|spec| grid.resolve(spec).expect("validated above"))
         .collect();
-    let cells: Vec<SweepCell> = resolved
-        .into_par_iter()
-        .map(|(index, spec, config, case)| {
-            let config_hash = crate::config::canonical_hash(&(&config, &case)).unwrap_or(0);
-            observe(SweepObservation::CellStart {
-                index,
-                spec: &spec,
-                config_hash,
-            });
-            let started = std::time::Instant::now();
-            let results: Vec<_> = (0..config.replications as u64)
-                .map(|k| {
-                    let seed = config.base_seed.wrapping_add(k);
-                    let mut recorder = ahn_obs::SeriesRecorder::default();
-                    let result = run_replication_with(&config, &case, seed, &mut recorder);
-                    observe(SweepObservation::Replication {
-                        index,
-                        spec: &spec,
-                        config_hash,
-                        replication: k,
-                        seed,
-                        samples: &recorder.samples,
-                    });
-                    result
-                })
-                .collect();
-            let aggregated = aggregate(&config, &case, &results);
-            observe(SweepObservation::CellDone {
-                index,
-                spec: &spec,
-                config_hash,
-                dur_us: started.elapsed().as_micros() as u64,
-            });
-            SweepCell {
-                spec,
-                config_hash,
-                final_coop: aggregated.final_coop,
-                per_env_coop: aggregated.per_env_coop,
-                per_env_csn_free: aggregated.per_env_csn_free,
-            }
-        })
+    let results = crate::cells::run_cells(&resolved, trace, |i| {
+        let spec = &specs[i];
+        let scenario = spec
+            .scenario
+            .as_deref()
+            .map(|s| format!("scenario {s} "))
+            .unwrap_or_default();
+        format!(
+            "{scenario}case {} payoff {} size {} seed_block {}",
+            spec.case_no, spec.payoff, spec.size, spec.seed_block
+        )
+    });
+    let cells = specs
+        .into_iter()
+        .zip(&resolved)
+        .zip(&results)
+        .map(|((spec, (config, case)), result)| cell_from_result(spec, config, case, result))
         .collect();
     Ok(SweepReport {
         schema: "ahn-sweep/1".into(),

@@ -2,7 +2,7 @@
 //! histograms, cross-node trace spans, and zero-cost hot-path
 //! profiling hooks.
 //!
-//! Three pieces, each usable alone:
+//! Three pieces, each usable alone, plus two shared utilities:
 //!
 //! * [`hist`] — [`AtomicHistogram`], a lock-free log2-bucketed
 //!   histogram (64 relaxed `AtomicU64` buckets, zero allocation on the
@@ -19,19 +19,28 @@
 //!   (the zero-cost-when-off invariant, pinned by `tests/zero_alloc.rs`
 //!   and the BENCH gate); [`SeriesRecorder`] captures per-generation
 //!   cooperation + schedule/play/evolve timings for the trace log.
+//! * [`hash`] — [`fnv1a64`] and [`splitmix64`], the workspace's only
+//!   copies (canonical hashes, trace ids, seeded fault and backoff
+//!   schedules).
+//! * [`line`](mod@line) — [`encode_line`]/[`decode_line`], the checksummed
+//!   JSON-lines format of the trace log and the serve journal.
 //!
 //! Nothing in this crate touches seeded RNG streams or simulated
 //! state: observability on or off, results are bit-identical.
 
 #![deny(missing_docs)]
 
+pub mod hash;
 pub mod hist;
+pub mod line;
 pub mod recorder;
 pub mod trace;
 
+pub use hash::{fnv1a64, splitmix64};
 pub use hist::{bucket_bound, AtomicHistogram, BucketCount, HistogramSnapshot, BUCKETS};
+pub use line::{decode_line, encode_line};
 pub use recorder::{GenSample, NoopRecorder, Phase, Recorder, SeriesRecorder};
 pub use trace::{
-    decode_event, encode_event, join_traces, read_trace, render_tree, trace_id_of_key, CellTrace,
-    TraceEvent, TraceLog, TraceRead, TraceTree,
+    join_traces, read_trace, render_tree, trace_id_of_key, CellTrace, TraceEvent, TraceLog,
+    TraceRead, TraceTree,
 };

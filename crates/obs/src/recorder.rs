@@ -10,8 +10,8 @@
 //!
 //! An enabled recorder owns its own timing: [`SeriesRecorder`] reads
 //! the clock in `begin`/`end` and folds per-generation cooperation and
-//! phase timings into [`GenSample`]s, which the CLI's `--trace` paths
-//! forward into the trace log. Recorders never touch the seeded RNG or
+//! phase timings into [`GenSample`]s, which `ahn_core`'s traced entry
+//! points write to the trace log. Recorders never touch the seeded RNG or
 //! any simulated state, so instrumented and uninstrumented runs are
 //! bit-identical.
 

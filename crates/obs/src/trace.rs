@@ -4,9 +4,9 @@
 //!
 //! Every process in a distributed run can carry its own trace file
 //! (`serve --trace`, `worker --trace`, `ahn-exp sweep --trace`). Each
-//! appended line is independently verifiable — the same
-//! `<fnv1a-64 hex> <compact JSON>` discipline as the completion
-//! journal — so a SIGKILLed writer corrupts at most its torn tail, and
+//! appended line is independently verifiable — the checksummed-line
+//! format of [`crate::line`], shared with the completion journal — so a
+//! SIGKILLed writer corrupts at most its torn tail, and
 //! [`read_trace`] skips invalid lines instead of aborting (trace events
 //! are independent records, unlike journal state, so a mid-file skip is
 //! safe).
@@ -38,9 +38,11 @@
 //! | `complete` | server | a completion was accepted (ok = result vs error) |
 //! | `duplicate` | server | a completion lost the first-completion race |
 //! | `merge` | coordinator | the cell folded into the merged report |
-//! | `cell_start`/`cell_done` | local runs | one sweep cell's lifecycle |
+//! | `cell_start`/`cell_done` | local runs | one sweep cell's or experiment case's lifecycle |
 //! | `generation` | local runs | one hot-loop generation (coop + phase timings) |
 
+use crate::hash::splitmix64;
+use crate::line::{decode_line, encode_line};
 use crate::recorder::GenSample;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
@@ -49,31 +51,12 @@ use std::path::Path;
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-/// SplitMix64 — the same mixer the fault harness uses, duplicated here
-/// so this crate stays dependency-free.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Mints the trace id for a cell from its result-cache key. Pure and
 /// stable: every process that knows the key (server, resumed server,
 /// coordinator) derives the same id, and workers just echo the one in
 /// their grant. Never returns 0 (the "no cell context" sentinel).
 pub fn trace_id_of_key(key: u64) -> u64 {
     splitmix64(key ^ 0x0B5E_55AB_1E5E_ED07).max(1)
-}
-
-/// FNV-1a 64 over raw bytes — same family as the journal's checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }
 
 /// One trace record. Field meaning depends on `span` (see the module
@@ -180,26 +163,6 @@ impl TraceEvent {
     }
 }
 
-/// Encodes one event as its checksummed log line (terminator included).
-pub fn encode_event(event: &TraceEvent) -> String {
-    let payload = serde_json::to_string(event).expect("trace events always serialize");
-    format!("{:016x} {payload}\n", fnv1a64(payload.as_bytes()))
-}
-
-/// Decodes one log line (without its terminator); `None` marks a torn
-/// or corrupted record.
-pub fn decode_event(line: &str) -> Option<TraceEvent> {
-    let (checksum_hex, payload) = line.split_once(' ')?;
-    if checksum_hex.len() != 16 {
-        return None;
-    }
-    let checksum = u64::from_str_radix(checksum_hex, 16).ok()?;
-    if checksum != fnv1a64(payload.as_bytes()) {
-        return None;
-    }
-    serde_json::from_str(payload).ok()
-}
-
 struct TraceLogInner {
     file: File,
     seq: u64,
@@ -252,7 +215,7 @@ impl TraceLog {
         };
         event.seq = inner.seq;
         inner.seq += 1;
-        let line = encode_event(&event);
+        let line = encode_line(&event);
         let _ = inner
             .file
             .write_all(line.as_bytes())
@@ -282,7 +245,7 @@ pub fn read_trace(path: &Path) -> std::io::Result<TraceRead> {
     let mut out = TraceRead::default();
     for line in BufReader::new(file).lines() {
         let line = line?;
-        match decode_event(&line) {
+        match decode_line(&line) {
             Some(event) => out.events.push(event),
             None if line.is_empty() => {}
             None => out.discarded += 1,
@@ -480,9 +443,9 @@ mod tests {
     #[test]
     fn lines_roundtrip_and_reject_corruption() {
         let event = TraceEvent::new(7, "lease").job(3).lease(9).key(0xABCD);
-        let line = encode_event(&event);
+        let line = encode_line(&event);
         assert!(line.ends_with('\n'));
-        let back = decode_event(line.trim_end()).unwrap();
+        let back: TraceEvent = decode_line(line.trim_end()).unwrap();
         assert_eq!(back.trace_id, 7);
         assert_eq!(back.span, "lease");
         assert_eq!(
@@ -491,9 +454,9 @@ mod tests {
         );
         let mut tampered = line.trim_end().to_owned();
         tampered.replace_range(tampered.len() - 1.., "X");
-        assert_eq!(decode_event(&tampered), None);
-        assert_eq!(decode_event(&line[..line.len() / 2]), None);
-        assert_eq!(decode_event(""), None);
+        assert_eq!(decode_line::<TraceEvent>(&tampered), None);
+        assert_eq!(decode_line::<TraceEvent>(&line[..line.len() / 2]), None);
+        assert_eq!(decode_line::<TraceEvent>(""), None);
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! scenario for crash-resume tests.
 
 use crate::worker::Transport;
+use ahn_obs::splitmix64;
 
 /// Which fault (if any) a call suffers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,16 +118,6 @@ impl FaultPlan {
         }
         Fault::None
     }
-}
-
-/// SplitMix64: one multiply-xor-shift chain per draw; statistically
-/// plenty for a failure schedule and dependency-free. Shared with the
-/// decorrelated-jitter backoff of [`crate::resilience`].
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A [`Transport`] wrapper injecting the faults of a [`FaultPlan`].

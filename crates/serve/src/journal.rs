@@ -1,7 +1,8 @@
 //! The append-only completion journal: the checkpoint/resume substrate
 //! shared by the on-disk job store and the distributed coordinator.
 //!
-//! One record per line, each line independently verifiable:
+//! One [`Record`] per line in the checksummed-line format of
+//! [`ahn_obs::line`], each line independently verifiable:
 //!
 //! ```text
 //! <fnv1a-64 hex checksum> <compact JSON {"key": u64, "result": string}>
@@ -19,6 +20,7 @@
 //! occurrence, matching the first-completion-wins rule of the serving
 //! layer.
 
+use ahn_obs::{decode_line, encode_line};
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
@@ -32,42 +34,6 @@ pub struct Record {
     pub key: u64,
     /// The serialized result JSON, exactly as the worker produced it.
     pub result: String,
-}
-
-/// FNV-1a 64 over raw bytes — the same hash family as
-/// `ahn_core::config::canonical_hash`, applied here to the encoded
-/// payload so the reader needs no serde round trip to verify a line.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-/// Encodes one record as its journal line (terminator included).
-pub fn encode_line(key: u64, result: &str) -> String {
-    let payload = serde_json::to_string(&Record {
-        key,
-        result: result.to_owned(),
-    })
-    .expect("a {u64, String} record always serializes");
-    format!("{:016x} {payload}\n", fnv1a64(payload.as_bytes()))
-}
-
-/// Decodes one journal line (without its terminator); `None` marks a
-/// torn or corrupted record.
-pub fn decode_line(line: &str) -> Option<Record> {
-    let (checksum_hex, payload) = line.split_once(' ')?;
-    if checksum_hex.len() != 16 {
-        return None;
-    }
-    let checksum = u64::from_str_radix(checksum_hex, 16).ok()?;
-    if checksum != fnv1a64(payload.as_bytes()) {
-        return None;
-    }
-    serde_json::from_str(payload).ok()
 }
 
 /// What [`replay`] recovered from a journal file.
@@ -99,7 +65,7 @@ pub fn replay(path: &Path) -> std::io::Result<Replay> {
     let mut tail = 0usize;
     for line in &mut lines {
         let line = line?;
-        match decode_line(&line) {
+        match decode_line::<Record>(&line) {
             Some(record) => {
                 if seen.insert(record.key) {
                     out.records.push(record);
@@ -142,7 +108,11 @@ impl Journal {
 
     /// Appends one completion record and flushes it to the OS.
     pub fn append(&mut self, key: u64, result: &str) -> std::io::Result<()> {
-        self.file.write_all(encode_line(key, result).as_bytes())?;
+        let record = Record {
+            key,
+            result: result.to_owned(),
+        };
+        self.file.write_all(encode_line(&record).as_bytes())?;
         self.file.flush()
     }
 }
@@ -160,19 +130,22 @@ mod tests {
 
     #[test]
     fn lines_roundtrip_and_reject_tampering() {
-        let line = encode_line(42, "{\"ok\":true}");
+        let line = encode_line(&Record {
+            key: 42,
+            result: "{\"ok\":true}".into(),
+        });
         assert!(line.ends_with('\n'));
-        let record = decode_line(line.trim_end()).unwrap();
+        let record: Record = decode_line(line.trim_end()).unwrap();
         assert_eq!(record.key, 42);
         assert_eq!(record.result, "{\"ok\":true}");
         // Any single-byte corruption of the payload fails the checksum.
         let mut tampered = line.trim_end().to_owned();
         tampered.replace_range(tampered.len() - 1.., "]");
-        assert_eq!(decode_line(&tampered), None);
+        assert_eq!(decode_line::<Record>(&tampered), None);
         // A torn (truncated) line fails too.
-        assert_eq!(decode_line(&line[..line.len() / 2]), None);
-        assert_eq!(decode_line(""), None);
-        assert_eq!(decode_line("nonsense"), None);
+        assert_eq!(decode_line::<Record>(&line[..line.len() / 2]), None);
+        assert_eq!(decode_line::<Record>(""), None);
+        assert_eq!(decode_line::<Record>("nonsense"), None);
     }
 
     #[test]

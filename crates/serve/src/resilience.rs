@@ -18,8 +18,8 @@
 //! Neither policy touches result bytes: they only decide *when* a call
 //! happens, so sweep output stays bit-identical under any schedule.
 
-use crate::faults::splitmix64;
 use crate::worker::Transport;
+use ahn_obs::splitmix64;
 use std::time::{Duration, Instant};
 
 /// Knobs for [`Backoff`].

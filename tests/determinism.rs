@@ -141,6 +141,7 @@ fn strategies_in_results_render_in_paper_notation() {
 // leans on.
 
 use ahn::core::{merge_sweep, run_sweep, SweepCell, SweepGrid, SweepReport};
+use ahn::obs::splitmix64;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -237,14 +238,6 @@ fn base_scenario_cells_match_legacy_cells() {
     }
 }
 
-/// SplitMix64, used to derive a permutation from one proptest seed.
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -273,7 +266,7 @@ proptest! {
         // Fisher-Yates with a seeded splitmix stream: an arbitrary
         // arrival order across workers.
         for i in (1..arrivals.len()).rev() {
-            let j = (mix(perm_seed ^ i as u64) % (i as u64 + 1)) as usize;
+            let j = (splitmix64(perm_seed ^ i as u64) % (i as u64 + 1)) as usize;
             arrivals.swap(i, j);
         }
 
@@ -323,7 +316,7 @@ proptest! {
             }
         }
         for i in (1..arrivals.len()).rev() {
-            let j = (mix(perm_seed ^ i as u64) % (i as u64 + 1)) as usize;
+            let j = (splitmix64(perm_seed ^ i as u64) % (i as u64 + 1)) as usize;
             arrivals.swap(i, j);
         }
         let merged = merge_sweep(grid, &arrivals).expect("merge scenario cells");
@@ -357,4 +350,86 @@ proptest! {
         let err = merge_sweep(grid, &arrivals).expect_err("conflicting cells must not merge");
         prop_assert!(err.contains("conflicting"), "unexpected error: {err}");
     }
+}
+
+// ---------------------------------------------------------------------
+// Tracing never changes results, and a traced local run's span log
+// joins back into one complete span tree per cell.
+
+use ahn::core::{run_experiment_traced, run_sweep_traced};
+use ahn::obs::{join_traces, read_trace, TraceLog};
+use std::path::{Path, PathBuf};
+
+fn fresh_trace_path(name: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!(
+        "ahn-determinism-{}-{name}.trace",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+/// Joins the log at `path` and checks it holds exactly `cells` complete
+/// cells, no orphaned spans, and `generations` generation spans per cell.
+fn assert_complete_cells(path: &Path, cells: usize, generations: usize) {
+    let read = read_trace(path).expect("read trace");
+    assert_eq!(read.discarded, 0);
+    let tree = join_traces(read.events, read.discarded);
+    assert_eq!(tree.cells.len(), cells);
+    assert_eq!(tree.complete_cells(), cells);
+    assert_eq!(tree.orphan_spans, 0);
+    for cell in &tree.cells {
+        let spans = cell.events.iter().filter(|e| e.span == "generation");
+        assert_eq!(spans.count(), generations, "cell {:016x}", cell.trace_id);
+    }
+    let _ = std::fs::remove_file(path);
+}
+
+fn traced_cfg() -> ExperimentConfig {
+    let mut config = cfg();
+    config.generations = 3;
+    config.replications = 2;
+    config
+}
+
+#[test]
+fn traced_sweep_matches_untraced_and_joins_into_complete_cells() {
+    let grid = SweepGrid {
+        base: traced_cfg(),
+        scenarios: Some(vec!["base".into(), "slanderers".into()]),
+        cases: vec![1],
+        payoffs: vec!["paper".into()],
+        sizes: vec![10],
+        seed_blocks: vec![0, 1],
+    };
+    let path = fresh_trace_path("sweep");
+    let log = TraceLog::open(&path, "test").expect("open trace");
+    let traced = run_sweep_traced(&grid, Some(&log)).expect("traced sweep");
+    drop(log);
+    let untraced = run_sweep(&grid).expect("untraced sweep");
+    assert_eq!(
+        serde_json::to_string(&traced).unwrap(),
+        serde_json::to_string(&untraced).unwrap()
+    );
+    let config = &grid.base;
+    assert_complete_cells(
+        &path,
+        grid.cell_count(),
+        config.replications * config.generations,
+    );
+}
+
+#[test]
+fn traced_experiment_matches_untraced_and_joins_into_one_cell() {
+    let config = traced_cfg();
+    let case = CaseSpec::mini("traced", &[2], 10, PathMode::Shorter);
+    let path = fresh_trace_path("experiment");
+    let log = TraceLog::open(&path, "test").expect("open trace");
+    let traced = run_experiment_traced(&config, &case, Some(&log));
+    drop(log);
+    assert_eq!(
+        serde_json::to_string(&traced).unwrap(),
+        serde_json::to_string(&run_experiment(&config, &case)).unwrap()
+    );
+    assert_complete_cells(&path, 1, config.replications * config.generations);
 }

@@ -274,9 +274,8 @@ fn measure_thread_scaling(
 }
 
 /// `(cells/s at t) / (t × cells/s at t=1)` over the bench sweep grid,
-/// where `t` is the largest of {4, 8} within the core budget (the core
-/// count itself on 2–3-core hosts). `None` on single-core hosts —
-/// there is no scaling to measure.
+/// where `t = min(host cores, 8)`. `None` on single-core hosts — there
+/// is no scaling to measure.
 fn measure_sweep_scaling(grid: &ahn_core::sweeps::SweepGrid) -> Option<f64> {
     let host = ahn_core::threads::host_cores();
     let t = host.min(8);

@@ -8,6 +8,8 @@
 //! [`aggregate`], which `tests/determinism.rs` pins bit-identical to
 //! [`crate::run_experiment`]'s parallel fan-out — so parallelizing across
 //! cells instead of inside them changes wall-clock, never results.
+//! Workers pull cells one at a time, so grid order does not decide load
+//! balance: a thread that finishes a cheap cell takes the next one.
 //!
 //! Untraced, every replication runs under [`NoopRecorder`], which
 //! monomorphizes to the uninstrumented loop. Traced, each replication

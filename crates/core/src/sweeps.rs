@@ -787,7 +787,9 @@ mod tests {
 
     #[test]
     fn cell_from_result_matches_run_sweep_bit_for_bit() {
-        let grid = SweepGrid::new(grid_cfg(), &[1, 2], &[10], 2);
+        // Case 1 has one environment and case 3 four, so cells finish
+        // out of input order; each must still equal its own experiment.
+        let grid = SweepGrid::new(grid_cfg(), &[1, 3], &[10], 2);
         let local = run_sweep(&grid).unwrap();
         for (spec, expected) in grid.cell_specs().into_iter().zip(&local.cells) {
             let (config, case) = grid.resolve(&spec).unwrap();

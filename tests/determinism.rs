@@ -72,8 +72,9 @@ fn parallel_aggregation_is_bit_identical_to_a_serial_fold() {
     // The serve-path cache-correctness assumption: run_experiment's
     // rayon fan-out must be *bit-identical* to folding run_replication
     // serially over the same seeds — otherwise a cached result could
-    // differ from a recomputed one by scheduling accident. Exercised
-    // with enough replications to guarantee multiple worker chunks.
+    // differ from a recomputed one by scheduling accident. Six
+    // replications, so on a multi-core host several workers pull them
+    // and finish them out of input order.
     let mut config = cfg();
     config.replications = 6;
     let case = CaseSpec::mini("fold", &[2], 10, PathMode::Longer);

@@ -136,8 +136,14 @@ fn execute_cells(
                             .outcome(true)
                             .detail("cache_hit".into()),
                     );
-                    let result = extract_field(&response, "result")?;
-                    checkpoint(&mut done, &mut journal, task.key, result)?;
+                    let reply: serde_json::Value = serde_json::from_str(&response)
+                        .map_err(|e| format!("cannot parse response: {e}"))?;
+                    checkpoint(
+                        &mut done,
+                        &mut journal,
+                        task.key,
+                        result_of(&reply, &response)?,
+                    )?;
                     emit(
                         TraceEvent::new(trace_id, "merge")
                             .key(task.key)
@@ -187,8 +193,12 @@ fn execute_cells(
                 .map_err(|e| format!("cannot parse job status: {e}"))?;
             match &value["status"] {
                 serde_json::Value::String(s) if s == "done" => {
-                    let result = extract_field(&response, "result")?;
-                    checkpoint(&mut done, &mut journal, task.key, result)?;
+                    checkpoint(
+                        &mut done,
+                        &mut journal,
+                        task.key,
+                        result_of(&value, &response)?,
+                    )?;
                     emit(
                         TraceEvent::new(trace_id_of_key(task.key), "merge")
                             .key(task.key)
@@ -214,16 +224,15 @@ fn execute_cells(
     Ok(done)
 }
 
-/// Re-serializes `field` of a JSON response body. Both sides use the
-/// same writer, so this reproduces the worker's compact result bytes.
-fn extract_field(response: &str, field: &str) -> Result<String, String> {
-    let value: serde_json::Value =
-        serde_json::from_str(response).map_err(|e| format!("cannot parse response: {e}"))?;
-    match value.get(field) {
+/// Re-serializes the `result` field of a parsed reply (`response` is
+/// its text, for the error). Both sides use the same writer, so this
+/// reproduces the worker's compact result bytes.
+fn result_of(reply: &serde_json::Value, response: &str) -> Result<String, String> {
+    match reply.get("result") {
         Some(inner) => {
-            serde_json::to_string(inner).map_err(|e| format!("cannot re-serialize {field}: {e}"))
+            serde_json::to_string(inner).map_err(|e| format!("cannot re-serialize result: {e}"))
         }
-        None => Err(format!("response has no {field:?} field: {response}")),
+        None => Err(format!("response has no \"result\" field: {response}")),
     }
 }
 

@@ -99,7 +99,7 @@ pub struct Deadlines {
 
 /// True when an I/O error is a socket read/write deadline expiring
 /// (`WouldBlock` on Unix, `TimedOut` on Windows).
-fn is_timeout(e: &io::Error) -> bool {
+pub(crate) fn is_timeout(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
@@ -269,15 +269,15 @@ pub fn write_response(
         _ => "Internal Server Error",
     };
     let connection = if close { "close" } else { "keep-alive" };
-    let head = format!(
+    let mut message = format!(
         "HTTP/1.1 {status} {reason}\r\n\
          Content-Type: application/json\r\n\
          Content-Length: {}\r\n\
          Connection: {connection}\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    message.push_str(body);
+    stream.write_all(message.as_bytes())?;
     stream.flush()
 }
 
@@ -346,14 +346,14 @@ pub fn write_request(
     path: &str,
     body: &str,
 ) -> io::Result<()> {
-    let head = format!(
+    let mut message = format!(
         "{method} {path} HTTP/1.1\r\n\
          Host: ahn-serve\r\n\
          Content-Type: application/json\r\n\
          Content-Length: {}\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    message.push_str(body);
+    stream.write_all(message.as_bytes())?;
     stream.flush()
 }

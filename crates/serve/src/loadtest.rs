@@ -8,14 +8,12 @@
 //! each distinct spec misses (and costs a real experiment), every
 //! repeat hits the LRU cache.
 
-use crate::http::{read_response, write_request};
 use crate::metrics::Snapshot;
 use crate::protocol::JobSpec;
+use crate::worker::{HttpTransport, Transport};
 use ahn_core::{cases::CaseSpec, config::ExperimentConfig};
 use ahn_obs::{AtomicHistogram, HistogramSnapshot};
 use serde::{Deserialize, Serialize};
-use std::io::BufReader;
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -99,16 +97,16 @@ pub fn smoke_spec(index: u64) -> JobSpec {
     }
 }
 
-/// One synchronous request on a fresh connection (CLI helper for
-/// one-shot calls like `/metrics` or `/v1/shutdown`).
+/// One synchronous request through a fresh [`HttpTransport`] (CLI
+/// helper for one-shot calls like `/metrics` or `/v1/shutdown`), so it
+/// opens its own connection and closes it after the reply.
 pub fn one_shot(addr: &str, method: &str, path: &str, body: &str) -> Result<(u16, String), String> {
     one_shot_deadlined(addr, method, path, body, None)
 }
 
-/// [`one_shot`] with a total per-call deadline applied to connect,
-/// send and receive (each phase individually bounded by `deadline`) —
-/// the client-side guard a worker uses so a wedged server cannot pin
-/// it forever. `None` blocks indefinitely.
+/// [`one_shot`] with a deadline applied to connect, send and receive
+/// (each phase individually bounded by `deadline`). `None` blocks
+/// indefinitely.
 pub fn one_shot_deadlined(
     addr: &str,
     method: &str,
@@ -116,26 +114,7 @@ pub fn one_shot_deadlined(
     body: &str,
     deadline: Option<Duration>,
 ) -> Result<(u16, String), String> {
-    let stream = match deadline {
-        None => TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?,
-        Some(limit) => {
-            use std::net::ToSocketAddrs;
-            let sock = addr
-                .to_socket_addrs()
-                .map_err(|e| format!("resolve {addr}: {e}"))?
-                .next()
-                .ok_or_else(|| format!("resolve {addr}: no addresses"))?;
-            TcpStream::connect_timeout(&sock, limit).map_err(|e| format!("connect {addr}: {e}"))?
-        }
-    };
-    stream
-        .set_read_timeout(deadline)
-        .and_then(|()| stream.set_write_timeout(deadline))
-        .map_err(|e| format!("set deadline: {e}"))?;
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    let mut stream = stream;
-    write_request(&mut stream, method, path, body).map_err(|e| format!("send: {e}"))?;
-    read_response(&mut reader).map_err(|e| format!("read: {e}"))
+    HttpTransport::with_timeout(addr, deadline).request(method, path, body)
 }
 
 struct WorkerTally {
@@ -279,32 +258,14 @@ fn drive_connection(addr: &str, bodies: &[String], worker: usize, count: usize) 
         rejected: 0,
         errors: 0,
     };
-    let Ok(stream) = TcpStream::connect(addr) else {
-        tally.errors = 1;
-        return tally;
-    };
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        tally.errors = 1;
-        return tally;
-    };
-    let mut stream = stream;
-    let mut reader = BufReader::new(read_half);
-
+    let mut conn = HttpTransport::with_timeout(addr, None);
     for i in 0..count {
         let body = &bodies[(worker + i) % bodies.len()];
         tally.attempted += 1;
         let submit_started = Instant::now();
-        if write_request(&mut stream, "POST", "/v1/experiments", body).is_err() {
+        let Ok((status, response)) = conn.request("POST", "/v1/experiments", body) else {
             tally.errors += 1;
             break;
-        }
-        let (status, response) = match read_response(&mut reader) {
-            Ok(r) => r,
-            Err(_) => {
-                tally.errors += 1;
-                break;
-            }
         };
         tally
             .latency
@@ -314,7 +275,7 @@ fn drive_connection(addr: &str, bodies: &[String], worker: usize, count: usize) 
             200 if response.contains("\"cached\":true") => tally.cache_hits += 1,
             202 => match job_id_of(&response) {
                 Some(job_id) => {
-                    if poll_to_completion(&mut stream, &mut reader, job_id) {
+                    if poll_to_completion(&mut conn, job_id) {
                         tally.jobs_completed += 1;
                     } else {
                         tally.errors += 1;
@@ -334,18 +295,11 @@ fn drive_connection(addr: &str, bodies: &[String], worker: usize, count: usize) 
 
 /// Polls `GET /v1/jobs/{id}` on the same connection until the job
 /// leaves the queue; true on `done`.
-fn poll_to_completion(
-    stream: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    job_id: u64,
-) -> bool {
+fn poll_to_completion(conn: &mut HttpTransport, job_id: u64) -> bool {
     let path = format!("/v1/jobs/{job_id}");
     // 2 ms x 15 000 polls = a 30 s budget, far beyond any smoke job.
     for _ in 0..15_000 {
-        if write_request(stream, "GET", &path, "").is_err() {
-            return false;
-        }
-        let Ok((status, body)) = read_response(reader) else {
+        let Ok((status, body)) = conn.request("GET", &path, "") else {
             return false;
         };
         if status != 200 {

@@ -13,6 +13,9 @@ use std::time::Instant;
 pub struct Metrics {
     /// HTTP requests served, any route, any status.
     pub http_requests: AtomicU64,
+    /// TCP connections the accept loop handed to a connection thread.
+    /// With kept-alive clients it stays far below `http_requests`.
+    pub connections_accepted: AtomicU64,
     /// `POST /v1/experiments` submissions accepted for processing
     /// (cache hits + queued jobs + coalesced duplicates).
     pub submissions: AtomicU64,
@@ -95,6 +98,7 @@ impl Default for Metrics {
     fn default() -> Self {
         Self {
             http_requests: AtomicU64::new(0),
+            connections_accepted: AtomicU64::new(0),
             submissions: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
@@ -216,6 +220,7 @@ impl Metrics {
             drain_seconds: load(&self.drain_nanos) as f64 / 1e9,
             effective_threads: Some(ahn_core::threads::effective() as u64),
             uptime_seconds: Some(self.boot.elapsed().as_secs()),
+            connections_accepted: Some(load(&self.connections_accepted)),
             latency: Some(LatencySnapshot {
                 request_submit_us: self.request_submit_us.snapshot(),
                 request_jobs_us: self.request_jobs_us.snapshot(),
@@ -323,6 +328,9 @@ pub struct Snapshot {
     /// Latency distributions per instrumented stage. Absent in v1
     /// reports.
     pub latency: Option<LatencySnapshot>,
+    /// TCP connections accepted since boot. Absent in reports from
+    /// servers that predate it.
+    pub connections_accepted: Option<u64>,
 }
 
 #[cfg(test)]
@@ -418,6 +426,7 @@ mod tests {
         assert_eq!(s.uptime_seconds, None);
         assert_eq!(s.latency, None);
         assert_eq!(s.effective_threads, None);
+        assert_eq!(s.connections_accepted, None);
     }
 
     #[test]

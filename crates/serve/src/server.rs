@@ -33,13 +33,17 @@
 //!                        journaled), then the node exits
 //! ```
 //!
-//! Connections get one OS thread each (keep-alive, so a load generator
-//! with N connections costs N threads); experiment compute runs on the
-//! bounded worker pool of [`crate::jobs`], never on connection threads.
-//! Every connection read runs under the [`crate::http::Deadlines`] of
-//! the config — a slowloris client is evicted with 408, an idle
-//! keep-alive connection is closed silently, and neither can pin its
-//! thread past the deadline.
+//! Connections get one OS thread each and are kept alive: every pull
+//! worker and coordinator holds one connection ([`crate::HttpTransport`]),
+//! so it costs one server thread, and a load generator with N
+//! connections costs N. Experiment compute runs on the bounded worker
+//! pool of [`crate::jobs`], never on connection threads. Every
+//! connection read runs under the [`crate::http::Deadlines`] of the
+//! config — a slowloris client is evicted with 408, a connection idle
+//! past `idle_timeout_ms` is closed silently (its client reconnects on
+//! its next request), and neither can pin its thread past the deadline.
+//! Once the server has stopped, a connection thread hangs up at the
+//! next request instead of answering it.
 
 use crate::cache::LruCache;
 use crate::http::{read_request_deadlined, write_response, Deadlines, ReadOutcome, Request};
@@ -298,6 +302,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        Metrics::bump(&shared.metrics.connections_accepted);
         let conn_shared = Arc::clone(shared);
         let _ = std::thread::Builder::new()
             .name("ahn-serve-conn".into())
@@ -363,6 +368,12 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     loop {
         match read_request_deadlined(&mut reader, &deadlines) {
             Ok(ReadOutcome::Request(req)) => {
+                // A kept connection outlives the listener: once the
+                // server has stopped, hang up rather than answer from a
+                // detached thread, so the client sees the node is gone.
+                if !shared.running.load(Ordering::SeqCst) {
+                    break;
+                }
                 Metrics::bump(&shared.metrics.http_requests);
                 let started = Instant::now();
                 let (status, body, shutdown) = route(shared, &req);

@@ -19,12 +19,14 @@
 //! a seeded decorrelated-jitter backoff ([`crate::resilience::Backoff`])
 //! instead of spinning hot at a fixed interval.
 
+use crate::http::{is_timeout, read_response, write_request};
 use crate::jobs::run_job;
-use crate::loadtest::one_shot_deadlined;
 use crate::protocol::{WorkCompletion, WorkGrant};
 use crate::resilience::{Backoff, BackoffPolicy};
 use ahn_obs::{trace_id_of_key, AtomicHistogram, HistogramSnapshot, TraceEvent, TraceLog};
 use serde::{Deserialize, Serialize};
+use std::io::{self, BufRead, BufReader};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 /// One HTTP round trip, abstracted so tests can inject failures
@@ -49,14 +51,21 @@ pub trait Transport: Send {
 /// (claims and completions are sub-second; compute happens locally).
 pub const DEFAULT_TRANSPORT_DEADLINE_MS: u64 = 30_000;
 
-/// The real transport: one fresh TCP connection per request (a worker
-/// is idle-or-computing, so connection reuse buys nothing and fresh
-/// connections survive server restarts). Every call runs under a
-/// deadline — a worker never blocks forever on a wedged server.
-#[derive(Debug, Clone)]
+/// The real transport: one kept-alive TCP connection (`TCP_NODELAY`),
+/// opened on first use and dropped after any failure. Every call runs
+/// under a deadline (connect, send and receive), so a worker never
+/// blocks forever on a wedged server.
+///
+/// A *reused* connection that fails before the first byte of the
+/// response arrives is reopened and the request resent once: that is
+/// the server hanging up a connection it reaped as idle, or a server
+/// that stopped or restarted in between. Every other failure — a fresh
+/// connection's, an expired deadline, a torn response — is `Err`.
+#[derive(Debug)]
 pub struct HttpTransport {
     addr: String,
     deadline: Option<Duration>,
+    conn: Option<BufReader<TcpStream>>,
 }
 
 impl HttpTransport {
@@ -69,16 +78,86 @@ impl HttpTransport {
     /// A transport with an explicit per-call deadline in milliseconds
     /// (0 disables the deadline — the pre-hardening behavior).
     pub fn with_deadline(addr: &str, deadline_ms: u64) -> HttpTransport {
+        HttpTransport::with_timeout(
+            addr,
+            (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
+        )
+    }
+
+    /// A transport whose connect, send and receive are each bounded by
+    /// `deadline` (`None` blocks indefinitely).
+    pub(crate) fn with_timeout(addr: &str, deadline: Option<Duration>) -> HttpTransport {
         HttpTransport {
             addr: addr.into(),
-            deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
+            deadline,
+            conn: None,
         }
     }
+
+    fn connect(&self) -> Result<BufReader<TcpStream>, String> {
+        let addr = &self.addr;
+        let stream = match self.deadline {
+            None => TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?,
+            Some(limit) => {
+                let sock = addr
+                    .to_socket_addrs()
+                    .map_err(|e| format!("resolve {addr}: {e}"))?
+                    .next()
+                    .ok_or_else(|| format!("resolve {addr}: no addresses"))?;
+                TcpStream::connect_timeout(&sock, limit)
+                    .map_err(|e| format!("connect {addr}: {e}"))?
+            }
+        };
+        stream
+            .set_nodelay(true)
+            .and_then(|()| stream.set_read_timeout(self.deadline))
+            .and_then(|()| stream.set_write_timeout(self.deadline))
+            .map_err(|e| format!("set deadline: {e}"))?;
+        Ok(BufReader::new(stream))
+    }
+}
+
+/// One request on an open connection. `Err((true, _))` when it failed
+/// before the first response byte for a reason other than a deadline.
+fn exchange(
+    conn: &mut BufReader<TcpStream>,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> Result<(u16, String), (bool, String)> {
+    let unanswered = |e: io::Error, what: &str| (!is_timeout(&e), format!("{what}: {e}"));
+    write_request(conn.get_mut(), method, path, body).map_err(|e| unanswered(e, "send"))?;
+    loop {
+        match conn.fill_buf() {
+            Ok([]) => {
+                return Err((
+                    true,
+                    "read: connection closed before the status line".into(),
+                ))
+            }
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(unanswered(e, "read")),
+        }
+    }
+    read_response(conn).map_err(|e| (false, format!("read: {e}")))
 }
 
 impl Transport for HttpTransport {
     fn request(&mut self, method: &str, path: &str, body: &str) -> Result<(u16, String), String> {
-        one_shot_deadlined(&self.addr, method, path, body, self.deadline)
+        let reused = self.conn.is_some();
+        let mut conn = match self.conn.take() {
+            Some(conn) => conn,
+            None => self.connect()?,
+        };
+        let mut outcome = exchange(&mut conn, method, path, body);
+        if reused && matches!(outcome, Err((true, _))) {
+            conn = self.connect()?;
+            outcome = exchange(&mut conn, method, path, body);
+        }
+        let reply = outcome.map_err(|(_, e)| e)?;
+        self.conn = Some(conn);
+        Ok(reply)
     }
 }
 

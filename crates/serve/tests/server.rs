@@ -3,6 +3,7 @@
 
 use ahn_serve::loadtest::{one_shot, run_loadtest, LoadtestConfig};
 use ahn_serve::server::{spawn, ServerConfig, ServerHandle};
+use ahn_serve::{HttpTransport, Transport};
 use serde_json::Value;
 use std::time::{Duration, Instant};
 
@@ -33,6 +34,15 @@ fn post(addr: &str, path: &str, body: &str) -> (u16, Value) {
     let (status, body) = one_shot(addr, "POST", path, body).expect("request");
     let value = serde_json::from_str(&body).unwrap_or(Value::Null);
     (status, value)
+}
+
+/// The server's `connections_accepted` counter, scraped over a
+/// connection of its own (which the reading includes).
+fn connections_accepted(addr: &str) -> u64 {
+    match get(addr, "/metrics").1["connections_accepted"] {
+        Value::U64(n) => n,
+        ref other => panic!("connections_accepted: {other:?}"),
+    }
 }
 
 /// Polls a job until done, panicking on failure or timeout.
@@ -346,27 +356,75 @@ fn shutdown_endpoint_stops_the_server() {
 
 #[test]
 fn keep_alive_connection_serves_many_requests() {
-    use ahn_serve::http::{read_response, write_request};
-    use std::io::BufReader;
-    use std::net::TcpStream;
-
     let (handle, addr) = boot(1, 4, 4);
-    let stream = TcpStream::connect(&addr).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut stream = stream;
+    let before = connections_accepted(&addr);
+    let mut transport = HttpTransport::new(&addr);
     for _ in 0..50 {
-        write_request(&mut stream, "GET", "/healthz", "").unwrap();
-        let (status, body) = read_response(&mut reader).unwrap();
+        let (status, body) = transport.request("GET", "/healthz", "").unwrap();
         assert_eq!((status, body.as_str()), (200, "{\"status\":\"ok\"}"));
     }
-    drop(stream);
-
-    let (_, metrics) = get(&addr, "/metrics");
-    match metrics["http_requests"] {
-        Value::U64(n) => assert!(n >= 51, "{n}"),
-        ref other => panic!("{other:?}"),
-    }
+    // One connection for the transport, one for the second scrape.
+    assert_eq!(connections_accepted(&addr) - before, 2);
     handle.shutdown();
+}
+
+#[test]
+fn a_kept_connection_fails_once_the_server_has_stopped() {
+    let (handle, addr) = boot(1, 4, 4);
+    let mut transport = HttpTransport::new(&addr);
+    assert_eq!(transport.request("GET", "/healthz", "").unwrap().0, 200);
+    handle.shutdown();
+    // The connection thread outlives the listener; it must hang up, not
+    // answer, so the transport sees a node that is gone.
+    let outcome = transport.request("GET", "/healthz", "");
+    assert!(outcome.is_err(), "a stopped server answered: {outcome:?}");
+}
+
+#[test]
+fn a_transport_reconnects_after_the_idle_deadline_reaps_its_connection() {
+    let handle = spawn(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 0,
+        idle_timeout_ms: 50,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let addr = handle.addr().to_string();
+    let mut transport = HttpTransport::new(&addr);
+    assert_eq!(transport.request("GET", "/healthz", "").unwrap().0, 200);
+    std::thread::sleep(Duration::from_millis(300));
+    // The server hung up the idle connection, so the request is resent
+    // on a second one.
+    let (status, body) = transport.request("GET", "/metrics", "").unwrap();
+    assert_eq!(status, 200);
+    let metrics: Value = serde_json::from_str(&body).unwrap();
+    assert_eq!(metrics["connections_accepted"], Value::U64(2), "{body}");
+    assert_eq!(metrics["http_requests"], Value::U64(2), "{body}");
+    handle.shutdown();
+}
+
+#[test]
+fn a_kept_connection_follows_a_restart_on_the_same_address() {
+    let (first, addr) = boot(1, 4, 4);
+    let mut transport = HttpTransport::new(&addr);
+    for _ in 0..3 {
+        assert_eq!(transport.request("GET", "/healthz", "").unwrap().0, 200);
+    }
+    first.shutdown();
+    let second = spawn(ServerConfig {
+        addr: addr.clone(),
+        workers: 0,
+        ..ServerConfig::default()
+    })
+    .expect("rebind the stopped server's port");
+    // The first request on the old connection is resent to the new
+    // server, which has seen nothing else yet.
+    let (status, body) = transport.request("GET", "/metrics", "").unwrap();
+    assert_eq!(status, 200);
+    let metrics: Value = serde_json::from_str(&body).unwrap();
+    assert_eq!(metrics["http_requests"], Value::U64(1), "{body}");
+    assert_eq!(metrics["connections_accepted"], Value::U64(1), "{body}");
+    second.shutdown();
 }
 
 #[test]

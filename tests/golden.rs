@@ -21,10 +21,11 @@
 
 use ahn::core::{
     cases::CaseSpec,
-    config::ExperimentConfig,
+    config::{AttackerBehavior, ExperimentConfig},
     experiment::{run_replication, ReplicationResult},
+    AttackerShare,
 };
-use ahn::net::PathMode;
+use ahn::net::{GossipConfig, PathMode, RouteSelection};
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_replication.json");
 
@@ -36,10 +37,52 @@ struct Scenario {
     seed: u64,
 }
 
+/// A threat model applied with `ahn::core::Scenario::apply` to the
+/// smoke config at 10 participants (two environments), then given a
+/// defense and a route-selection policy. These pin the tournament paths
+/// the paper's model never takes: adversary-zoo decisions and gossip,
+/// sleeper rounds and flooder packets.
+fn threat(
+    name: &'static str,
+    attackers: &[(AttackerBehavior, f64)],
+    mode: PathMode,
+    duty: Option<f64>,
+    gossip: Option<GossipConfig>,
+    route_selection: RouteSelection,
+    seed: u64,
+) -> Scenario {
+    let mut smoke = ExperimentConfig::smoke();
+    smoke.generations = 4;
+    smoke.gossip = gossip;
+    smoke.route_selection = route_selection;
+    let threat = ahn::core::Scenario {
+        name: name.into(),
+        summary: "golden threat mix".into(),
+        attackers: Some(
+            attackers
+                .iter()
+                .map(|&(behavior, share)| AttackerShare { behavior, share })
+                .collect(),
+        ),
+        mode: Some(mode),
+        duty,
+    };
+    let case = CaseSpec::mini(name, &[0, 0], 10, PathMode::Shorter);
+    let (config, case) = threat.apply(&smoke, &case).expect("valid golden threat");
+    Scenario {
+        name,
+        config,
+        case,
+        seed,
+    }
+}
+
 /// The pinned scenarios. Small scale (10-participant tournaments, a few
 /// generations) keeps the suite fast while exercising every hot path:
 /// both path modes, CSN-free and CSN-heavy environments, and the
-/// full evaluate→breed loop.
+/// full evaluate→breed loop; the threat scenarios add every
+/// adversary-zoo kind, both gossip defenses, random route selection,
+/// sleepers and flooders.
 fn scenarios() -> Vec<Scenario> {
     let mut smoke = ExperimentConfig::smoke();
     smoke.generations = 6;
@@ -67,6 +110,59 @@ fn scenarios() -> Vec<Scenario> {
             case: CaseSpec::mini("golden-r40", &[4], 10, PathMode::Shorter),
             seed: 20260730,
         },
+        threat(
+            "zoo_mix_confidant",
+            &[
+                (AttackerBehavior::Liar, 0.1),
+                (AttackerBehavior::Colluder { clique: 1 }, 0.2),
+                (AttackerBehavior::OnOff { on: 4, off: 3 }, 0.1),
+                (AttackerBehavior::Whitewasher { period: 6 }, 0.1),
+            ],
+            PathMode::Shorter,
+            None,
+            Some(GossipConfig::confidant_style()),
+            RouteSelection::BestRated,
+            91,
+        ),
+        threat(
+            "flooders_droppers_core_random_routes",
+            &[
+                (AttackerBehavior::Flooder { extra: 2 }, 0.2),
+                (AttackerBehavior::RandomDropper { p: 0.4 }, 0.2),
+                (AttackerBehavior::Colluder { clique: 3 }, 0.1),
+            ],
+            PathMode::Longer,
+            None,
+            Some(GossipConfig::core_style()),
+            RouteSelection::Random,
+            92,
+        ),
+        threat(
+            "sleepers_lp_flooder_liar_confidant",
+            &[
+                (AttackerBehavior::Flooder { extra: 1 }, 0.1),
+                (AttackerBehavior::Liar, 0.1),
+                (AttackerBehavior::OnOff { on: 2, off: 5 }, 0.1),
+            ],
+            PathMode::Longer,
+            Some(0.5),
+            Some(GossipConfig::confidant_style()),
+            RouteSelection::BestRated,
+            93,
+        ),
+        threat(
+            "sleepers_sp_watchdog_random_routes",
+            &[
+                (AttackerBehavior::Whitewasher { period: 4 }, 0.1),
+                (AttackerBehavior::Colluder { clique: 1 }, 0.2),
+                (AttackerBehavior::RandomDropper { p: 0.7 }, 0.1),
+            ],
+            PathMode::Shorter,
+            Some(0.7),
+            None,
+            RouteSelection::Random,
+            94,
+        ),
     ]
 }
 

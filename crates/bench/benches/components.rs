@@ -8,10 +8,10 @@
 use ahn_bench::{bench_arena, bench_bignet_arena, bench_rng};
 use ahn_bitstr::{ops, BitStr};
 use ahn_ga::{next_generation, next_generation_into, GaParams};
-use ahn_game::{game::Scratch, play_game, Tournament};
+use ahn_game::{game::Scratch, play_game, play_round, Tournament};
 use ahn_net::{
-    paths::{path_rating, select_best_path, AltPathDist, PathGenerator, PathLengthDist},
-    NodeId, PathMode, PathScratch, ReputationMatrix, TrustTable,
+    paths::{path_rating, AltPathDist, PathGenerator, PathLengthDist},
+    Candidates, NodeId, PathMode, ReputationMatrix, RouteSelection, TrustTable,
 };
 use ahn_strategy::Strategy;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -22,14 +22,7 @@ fn bench_single_game(c: &mut Criterion) {
     let mut scratch = Scratch::default();
     c.bench_function("game/play_game_50_nodes", |b| {
         b.iter(|| {
-            let report = play_game(
-                &mut arena,
-                &mut rng,
-                participants[0],
-                &participants,
-                0,
-                &mut scratch,
-            );
+            let report = play_game(&mut arena, &mut rng, &participants, 0, 0, &mut scratch);
             black_box(report.outcome)
         })
     });
@@ -150,18 +143,14 @@ fn bench_arena_round(c: &mut Criterion) {
         let (mut arena, participants) = build(9);
         let mut rng = bench_rng(10);
         let mut scratch = Scratch::default();
-        // Warm the reputation rows and scratch buffers so the bench
-        // times the steady state, not first-touch growth.
+        // Warm the reputation rows so the bench times the steady state,
+        // not first-touch growth.
         for _ in 0..2 {
-            for &source in &participants {
-                play_game(&mut arena, &mut rng, source, &participants, 0, &mut scratch);
-            }
+            play_round(&mut arena, &mut rng, &participants, 0, &mut scratch);
         }
         c.bench_function(name, |b| {
             b.iter(|| {
-                for &source in &participants {
-                    play_game(&mut arena, &mut rng, source, &participants, 0, &mut scratch);
-                }
+                play_round(&mut arena, &mut rng, &participants, 0, &mut scratch);
                 black_box(arena.metrics.env(0).nn_games)
             })
         });
@@ -170,17 +159,13 @@ fn bench_arena_round(c: &mut Criterion) {
 
 fn bench_path_generation(c: &mut Criterion) {
     let generator = PathGenerator::for_mode(PathMode::Longer);
-    let pool: Vec<NodeId> = (2..50u32).map(NodeId).collect();
+    let participants: Vec<NodeId> = (0..50u32).map(NodeId).collect();
     let mut rng = bench_rng(6);
-    let mut scratch = Vec::new();
-    c.bench_function("paths/generate_candidates_LP", |b| {
-        b.iter(|| black_box(generator.generate(&mut rng, &pool, &mut scratch)))
-    });
-    let mut path_scratch = PathScratch::default();
-    c.bench_function("paths/generate_into_candidates_LP", |b| {
+    let mut candidates = Candidates::default();
+    c.bench_function("paths/draw_candidates_LP", |b| {
         b.iter(|| {
-            generator.generate_into(&mut rng, &pool, &mut path_scratch);
-            black_box(path_scratch.n_candidates())
+            generator.draw(&mut rng, &participants, 0, 1, &mut candidates);
+            black_box(candidates.len())
         })
     });
 
@@ -195,13 +180,11 @@ fn bench_path_generation(c: &mut Criterion) {
     });
 
     let m = ReputationMatrix::new(50);
-    let candidates: Vec<Vec<NodeId>> = (0..3)
-        .map(|_| generator.generate(&mut rng, &pool, &mut scratch).remove(0))
-        .collect();
-    c.bench_function("paths/rate_and_select_3_candidates", |b| {
+    generator.draw(&mut rng, &participants, 0, 1, &mut candidates);
+    c.bench_function("paths/rate_and_select_candidates", |b| {
         b.iter(|| {
-            let i = select_best_path(&m, NodeId(0), &candidates);
-            black_box(path_rating(&m, NodeId(0), &candidates[i]))
+            let i = RouteSelection::BestRated.select(&mut rng, &m, NodeId(0), &candidates);
+            black_box(path_rating(&m, NodeId(0), candidates.get(i)))
         })
     });
 }

@@ -1755,15 +1755,15 @@ fn trace(opts: &Options) {
 
     // Warm-up rounds so trust levels exist, then trace 25 games.
     for _ in 0..40 {
-        for &src in &participants {
-            ahn_core::ahn_play_game(&mut arena, &mut rng, src, &participants, 0, &mut scratch);
+        for pos in 0..participants.len() {
+            ahn_core::ahn_play_game(&mut arena, &mut rng, &participants, pos, 0, &mut scratch);
         }
     }
     println!("[");
     let mut first = true;
-    for &src in participants.iter().take(25) {
+    for (pos, &src) in participants.iter().enumerate().take(25) {
         let report =
-            ahn_core::ahn_play_game(&mut arena, &mut rng, src, &participants, 0, &mut scratch);
+            ahn_core::ahn_play_game(&mut arena, &mut rng, &participants, pos, 0, &mut scratch);
         let decisions: Vec<String> = scratch
             .last_decisions()
             .iter()

@@ -158,16 +158,16 @@ pub fn newcomer_join(
     // is genuinely the only unknown party.
     let veterans_only: Vec<NodeId> = participants[..veterans].to_vec();
     for _ in 0..rounds {
-        for &src in &veterans_only {
-            play_game(&mut arena, &mut rng, src, &veterans_only, 0, &mut scratch);
+        for pos in 0..veterans_only.len() {
+            play_game(&mut arena, &mut rng, &veterans_only, pos, 0, &mut scratch);
         }
     }
 
     // Observation: everyone plays, and we track the newcomer's games.
     let mut deliveries: Vec<bool> = Vec::with_capacity(rounds);
     for _ in 0..rounds {
-        for &src in &participants {
-            let report = play_game(&mut arena, &mut rng, src, &participants, 0, &mut scratch);
+        for (pos, &src) in participants.iter().enumerate() {
+            let report = play_game(&mut arena, &mut rng, &participants, pos, 0, &mut scratch);
             if src == newcomer {
                 deliveries.push(report.outcome.delivered());
             }
@@ -352,16 +352,17 @@ pub fn sleeper_study(
                 continue;
             }
             for &source in &participants {
-                let was_awake = awake.contains(&source);
-                if !was_awake {
+                let awake_pos = awake.iter().position(|&p| p == source);
+                if awake_pos.is_none() {
                     awake.push(source);
                 }
                 if awake.len() >= 3 {
-                    let report = play_game(&mut arena, &mut rng, source, &awake, 0, &mut scratch);
+                    let pos = awake_pos.unwrap_or(awake.len() - 1);
+                    let report = play_game(&mut arena, &mut rng, &awake, pos, 0, &mut scratch);
                     sourced[source.index()] += 1;
                     delivered[source.index()] += report.outcome.delivered() as u64;
                 }
-                if !was_awake {
+                if awake_pos.is_none() {
                     awake.pop();
                 }
             }

@@ -73,7 +73,7 @@ pub struct Arena {
     strategies: Vec<Strategy>,
     /// Bit-parallel twin of `strategies`: player `i`'s 13-bit genome as
     /// the integer [`Strategy::encode`] produces (paper bit 0 = most
-    /// significant). The batched round kernel reads decisions straight
+    /// significant). The game kernel reads decisions straight
     /// off this flat array — a shift and a mask against a 2-byte word —
     /// instead of loading the `Strategy` struct per decision. Kept in
     /// sync by every strategy-mutating method.
@@ -203,7 +203,7 @@ impl Arena {
     }
 
     /// The encoded 13-bit genome of a normal player, paper bit `b` at
-    /// integer bit `12 - b` (see [`Strategy::encode`]). The batched
+    /// integer bit `12 - b` (see [`Strategy::encode`]). The game
     /// kernel's decision read: 2 bytes per player instead of the full
     /// `Strategy` struct.
     ///
@@ -274,14 +274,6 @@ impl Arena {
     #[inline]
     pub fn set_round_clock(&mut self, round: u32) {
         self.round_clock = round;
-    }
-
-    /// `true` when every node is one of the three kinds the batched
-    /// round kernel decodes ([`NodeKind::is_batchable`]); adversary-zoo
-    /// kinds force the scalar per-game path, whose sequential reputation
-    /// reads give them the context they need.
-    pub fn all_kinds_batchable(&self) -> bool {
-        self.kinds.iter().all(|k| k.is_batchable())
     }
 
     /// The duty cycle of a node (probability of being awake per round).

@@ -1,50 +1,86 @@
-//! A single Ad Hoc Network Game (paper §4.1).
+//! A single Ad Hoc Network Game (paper §4.1): the one implementation
+//! of a game, for every node kind.
 //!
-//! The source draws candidate paths toward a destination, selects the
-//! best-reputation one (§3.1), and the chosen intermediates decide in
-//! sequence. The first discard ends the game. Afterwards:
+//! The source draws a random destination and candidate paths toward it,
+//! selects the best-reputation one (§3.1), and the chosen intermediates
+//! decide in sequence. The first discard ends the game. Afterwards:
 //!
 //! * every intermediate that received the packet is paid per the
 //!   intermediate payoff table (its trust in the *source* selects the
 //!   column), the source is paid by transmission status (Fig. 2);
 //! * reputation is updated per the watchdog rule (Fig. 1a);
 //! * metrics and energy ledgers are updated.
+//!
+//! Games stay sequential: each decision reads the reputation the
+//! previous games wrote (§4.4). What makes one game cheap:
+//!
+//! * **No relay-pool copy.** The source is addressed by its *position*
+//!   in the participant list, and [`ahn_net::PathGenerator::draw`]
+//!   shuffles a virtual pool (the list with two positions deleted)
+//!   through a small overlay instead of copying it per game and per
+//!   candidate.
+//! * **Bit-parallel strategy decode.** A normal relay's decision reads
+//!   the arena's flat `u16` genome array ([`Arena::strategy_mask`]):
+//!   the (trust, activity) cell of paper bit `b` is one shift of a
+//!   2-byte word. Every other kind decides by
+//!   [`NodeKind::fixed_decision_ctx`](crate::NodeKind::fixed_decision_ctx)
+//!   with the source's kind and the round clock.
+//! * **One settlement pass.** Payoffs, energy and request counts
+//!   accumulate in one pass over the path, in path order, so float
+//!   accumulation is reproducible bit for bit.
 
 use crate::arena::Arena;
+use crate::metrics::ReqCounts;
 use ahn_net::watchdog::{apply_route_outcome, RouteOutcome};
-use ahn_net::{NodeId, PathScratch, TrustLevel};
-use ahn_strategy::Decision;
+use ahn_net::{Candidates, NodeId, TrustLevel, MAX_RELAYS};
+use ahn_strategy::{Decision, UNKNOWN_BIT};
 use rand::Rng;
 
-/// Reusable buffers so the hot game loop performs no steady-state
-/// allocations (one `Scratch` per tournament). After [`play_game`]
-/// returns, the scratch retains the last game's chosen path and decision
-/// trace for inspection — tests and the trace tooling read them without
-/// imposing a per-game allocation on the million-game hot loop.
-#[derive(Debug, Default, Clone)]
+/// Fixed-size working state of [`play_game`]: no heap, so games
+/// allocate nothing from the first one on (tests/zero_alloc.rs). After
+/// a game returns, the scratch retains that game's chosen path and
+/// decision trace for inspection.
+#[derive(Debug, Clone)]
 pub struct Scratch {
-    pool: Vec<NodeId>,
-    paths: PathScratch,
-    decisions: Vec<(Decision, TrustLevel)>,
-    chosen: Vec<NodeId>,
+    candidates: Candidates,
+    /// Index of the chosen candidate.
+    best: usize,
+    /// Decision trace of the chosen path; the first `n_decided` entries
+    /// are live.
+    decisions: [(Decision, TrustLevel); MAX_RELAYS],
+    n_decided: usize,
+}
+
+impl Default for Scratch {
+    fn default() -> Self {
+        Scratch {
+            candidates: Candidates::default(),
+            best: 0,
+            decisions: [(Decision::Discard, TrustLevel::T0); MAX_RELAYS],
+            n_decided: 0,
+        }
+    }
 }
 
 impl Scratch {
-    /// The relay path chosen by the most recent game.
+    /// The relay path chosen by the most recent game (empty before the
+    /// first game).
     pub fn last_path(&self) -> &[NodeId] {
-        &self.chosen
+        if self.candidates.is_empty() {
+            return &[];
+        }
+        self.candidates.get(self.best)
     }
 
     /// The decision trace of the most recent game: one entry per relay
     /// that received the packet, in path order.
     pub fn last_decisions(&self) -> &[(Decision, TrustLevel)] {
-        &self.decisions
+        &self.decisions[..self.n_decided]
     }
 }
 
-/// What one game looked like. Deliberately `Copy`-light: the chosen path
-/// stays in the [`Scratch`] (see [`Scratch::last_path`]) so the hot loop
-/// never allocates per game.
+/// What one game looked like. The chosen path stays in the [`Scratch`]
+/// (see [`Scratch::last_path`]) so games never allocate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GameReport {
     /// Chosen destination.
@@ -55,110 +91,93 @@ pub struct GameReport {
     pub outcome: RouteOutcome,
 }
 
-/// The decision (and the trust level backing its payoff) `node` takes on
-/// a packet originated by `source`.
+/// Plays one game sourced by `participants[source_pos]` among
+/// `participants`, charging metrics to environment `env`.
 ///
-/// Normal nodes consult their strategy: known sources are looked up by
-/// (trust, activity); unknown sources use strategy bit 12 with the
-/// default trust level for the payoff column (§6.1). Fixed-behavior kinds
-/// (CSN, random droppers) ignore the strategy but still carry a trust
-/// level so their payoff accounting stays uniform.
-pub fn decide<R: Rng + ?Sized>(
-    arena: &Arena,
-    rng: &mut R,
-    node: NodeId,
-    source: NodeId,
-) -> (Decision, TrustLevel) {
-    // One indexed reputation access serves both the trust lookup and the
-    // activity classification.
-    let (rate, forwarded) = arena.reputation.rate_and_forwarded(node, source);
-    let trust = arena.config.trust.level_opt(rate);
-    if let Some(fixed) =
-        arena
-            .kind(node)
-            .fixed_decision_ctx(rng, arena.kind(source), arena.round_clock())
-    {
-        return (fixed, trust);
-    }
-    let strategy = arena.strategy(node);
-    let decision = match rate {
-        None => strategy.unknown_decision(),
-        Some(_) => {
-            let activity = arena.config.activity.classify_opt(
-                f64::from(forwarded),
-                arena.reputation.mean_forwarded_of_known(node),
-            );
-            strategy.decision(trust, activity)
-        }
-    };
-    (decision, trust)
-}
-
-/// Plays one game with `source` as originator among `participants`
-/// (which must contain `source`), charging metrics to environment `env`.
-///
-/// Returns a [`GameReport`] describing the attempt.
+/// The source is passed by position: the relay pool is the participant
+/// list without the source and the destination, addressed by position,
+/// so no per-game lookup or copy is needed.
 ///
 /// # Panics
 /// Panics if `participants` has fewer than three nodes (source,
-/// destination and at least one potential relay are required).
+/// destination and at least one potential relay are required), or if
+/// `source_pos` is out of range.
 pub fn play_game<R: Rng + ?Sized>(
     arena: &mut Arena,
     rng: &mut R,
-    source: NodeId,
     participants: &[NodeId],
+    source_pos: usize,
     env: usize,
     scratch: &mut Scratch,
 ) -> GameReport {
+    let len = participants.len();
     assert!(
-        participants.len() >= 3,
+        len >= 3,
         "a game needs a source, a destination and a relay candidate"
     );
+    let source = participants[source_pos];
 
-    // Step 2 of the tournament scheme: random destination, then the relay
-    // pool is everyone else.
-    let destination = loop {
-        let d = participants[rng.gen_range(0..participants.len())];
+    // Step 2 of the tournament scheme: random destination by rejection,
+    // keeping its position for the virtual relay pool.
+    let (dest_pos, destination) = loop {
+        let d_pos = rng.gen_range(0..len);
+        let d = participants[d_pos];
         if d != source {
-            break d;
+            break (d_pos, d);
         }
     };
-    // One memcpy of the participant list, then an order-preserving
-    // in-place removal of the two non-relay roles — cheaper than a
-    // filtered element-by-element push.
-    scratch.pool.clear();
-    scratch.pool.extend_from_slice(participants);
-    scratch.pool.retain(|&n| n != source && n != destination);
 
-    // Steps 2-3: draw candidate paths into the reusable scratch, pick
-    // the best-rated one. No per-game allocations at steady state.
-    arena
-        .config
-        .paths
-        .generate_into(rng, &scratch.pool, &mut scratch.paths);
-    let best =
+    // Steps 2–3: draw candidate paths and pick one (§3.1).
+    arena.config.paths.draw(
+        rng,
+        participants,
+        source_pos,
+        dest_pos,
+        &mut scratch.candidates,
+    );
+    scratch.best =
         arena
             .config
             .route_selection
-            .select_from(rng, &arena.reputation, source, &scratch.paths);
-    scratch.chosen.clear();
-    scratch
-        .chosen
-        .extend_from_slice(scratch.paths.candidate(best));
-    let path = &scratch.chosen;
+            .select(rng, &arena.reputation, source, &scratch.candidates);
+    let path = scratch.candidates.get(scratch.best);
 
     // Step 4: sequential decisions. Each node's choice depends only on
     // its own pre-game view of the source, so a read-only pass suffices.
-    scratch.decisions.clear();
+    // `Strategy::encode` stores paper bit `b` at integer bit `12 - b`.
+    let source_kind = arena.kind(source);
+    let round = arena.round_clock();
     let mut outcome = RouteOutcome::Delivered;
+    let mut n_decided = 0;
     for (k, &node) in path.iter().enumerate() {
-        let (decision, trust) = decide(arena, rng, node, source);
-        scratch.decisions.push((decision, trust));
+        let (rate, forwarded) = arena.reputation.rate_and_forwarded(node, source);
+        let trust = arena.config.trust.level_opt(rate);
+        let decision = match arena.kind(node).fixed_decision_ctx(rng, source_kind, round) {
+            Some(fixed) => fixed,
+            None => {
+                let bit_index = match rate {
+                    // Unknown sources use strategy bit 12 (§6.1).
+                    None => UNKNOWN_BIT,
+                    Some(_) => {
+                        let activity = arena.config.activity.classify_opt(
+                            f64::from(forwarded),
+                            arena.reputation.mean_forwarded_of_known(node),
+                        );
+                        trust.value() as usize * 3 + activity.value() as usize
+                    }
+                };
+                let mask = arena.strategy_mask(node);
+                Decision::from_bit((mask >> (UNKNOWN_BIT - bit_index)) & 1 == 1)
+            }
+        };
+        scratch.decisions[k] = (decision, trust);
+        n_decided = k + 1;
         if decision == Decision::Discard {
             outcome = RouteOutcome::DroppedAt(k);
             break;
         }
     }
+    scratch.n_decided = n_decided;
 
     // Step 5 + metrics, fused into one pass over the path: payoffs and
     // energy for every decider, request-level counts (Tab. 6) and the
@@ -166,14 +185,15 @@ pub fn play_game<R: Rng + ?Sized>(
     let delivered = outcome.delivered();
     arena.payoffs[source.index()].add_source(arena.config.payoff.source(delivered));
     arena.energy[source.index()].add_tx();
-    let mut req = crate::metrics::ReqCounts::default();
+    let mut req = ReqCounts::default();
     let mut csn_free = true;
     for (k, &node) in path.iter().enumerate() {
         let kind = arena.kind(node);
         csn_free &= !kind.is_csn();
-        // Only the first `decisions.len()` nodes received the packet;
-        // the rest still count for path composition above.
-        if let Some(&(decision, trust)) = scratch.decisions.get(k) {
+        // Only the first `n_decided` nodes received the packet; the rest
+        // still count for path composition above.
+        if k < n_decided {
+            let (decision, trust) = scratch.decisions[k];
             match decision {
                 Decision::Forward => {
                     arena.payoffs[node.index()].add_forward(arena.config.payoff.forward(trust));
@@ -197,10 +217,9 @@ pub fn play_game<R: Rng + ?Sized>(
     }
 
     // Game-level metrics (Fig. 4 / Tab. 5).
-    let source_normal = arena.kind(source).is_normal();
     {
         let m = arena.metrics.env_mut(env);
-        if source_normal {
+        if source_kind.is_normal() {
             m.nn_games += 1;
             if delivered {
                 m.nn_delivered += 1;
@@ -215,12 +234,29 @@ pub fn play_game<R: Rng + ?Sized>(
     }
 
     // Step 6: reputation updates per the watchdog rule.
-    apply_route_outcome(&mut arena.reputation, source, &scratch.chosen, outcome);
+    apply_route_outcome(&mut arena.reputation, source, path, outcome);
 
     GameReport {
         destination,
-        hops: scratch.chosen.len() + 1,
+        hops: path.len() + 1,
         outcome,
+    }
+}
+
+/// Plays one tournament round: every participant sources one game, in
+/// participant order, charging metrics to environment `env`.
+///
+/// # Panics
+/// Panics if `participants` has fewer than three nodes.
+pub fn play_round<R: Rng + ?Sized>(
+    arena: &mut Arena,
+    rng: &mut R,
+    participants: &[NodeId],
+    env: usize,
+    scratch: &mut Scratch,
+) {
+    for source_pos in 0..participants.len() {
+        play_game(arena, rng, participants, source_pos, env, scratch);
     }
 }
 
@@ -258,7 +294,7 @@ mod tests {
         let mut s = Scratch::default();
         let ids = participants(10);
         for _ in 0..100 {
-            let rep = play_game(&mut a, &mut r, NodeId(0), &ids, 0, &mut s);
+            let rep = play_game(&mut a, &mut r, &ids, 0, 0, &mut s);
             assert!(rep.outcome.delivered());
             assert_ne!(rep.destination, NodeId(0));
             assert!(!s.last_path().contains(&NodeId(0)));
@@ -286,7 +322,7 @@ mod tests {
         let mut s = Scratch::default();
         let ids = participants(10);
         for _ in 0..50 {
-            let rep = play_game(&mut a, &mut r, NodeId(3), &ids, 0, &mut s);
+            let rep = play_game(&mut a, &mut r, &ids, 3, 0, &mut s);
             assert!(!rep.outcome.delivered());
             assert_eq!(rep.outcome, RouteOutcome::DroppedAt(0));
         }
@@ -310,7 +346,7 @@ mod tests {
         let mut s = Scratch::default();
         let ids = participants(10);
         for _ in 0..200 {
-            play_game(&mut a, &mut r, NodeId(0), &ids, 0, &mut s);
+            play_game(&mut a, &mut r, &ids, 0, 0, &mut s);
         }
         let m = a.metrics.env(0);
         assert!(m.from_nn.rejected_by_csn > 0);
@@ -324,7 +360,7 @@ mod tests {
         let mut r = rng(4);
         let mut s = Scratch::default();
         let ids = participants(5);
-        play_game(&mut a, &mut r, NodeId(0), &ids, 0, &mut s);
+        play_game(&mut a, &mut r, &ids, 0, 0, &mut s);
         // Delivered -> S = 5 as the single source event.
         assert_eq!(a.payoffs[0].tps, 5.0);
         assert_eq!(a.payoffs[0].ne, 1);
@@ -339,7 +375,7 @@ mod tests {
         let mut scratch = Scratch::default();
         let ids = participants(5);
         // First game: everyone is unknown -> delivery must succeed.
-        let rep = play_game(&mut a, &mut r, NodeId(0), &ids, 0, &mut scratch);
+        let rep = play_game(&mut a, &mut r, &ids, 0, 0, &mut scratch);
         assert!(rep.outcome.delivered());
     }
 
@@ -366,15 +402,15 @@ mod tests {
         let ids = participants(5);
         // Let the CSN be observed dropping: normal players source games.
         for _ in 0..200 {
-            for src in 0..4u32 {
-                play_game(&mut a, &mut r, NodeId(src), &ids, 0, &mut scratch);
+            for src in 0..4 {
+                play_game(&mut a, &mut r, &ids, src, 0, &mut scratch);
             }
         }
         // Now the CSN sources: its packets should be discarded by
         // normal players that know it.
         let before = a.metrics.env(0).from_csn;
         for _ in 0..100 {
-            play_game(&mut a, &mut r, NodeId(4), &ids, 0, &mut scratch);
+            play_game(&mut a, &mut r, &ids, 4, 0, &mut scratch);
         }
         let after = a.metrics.env(0).from_csn;
         let rejected = after.rejected_by_nn - before.rejected_by_nn;
@@ -391,7 +427,7 @@ mod tests {
         let mut r = rng(7);
         let mut s = Scratch::default();
         let ids = participants(4);
-        let rep = play_game(&mut a, &mut r, NodeId(0), &ids, 0, &mut s);
+        let rep = play_game(&mut a, &mut r, &ids, 0, 0, &mut s);
         assert_eq!(a.energy[0].tx_packets, 1, "source transmits");
         let path: Vec<NodeId> = s.last_path().to_vec();
         for &n in &path {
@@ -407,25 +443,6 @@ mod tests {
         let mut a = cooperative_arena(2);
         let mut r = rng(8);
         let mut s = Scratch::default();
-        play_game(&mut a, &mut r, NodeId(0), &participants(2), 0, &mut s);
-    }
-
-    #[test]
-    fn decide_reflects_trust_lookup() {
-        let strat = Strategy::trust_threshold(ahn_net::TrustLevel::T2, false);
-        let mut a = Arena::new(vec![strat; 3], 0, GameConfig::paper(PathMode::Shorter), 1);
-        let mut r = rng(9);
-        // Unknown source: bit 12 = 0 -> discard.
-        assert_eq!(
-            decide(&a, &mut r, NodeId(1), NodeId(0)).0,
-            Decision::Discard
-        );
-        // Make node 0 a known perfect forwarder from node 1's view.
-        for _ in 0..10 {
-            a.reputation.record_forward(NodeId(1), NodeId(0));
-        }
-        let (d, t) = decide(&a, &mut r, NodeId(1), NodeId(0));
-        assert_eq!(t, ahn_net::TrustLevel::T3);
-        assert_eq!(d, Decision::Forward);
+        play_game(&mut a, &mut r, &participants(2), 0, 0, &mut s);
     }
 }

@@ -11,14 +11,14 @@
 //!
 //! * [`payoff`] — the source / intermediate payoff tables and the payoff
 //!   accounts behind the fitness function (eq. 1);
-//! * [`players`] — node kinds (normal, constantly selfish, plus the
-//!   random-dropper extension) and per-player state;
+//! * [`players`] — node kinds (normal, constantly selfish, the
+//!   random-dropper extension and the adversary zoo);
 //! * [`metrics`] — the per-environment counters behind Fig. 4 and
 //!   Tables 5–6;
 //! * [`arena`] — the mutable world state one generation plays in;
-//! * [`game`] — a single Ad Hoc Network Game (§4.1);
-//! * [`batch`] — the batched round kernel: a whole tournament round
-//!   evaluated as one draw-identical batch;
+//! * [`game`] — a single Ad Hoc Network Game (§4.1), the one game
+//!   implementation for every node kind, and a tournament round as a
+//!   loop over it;
 //! * [`tournament`] — the R-round tournament scheme (§4.4);
 //! * [`environment`] — tournament environments TE1–TE4 (Tab. 1) and the
 //!   multi-environment evaluation schedule (§4.4, Fig. 3).
@@ -26,7 +26,6 @@
 #![deny(missing_docs)]
 
 pub mod arena;
-pub mod batch;
 pub mod environment;
 pub mod game;
 pub mod metrics;
@@ -35,9 +34,8 @@ pub mod players;
 pub mod tournament;
 
 pub use arena::{Arena, GameConfig};
-pub use batch::{play_round, BatchScratch};
 pub use environment::{EnvironmentSpec, EvaluationSchedule, ScheduleScratch};
-pub use game::play_game;
+pub use game::{play_game, play_round};
 pub use metrics::{EnvMetrics, Metrics, ReqCounts};
 pub use payoff::{enumerate_reconstructions, PayoffAccount, PayoffConfig, GARBLED_READINGS};
 pub use players::NodeKind;

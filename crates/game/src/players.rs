@@ -75,9 +75,12 @@ impl NodeKind {
         matches!(self, NodeKind::Normal)
     }
 
-    /// `true` for the original three kinds the batched round kernel
-    /// handles; the adversary-zoo kinds need per-game context (source
-    /// identity, round clock) and take the scalar path.
+    /// `true` for the original three kinds (normal, CSN, random
+    /// dropper), `false` for the adversary-zoo kinds, whose decisions
+    /// read per-game context (the source's kind, the round clock). It no
+    /// longer selects a code path: every kind plays through
+    /// [`crate::play_game`]. Benchmarks still use it to count cells that
+    /// hold zoo kinds.
     #[inline]
     pub fn is_batchable(self) -> bool {
         matches!(

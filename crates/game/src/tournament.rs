@@ -6,7 +6,6 @@
 //! model.
 
 use crate::arena::Arena;
-use crate::batch::{self, BatchScratch};
 use crate::game::{play_game, Scratch};
 use crate::players::NodeKind;
 use ahn_net::NodeId;
@@ -30,10 +29,9 @@ pub struct Tournament {
 /// sized at the first tournament's high-water mark.
 #[derive(Debug, Default, Clone)]
 pub struct RoundScratch {
-    /// Per-game path/decision buffers (scalar fallback and sleeper path).
+    /// Fixed-size state of every game; after a tournament it holds the
+    /// last game's path and decision trace.
     pub game: Scratch,
-    /// Fixed-size state of the batched round kernel.
-    batch: BatchScratch,
     /// This round's awake participants (extension X6; unused while every
     /// duty cycle is 1.0).
     awake: Vec<NodeId>,
@@ -84,19 +82,12 @@ impl Tournament {
         );
         let RoundScratch {
             game: scratch,
-            batch: batch_scratch,
             awake,
             zoo_victims,
             zoo_allies,
         } = round_scratch;
         awake.clear();
         let sample_sleep = arena.has_sleepers();
-        // The paper's model (everyone awake every round) runs on the
-        // batched kernel: draw-identical to the scalar loop below, minus
-        // the per-game pool/candidate copies. The sleeper extension keeps
-        // the scalar path (its awake set changes per round), as does any
-        // exotic hop model the fixed-size kernel cannot hold.
-        let use_batch = !sample_sleep && batch::round_supported(arena);
         // Adversary-zoo bookkeeping (DESIGN.md "Scenarios"). All of it is
         // keyed off the participant kinds, costs one scan per tournament,
         // and consumes no RNG — with none of the zoo kinds present every
@@ -154,50 +145,18 @@ impl Tournament {
                     continue;
                 }
             }
-            if use_batch {
-                batch::play_round(arena, rng, participants, env, batch_scratch);
-            } else {
-                for &source in participants {
-                    if !sample_sleep {
-                        play_game(arena, rng, source, participants, env, scratch);
-                        continue;
-                    }
-                    // A sleeping node still wakes to send its own packet
-                    // (sleep saves listening energy, not transmission), so
-                    // the eligible set for its game is the awake set plus
-                    // itself.
-                    let was_awake = awake.contains(&source);
-                    if !was_awake {
-                        awake.push(source);
-                    }
-                    if awake.len() >= 3 {
-                        play_game(arena, rng, source, awake, env, scratch);
-                    }
-                    if !was_awake {
-                        awake.pop();
-                    }
-                }
+            // Every participant sources one game (§4.4); energy-exhaustion
+            // attackers then source `extra` more each.
+            for pos in 0..participants.len() {
+                let awake = sample_sleep.then_some(&mut *awake);
+                play_sourced(arena, rng, participants, pos, awake, env, scratch);
             }
             if has_flooders {
-                // Energy-exhaustion attackers source `extra` additional
-                // packets per round beyond the one every participant sends.
-                for &source in participants {
+                for (pos, &source) in participants.iter().enumerate() {
                     if let NodeKind::Flooder { extra } = arena.kind(source) {
                         for _ in 0..extra {
-                            if !sample_sleep {
-                                play_game(arena, rng, source, participants, env, scratch);
-                                continue;
-                            }
-                            let was_awake = awake.contains(&source);
-                            if !was_awake {
-                                awake.push(source);
-                            }
-                            if awake.len() >= 3 {
-                                play_game(arena, rng, source, awake, env, scratch);
-                            }
-                            if !was_awake {
-                                awake.pop();
-                            }
+                            let awake = sample_sleep.then_some(&mut *awake);
+                            play_sourced(arena, rng, participants, pos, awake, env, scratch);
                         }
                     }
                 }
@@ -281,6 +240,42 @@ impl Tournament {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Plays one game sourced by `participants[pos]`. In a sleeper round
+/// (`awake` is the round's awake set) the game is played among the awake
+/// nodes instead, in their order. A sleeping source still wakes to send
+/// its own packet (sleep saves listening energy, not transmission), so
+/// it joins the end of the awake list for its own game only. A game
+/// needs three eligible nodes; with fewer the packet is not sent.
+fn play_sourced<R: Rng + ?Sized>(
+    arena: &mut Arena,
+    rng: &mut R,
+    participants: &[NodeId],
+    pos: usize,
+    awake: Option<&mut Vec<NodeId>>,
+    env: usize,
+    scratch: &mut Scratch,
+) {
+    let Some(awake) = awake else {
+        play_game(arena, rng, participants, pos, env, scratch);
+        return;
+    };
+    let source = participants[pos];
+    match awake.iter().position(|&p| p == source) {
+        Some(awake_pos) => {
+            if awake.len() >= 3 {
+                play_game(arena, rng, awake, awake_pos, env, scratch);
+            }
+        }
+        None => {
+            awake.push(source);
+            if awake.len() >= 3 {
+                play_game(arena, rng, awake, awake.len() - 1, env, scratch);
+            }
+            awake.pop();
         }
     }
 }
@@ -583,24 +578,6 @@ mod tests {
         }
         assert!(inflated > 0, "vouching should inflate colluder ratings");
         a.reputation.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn zoo_tail_forces_the_scalar_path_but_base_streams_are_unchanged() {
-        // An arena with only the original kinds batches; adding any zoo
-        // kind de-batches it.
-        let base = zoo_arena(6, vec![NodeKind::ConstantlySelfish], None);
-        assert!(crate::batch::round_supported(&base));
-        for tail in [
-            NodeKind::Liar,
-            NodeKind::Colluder(0),
-            NodeKind::OnOff { on: 1, off: 1 },
-            NodeKind::Whitewasher { period: 3 },
-            NodeKind::Flooder { extra: 1 },
-        ] {
-            let a = zoo_arena(6, vec![tail], None);
-            assert!(!crate::batch::round_supported(&a), "{tail:?}");
-        }
     }
 
     #[test]

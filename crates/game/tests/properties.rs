@@ -58,7 +58,7 @@ proptest! {
         let games = 120usize;
         for i in 0..games {
             let source = ids[i % ids.len()];
-            let report = play_game(&mut arena, &mut rng, source, &ids, 0, &mut scratch);
+            let report = play_game(&mut arena, &mut rng, &ids, i % ids.len(), 0, &mut scratch);
             // The report itself is sane.
             prop_assert!(!scratch.last_path().contains(&source));
             prop_assert!(!scratch.last_path().contains(&report.destination));
@@ -125,7 +125,7 @@ proptest! {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let mut scratch = Scratch::default();
             for i in 0..50 {
-                play_game(&mut arena, &mut rng, ids[i % 7], &ids, 0, &mut scratch);
+                play_game(&mut arena, &mut rng, &ids, i % 7, 0, &mut scratch);
             }
             (arena.fitnesses(), *arena.metrics.env(0))
         };

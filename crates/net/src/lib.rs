@@ -40,7 +40,7 @@ pub mod watchdog;
 pub use activity::{ActivityBands, ActivityLevel};
 pub use gossip::{GossipConfig, GossipPolicy};
 pub use paths::{
-    AltPathDist, PathGenerator, PathLengthDist, PathMode, PathScratch, Route, RouteSelection,
+    AltPathDist, Candidates, PathGenerator, PathLengthDist, PathMode, RouteSelection, MAX_RELAYS,
 };
 pub use reputation::{ReputationMatrix, UNKNOWN_RATE};
 pub use trust::{TrustLevel, TrustTable};

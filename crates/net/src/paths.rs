@@ -20,7 +20,6 @@
 
 use crate::{NodeId, ReputationMatrix};
 use ahn_stats::CdfTable;
-use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
@@ -70,7 +69,9 @@ impl PathLengthDist {
     /// # Panics
     /// Panics unless the probabilities are non-negative, sum to ~1, and
     /// number at most [`ahn_stats::sampling::MAX_CATEGORIES`] (the
-    /// precomputed sampler's inline capacity; the paper's Table 2 uses 9).
+    /// precomputed sampler's inline capacity; the paper's Table 2 uses
+    /// 9), and unless every hop count lies in `1..=MAX_RELAYS + 1` (a
+    /// path crosses `hops - 1` relays, at most [`MAX_RELAYS`]).
     pub fn new(min_hops: usize, probs: Vec<f64>) -> Self {
         assert!(!probs.is_empty(), "empty distribution");
         assert!(
@@ -79,6 +80,9 @@ impl PathLengthDist {
             probs.len(),
             ahn_stats::sampling::MAX_CATEGORIES
         );
+        if let Err(e) = check_hop_range(min_hops, probs.len()) {
+            panic!("{e}");
+        }
         assert!(probs.iter().all(|&p| p >= 0.0), "negative probability");
         let sum: f64 = probs.iter().sum();
         assert!(
@@ -139,6 +143,19 @@ impl PathLengthDist {
     }
 }
 
+/// Checks that hop counts `min_hops..min_hops + categories` all lie in
+/// `1..=MAX_RELAYS + 1`.
+fn check_hop_range(min_hops: usize, categories: usize) -> Result<(), String> {
+    let max_hops = min_hops + categories - 1;
+    if min_hops == 0 || max_hops > MAX_RELAYS + 1 {
+        return Err(format!(
+            "hop counts {min_hops}..={max_hops} outside 1..={}",
+            MAX_RELAYS + 1
+        ));
+    }
+    Ok(())
+}
+
 impl PartialEq for PathLengthDist {
     fn eq(&self, other: &Self) -> bool {
         self.probs == other.probs && self.min_hops == other.min_hops
@@ -181,6 +198,7 @@ impl<'de> Deserialize<'de> for PathLengthDist {
                 "hop-count probabilities sum to {sum}, not 1"
             )));
         }
+        check_hop_range(repr.min_hops, repr.probs.len()).map_err(serde::de::Error::custom)?;
         Ok(PathLengthDist::new(repr.min_hops, repr.probs))
     }
 }
@@ -311,30 +329,6 @@ impl Default for AltPathDist {
     }
 }
 
-/// A source route: the intermediates between a source and a destination.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Route {
-    /// Originator of the packet.
-    pub source: NodeId,
-    /// Relay nodes in forwarding order (possibly empty only in degenerate
-    /// test setups; the paper's minimum is one relay = 2 hops).
-    pub intermediates: Vec<NodeId>,
-    /// Final recipient (not a game participant).
-    pub destination: NodeId,
-}
-
-impl Route {
-    /// Number of hops (`intermediates + 1`).
-    pub fn hops(&self) -> usize {
-        self.intermediates.len() + 1
-    }
-
-    /// `true` when the route passes through `node` as a relay.
-    pub fn relays_through(&self, node: NodeId) -> bool {
-        self.intermediates.contains(&node)
-    }
-}
-
 /// Rates a candidate intermediate list from `rater`'s point of view:
 /// the product of known forwarding rates, [`UNKNOWN_RATE`] for unknown
 /// nodes (§3.1).
@@ -366,46 +360,28 @@ pub enum RouteSelection {
 }
 
 impl RouteSelection {
-    /// Selects a candidate index according to the policy.
+    /// Selects a candidate index according to the policy. `BestRated`
+    /// takes the [`path_rating`] argmax from `rater`'s point of view
+    /// (ties go to the earliest candidate, keeping runs reproducible)
+    /// and draws nothing; `Random` draws one uniform index.
     ///
     /// # Panics
     /// Panics if `candidates` is empty.
+    #[inline]
     pub fn select<R: Rng + ?Sized>(
         self,
         rng: &mut R,
         matrix: &ReputationMatrix,
         rater: NodeId,
-        candidates: &[Vec<NodeId>],
+        candidates: &Candidates,
     ) -> usize {
         assert!(!candidates.is_empty(), "no candidate paths");
-        match self {
-            RouteSelection::BestRated => select_best_path(matrix, rater, candidates),
-            RouteSelection::Random => rng.gen_range(0..candidates.len()),
-        }
-    }
-
-    /// Selects among the candidates held in a [`PathScratch`] — the
-    /// allocation-free hot path twin of [`RouteSelection::select`], with
-    /// identical tie-breaking and RNG consumption.
-    ///
-    /// # Panics
-    /// Panics if the scratch holds no candidates.
-    #[inline]
-    pub fn select_from<R: Rng + ?Sized>(
-        self,
-        rng: &mut R,
-        matrix: &ReputationMatrix,
-        rater: NodeId,
-        scratch: &PathScratch,
-    ) -> usize {
-        let n = scratch.n_candidates();
-        assert!(n > 0, "no candidate paths");
         match self {
             RouteSelection::BestRated => {
                 let mut best = 0;
                 let mut best_rating = f64::NEG_INFINITY;
-                for i in 0..n {
-                    let r = path_rating(matrix, rater, scratch.candidate(i));
+                for (i, candidate) in candidates.iter().enumerate() {
+                    let r = path_rating(matrix, rater, candidate);
                     if r > best_rating {
                         best_rating = r;
                         best = i;
@@ -413,75 +389,120 @@ impl RouteSelection {
                 }
                 best
             }
-            RouteSelection::Random => rng.gen_range(0..n),
+            RouteSelection::Random => rng.gen_range(0..candidates.len()),
         }
     }
 }
 
-/// Selects the index of the best-rated candidate path (ties go to the
-/// earliest candidate, keeping runs reproducible).
-///
-/// # Panics
-/// Panics if `candidates` is empty.
-pub fn select_best_path(
-    matrix: &ReputationMatrix,
-    rater: NodeId,
-    candidates: &[Vec<NodeId>],
-) -> usize {
-    assert!(!candidates.is_empty(), "no candidate paths");
-    let mut best = 0;
-    let mut best_rating = f64::NEG_INFINITY;
-    for (i, c) in candidates.iter().enumerate() {
-        let r = path_rating(matrix, rater, c);
-        if r > best_rating {
-            best_rating = r;
-            best = i;
-        }
-    }
-    best
-}
+/// Most intermediates per candidate path: the paper's longest path is
+/// 10 hops = 9 relays, and a margin is kept for custom hop
+/// distributions. [`PathLengthDist`] rejects hop counts beyond
+/// `MAX_RELAYS + 1` at construction.
+pub const MAX_RELAYS: usize = 16;
 
-/// Reusable buffers for candidate-route generation: the shuffle pool and
-/// up to three candidate intermediate lists.
-///
-/// One `PathScratch` lives for a whole tournament (inside the game
-/// crate's per-tournament scratch); after warm-up, drawing a fresh set
-/// of candidates allocates nothing.
-#[derive(Debug, Default, Clone)]
-pub struct PathScratch {
-    /// One buffer per candidate, each holding a full working copy of the
-    /// relay pool; the partial Fisher–Yates shuffles in place and the
-    /// candidate's intermediates are the buffer's last [`Self::relays`]
-    /// entries (one memcpy per candidate, no separate shuffle buffer).
-    bufs: Vec<Vec<NodeId>>,
+/// Most candidate paths per game: every [`AltPathDist`] row covers
+/// 1–3 paths (Table 3).
+pub const MAX_CANDIDATES: usize = 3;
+
+/// The candidate intermediate lists of one game, in fixed-size storage:
+/// drawing them allocates nothing, from the first game on.
+#[derive(Debug, Clone)]
+pub struct Candidates {
+    /// Candidate intermediate lists (path order); the first `relays`
+    /// entries of the first `len` rows are live.
+    paths: [[NodeId; MAX_RELAYS]; MAX_CANDIDATES],
     /// Relays per candidate in the current game (drawn once per game).
     relays: usize,
-    /// Number of valid entries in `bufs` for the current game.
-    live: usize,
+    /// Number of candidates drawn for the current game.
+    len: usize,
+    /// Virtual-pool positions below the shuffled tail that a
+    /// Fisher–Yates swap has written (see [`PathGenerator::draw`]).
+    overlay_pos: [usize; MAX_RELAYS],
+    /// The node now at the corresponding overlaid position.
+    overlay_val: [NodeId; MAX_RELAYS],
+    overlay_len: usize,
 }
 
-impl PathScratch {
-    /// Number of candidate paths drawn by the most recent generation.
+impl Default for Candidates {
+    fn default() -> Self {
+        Candidates {
+            paths: [[NodeId(0); MAX_RELAYS]; MAX_CANDIDATES],
+            relays: 0,
+            len: 0,
+            overlay_pos: [0; MAX_RELAYS],
+            overlay_val: [NodeId(0); MAX_RELAYS],
+            overlay_len: 0,
+        }
+    }
+}
+
+impl Candidates {
+    /// Number of candidate paths drawn by the most recent
+    /// [`PathGenerator::draw`].
     #[inline]
-    pub fn n_candidates(&self) -> usize {
-        self.live
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` before the first draw.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// The `i`-th candidate's intermediate list.
     ///
     /// # Panics
-    /// Panics if `i >= n_candidates()`.
+    /// Panics if `i >= len()`.
     #[inline]
-    pub fn candidate(&self, i: usize) -> &[NodeId] {
-        assert!(i < self.live, "candidate index {i} out of range");
-        let buf = &self.bufs[i];
-        &buf[buf.len() - self.relays..]
+    pub fn get(&self, i: usize) -> &[NodeId] {
+        assert!(i < self.len, "candidate index {i} out of range");
+        &self.paths[i][..self.relays]
     }
 
-    /// Iterates over the current candidates' intermediate lists.
-    pub fn candidates(&self) -> impl Iterator<Item = &[NodeId]> + '_ {
-        (0..self.live).map(|i| self.candidate(i))
+    /// Iterates over the candidates' intermediate lists.
+    pub fn iter(&self) -> impl Iterator<Item = &[NodeId]> + '_ {
+        self.paths[..self.len].iter().map(|p| &p[..self.relays])
     }
+
+    /// The node at virtual-pool position `pos`, if a swap has moved one
+    /// there.
+    #[inline]
+    fn overlay_get(&self, pos: usize) -> Option<NodeId> {
+        self.overlay_pos[..self.overlay_len]
+            .iter()
+            .position(|&p| p == pos)
+            .map(|k| self.overlay_val[k])
+    }
+
+    /// Places `val` at virtual-pool position `pos`.
+    #[inline]
+    fn overlay_set(&mut self, pos: usize, val: NodeId) {
+        for k in 0..self.overlay_len {
+            if self.overlay_pos[k] == pos {
+                self.overlay_val[k] = val;
+                return;
+            }
+        }
+        let k = self.overlay_len;
+        self.overlay_pos[k] = pos;
+        self.overlay_val[k] = val;
+        self.overlay_len = k + 1;
+    }
+}
+
+/// Element `j` of the virtual relay pool: the participant list with the
+/// two positions `p1 < p2` (source and destination) deleted, in order.
+#[inline]
+fn pool_node(participants: &[NodeId], p1: usize, p2: usize, j: usize) -> NodeId {
+    let mut m = j;
+    if m >= p1 {
+        m += 1;
+    }
+    if m >= p2 {
+        m += 1;
+    }
+    participants[m]
 }
 
 /// Generates candidate paths per the paper's model.
@@ -502,74 +523,77 @@ impl PathGenerator {
         }
     }
 
-    /// Draws the candidate intermediate lists for one game into
-    /// `scratch`, reusing its buffers — zero allocations at steady state.
+    /// Draws the candidate intermediate lists for one game into `out`.
     ///
-    /// `pool` is the set of nodes that may relay (tournament participants
-    /// except the source and the destination). Each candidate path
-    /// consists of distinct intermediates; different candidates are drawn
-    /// independently and may overlap. If the pool cannot support the drawn
-    /// hop count, the length is clamped to `pool.len() + 1` hops so a game
-    /// can always be played.
+    /// The relay pool is `participants` without the source (at
+    /// `source_pos`) and the destination (at `dest_pos`), in order. The
+    /// draws are a hop count, a candidate count, then per candidate a
+    /// partial Fisher–Yates (`partial_shuffle`) of a fresh pool copy
+    /// whose shuffled tail is the candidate. Each candidate consists of
+    /// distinct intermediates; candidates are drawn independently and
+    /// may overlap. If the pool cannot support the drawn hop count, the
+    /// length is clamped to `pool + 1` hops so a game can always be
+    /// played.
     ///
-    /// The RNG draw sequence (hop count, candidate count, one partial
-    /// Fisher–Yates per candidate) is identical to the historical
-    /// allocating [`PathGenerator::generate`].
+    /// Nothing is copied per game or per candidate. Element `j` of the
+    /// pool is `participants[j + (j >= p1) + (j >= p2)]` for the two
+    /// deleted positions `p1 < p2`, and the shuffle only touches the
+    /// `relays` tail positions and one swap partner per step, so the
+    /// tail lives in a stack array and the swapped-out partners in a
+    /// small overlay over the virtual pool. These are the same swaps and
+    /// the same `gen_range(0..=i)` draws as shuffling a copy.
     ///
     /// # Panics
-    /// Panics if `pool` is empty.
-    pub fn generate_into<R: Rng + ?Sized>(
+    /// Panics if `participants` leaves no relay candidate (fewer than
+    /// three nodes).
+    pub fn draw<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        pool: &[NodeId],
-        scratch: &mut PathScratch,
+        participants: &[NodeId],
+        source_pos: usize,
+        dest_pos: usize,
+        out: &mut Candidates,
     ) {
-        assert!(!pool.is_empty(), "cannot route without relay candidates");
+        let len = participants.len();
+        assert!(len >= 3, "cannot route without relay candidates");
+        debug_assert!(source_pos != dest_pos && source_pos < len && dest_pos < len);
+        let (p1, p2) = if source_pos < dest_pos {
+            (source_pos, dest_pos)
+        } else {
+            (dest_pos, source_pos)
+        };
+        let pool_len = len - 2;
         let hops = self.lengths.sample(rng);
-        let relays = (hops - 1).min(pool.len());
+        let relays = (hops - 1).min(pool_len);
         let n_paths = self.alternates.sample(rng, relays + 1);
-        if scratch.bufs.len() < n_paths {
-            scratch.bufs.resize_with(n_paths, Vec::new);
+        debug_assert!(relays <= MAX_RELAYS && n_paths <= MAX_CANDIDATES);
+        out.relays = relays;
+        out.len = n_paths;
+        let start = pool_len - relays;
+        for c in 0..n_paths {
+            // The shuffled tail `start..pool_len` lives in a flat stack
+            // array; the overlay only tracks values swapped out to
+            // positions below `start` (at most one per step).
+            let mut tail = [NodeId(0); MAX_RELAYS];
+            for (k, slot) in tail[..relays].iter_mut().enumerate() {
+                *slot = pool_node(participants, p1, p2, start + k);
+            }
+            out.overlay_len = 0;
+            for i in (start..pool_len).rev() {
+                let j = rng.gen_range(0..=i);
+                let vi = tail[i - start];
+                if j >= start {
+                    tail[i - start] = tail[j - start];
+                    tail[j - start] = vi;
+                } else {
+                    tail[i - start] = out
+                        .overlay_get(j)
+                        .unwrap_or_else(|| pool_node(participants, p1, p2, j));
+                    out.overlay_set(j, vi);
+                }
+            }
+            out.paths[c][..relays].copy_from_slice(&tail[..relays]);
         }
-        scratch.relays = relays;
-        scratch.live = n_paths;
-        for buf in scratch.bufs.iter_mut().take(n_paths) {
-            buf.clear();
-            buf.extend_from_slice(pool);
-            // Partial Fisher–Yates: `relays` distinct uniform picks land
-            // at the end of the buffer, which is exactly the slice
-            // `candidate()` exposes.
-            buf.partial_shuffle(rng, relays);
-        }
-    }
-
-    /// Draws the candidate intermediate lists for one game, allocating
-    /// the result — the convenience twin of
-    /// [`PathGenerator::generate_into`] for tests and tooling, with the
-    /// same RNG stream.
-    ///
-    /// # Panics
-    /// Panics if `pool` is empty.
-    pub fn generate<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        pool: &[NodeId],
-        scratch: &mut Vec<NodeId>,
-    ) -> Vec<Vec<NodeId>> {
-        assert!(!pool.is_empty(), "cannot route without relay candidates");
-        let hops = self.lengths.sample(rng);
-        let relays = (hops - 1).min(pool.len());
-        let n_paths = self.alternates.sample(rng, relays + 1);
-        (0..n_paths)
-            .map(|_| {
-                scratch.clear();
-                scratch.extend_from_slice(pool);
-                // Partial Fisher–Yates: the first `relays` slots become a
-                // uniform distinct sample.
-                let (sampled, _) = scratch.partial_shuffle(rng, relays);
-                sampled.to_vec()
-            })
-            .collect()
     }
 }
 
@@ -677,51 +701,68 @@ mod tests {
         assert!((r - 0.5).abs() < 1e-12);
     }
 
+    /// Candidates holding exactly `paths` (all of one length).
+    fn candidates(paths: &[&[NodeId]]) -> Candidates {
+        let mut c = Candidates::default();
+        for (i, p) in paths.iter().enumerate() {
+            c.paths[i][..p.len()].copy_from_slice(p);
+            c.relays = p.len();
+        }
+        c.len = paths.len();
+        c
+    }
+
     #[test]
     fn best_path_avoids_known_droppers() {
         let mut m = ReputationMatrix::new(4);
         // Node 3 is a known dropper.
         m.record_drop(NodeId(0), NodeId(3));
-        let good = vec![NodeId(1), NodeId(2)];
-        let bad = vec![NodeId(1), NodeId(3)];
-        assert_eq!(
-            select_best_path(&m, NodeId(0), &[bad.clone(), good.clone()]),
-            1
-        );
-        assert_eq!(select_best_path(&m, NodeId(0), &[good, bad]), 0);
+        let good = [NodeId(1), NodeId(2)];
+        let bad = [NodeId(1), NodeId(3)];
+        let best = |paths: &[&[NodeId]]| {
+            RouteSelection::BestRated.select(&mut rng(0), &m, NodeId(0), &candidates(paths))
+        };
+        assert_eq!(best(&[&bad, &good]), 1);
+        assert_eq!(best(&[&good, &bad]), 0);
     }
 
     #[test]
     fn best_path_tie_breaks_to_first() {
         let m = ReputationMatrix::new(4);
-        let a = vec![NodeId(1)];
-        let b = vec![NodeId(2)];
-        assert_eq!(select_best_path(&m, NodeId(0), &[a, b]), 0);
+        let c = candidates(&[&[NodeId(1)], &[NodeId(2)]]);
+        assert_eq!(
+            RouteSelection::BestRated.select(&mut rng(0), &m, NodeId(0), &c),
+            0
+        );
     }
 
     #[test]
     #[should_panic(expected = "no candidate paths")]
     fn best_path_of_nothing_panics() {
         let m = ReputationMatrix::new(1);
-        let _ = select_best_path(&m, NodeId(0), &[]);
+        let _ =
+            RouteSelection::BestRated.select(&mut rng(0), &m, NodeId(0), &Candidates::default());
     }
 
     #[test]
     fn generated_paths_are_distinct_and_from_pool() {
         let gen = PathGenerator::for_mode(PathMode::Longer);
-        let pool: Vec<NodeId> = (2..50u32).map(NodeId).collect();
+        let participants: Vec<NodeId> = (0..50u32).map(NodeId).collect();
         let mut rng = rng(5);
-        let mut scratch = Vec::new();
+        let mut out = Candidates::default();
         for _ in 0..500 {
-            let candidates = gen.generate(&mut rng, &pool, &mut scratch);
-            assert!((1..=3).contains(&candidates.len()));
-            for path in &candidates {
+            gen.draw(&mut rng, &participants, 0, 1, &mut out);
+            assert!((1..=3).contains(&out.len()));
+            for path in out.iter() {
                 assert!((1..=9).contains(&path.len()), "1..=9 relays");
-                let mut seen = path.clone();
+                let mut seen = path.to_vec();
                 seen.sort();
                 seen.dedup();
                 assert_eq!(seen.len(), path.len(), "duplicate relay in path");
-                assert!(path.iter().all(|n| pool.contains(n)));
+                assert!(
+                    path.iter().all(|n| n.0 >= 2),
+                    "source or destination relays"
+                );
             }
         }
     }
@@ -729,26 +770,55 @@ mod tests {
     #[test]
     fn generation_clamps_to_small_pools() {
         let gen = PathGenerator::for_mode(PathMode::Longer);
-        let pool = vec![NodeId(1), NodeId(2)];
+        let participants: Vec<NodeId> = (0..4u32).map(NodeId).collect();
         let mut rng = rng(9);
-        let mut scratch = Vec::new();
+        let mut out = Candidates::default();
         for _ in 0..200 {
-            for path in gen.generate(&mut rng, &pool, &mut scratch) {
+            gen.draw(&mut rng, &participants, 3, 1, &mut out);
+            for path in out.iter() {
                 assert!(path.len() <= 2);
             }
         }
     }
 
     #[test]
-    fn route_accessors() {
-        let r = Route {
-            source: NodeId(0),
-            intermediates: vec![NodeId(1), NodeId(2)],
-            destination: NodeId(3),
+    fn virtual_pool_matches_retain() {
+        let participants: Vec<NodeId> = (0..10u32).map(NodeId).collect();
+        for p1 in 0..9 {
+            for p2 in (p1 + 1)..10 {
+                let mut expect = participants.clone();
+                expect.retain(|&n| n != participants[p1] && n != participants[p2]);
+                let got: Vec<NodeId> = (0..8)
+                    .map(|j| pool_node(&participants, p1, p2, j))
+                    .collect();
+                assert_eq!(got, expect, "p1={p1} p2={p2}");
+            }
+        }
+    }
+
+    #[test]
+    fn hop_counts_must_fit_the_relay_buffers() {
+        let top = MAX_RELAYS + 1;
+        let json = |min_hops: usize, probs: &[f64]| {
+            format!("{{\"probs\": {probs:?}, \"min_hops\": {min_hops}}}")
         };
-        assert_eq!(r.hops(), 3);
-        assert!(r.relays_through(NodeId(1)));
-        assert!(!r.relays_through(NodeId(3)));
+        // Both bounds are accepted, by both constructors.
+        for (min_hops, probs) in [(1, vec![1.0]), (top, vec![1.0]), (top - 1, vec![0.5, 0.5])] {
+            let back: PathLengthDist = serde_json::from_str(&json(min_hops, &probs)).unwrap();
+            assert_eq!(back, PathLengthDist::new(min_hops, probs));
+        }
+        // 0 hops and MAX_RELAYS + 2 hops are rejected, by both.
+        for (min_hops, probs) in [
+            (0, vec![1.0]),
+            (0, vec![0.0, 1.0]),
+            (top + 1, vec![1.0]),
+            (top, vec![0.5, 0.5]),
+        ] {
+            let err = serde_json::from_str::<PathLengthDist>(&json(min_hops, &probs)).unwrap_err();
+            assert!(err.to_string().contains("outside 1..="), "{err}");
+            let built = std::panic::catch_unwind(|| PathLengthDist::new(min_hops, probs));
+            assert!(built.is_err(), "min_hops={min_hops} was accepted");
+        }
     }
 
     #[test]

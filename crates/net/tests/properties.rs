@@ -2,9 +2,9 @@
 
 use ahn_net::watchdog::apply_route_outcome;
 use ahn_net::{
-    paths::{path_rating, select_best_path, UNKNOWN_RATE},
-    ActivityBands, NodeId, PathGenerator, PathMode, ReputationMatrix, RouteOutcome, TrustLevel,
-    TrustTable,
+    paths::{path_rating, UNKNOWN_RATE},
+    ActivityBands, Candidates, NodeId, PathGenerator, PathMode, ReputationMatrix, RouteOutcome,
+    RouteSelection, TrustLevel, TrustTable,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -137,52 +137,99 @@ proptest! {
         prop_assert!(r_full <= r_prefix + 1e-12);
     }
 
-    /// select_best_path returns the argmax of path_rating.
+    /// Best-rated selection returns the argmax of path_rating.
     #[test]
-    fn best_path_is_argmax(seed in any::<u64>(), n_paths in 1usize..5) {
+    fn best_path_is_argmax(seed in any::<u64>(), n_participants in 3usize..12) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut m = ReputationMatrix::new(10);
+        let mut m = ReputationMatrix::new(12);
         // Random reputation state.
         use rand::Rng as _;
         for _ in 0..100 {
-            let o = NodeId(rng.gen_range(0..10));
-            let s = NodeId(rng.gen_range(0..10));
+            let o = NodeId(rng.gen_range(0..12));
+            let s = NodeId(rng.gen_range(0..12));
             if o == s { continue; }
             if rng.gen_bool(0.5) { m.record_forward(o, s) } else { m.record_drop(o, s) }
         }
         let generator = PathGenerator::for_mode(PathMode::Shorter);
-        let pool: Vec<NodeId> = (1..10u32).map(NodeId).collect();
-        let mut scratch = Vec::new();
-        let candidates: Vec<Vec<NodeId>> = (0..n_paths)
-            .map(|_| generator.generate(&mut rng, &pool, &mut scratch).remove(0))
-            .collect();
-        let chosen = select_best_path(&m, NodeId(0), &candidates);
+        let participants: Vec<NodeId> = (0..n_participants as u32).map(NodeId).collect();
+        let mut candidates = Candidates::default();
+        generator.draw(&mut rng, &participants, 0, 1, &mut candidates);
+        let chosen = RouteSelection::BestRated.select(&mut rng, &m, NodeId(0), &candidates);
         let best = candidates
             .iter()
             .map(|c| path_rating(&m, NodeId(0), c))
             .fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!((path_rating(&m, NodeId(0), &candidates[chosen]) - best).abs() < 1e-12);
+        prop_assert!((path_rating(&m, NodeId(0), candidates.get(chosen)) - best).abs() < 1e-12);
     }
 
     /// Generated candidate paths always satisfy the structural contract.
     #[test]
-    fn generated_paths_are_wellformed(seed in any::<u64>(), pool_size in 1usize..40) {
+    fn generated_paths_are_wellformed(
+        seed in any::<u64>(),
+        n_participants in 3usize..40,
+        source_pos in any::<usize>(),
+        dest_offset in any::<usize>(),
+    ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let generator = PathGenerator::for_mode(PathMode::Longer);
-        let pool: Vec<NodeId> = (0..pool_size as u32).map(NodeId).collect();
-        let mut scratch = Vec::new();
-        let candidates = generator.generate(&mut rng, &pool, &mut scratch);
+        let participants: Vec<NodeId> = (0..n_participants as u32).map(NodeId).collect();
+        let source_pos = source_pos % n_participants;
+        let dest_pos = (source_pos + 1 + dest_offset % (n_participants - 1)) % n_participants;
+        let mut candidates = Candidates::default();
+        generator.draw(&mut rng, &participants, source_pos, dest_pos, &mut candidates);
         prop_assert!((1..=3).contains(&candidates.len()));
-        for path in &candidates {
-            prop_assert!(!path.is_empty() || pool_size == 0);
-            prop_assert!(path.len() <= pool.len());
+        for path in candidates.iter() {
+            prop_assert!(!path.is_empty());
+            prop_assert!(path.len() <= n_participants - 2);
             prop_assert!(path.len() <= 9, "at most 10 hops");
-            let mut sorted = path.clone();
+            let mut sorted = path.to_vec();
             sorted.sort();
             sorted.dedup();
             prop_assert_eq!(sorted.len(), path.len(), "relays must be distinct");
-            prop_assert!(path.iter().all(|n| pool.contains(n)));
+            prop_assert!(!path.contains(&participants[source_pos]));
+            prop_assert!(!path.contains(&participants[dest_pos]));
         }
+    }
+
+    /// `draw` makes exactly the draws, and yields exactly the candidates,
+    /// of the plain model: copy the participants, remove source and
+    /// destination, and partial-shuffle a fresh pool copy per candidate.
+    #[test]
+    fn draw_equals_shuffling_a_pool_copy(
+        seed in any::<u64>(),
+        n_participants in 3usize..60,
+        source_pos in any::<usize>(),
+        dest_offset in any::<usize>(),
+        longer in any::<bool>(),
+    ) {
+        use rand::seq::SliceRandom as _;
+        use rand::Rng as _;
+        let mode = if longer { PathMode::Longer } else { PathMode::Shorter };
+        let generator = PathGenerator::for_mode(mode);
+        // Shuffled ids, so positions and ids differ.
+        let mut participants: Vec<NodeId> = (0..n_participants as u32).map(NodeId).collect();
+        participants.shuffle(&mut ChaCha8Rng::seed_from_u64(!seed));
+        let source_pos = source_pos % n_participants;
+        let dest_pos = (source_pos + 1 + dest_offset % (n_participants - 1)) % n_participants;
+
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut candidates = Candidates::default();
+        generator.draw(&mut rng, &participants, source_pos, dest_pos, &mut candidates);
+
+        let mut reference_rng = ChaCha8Rng::seed_from_u64(seed);
+        let (source, dest) = (participants[source_pos], participants[dest_pos]);
+        let mut pool = participants.clone();
+        pool.retain(|&n| n != source && n != dest);
+        let hops = generator.lengths.sample(&mut reference_rng);
+        let relays = (hops - 1).min(pool.len());
+        let n_paths = generator.alternates.sample(&mut reference_rng, relays + 1);
+        prop_assert_eq!(candidates.len(), n_paths);
+        for c in 0..n_paths {
+            let mut copy = pool.clone();
+            let (tail, _) = copy.partial_shuffle(&mut reference_rng, relays);
+            prop_assert_eq!(candidates.get(c), &*tail);
+        }
+        prop_assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>());
     }
 
     /// Watchdog updates never touch nodes outside the deciding prefix and

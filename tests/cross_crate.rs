@@ -2,7 +2,7 @@
 //! ways the main harness does not exercise.
 
 use ahn::bitstr::BitStr;
-use ahn::game::{game::Scratch, play_game, Arena, GameConfig, NodeKind};
+use ahn::game::{game::Scratch, play_game, play_round, Arena, GameConfig, NodeKind};
 use ahn::net::topology::{MobileNetwork, WaypointParams};
 use ahn::net::{NodeId, PathMode, RouteSelection, TrustLevel};
 use ahn::strategy::{reduced::ReducedStrategy, Strategy};
@@ -45,7 +45,7 @@ fn games_on_topology_derived_pools() {
         if participants.len() < 3 {
             continue;
         }
-        let report = play_game(&mut arena, &mut r, src, &participants, 0, &mut scratch);
+        let report = play_game(&mut arena, &mut r, &participants, 0, 0, &mut scratch);
         assert!(
             report.outcome.delivered(),
             "all-cooperator pool must deliver"
@@ -76,9 +76,7 @@ fn reduced_strategy_plays_like_its_lift() {
         let mut r = rng(seed);
         let mut scratch = Scratch::default();
         for _ in 0..50 {
-            for &src in &ids {
-                play_game(&mut arena, &mut r, src, &ids, 0, &mut scratch);
-            }
+            play_round(&mut arena, &mut r, &ids, 0, &mut scratch);
         }
         (*arena.metrics.env(0), arena.fitnesses())
     };
@@ -106,9 +104,7 @@ fn random_droppers_interpolate() {
         let mut r = rng(3);
         let mut scratch = Scratch::default();
         for _ in 0..100 {
-            for &src in &ids {
-                play_game(&mut arena, &mut r, src, &ids, 0, &mut scratch);
-            }
+            play_round(&mut arena, &mut r, &ids, 0, &mut scratch);
         }
         arena.metrics.env(0).cooperation_level()
     };
@@ -133,9 +129,7 @@ fn route_selection_policies_differ_under_selfishness() {
         let mut r = rng(11);
         let mut scratch = Scratch::default();
         for _ in 0..150 {
-            for &src in &ids {
-                play_game(&mut arena, &mut r, src, &ids, 0, &mut scratch);
-            }
+            play_round(&mut arena, &mut r, &ids, 0, &mut scratch);
         }
         arena.metrics.env(0).cooperation_level()
     };

@@ -15,9 +15,9 @@
 //! performs still fails the test.
 
 use ahn::bitstr::BitStr;
-use ahn::game::game::{play_game, Scratch};
-use ahn::game::{Arena, GameConfig};
-use ahn::net::{NodeId, PathMode};
+use ahn::game::game::Scratch;
+use ahn::game::{play_round, Arena, GameConfig, NodeKind, RoundScratch, Tournament};
+use ahn::net::{GossipConfig, NodeId, PathMode};
 use ahn::strategy::Strategy;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -71,20 +71,16 @@ fn steady_state_tournament_round_allocates_zero_bytes() {
     let participants: Vec<NodeId> = (0..50u32).map(NodeId).collect();
     let mut scratch = Scratch::default();
 
-    // Warm-up: enough games that every scratch buffer, metrics counter
-    // and reputation cell has reached its steady-state capacity.
+    // Warm-up: enough games that every metrics counter and reputation
+    // cell has reached its steady-state capacity.
     for _ in 0..40 {
-        for &source in &participants {
-            play_game(&mut arena, &mut rng, source, &participants, 0, &mut scratch);
-        }
+        play_round(&mut arena, &mut rng, &participants, 0, &mut scratch);
     }
 
     // Measure: 20 full rounds (1000 games) must allocate nothing.
     let before = allocations();
     for _ in 0..20 {
-        for &source in &participants {
-            play_game(&mut arena, &mut rng, source, &participants, 0, &mut scratch);
-        }
+        play_round(&mut arena, &mut rng, &participants, 0, &mut scratch);
     }
     let after = allocations();
     assert_eq!(
@@ -110,16 +106,12 @@ fn bignet_paper_traffic_round_allocates_zero_bytes_once_warm() {
     let mut scratch = Scratch::default();
 
     for _ in 0..40 {
-        for &source in &participants {
-            play_game(&mut arena, &mut rng, source, &participants, 0, &mut scratch);
-        }
+        play_round(&mut arena, &mut rng, &participants, 0, &mut scratch);
     }
 
     let before = allocations();
     for _ in 0..20 {
-        for &source in &participants {
-            play_game(&mut arena, &mut rng, source, &participants, 0, &mut scratch);
-        }
+        play_round(&mut arena, &mut rng, &participants, 0, &mut scratch);
     }
     let after = allocations();
     assert_eq!(
@@ -152,47 +144,6 @@ fn full_bignet_round_allocates_zero_bytes_once_rows_are_saturated() {
         }
     }
     let mut scratch = Scratch::default();
-    // One warm-up round for the path/decision scratch buffers.
-    for &source in &participants {
-        play_game(&mut arena, &mut rng, source, &participants, 0, &mut scratch);
-    }
-
-    let before = allocations();
-    for _ in 0..2 {
-        for &source in &participants {
-            play_game(&mut arena, &mut rng, source, &participants, 0, &mut scratch);
-        }
-    }
-    let after = allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "saturated 1000-node rounds performed {} allocations",
-        after - before
-    );
-}
-
-#[test]
-fn batched_round_allocates_zero_bytes_at_bignet_scale() {
-    // The PR-9 batched kernel makes the stronger claim by construction:
-    // its scratch is a handful of fixed-size arrays, so a full
-    // 1 000-participant round through `play_round` must be
-    // allocation-free once the reputation rows are saturated — no
-    // per-game pool copy, no per-candidate buffer growth.
-    use ahn::game::{play_round, BatchScratch};
-    let mut rng = ChaCha8Rng::seed_from_u64(29);
-    let strategies: Vec<Strategy> = (0..800).map(|_| Strategy::random(&mut rng)).collect();
-    let mut arena = Arena::new(strategies, 200, GameConfig::paper(PathMode::Longer), 1);
-    assert!(arena.reputation.is_sparse());
-    let participants: Vec<NodeId> = (0..1000u32).map(NodeId).collect();
-    for o in 0..1000u32 {
-        for s in 0..1000u32 {
-            if o != s {
-                arena.reputation.absorb(NodeId(o), NodeId(s), 1, 1);
-            }
-        }
-    }
-    let mut scratch = BatchScratch::default();
     // One warm-up round for the metrics counters.
     play_round(&mut arena, &mut rng, &participants, 0, &mut scratch);
 
@@ -204,7 +155,50 @@ fn batched_round_allocates_zero_bytes_at_bignet_scale() {
     assert_eq!(
         after - before,
         0,
-        "saturated batched 1000-node rounds performed {} allocations",
+        "saturated 1000-node rounds performed {} allocations",
+        after - before
+    );
+}
+
+#[test]
+fn warm_zoo_sleeper_gossip_tournament_allocates_zero_bytes() {
+    // Every tournament feature beyond the paper's round at once: a liar,
+    // a colluder, an on-off node, a whitewasher and a flooder in the
+    // tail, a sleeping normal player, and CONFIDANT gossip. Once the
+    // round scratch has grown its awake and gossip lists, a whole
+    // tournament allocates nothing.
+    let mut rng = ChaCha8Rng::seed_from_u64(31);
+    let strategies: Vec<Strategy> = (0..6).map(|_| Strategy::random(&mut rng)).collect();
+    let mut kinds = vec![NodeKind::Normal; 6];
+    kinds.extend([
+        NodeKind::Liar,
+        NodeKind::Colluder(1),
+        NodeKind::OnOff { on: 3, off: 2 },
+        NodeKind::Whitewasher { period: 4 },
+        NodeKind::Flooder { extra: 2 },
+    ]);
+    let mut config = GameConfig::paper(PathMode::Longer);
+    config.gossip = Some(GossipConfig::confidant_style());
+    let mut arena = Arena::with_kinds(strategies, kinds, config, 1);
+    arena.set_duty_cycle(NodeId(0), 0.5);
+    let participants: Vec<NodeId> = (0..11u32).map(NodeId).collect();
+    let tournament = Tournament::new(30);
+    let mut scratch = RoundScratch::default();
+    for _ in 0..3 {
+        arena.begin_generation();
+        tournament.run_with_scratch(&mut arena, &mut rng, &participants, 0, &mut scratch);
+    }
+
+    let before = allocations();
+    for _ in 0..3 {
+        arena.begin_generation();
+        tournament.run_with_scratch(&mut arena, &mut rng, &participants, 0, &mut scratch);
+    }
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "warm zoo/sleeper/gossip tournaments performed {} allocations",
         after - before
     );
 }

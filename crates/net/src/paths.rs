@@ -402,7 +402,7 @@ pub const MAX_RELAYS: usize = 16;
 
 /// Most candidate paths per game: every [`AltPathDist`] row covers
 /// 1–3 paths (Table 3).
-pub const MAX_CANDIDATES: usize = 3;
+const MAX_CANDIDATES: usize = 3;
 
 /// The candidate intermediate lists of one game, in fixed-size storage:
 /// drawing them allocates nothing, from the first game on.

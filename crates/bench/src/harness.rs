@@ -464,7 +464,7 @@ fn measure_distributed(grid: &ahn_core::sweeps::SweepGrid) -> Option<f64> {
                             max_consecutive_errors: 3,
                             ..ahn_serve::WorkerConfig::default()
                         };
-                        let _ = ahn_serve::run_worker(&mut transport, &config);
+                        let _ = ahn_serve::run_worker_observed(&mut transport, &config, None);
                     })
                 })
                 .collect();

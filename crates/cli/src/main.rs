@@ -4,46 +4,13 @@
 //! ahn-exp <command> [--preset smoke|scaled|paper] [--config FILE.json]
 //!                   [--reps N] [--gens N] [--rounds N] [--seed S]
 //!                   [--out DIR]
+//! ```
 //!
 //! `--config` loads a full serde `ExperimentConfig` (see
 //! `configs/example.json`); later flags override individual fields.
-//!
-//! commands:
-//!   fig4                cooperation evolution, cases 1-4 (Figure 4)
-//!   table5              per-environment cooperation, cases 3-4 (Table 5)
-//!   table6              forwarding-request responses (Table 6)
-//!   table7              most popular strategies (Table 7)
-//!   table8              sub-strategies, case 3 (Table 8)
-//!   table9              sub-strategies, case 4 (Table 9)
-//!   all                 everything above from one set of runs (+ JSON dump)
-//!   ipdrp               IPDRP baseline evolution (X3)
-//!   baseline-pathrater  avoidance-only baseline (X1)
-//!   ablate-payoff       A1: payoff-table readings
-//!   ablate-activity     A2: 13-bit vs 5-bit chromosome
-//!   ablate-selection    A3: tournament vs roulette
-//!   ablate-trust-table  A5: trust-threshold sensitivity
-//!   ablate-unknown      A6: unknown-node bit pinning
-//!   ablate-gossip       A7: second-hand reputation (CORE/CONFIDANT style)
-//!   transfer            strategy transfer across cases (extension)
-//!   newcomer            newcomer-join experiment (extension)
-//!   sleepers            activity-dimension sleeper study (extension)
-//!   sweep-rounds        cooperation vs reputation horizon R
-//!   sweep-csn           cooperation vs selfish-node density
-//!   sweep-mutation      cooperation vs GA mutation rate
-//!   sweep               scenario-sweep grid: case x payoff x size x seed-block
-//!   calibrate           reconstruction search: payoff-table family x scale x
-//!                       selection variant, scored against the paper targets
-//!   fidelity            assert per-case cooperation within tolerance of the
-//!                       paper targets (the CI reproduction-fidelity smoke)
-//!   trace               dump a JSON decision trace of one tournament, or —
-//!                       given trace files — join them into per-cell span
-//!                       trees (`ahn-exp trace [--require-complete N] FILE..`)
-//!   check               verify the paper-input presets (Tables 1-4)
-//!   bench               time the artifact pipelines (PERFORMANCE.md)
-//!   serve               run the HTTP job server (crates/serve)
-//!   worker              pull cells from a serve node and compute them
-//!   loadtest            drive a running server, report p50/p99 + req/s
-//! ```
+//! README.md's command table describes all 32 commands, from `fig4` and
+//! `table5`..`table9` to `serve`, `worker` and `loadtest`; `ahn-exp
+//! --help` ([`print_usage`]) lists each command's flags.
 //!
 //! `sweep` and `calibrate` also accept `--via ADDR` (run the grid
 //! through a serve node, distributed across its workers) and
@@ -55,115 +22,98 @@
 //! cell's canonical hash, so `ahn-exp trace FILE..` reconstructs one
 //! cell's submit → enqueue → lease → compute → complete → merge
 //! lifecycle across server, worker and coordinator logs.
+//!
+//! `serve` takes deadlines in milliseconds, 0 disabling each:
+//! `--read-timeout-ms`, `--idle-timeout-ms`, `--write-timeout-ms` and
+//! `--drain-ms`. `worker` takes a jittered retry backoff
+//! (`--retry-base-ms`, `--retry-cap-ms`, `--backoff-seed`), a limit on
+//! consecutive transport errors (`--max-errors`), a circuit breaker
+//! (`--breaker-threshold`, `--breaker-cooldown-ms`) and seeded
+//! self-injected faults (`--chaos-seed`, `--chaos-drop-request`,
+//! `--chaos-drop-response`, `--chaos-latency-percent`,
+//! `--chaos-latency-ms`, `--chaos-stall-percent`, `--chaos-stall-ms`,
+//! `--chaos-partial-percent`).
+//!
+//! Every command returns a [`CliError`] on failure, and `main` alone
+//! prints it and exits: 2 for bad input, 1 for a runtime failure.
 
-use ahn_core::{
-    ablations, baselines, cases::CaseSpec, config::ExperimentConfig, experiment, extensions, report,
-};
-use std::io::Write as _;
+mod args;
+
+use ahn_core::ablations::{self, ablate_activity, ablate_gossip, ablate_payoff};
+use ahn_core::ablations::{ablate_selection, ablate_trust_table, ablate_unknown};
+use ahn_core::experiment::{self, ExperimentResult};
+use ahn_core::{baselines, cases::CaseSpec, config::ExperimentConfig, extensions, report, sweeps};
+use args::{Args, CliError, CliError::Bad, CliError::Failed, CliError::Usage};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
-        print_usage();
-        return;
-    }
-    let command = args[0].clone();
-    // bench/serve/loadtest have their own flag sets; they do not share
-    // the experiment-configuration options.
-    if command == "bench" {
-        bench(&args[1..]);
-        return;
-    }
-    if command == "serve" {
-        serve(&args[1..]);
-        return;
-    }
-    if command == "loadtest" {
-        loadtest(&args[1..]);
-        return;
-    }
-    if command == "worker" {
-        worker(&args[1..]);
-        return;
-    }
-    if command == "sweep" {
-        sweep(&args[1..]);
-        return;
-    }
-    if command == "scenario" {
-        scenario(&args[1..]);
-        return;
-    }
-    if command == "atlas" {
-        atlas(&args[1..]);
-        return;
-    }
-    if command == "calibrate" {
-        calibrate(&args[1..]);
-        return;
-    }
-    if command == "fidelity" {
-        fidelity(&args[1..]);
-        return;
-    }
-    // `trace` is two commands sharing a name: with trace-file arguments
-    // it joins span logs; with experiment flags only, it keeps its
-    // original meaning (dump a game decision trace).
-    if command == "trace" && trace_join_requested(&args[1..]) {
-        trace_join(&args[1..]);
-        return;
-    }
-    let opts = match Options::parse(&args[1..]) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
+    if let Err(e) = run(&args) {
+        eprintln!("error: {e}");
+        if let Usage(_) = e {
             print_usage();
-            std::process::exit(2);
+        }
+        std::process::exit(if let Failed(_) = e { 1 } else { 2 });
+    }
+}
+
+/// Dispatches a command line to its command.
+fn run(args: &[String]) -> Result<(), CliError> {
+    let (command, rest) = match args.split_first() {
+        Some((command, rest)) if command != "--help" && command != "-h" => (command, rest),
+        _ => {
+            print_usage();
+            return Ok(());
         }
     };
-
+    // The experiment commands take the shared flags only.
+    let opts = || Options::parse(rest, ExperimentConfig::scaled());
     match command.as_str() {
-        "fig4" => fig4(&opts),
-        "table5" => table5(&opts),
-        "table6" => table6(&opts),
-        "table7" => table7(&opts),
-        "table8" => table8_9(&opts, 3),
-        "table9" => table8_9(&opts, 4),
-        "all" => all(&opts),
-        "ipdrp" => ipdrp(&opts),
-        "baseline-pathrater" => pathrater(&opts),
-        "ablate-payoff" => ablate(&opts, "A1 payoff-table reading", ablations::ablate_payoff),
-        "ablate-activity" => ablate(&opts, "A2 activity dimension", ablations::ablate_activity),
-        "ablate-selection" => ablate(&opts, "A3 selection operator", ablations::ablate_selection),
-        "ablate-trust-table" => ablate(
-            &opts,
-            "A5 trust-table thresholds",
-            ablations::ablate_trust_table,
-        ),
-        "ablate-unknown" => ablate(&opts, "A6 unknown-node bit", ablations::ablate_unknown),
-        "ablate-gossip" => ablate(&opts, "A7 second-hand reputation", ablations::ablate_gossip),
-        "transfer" => transfer(&opts),
-        "newcomer" => newcomer(&opts),
-        "sleepers" => sleepers(&opts),
-        "sweep-rounds" => sweep_rounds(&opts),
-        "sweep-csn" => sweep_csn(&opts),
-        "sweep-mutation" => sweep_mutation(&opts),
-        "trace" => trace(&opts),
-        "check" => {
-            let results = ahn_core::checks::run_all();
-            match ahn_core::checks::render(&results) {
-                Ok(text) => print!("{text}"),
-                Err(text) => {
-                    print!("{text}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        other => {
-            eprintln!("error: unknown command {other:?}");
-            print_usage();
-            std::process::exit(2);
-        }
+        "fig4" => fig4(&opts()?),
+        "table5" => table(&opts()?, 5, &[3, 4], |r| report::table5(&r[0], &r[1])),
+        "table6" => table(&opts()?, 6, &[3, 4], |r| report::table6(&r[0], &r[1])),
+        "table7" => table(&opts()?, 7, &[3, 4], |r| report::table7(&[&r[0], &r[1]])),
+        "table8" => table(&opts()?, 8, &[3], |r| report::table8_9(&r[0], 0.03)),
+        "table9" => table(&opts()?, 9, &[4], |r| report::table8_9(&r[0], 0.03)),
+        "all" => all(&opts()?),
+        "ipdrp" => ipdrp(&opts()?),
+        "baseline-pathrater" => pathrater(&opts()?),
+        "ablate-payoff" => ablate(&opts()?, "A1 payoff-table reading", ablate_payoff),
+        "ablate-activity" => ablate(&opts()?, "A2 activity dimension", ablate_activity),
+        "ablate-selection" => ablate(&opts()?, "A3 selection operator", ablate_selection),
+        "ablate-trust-table" => ablate(&opts()?, "A5 trust-table thresholds", ablate_trust_table),
+        "ablate-unknown" => ablate(&opts()?, "A6 unknown-node bit", ablate_unknown),
+        "ablate-gossip" => ablate(&opts()?, "A7 second-hand reputation", ablate_gossip),
+        "transfer" => transfer(&opts()?),
+        "newcomer" => newcomer(&opts()?),
+        "sleepers" => sleepers(&opts()?),
+        "sweep-rounds" => sweep_rounds(&opts()?),
+        "sweep-csn" => sweep_csn(&opts()?),
+        "sweep-mutation" => sweep_mutation(&opts()?),
+        // `trace` is two commands sharing a name: with trace-file
+        // arguments it joins span logs; with experiment flags only, it
+        // keeps its original meaning (dump a game decision trace).
+        "trace" if trace_join_requested(rest) => trace_join(rest),
+        "trace" => trace(&opts()?),
+        "check" => opts().and_then(|_| check()),
+        "sweep" => sweep(rest),
+        // The adversary-zoo registry: `list` prints it, `run NAME`
+        // evaluates one scenario against a chosen defense.
+        "scenario" => match rest.first().map(String::as_str) {
+            Some("list") => scenario_list(&rest[1..]),
+            Some("run") => scenario_run(&rest[1..]),
+            Some(other) => Err(Bad(format!(
+                "unknown scenario subcommand {other:?} (list|run)"
+            ))),
+            None => Err(Bad("scenario needs a subcommand (list|run)".into())),
+        },
+        "atlas" => atlas(rest),
+        "calibrate" => calibrate(rest),
+        "fidelity" => fidelity(rest),
+        "bench" => bench(rest),
+        "serve" => serve(rest),
+        "worker" => worker(rest),
+        "loadtest" => loadtest(rest),
+        other => Err(Usage(format!("unknown command {other:?}"))),
     }
 }
 
@@ -172,6 +122,7 @@ fn print_usage() {
         "ahn-exp — regenerate the tables and figures of Seredynski et al. (IPDPS'07)\n\n\
          usage: ahn-exp <command> [--preset smoke|scaled|paper] [--reps N]\n\
                 [--gens N] [--rounds N] [--seed S] [--out DIR] [--trace FILE]\n\
+                [--config FILE.json]\n\
                 ahn-exp sweep [--scenarios base,slanderers,..] [--cases 1,2,..]\n\
                               [--payoffs paper,..] [--sizes 10,50,..]\n\
                               [--seed-blocks N] [--json] [--via ADDR] [--journal FILE]\n\
@@ -191,8 +142,16 @@ fn print_usage() {
                               [--threads 1,4,8]\n\
                 ahn-exp serve [--addr A] [--workers N] [--cache-cap N] [--queue-cap N]\n\
                               [--journal FILE] [--trace FILE]  (--workers 0 = pull-only)\n\
+                              [--read-timeout-ms N] [--idle-timeout-ms N]\n\
+                              [--write-timeout-ms N] [--drain-ms N]\n\
                 ahn-exp worker [--addr A] [--lease-ms N] [--poll-ms N] [--max-cells N]\n\
                                [--exit-when-idle] [--trace FILE]\n\
+                               [--retry-base-ms N] [--retry-cap-ms N] [--backoff-seed S]\n\
+                               [--max-errors N] [--breaker-threshold N] [--breaker-cooldown-ms N]\n\
+                               [--chaos-seed S] [--chaos-drop-request P]\n\
+                               [--chaos-drop-response P] [--chaos-partial-percent P]\n\
+                               [--chaos-latency-percent P] [--chaos-latency-ms N]\n\
+                               [--chaos-stall-percent P] [--chaos-stall-ms N]\n\
                 ahn-exp loadtest [--addr A] [--connections N] [--requests N]\n\
                                  [--distinct N] [--json] [--min-hit-rate F] [--shutdown]\n\
                 ahn-exp trace [--require-complete N] FILE..   (join span logs)\n\n\
@@ -205,1236 +164,80 @@ fn print_usage() {
     );
 }
 
-/// `ahn-exp bench` flags.
-#[derive(Debug, Clone, PartialEq)]
-struct BenchFlags {
-    json: bool,
-    baseline_path: Option<String>,
-    max_regression: f64,
-    threads: Vec<usize>,
-}
-
-fn parse_bench_flags(args: &[String]) -> Result<BenchFlags, String> {
-    let mut flags = BenchFlags {
-        json: false,
-        baseline_path: None,
-        max_regression: 2.0,
-        threads: vec![1, 4, 8],
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--json" => flags.json = true,
-            "--baseline" => match it.next() {
-                Some(p) => flags.baseline_path = Some(p.clone()),
-                None => return Err("--baseline needs a file".into()),
-            },
-            "--max-regression" => match it.next().map(|s| s.parse::<f64>()) {
-                Some(Ok(f)) if f >= 1.0 => flags.max_regression = f,
-                _ => return Err("--max-regression needs a factor >= 1".into()),
-            },
-            // The report schema has rows for exactly t = 1, 4, 8; other
-            // counts would be measured into the void.
-            "--threads" => match it.next() {
-                Some(list) => {
-                    let parsed: Result<Vec<usize>, _> =
-                        list.split(',').map(|s| s.trim().parse::<usize>()).collect();
-                    match parsed {
-                        Ok(counts)
-                            if !counts.is_empty()
-                                && counts.iter().all(|t| [1, 4, 8].contains(t)) =>
-                        {
-                            flags.threads = counts
-                        }
-                        _ => return Err("--threads needs a comma-separated subset of 1,4,8".into()),
-                    }
-                }
-                None => return Err("--threads needs a comma-separated subset of 1,4,8".into()),
-            },
-            other => return Err(format!("unknown bench flag {other:?}")),
-        }
-    }
-    Ok(flags)
-}
-
-/// `ahn-exp bench`: time the artifact pipelines and game throughput
-/// (PERFORMANCE.md documents the protocol and the `BENCH_N.json`
-/// convention).
-fn bench(args: &[String]) {
-    let BenchFlags {
-        json,
-        baseline_path,
-        max_regression,
-        threads,
-    } = match parse_bench_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-
-    if let Some(reason) = ahn_bench::harness::portable_build_warning() {
-        eprintln!("warning: {reason}");
-    }
-    ahn_core::threads::log_once("bench");
-    eprintln!("measuring (min of {} runs per pipeline)...", {
-        ahn_bench::harness::MEASURE_RUNS
-    });
-    let report = ahn_bench::harness::run_bench(&threads);
-    if json {
-        match serde_json::to_string_pretty(&report) {
-            Ok(text) => println!("{text}"),
-            Err(e) => {
-                eprintln!("error: cannot serialize report: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        print!("{}", ahn_bench::harness::render(&report));
-    }
-
-    if let Some(path) = baseline_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let baseline: ahn_bench::harness::BenchBaseline = match serde_json::from_str(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: malformed baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        match ahn_bench::harness::check_regression(&report, &baseline, max_regression) {
-            Ok(()) => eprintln!(
-                "within {max_regression}x of the committed baseline ({})",
-                baseline.note
-            ),
-            Err(msg) => {
-                eprintln!("error: performance regression vs {path}: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
-fn parse_serve_flags(args: &[String]) -> Result<ahn_serve::ServerConfig, String> {
-    let mut config = ahn_serve::ServerConfig::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--addr" => config.addr = value("--addr")?.clone(),
-            // 0 is legal: a pull-only node that computes nothing
-            // itself and serves cells to `ahn-exp worker` processes.
-            "--workers" => {
-                config.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
-            "--cache-cap" => {
-                config.cache_cap = value("--cache-cap")?
-                    .parse()
-                    .map_err(|e| format!("--cache-cap: {e}"))?
-            }
-            "--journal" => config.journal = Some(value("--journal")?.clone()),
-            "--trace" => config.trace = Some(value("--trace")?.clone()),
-            "--queue-cap" => match value("--queue-cap")?.parse() {
-                Ok(n) if n > 0 => config.queue_cap = n,
-                _ => return Err("--queue-cap needs a positive integer".into()),
-            },
-            // Deadline knobs, all in milliseconds, 0 = disabled.
-            "--read-timeout-ms" => {
-                config.read_timeout_ms = value("--read-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--read-timeout-ms: {e}"))?
-            }
-            "--idle-timeout-ms" => {
-                config.idle_timeout_ms = value("--idle-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--idle-timeout-ms: {e}"))?
-            }
-            "--write-timeout-ms" => {
-                config.write_timeout_ms = value("--write-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--write-timeout-ms: {e}"))?
-            }
-            "--drain-ms" => {
-                config.drain_ms = value("--drain-ms")?
-                    .parse()
-                    .map_err(|e| format!("--drain-ms: {e}"))?
-            }
-            other => return Err(format!("unknown serve flag {other:?}")),
-        }
-    }
-    Ok(config)
-}
-
-/// `ahn-exp serve`: run the HTTP job server until `POST /v1/shutdown`.
-fn serve(args: &[String]) {
-    let config = match parse_serve_flags(args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    // Keep worker fan-out and per-job rayon fan-out from multiplying
-    // into oversubscription: unless the operator already pinned
-    // AHN_THREADS (the vendored rayon's cap, vendor/README.md), give
-    // each worker an equal share of the cores.
-    if std::env::var_os("AHN_THREADS").is_none() {
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let share = (cores / config.workers.max(1)).max(1);
-        std::env::set_var("AHN_THREADS", share.to_string());
-    }
-    let handle = match ahn_serve::spawn(config.clone()) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("error: cannot bind {}: {e}", config.addr);
-            std::process::exit(1);
-        }
-    };
-    println!("ahn-serve listening on {}", handle.addr());
-    eprintln!(
-        "  {} workers, cache capacity {}, queue capacity {} (POST /v1/shutdown to stop)",
-        config.workers, config.cache_cap, config.queue_cap
-    );
-    if let Some(path) = &config.journal {
-        eprintln!("  completion journal: {path}");
-    }
-    if let Some(path) = &config.trace {
-        eprintln!("  span trace log: {path}");
-    }
-    handle.join();
-    eprintln!("ahn-serve: shut down cleanly");
-}
-
-/// `ahn-exp loadtest` flags: the client config plus reporting options.
-#[derive(Debug, Clone, PartialEq)]
-struct LoadtestFlags {
-    config: ahn_serve::LoadtestConfig,
-    json: bool,
-    min_hit_rate: Option<f64>,
-    shutdown: bool,
-}
-
-fn parse_loadtest_flags(args: &[String]) -> Result<LoadtestFlags, String> {
-    let mut flags = LoadtestFlags {
-        config: ahn_serve::LoadtestConfig::default(),
-        json: false,
-        min_hit_rate: None,
-        shutdown: false,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--addr" => flags.config.addr = value("--addr")?.clone(),
-            "--connections" => match value("--connections")?.parse() {
-                Ok(n) if n > 0 => flags.config.connections = n,
-                _ => return Err("--connections needs a positive integer".into()),
-            },
-            "--requests" => match value("--requests")?.parse() {
-                Ok(n) if n > 0 => flags.config.requests = n,
-                _ => return Err("--requests needs a positive integer".into()),
-            },
-            "--distinct" => match value("--distinct")?.parse() {
-                Ok(n) if n > 0 => flags.config.distinct = n,
-                _ => return Err("--distinct needs a positive integer".into()),
-            },
-            "--json" => flags.json = true,
-            "--min-hit-rate" => match value("--min-hit-rate")?.parse::<f64>() {
-                Ok(f) if (0.0..=1.0).contains(&f) => flags.min_hit_rate = Some(f),
-                _ => return Err("--min-hit-rate needs a fraction in [0, 1]".into()),
-            },
-            "--shutdown" => flags.shutdown = true,
-            other => return Err(format!("unknown loadtest flag {other:?}")),
-        }
-    }
-    Ok(flags)
-}
-
-/// `ahn-exp loadtest`: drive a running server with a mixed
-/// cache-hit/cache-miss workload and report latency + throughput.
-fn loadtest(args: &[String]) {
-    let flags = match parse_loadtest_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    eprintln!(
-        "loadtest: {} requests over {} connections against {} ({} distinct specs)...",
-        flags.config.requests, flags.config.connections, flags.config.addr, flags.config.distinct
-    );
-    let report = match ahn_serve::run_loadtest(&flags.config) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
-    if flags.json {
-        match serde_json::to_string_pretty(&report) {
-            Ok(text) => println!("{text}"),
-            Err(e) => {
-                eprintln!("error: cannot serialize report: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        print!("{}", ahn_serve::loadtest::render(&report));
-    }
-
-    if flags.shutdown {
-        match ahn_serve::loadtest::one_shot(&flags.config.addr, "POST", "/v1/shutdown", "") {
-            Ok((200, _)) => eprintln!("sent shutdown to {}", flags.config.addr),
-            Ok((status, body)) => {
-                eprintln!("error: shutdown returned {status}: {body}");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("error: shutdown failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if report.errors > 0 {
-        eprintln!("error: {} requests failed", report.errors);
-        std::process::exit(1);
-    }
-    if let Some(min) = flags.min_hit_rate {
-        let rate = report
-            .server_metrics
-            .as_ref()
-            .map(|m| m.cache_hit_rate)
-            .unwrap_or(0.0);
-        if rate < min {
-            eprintln!("error: cache hit rate {rate:.3} is below the required {min:.3}");
-            std::process::exit(1);
-        }
-        eprintln!("cache hit rate {rate:.3} >= {min:.3}");
-    }
-}
-
-/// `ahn-exp worker` flags: where to pull work from, when to stop, how
-/// to back off and break, and which chaos faults to self-inject.
-#[derive(Debug, Clone, PartialEq)]
-struct WorkerFlags {
-    addr: String,
-    config: ahn_serve::WorkerConfig,
-    /// Breaker trip threshold (consecutive failures); 0 disables.
-    breaker_threshold: u32,
-    /// Breaker cooldown before the half-open probe, milliseconds.
-    breaker_cooldown_ms: u64,
-    /// Seeded self-injected transport chaos (`--chaos-*`): the CLI face
-    /// of the `FlakyTransport` harness, for drills and the CI chaos job.
-    chaos: ahn_serve::FaultPlan,
-    /// Span trace log path (`--trace`).
-    trace: Option<String>,
-}
-
-fn parse_worker_flags(args: &[String]) -> Result<WorkerFlags, String> {
-    let mut flags = WorkerFlags {
-        addr: "127.0.0.1:7878".into(),
-        config: ahn_serve::WorkerConfig::default(),
-        breaker_threshold: 8,
-        breaker_cooldown_ms: 1_000,
-        chaos: ahn_serve::FaultPlan::none(),
-        trace: None,
-    };
-    let percent = |name: &str, text: &str| -> Result<u8, String> {
-        match text.parse() {
-            Ok(n) if n <= 100 => Ok(n),
-            _ => Err(format!("{name} needs a percentage in [0, 100]")),
-        }
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--addr" => flags.addr = value("--addr")?.clone(),
-            "--lease-ms" => match value("--lease-ms")?.parse() {
-                Ok(n) if n > 0 => flags.config.lease_ms = n,
-                _ => return Err("--lease-ms needs a positive integer".into()),
-            },
-            "--poll-ms" => match value("--poll-ms")?.parse() {
-                Ok(n) if n > 0 => flags.config.poll_ms = n,
-                _ => return Err("--poll-ms needs a positive integer".into()),
-            },
-            "--max-cells" => {
-                flags.config.max_cells = value("--max-cells")?
-                    .parse()
-                    .map_err(|e| format!("--max-cells: {e}"))?
-            }
-            "--exit-when-idle" => flags.config.idle_exit_polls = 3,
-            "--retry-base-ms" => match value("--retry-base-ms")?.parse() {
-                Ok(n) if n > 0 => flags.config.backoff.base_ms = n,
-                _ => return Err("--retry-base-ms needs a positive integer".into()),
-            },
-            "--retry-cap-ms" => match value("--retry-cap-ms")?.parse() {
-                Ok(n) if n > 0 => flags.config.backoff.cap_ms = n,
-                _ => return Err("--retry-cap-ms needs a positive integer".into()),
-            },
-            "--backoff-seed" => {
-                flags.config.backoff.seed = value("--backoff-seed")?
-                    .parse()
-                    .map_err(|e| format!("--backoff-seed: {e}"))?
-            }
-            "--max-errors" => {
-                flags.config.max_consecutive_errors = value("--max-errors")?
-                    .parse()
-                    .map_err(|e| format!("--max-errors: {e}"))?
-            }
-            "--breaker-threshold" => {
-                flags.breaker_threshold = value("--breaker-threshold")?
-                    .parse()
-                    .map_err(|e| format!("--breaker-threshold: {e}"))?
-            }
-            "--breaker-cooldown-ms" => {
-                flags.breaker_cooldown_ms = value("--breaker-cooldown-ms")?
-                    .parse()
-                    .map_err(|e| format!("--breaker-cooldown-ms: {e}"))?
-            }
-            "--chaos-seed" => {
-                flags.chaos.seed = value("--chaos-seed")?
-                    .parse()
-                    .map_err(|e| format!("--chaos-seed: {e}"))?
-            }
-            "--chaos-drop-request" => {
-                flags.chaos.drop_request_percent =
-                    percent("--chaos-drop-request", value("--chaos-drop-request")?)?
-            }
-            "--chaos-drop-response" => {
-                flags.chaos.drop_response_percent =
-                    percent("--chaos-drop-response", value("--chaos-drop-response")?)?
-            }
-            "--chaos-latency-percent" => {
-                flags.chaos.latency_percent =
-                    percent("--chaos-latency-percent", value("--chaos-latency-percent")?)?
-            }
-            "--chaos-latency-ms" => {
-                flags.chaos.latency_ms = value("--chaos-latency-ms")?
-                    .parse()
-                    .map_err(|e| format!("--chaos-latency-ms: {e}"))?
-            }
-            "--chaos-stall-percent" => {
-                flags.chaos.stall_percent =
-                    percent("--chaos-stall-percent", value("--chaos-stall-percent")?)?
-            }
-            "--chaos-stall-ms" => {
-                flags.chaos.stall_ms = value("--chaos-stall-ms")?
-                    .parse()
-                    .map_err(|e| format!("--chaos-stall-ms: {e}"))?
-            }
-            "--chaos-partial-percent" => {
-                flags.chaos.partial_write_percent =
-                    percent("--chaos-partial-percent", value("--chaos-partial-percent")?)?
-            }
-            "--trace" => flags.trace = Some(value("--trace")?.clone()),
-            other => return Err(format!("unknown worker flag {other:?}")),
-        }
-    }
-    Ok(flags)
-}
-
-/// `ahn-exp worker`: pull cells from a serve node over
-/// `POST /v1/work/claim` / `complete` until told to stop (or, with
-/// `--exit-when-idle`, until the queue stays empty).
-fn worker(args: &[String]) {
-    let flags = match parse_worker_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    eprintln!("worker: pulling cells from {}...", flags.addr);
-    if flags.chaos.is_active() {
-        eprintln!("worker: chaos enabled: {:?}", flags.chaos);
-    }
-    let trace = open_trace(flags.trace.as_deref(), "worker");
-    let mut transport = ahn_serve::CircuitBreaker::new(
-        ahn_serve::FlakyTransport::new(ahn_serve::HttpTransport::new(&flags.addr), flags.chaos),
-        flags.breaker_threshold,
-        std::time::Duration::from_millis(flags.breaker_cooldown_ms),
-    );
-    match ahn_serve::run_worker_observed(&mut transport, &flags.config, trace.as_ref()) {
-        Ok((report, telemetry)) => {
-            eprintln!(
-                "worker: {} completed, {} failed, {} duplicates, {} dropped, {} empty polls, {} breaker trips",
-                report.completed,
-                report.failed,
-                report.duplicates,
-                report.dropped,
-                report.empty_polls,
-                report.breaker_opens
-            );
-            // The machine-readable exit summary: one JSON line on
-            // stdout (the human-readable progress stays on stderr).
-            let summary = ahn_serve::WorkerSummary::new(&report, &telemetry);
-            match serde_json::to_string(&summary) {
-                Ok(line) => println!("{line}"),
-                Err(e) => eprintln!("warning: cannot serialize worker summary: {e}"),
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `ahn-exp sweep` flags: the grid axes plus the shared experiment
-/// options for the base configuration.
-#[derive(Debug, Clone, PartialEq)]
-struct SweepFlags {
-    scenarios: Option<Vec<String>>,
-    cases: Vec<usize>,
-    payoffs: Vec<String>,
-    sizes: Vec<usize>,
-    seed_blocks: u64,
-    json: bool,
-    /// Run the grid through a serve node at this address instead of
-    /// computing locally (`ahn_serve::run_sweep_via`).
-    via: Option<String>,
-    /// Checkpoint completed cells to this journal; resume skips them.
-    journal: Option<String>,
-    /// Span trace log path (`--trace`): local runs record per-cell
-    /// lifecycles and per-generation hot-loop samples, `--via` runs
-    /// record the coordinator's side of every cell.
-    trace: Option<String>,
-    /// Remaining (non-sweep) flags, handed to [`Options::parse`].
-    rest: Vec<String>,
-}
-
-/// Parses a non-empty comma-separated flag value (shared by the
-/// sweep/calibrate/fidelity flag parsers).
-fn list<T: std::str::FromStr>(name: &str, text: &str) -> Result<Vec<T>, String> {
-    let items: Result<Vec<T>, _> = text.split(',').map(str::parse).collect();
-    match items {
-        Ok(v) if !v.is_empty() => Ok(v),
-        _ => Err(format!("{name} needs a comma-separated list")),
-    }
-}
-
-/// Forwards an unrecognized flag (and its value, if any) to the shared
-/// experiment options, which `Options::parse` validates later. Every
-/// `Options` flag takes a value, so the greedy pairing is safe.
-fn pass_through(rest: &mut Vec<String>, flag: &str, it: &mut std::slice::Iter<'_, String>) {
-    rest.push(flag.into());
-    if let Some(v) = it.next() {
-        rest.push(v.clone());
-    }
-}
-
-fn parse_sweep_flags(args: &[String]) -> Result<SweepFlags, String> {
-    let mut flags = SweepFlags {
-        scenarios: None,
-        cases: vec![1],
-        payoffs: vec!["paper".into()],
-        sizes: vec![50],
-        seed_blocks: 1,
-        json: false,
-        via: None,
-        journal: None,
-        trace: None,
-        rest: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--cases" => flags.cases = list("--cases", value("--cases")?)?,
-            "--scenarios" => {
-                let names: Vec<String> = list("--scenarios", value("--scenarios")?)?;
-                if names.iter().any(String::is_empty) {
-                    return Err("--scenarios needs non-empty scenario names".into());
-                }
-                flags.scenarios = Some(names);
-            }
-            "--payoffs" => flags.payoffs = list("--payoffs", value("--payoffs")?)?,
-            "--sizes" => flags.sizes = list("--sizes", value("--sizes")?)?,
-            "--seed-blocks" => match value("--seed-blocks")?.parse() {
-                Ok(n) if n > 0 => flags.seed_blocks = n,
-                _ => return Err("--seed-blocks needs a positive integer".into()),
-            },
-            "--json" => flags.json = true,
-            "--via" => flags.via = Some(value("--via")?.clone()),
-            "--journal" => flags.journal = Some(value("--journal")?.clone()),
-            "--trace" => flags.trace = Some(value("--trace")?.clone()),
-            other => pass_through(&mut flags.rest, other, &mut it),
-        }
-    }
-    if flags.journal.is_some() && flags.via.is_none() {
-        return Err("--journal requires --via (it checkpoints a distributed run)".into());
-    }
-    Ok(flags)
-}
-
-/// Opens a `--trace` span log whose events name this process
-/// `{role}:{pid}`, exiting on failure.
-fn open_trace(path: Option<&str>, role: &str) -> Option<ahn_obs::TraceLog> {
-    path.map(|p| {
-        match ahn_obs::TraceLog::open(
-            std::path::Path::new(p),
-            &format!("{role}:{}", std::process::id()),
-        ) {
-            Ok(log) => log,
-            Err(e) => {
-                eprintln!("error: cannot open trace log {p}: {e}");
-                std::process::exit(2);
-            }
-        }
-    })
-}
-
-/// `ahn-exp sweep`: run a (case x payoff x size x seed-block) grid with
-/// one pure experiment per cell, cells in parallel
-/// (`ahn_core::sweeps::run_sweep`), or — with `--via ADDR` — through a
-/// serve node, merging the distributed cells to the bit-identical
-/// report.
-fn sweep(args: &[String]) {
-    let flags = match parse_sweep_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let opts = match Options::parse(&flags.rest) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            print_usage();
-            std::process::exit(2);
-        }
-    };
-    let grid = ahn_core::SweepGrid {
-        base: opts.config.clone(),
-        scenarios: flags.scenarios,
-        cases: flags.cases,
-        payoffs: flags.payoffs,
-        sizes: flags.sizes,
-        seed_blocks: (0..flags.seed_blocks).collect(),
-    };
-    eprintln!(
-        "sweeping {} cells ({} scenarios x {} cases x {} payoffs x {} sizes x {} seed blocks, {} replications each)...",
-        grid.cell_count(),
-        grid.scenarios.as_ref().map(Vec::len).unwrap_or(1),
-        grid.cases.len(),
-        grid.payoffs.len(),
-        grid.sizes.len(),
-        grid.seed_blocks.len(),
-        grid.base.replications
-    );
-    let report = if let Some(addr) = &flags.via {
-        eprintln!("  distributing via {addr}...");
-        let trace = open_trace(flags.trace.as_deref(), "coordinator");
-        let mut transport = ahn_serve::HttpTransport::new(addr);
-        let journal = flags.journal.as_deref().map(std::path::Path::new);
-        ahn_serve::run_sweep_via_traced(&mut transport, &grid, journal, 10, trace.as_ref())
-    } else {
-        let trace = open_trace(flags.trace.as_deref(), "ahn-exp");
-        ahn_core::run_sweep_traced(&grid, trace.as_ref())
-    };
-    let report = match report {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let json = match serde_json::to_string_pretty(&report) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("error: cannot serialize report: {e}");
-            std::process::exit(1);
-        }
-    };
-    if flags.json {
-        println!("{json}");
-    } else {
-        print!("{}", ahn_core::sweeps::render_sweep_report(&report));
-    }
-    opts.maybe_write("sweep.json", &json);
-}
-
-/// `ahn-exp calibrate` flags: the search axes plus the shared
-/// experiment options for the base configuration.
-#[derive(Debug, Clone, PartialEq)]
-struct CalibrateFlags {
-    cases: Vec<usize>,
-    scales: Vec<f64>,
-    selections: Vec<String>,
-    size: usize,
-    seed_blocks: u64,
-    max_candidates: usize,
-    json: bool,
-    /// Run the search through a serve node at this address instead of
-    /// computing locally (`ahn_serve::run_calibration_via`).
-    via: Option<String>,
-    /// Checkpoint completed cells to this journal; resume skips them.
-    journal: Option<String>,
-    /// Span trace log path (`--trace`); the coordinator records its
-    /// side of every cell (requires `--via`).
-    trace: Option<String>,
-    /// Remaining (non-calibrate) flags, handed to [`Options::parse`].
-    rest: Vec<String>,
-}
-
-fn parse_calibrate_flags(args: &[String]) -> Result<CalibrateFlags, String> {
-    let mut flags = CalibrateFlags {
-        cases: vec![1, 2, 3, 4],
-        scales: vec![1.0],
-        selections: vec!["paper".into()],
-        size: 10,
-        seed_blocks: 1,
-        max_candidates: 0,
-        json: false,
-        via: None,
-        journal: None,
-        trace: None,
-        rest: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--cases" => flags.cases = list("--cases", value("--cases")?)?,
-            "--scales" => flags.scales = list("--scales", value("--scales")?)?,
-            "--selections" => {
-                flags.selections = value("--selections")?
-                    .split(',')
-                    .map(str::to_owned)
-                    .filter(|s| !s.is_empty())
-                    .collect();
-                if flags.selections.is_empty() {
-                    return Err("--selections needs a comma-separated list".into());
-                }
-            }
-            "--size" => match value("--size")?.parse() {
-                Ok(n) if n >= 3 => flags.size = n,
-                _ => return Err("--size needs an integer >= 3".into()),
-            },
-            "--seed-blocks" => match value("--seed-blocks")?.parse() {
-                Ok(n) if n > 0 => flags.seed_blocks = n,
-                _ => return Err("--seed-blocks needs a positive integer".into()),
-            },
-            "--max-candidates" => {
-                flags.max_candidates = value("--max-candidates")?
-                    .parse()
-                    .map_err(|e| format!("--max-candidates: {e}"))?
-            }
-            "--json" => flags.json = true,
-            "--via" => flags.via = Some(value("--via")?.clone()),
-            "--journal" => flags.journal = Some(value("--journal")?.clone()),
-            "--trace" => flags.trace = Some(value("--trace")?.clone()),
-            other => pass_through(&mut flags.rest, other, &mut it),
-        }
-    }
-    if flags.journal.is_some() && flags.via.is_none() {
-        return Err("--journal requires --via (it checkpoints a distributed run)".into());
-    }
-    if flags.trace.is_some() && flags.via.is_none() {
-        return Err("calibrate --trace requires --via (it records the coordinator's spans)".into());
-    }
-    Ok(flags)
-}
-
-/// `ahn-exp scenario`: the adversary-zoo registry front end —
-/// `list` prints every built-in scenario (name, hash, summary),
-/// `run NAME` evaluates one scenario against a chosen defense.
-fn scenario(args: &[String]) {
-    match args.first().map(String::as_str) {
-        Some("list") => {
-            let json = args.iter().any(|a| a == "--json");
-            let all = ahn_core::builtin_scenarios();
-            if json {
-                println!("{}", serde_json::to_string_pretty(&all).unwrap());
-                return;
-            }
-            println!("{} scenarios (rows of `ahn-exp atlas`):", all.len());
-            for s in &all {
-                println!(
-                    "  {:<18} {:016x}  {}",
-                    s.name,
-                    s.canonical_hash(),
-                    s.summary
-                );
-            }
-        }
-        Some("run") => scenario_run(&args[1..]),
-        Some(other) => {
-            eprintln!("error: unknown scenario subcommand {other:?} (list|run)");
-            std::process::exit(2);
-        }
-        None => {
-            eprintln!("error: scenario needs a subcommand (list|run)");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// `ahn-exp scenario run NAME`: resolve the scenario, apply it to a
-/// scaled case-1 world, run the experiment, print the usual report.
-fn scenario_run(args: &[String]) {
-    let mut name = None;
-    let mut defense = "watchdog".to_string();
-    let mut size = 10usize;
-    let mut rest = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--defense" => match it.next() {
-                Some(d) => defense = d.clone(),
-                None => {
-                    eprintln!("error: --defense needs a value");
-                    std::process::exit(2);
-                }
-            },
-            "--size" => match it.next().map(|s| s.parse()) {
-                Some(Ok(n)) if n >= 3 => size = n,
-                _ => {
-                    eprintln!("error: --size needs an integer >= 3");
-                    std::process::exit(2);
-                }
-            },
-            flag if flag.starts_with("--") => pass_through(&mut rest, flag, &mut it),
-            bare if name.is_none() => name = Some(bare.to_string()),
-            extra => {
-                eprintln!("error: unexpected argument {extra:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let Some(name) = name else {
-        eprintln!("error: scenario run needs a scenario name (try `ahn-exp scenario list`)");
-        std::process::exit(2);
-    };
-    // Default to the smoke preset (like calibrate) so a bare
-    // `ahn-exp scenario run slanderers` finishes in seconds.
-    let mut base_args = vec!["--preset".to_string(), "smoke".to_string()];
-    base_args.extend(rest);
-    let opts = match Options::parse(&base_args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            print_usage();
-            std::process::exit(2);
-        }
-    };
-    let run = || -> Result<(), String> {
-        let scenario = ahn_core::resolve_scenario(&name)?;
-        let mut config = opts.config.clone();
-        config.gossip = ahn_core::atlas::resolve_defense(&defense)?;
-        let case = CaseSpec::mini(&name, &[0], size, ahn_core::PathMode::Shorter);
-        let (config, case) = scenario.apply(&config, &case)?;
-        eprintln!(
-            "running scenario {name:?} (hash {:016x}) against {defense:?}, \
-             {size} participants, {} replications...",
-            scenario.canonical_hash(),
-            config.replications
-        );
-        let result = experiment::run_experiment(&config, &case);
-        println!(
-            "scenario {name} vs {defense}: cooperation {} ± {}",
-            ahn_stats::pct(result.final_coop.mean().unwrap_or(0.0), 1),
-            ahn_stats::pct(result.final_coop.ci95_half_width().unwrap_or(0.0), 1),
-        );
-        for (i, env) in result.per_env_csn_free.iter().enumerate() {
-            println!(
-                "  env {i}: attacker-free paths {}",
-                ahn_stats::pct(env.mean().unwrap_or(0.0), 1)
-            );
-        }
-        Ok(())
-    };
-    if let Err(e) = run() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
-}
-
-/// `ahn-exp atlas`: run the scenario x defense grid and emit the
-/// committed artifacts — markdown to stdout or `--out`, the
-/// byte-stable JSON report to `--json`.
-fn atlas(args: &[String]) {
-    let mut grid = ahn_core::AtlasGrid::smoke();
-    let mut json_path = None;
-    let mut out_path = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => match it.next() {
-                Some(p) => json_path = Some(p.clone()),
-                None => {
-                    eprintln!("error: --json needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--out" => match it.next() {
-                Some(p) => out_path = Some(p.clone()),
-                None => {
-                    eprintln!("error: --out needs a file path");
-                    std::process::exit(2);
-                }
-            },
-            "--scenarios" => match it.next() {
-                Some(names) => {
-                    grid.scenarios = names.split(',').map(str::to_string).collect();
-                }
-                None => {
-                    eprintln!("error: --scenarios needs a comma-separated list");
-                    std::process::exit(2);
-                }
-            },
-            "--size" => match it.next().map(|s| s.parse()) {
-                Some(Ok(n)) if n >= 3 => grid.size = n,
-                _ => {
-                    eprintln!("error: --size needs an integer >= 3");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("error: unknown atlas flag {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    eprintln!(
-        "atlas: {} scenarios x {} defenses at {} participants...",
-        grid.scenarios.len(),
-        ahn_core::atlas::DEFENSES.len(),
-        grid.size
-    );
-    let report = match ahn_core::run_atlas(&grid) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    if let Some(path) = &json_path {
-        // serde_json's compact form is deterministic; a trailing
-        // newline keeps the committed file POSIX-friendly.
-        let mut bytes = serde_json::to_string(&report).unwrap();
-        bytes.push('\n');
-        if let Err(e) = std::fs::write(path, bytes) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(2);
-        }
-        eprintln!("  wrote {path}");
-    }
-    let md = ahn_core::render_atlas(&report);
-    match &out_path {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &md) {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            eprintln!("  wrote {path}");
-        }
-        None => print!("{md}"),
-    }
-}
-
-/// `ahn-exp calibrate`: search the reconstruction space of the garbled
-/// Fig. 2 payoff table (x scale x selection variant), scoring every
-/// candidate against the paper's per-case cooperation targets
-/// (`ahn_core::calibrate`). The base configuration defaults to the
-/// `smoke` preset (not `scaled`) so a bare `ahn-exp calibrate` finishes
-/// in seconds; override with the usual experiment flags.
-fn calibrate(args: &[String]) {
-    let flags = match parse_calibrate_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    // Prepend the default preset so explicit flags in `rest` override it.
-    let mut base_args = vec!["--preset".to_string(), "smoke".to_string()];
-    base_args.extend(flags.rest.iter().cloned());
-    let opts = match Options::parse(&base_args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            print_usage();
-            std::process::exit(2);
-        }
-    };
-    let grid = ahn_core::CalibrationGrid {
-        base: opts.config.clone(),
-        cases: flags.cases,
-        scales: flags.scales,
-        selections: flags.selections,
-        size: flags.size,
-        seed_blocks: (0..flags.seed_blocks).collect(),
-        max_candidates: flags.max_candidates,
-    };
-    eprintln!(
-        "searching {} candidates ({} cases x {} seed blocks = {} cells, {} replications each)...",
-        grid.candidate_count(),
-        grid.cases.len(),
-        grid.seed_blocks.len(),
-        grid.cell_count(),
-        grid.base.replications
-    );
-    let report = if let Some(addr) = &flags.via {
-        eprintln!("  distributing via {addr}...");
-        let trace = open_trace(flags.trace.as_deref(), "coordinator");
-        let mut transport = ahn_serve::HttpTransport::new(addr);
-        let journal = flags.journal.as_deref().map(std::path::Path::new);
-        match ahn_serve::run_calibration_via_traced(
-            &mut transport,
-            &grid,
-            journal,
-            10,
-            trace.as_ref(),
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-    } else {
-        match ahn_core::run_calibration(&grid) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-    };
-    let json = match serde_json::to_string_pretty(&report) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("error: cannot serialize report: {e}");
-            std::process::exit(1);
-        }
-    };
-    if flags.json {
-        println!("{json}");
-    } else {
-        print!(
-            "{}",
-            ahn_core::calibrate::render_calibration_report(&report)
-        );
-    }
-    opts.maybe_write("calibrate.json", &json);
-}
-
-/// `ahn-exp fidelity` flags.
-#[derive(Debug, Clone, PartialEq)]
-struct FidelityFlags {
-    cases: Vec<usize>,
-    tolerance: f64,
-    rest: Vec<String>,
-}
-
-fn parse_fidelity_flags(args: &[String]) -> Result<FidelityFlags, String> {
-    let mut flags = FidelityFlags {
-        cases: vec![1, 3],
-        tolerance: 0.15,
-        rest: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--cases" => flags.cases = list("--cases", value("--cases")?)?,
-            "--tol" => match value("--tol")?.parse::<f64>() {
-                Ok(f) if (0.0..=1.0).contains(&f) => flags.tolerance = f,
-                _ => return Err("--tol needs a fraction in [0, 1]".into()),
-            },
-            other => pass_through(&mut flags.rest, other, &mut it),
-        }
-    }
-    for &c in &flags.cases {
-        if !(1..=4).contains(&c) {
-            return Err(format!("the paper defines cases 1..=4, not {c}"));
-        }
-    }
-    Ok(flags)
-}
-
-/// `ahn-exp fidelity`: run the given paper cases and exit non-zero when
-/// any final cooperation level lands outside `--tol` of the paper's
-/// target — the CI guard that hot-path work cannot silently break the
-/// model where it is known to reproduce.
-fn fidelity(args: &[String]) {
-    let flags = match parse_fidelity_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let opts = match Options::parse(&flags.rest) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            print_usage();
-            std::process::exit(2);
-        }
-    };
-    println!(
-        "reproduction fidelity: {} replications x {} generations, R={}, tolerance {:.0}%",
-        opts.config.replications,
-        opts.config.generations,
-        opts.config.rounds,
-        flags.tolerance * 100.0
-    );
-    let mut failed = false;
-    for &case_no in &flags.cases {
-        let result = run_case(&opts, case_no);
-        // Single-environment cases check the aggregate §6.2 number;
-        // multi-environment cases check each environment against its
-        // Table 5 column (the aggregate would blur four very different
-        // equilibria — see ahn_core::calibrate::per_env_targets).
-        match ahn_core::calibrate::per_env_targets(case_no) {
-            Some(env_targets) if result.per_env_coop.len() == env_targets.len() => {
-                for (e, (summary, &target)) in
-                    result.per_env_coop.iter().zip(env_targets).enumerate()
-                {
-                    let coop = summary.mean().unwrap_or(0.0);
-                    let error = (coop - target).abs();
-                    let ok = error <= flags.tolerance;
-                    println!(
-                        "  case {case_no} TE{}: cooperation {:>6} vs paper {:>6}  (|error| {:>5})  {}",
-                        e + 1,
-                        ahn_stats::pct(coop, 1),
-                        ahn_stats::pct(target, 1),
-                        ahn_stats::pct(error, 1),
-                        if ok { "ok" } else { "OUTSIDE TOLERANCE" }
-                    );
-                    failed |= !ok;
-                }
-            }
-            _ => {
-                let coop = result.final_coop.mean().unwrap_or(0.0);
-                let target = ahn_core::calibrate::paper_target(case_no);
-                let error = (coop - target).abs();
-                let ok = error <= flags.tolerance;
-                println!(
-                    "  case {case_no}: cooperation {:>6} vs paper {:>6}  (|error| {:>5})  {}",
-                    ahn_stats::pct(coop, 1),
-                    ahn_stats::pct(target, 1),
-                    ahn_stats::pct(error, 1),
-                    if ok { "ok" } else { "OUTSIDE TOLERANCE" }
-                );
-                failed |= !ok;
-            }
-        }
-    }
-    if failed {
-        eprintln!(
-            "error: reproduction fidelity violated (tolerance {:.0}%)",
-            flags.tolerance * 100.0
-        );
-        std::process::exit(1);
-    }
-}
-
-/// Parsed command-line options.
-#[derive(Debug)]
+/// The shared experiment flags (`--preset --config --reps --gens
+/// --rounds --seed --out --trace`), applied in place, left to right.
+#[derive(Debug, Default)]
 struct Options {
     config: ExperimentConfig,
     out_dir: Option<std::path::PathBuf>,
-    /// Span trace log (`--trace FILE`): experiment commands record each
-    /// case's lifecycle and per-generation hot-loop samples into it.
+    /// `--trace FILE` as given; [`Options::finish`] opens it.
+    trace_path: Option<String>,
+    /// The span log experiment commands record each case's lifecycle and
+    /// per-generation hot-loop samples into.
     trace: Option<ahn_obs::TraceLog>,
 }
 
 impl Options {
-    fn parse(args: &[String]) -> Result<Options, String> {
-        let mut config = ExperimentConfig::scaled();
-        let mut out_dir = None;
-        let mut trace = None;
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let mut value = |name: &str| -> Result<String, String> {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{name} needs a value"))
-            };
-            match flag.as_str() {
+    /// Options before any flag: the command's default preset.
+    fn new(config: ExperimentConfig) -> Self {
+        Options {
+            config,
+            ..Default::default()
+        }
+    }
+
+    /// A command line of shared flags only, starting from `preset`.
+    fn parse(args: &[String], preset: ExperimentConfig) -> Result<Self, CliError> {
+        let mut opts = Options::new(preset);
+        let mut args = Args::new(args);
+        while let Some(flag) = args.flag() {
+            opts.apply(flag, &mut args)?;
+        }
+        opts.finish()?;
+        Ok(opts)
+    }
+
+    /// Applies one shared flag; any other flag is unknown. The usage
+    /// follows every error from here.
+    fn apply(&mut self, flag: &str, args: &mut Args) -> Result<(), CliError> {
+        let mut apply = || -> Result<(), CliError> {
+            let config = &mut self.config;
+            match flag {
                 "--preset" => {
-                    config = match value("--preset")?.as_str() {
+                    *config = match args.value(flag)? {
                         "smoke" => ExperimentConfig::smoke(),
                         "scaled" => ExperimentConfig::scaled(),
                         "paper" => ExperimentConfig::paper(),
-                        other => return Err(format!("unknown preset {other:?}")),
-                    };
-                }
-                "--reps" => {
-                    config.replications = value("--reps")?
-                        .parse()
-                        .map_err(|e| format!("--reps: {e}"))?
-                }
-                "--gens" => {
-                    config.generations = value("--gens")?
-                        .parse()
-                        .map_err(|e| format!("--gens: {e}"))?
-                }
-                "--rounds" => {
-                    config.rounds = value("--rounds")?
-                        .parse()
-                        .map_err(|e| format!("--rounds: {e}"))?
-                }
-                "--seed" => {
-                    config.base_seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
+                        other => return Err(Bad(format!("unknown preset {other:?}"))),
+                    }
                 }
                 "--config" => {
-                    let path = value("--config")?;
-                    let text = std::fs::read_to_string(&path)
+                    let path = args.value(flag)?;
+                    let text = std::fs::read_to_string(path)
                         .map_err(|e| format!("cannot read {path}: {e}"))?;
-                    config = serde_json::from_str(&text)
+                    *config = serde_json::from_str(&text)
                         .map_err(|e| format!("cannot parse {path}: {e}"))?;
                 }
-                "--out" => out_dir = Some(std::path::PathBuf::from(value("--out")?)),
-                "--trace" => {
-                    let path = value("--trace")?;
-                    trace = Some(
-                        ahn_obs::TraceLog::open(
-                            std::path::Path::new(&path),
-                            &format!("ahn-exp:{}", std::process::id()),
-                        )
-                        .map_err(|e| format!("cannot open trace log {path}: {e}"))?,
-                    );
-                }
-                other => return Err(format!("unknown flag {other:?}")),
+                "--reps" => config.replications = args.parse(flag)?,
+                "--gens" => config.generations = args.parse(flag)?,
+                "--rounds" => config.rounds = args.parse(flag)?,
+                "--seed" => config.base_seed = args.parse(flag)?,
+                "--out" => self.out_dir = Some(args.value(flag)?.into()),
+                "--trace" => self.trace_path = Some(args.value(flag)?.into()),
+                _ => return Err(Bad(format!("unknown flag {flag:?}"))),
             }
-        }
-        config.validate()?;
-        Ok(Options {
-            config,
-            out_dir,
-            trace,
-        })
+            Ok(())
+        };
+        apply().map_err(CliError::with_usage)
+    }
+
+    /// Validates the configuration and opens the `--trace` log, once the
+    /// whole command line has parsed. The usage follows any error.
+    fn finish(&mut self) -> Result<(), CliError> {
+        self.config.validate().map_err(Usage)?;
+        self.trace =
+            open_trace(self.trace_path.as_deref(), "ahn-exp").map_err(CliError::with_usage)?;
+        Ok(())
     }
 
     fn maybe_write(&self, name: &str, contents: &str) {
@@ -1444,7 +247,7 @@ impl Options {
                 return;
             }
             let path = dir.join(name);
-            match std::fs::File::create(&path).and_then(|mut f| f.write_all(contents.as_bytes())) {
+            match std::fs::write(&path, contents) {
                 Ok(()) => println!("wrote {}", path.display()),
                 Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
             }
@@ -1452,24 +255,58 @@ impl Options {
     }
 }
 
-fn run_case(opts: &Options, case_no: usize) -> experiment::ExperimentResult {
-    let case = CaseSpec::paper(case_no);
-    eprintln!(
-        "running {} ({} replications x {} generations, R={})...",
-        case.name, opts.config.replications, opts.config.generations, opts.config.rounds
-    );
-    experiment::run_experiment_traced(&opts.config, &case, opts.trace.as_ref())
+/// Opens a `--trace` span log whose events name this process
+/// `{role}:{pid}`.
+fn open_trace(path: Option<&str>, role: &str) -> Result<Option<ahn_obs::TraceLog>, CliError> {
+    let Some(path) = path else { return Ok(None) };
+    let node = format!("{role}:{}", std::process::id());
+    ahn_obs::TraceLog::open(std::path::Path::new(path), &node)
+        .map(Some)
+        .map_err(|e| Bad(format!("cannot open trace log {path}: {e}")))
 }
 
-fn fig4(opts: &Options) {
-    let results: Vec<_> = (1..=4).map(|i| run_case(opts, i)).collect();
+/// `case`, once the population can fill every one of its environments.
+/// `run_replication` asserts the same for library callers; checking
+/// first turns that panic into bad input before anything runs.
+fn fits(config: &ExperimentConfig, case: CaseSpec) -> Result<CaseSpec, CliError> {
+    let need = case.required_normal();
+    if config.population < need {
+        return Err(Bad(format!(
+            "population {} cannot fill an environment needing {need} normal players \
+             (use --preset scaled or paper)",
+            config.population
+        )));
+    }
+    Ok(case)
+}
+
+/// Runs the paper cases `case_nos`, once the population fits them all.
+fn run_cases(opts: &Options, case_nos: &[usize]) -> Result<Vec<ExperimentResult>, CliError> {
+    let config = &opts.config;
+    let cases = case_nos
+        .iter()
+        .map(|&n| fits(config, CaseSpec::paper(n)))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(cases
+        .iter()
+        .map(|case| {
+            eprintln!(
+                "running {} ({} replications x {} generations, R={})...",
+                case.name, config.replications, config.generations, config.rounds
+            );
+            experiment::run_experiment_traced(config, case, opts.trace.as_ref())
+        })
+        .collect())
+}
+
+fn fig4(opts: &Options) -> Result<(), CliError> {
+    let results = run_cases(opts, &[1, 2, 3, 4])?;
     let refs: Vec<&_> = results.iter().collect();
     let means: Vec<Vec<f64>> = results.iter().map(|r| r.coop_series.means()).collect();
-    let markers = ['1', '2', '3', '4'];
     let series: Vec<ahn_stats::PlotSeries> = results
         .iter()
         .zip(&means)
-        .zip(markers)
+        .zip(['1', '2', '3', '4'])
         .map(|((r, values), marker)| ahn_stats::PlotSeries {
             label: &r.case_name,
             values,
@@ -1478,62 +315,38 @@ fn fig4(opts: &Options) {
         .collect();
     println!("{}", ahn_stats::ascii_chart(&series, 72, 16));
     print!("{}", report::fig4_summary(&refs));
-    let csv = report::fig4_csv(&refs);
-    opts.maybe_write("fig4.csv", &csv);
+    opts.maybe_write("fig4.csv", &report::fig4_csv(&refs));
     if opts.out_dir.is_none() {
         println!("\n(use --out DIR to save the full per-generation CSV)");
     }
+    Ok(())
 }
 
-fn table5(opts: &Options) {
-    let c3 = run_case(opts, 3);
-    let c4 = run_case(opts, 4);
-    let t = report::table5(&c3, &c4);
+/// Table `number` (5–9), rendered from the paper cases `case_nos`.
+fn table(
+    opts: &Options,
+    number: usize,
+    case_nos: &[usize],
+    render: fn(&[ExperimentResult]) -> String,
+) -> Result<(), CliError> {
+    let t = render(&run_cases(opts, case_nos)?);
     print!("{t}");
-    opts.maybe_write("table5.txt", &t);
+    opts.maybe_write(&format!("table{number}.txt"), &t);
+    Ok(())
 }
 
-fn table6(opts: &Options) {
-    let c3 = run_case(opts, 3);
-    let c4 = run_case(opts, 4);
-    let t = report::table6(&c3, &c4);
-    print!("{t}");
-    opts.maybe_write("table6.txt", &t);
-}
-
-fn table7(opts: &Options) {
-    let c3 = run_case(opts, 3);
-    let c4 = run_case(opts, 4);
-    let t = report::table7(&[&c3, &c4]);
-    print!("{t}");
-    opts.maybe_write("table7.txt", &t);
-}
-
-fn table8_9(opts: &Options, case_no: usize) {
-    let r = run_case(opts, case_no);
-    let t = report::table8_9(&r, 0.03);
-    print!("{t}");
-    opts.maybe_write(
-        &format!("table{}.txt", if case_no == 3 { 8 } else { 9 }),
-        &t,
-    );
-}
-
-fn all(opts: &Options) {
-    let results: Vec<_> = (1..=4).map(|i| run_case(opts, i)).collect();
+fn all(opts: &Options) -> Result<(), CliError> {
+    let results = run_cases(opts, &[1, 2, 3, 4])?;
     let refs: Vec<&_> = results.iter().collect();
-    let mut out = String::new();
-    out.push_str(&report::fig4_summary(&refs));
-    out.push('\n');
-    out.push_str(&report::table5(&results[2], &results[3]));
-    out.push('\n');
-    out.push_str(&report::table6(&results[2], &results[3]));
-    out.push('\n');
-    out.push_str(&report::table7(&[&results[2], &results[3]]));
-    out.push('\n');
-    out.push_str(&report::table8_9(&results[2], 0.03));
-    out.push('\n');
-    out.push_str(&report::table8_9(&results[3], 0.03));
+    let out = [
+        report::fig4_summary(&refs),
+        report::table5(&results[2], &results[3]),
+        report::table6(&results[2], &results[3]),
+        report::table7(&[&results[2], &results[3]]),
+        report::table8_9(&results[2], 0.03),
+        report::table8_9(&results[3], 0.03),
+    ]
+    .join("\n");
     print!("{out}");
     opts.maybe_write("all.txt", &out);
     opts.maybe_write("fig4.csv", &report::fig4_csv(&refs));
@@ -1543,9 +356,10 @@ fn all(opts: &Options) {
             Err(e) => eprintln!("warning: cannot serialize results: {e}"),
         }
     }
+    Ok(())
 }
 
-fn ipdrp(opts: &Options) {
+fn ipdrp(opts: &Options) -> Result<(), CliError> {
     use rand::SeedableRng;
     let config = ahn_ipdrp::IpdrpConfig {
         population: opts.config.population.max(2) / 2 * 2,
@@ -1578,9 +392,10 @@ fn ipdrp(opts: &Options) {
         ));
     }
     opts.maybe_write("ipdrp.csv", &csv);
+    Ok(())
 }
 
-fn pathrater(opts: &Options) {
+fn pathrater(opts: &Options) -> Result<(), CliError> {
     // Marti et al.'s setting: 50 nodes with 20 selfish (40%).
     let report = baselines::pathrater_comparison(&opts.config, 50, 20, opts.config.base_seed);
     println!("Watchdog/pathrater-style baseline (X1): 50 nodes, 20 selfish, AllC normals");
@@ -1596,26 +411,31 @@ fn pathrater(opts: &Options) {
         "  improvement from avoidance alone:          {:+.1}%  (paper's ref [9]: +17%)",
         report.improvement() * 100.0
     );
+    Ok(())
 }
 
 fn ablate(
     opts: &Options,
     title: &str,
     run: fn(&ExperimentConfig, &CaseSpec) -> Vec<ablations::Variant>,
-) {
+) -> Result<(), CliError> {
     // Ablations run on case 3 (the paper's richest setting).
-    let case = CaseSpec::paper(3);
+    let case = fits(&opts.config, CaseSpec::paper(3))?;
     eprintln!("running ablation {title} on {} ...", case.name);
     let variants = run(&opts.config, &case);
     let rendered = ablations::render_variants(title, &variants);
     print!("{rendered}");
     opts.maybe_write("ablation.txt", &rendered);
+    Ok(())
 }
 
-fn transfer(opts: &Options) {
+fn transfer(opts: &Options) -> Result<(), CliError> {
     // One replication per (train, eval) pair keeps this affordable; use
     // --reps/--gens to deepen.
-    let cases = ahn_core::cases::CaseSpec::paper_all();
+    let cases = CaseSpec::paper_all()
+        .into_iter()
+        .map(|case| fits(&opts.config, case))
+        .collect::<Result<Vec<_>, _>>()?;
     eprintln!("running {}x{} transfer matrix...", cases.len(), cases.len());
     let cells = extensions::transfer_matrix(&opts.config, &cases, opts.config.base_seed);
     let rendered = extensions::render_transfer(&cells);
@@ -1626,10 +446,11 @@ fn transfer(opts: &Options) {
          warning that strategies are condition-specific."
     );
     opts.maybe_write("transfer.txt", &rendered);
+    Ok(())
 }
 
-fn newcomer(opts: &Options) {
-    let case = CaseSpec::paper(1);
+fn newcomer(opts: &Options) -> Result<(), CliError> {
+    let case = fits(&opts.config, CaseSpec::paper(1))?;
     eprintln!("evolving a case-1 population, then admitting a newcomer...");
     let report = extensions::newcomer_join(&opts.config, &case, 120, opts.config.base_seed);
     println!("Newcomer-join experiment (case 1 veterans + 1 unknown cooperator)");
@@ -1646,13 +467,15 @@ fn newcomer(opts: &Options) {
         report.late_delivery * 100.0
     );
     println!("  (the paper's claim: \"new nodes can easily join the network\")");
+    Ok(())
 }
 
-fn sleepers(opts: &Options) {
-    let case = CaseSpec::paper(1);
+fn sleepers(opts: &Options) -> Result<(), CliError> {
+    // Case 1 needs 50 normal players, so a population that fills it
+    // also keeps nodes awake beside the 20 sleepers.
+    let case = fits(&opts.config, CaseSpec::paper(1))?;
     eprintln!("sleeper study: evolving with 20 low-duty nodes, both codecs...");
-    let study =
-        ahn_core::extensions::sleeper_study(&opts.config, &case, 20, 0.3, opts.config.base_seed);
+    let study = extensions::sleeper_study(&opts.config, &case, 20, 0.3, opts.config.base_seed);
     let (full_gap, trust_gap) = study.activity_penalty();
     println!("Sleeper study (X6): 20 of 100 nodes at 30% duty cycle, case-1 world");
     println!(
@@ -1678,11 +501,11 @@ fn sleepers(opts: &Options) {
          keep a perfect forwarding *rate*, so trust alone cannot see them;\n\
          only the activity-aware chromosome can price the free ride."
     );
+    Ok(())
 }
 
-fn sweep_rounds(opts: &Options) {
-    use ahn_core::sweeps;
-    let case = CaseSpec::paper(1);
+fn sweep_rounds(opts: &Options) -> Result<(), CliError> {
+    let case = fits(&opts.config, CaseSpec::paper(1))?;
     let rounds = [30usize, 100, 200, 300, 500];
     eprintln!("sweeping tournament rounds over {rounds:?} on case 1...");
     let points = sweeps::sweep_rounds(&opts.config, &case, &rounds);
@@ -1694,18 +517,16 @@ fn sweep_rounds(opts: &Options) {
     print!("{t}");
     println!("(the paper's R = 300 sits above the defection-basin crossover)");
     opts.maybe_write("sweep_rounds.txt", &t);
+    Ok(())
 }
 
-fn sweep_csn(opts: &Options) {
-    use ahn_core::sweeps;
+fn sweep_csn(opts: &Options) -> Result<(), CliError> {
     let densities = [0.0, 0.2, 0.4, 0.6, 0.8];
+    let mode = CaseSpec::paper(1).mode;
+    // The 0% point is the most demanding: 50 normal players.
+    fits(&opts.config, CaseSpec::mini("csn 0%", &[0], 50, mode))?;
     eprintln!("sweeping CSN density over {densities:?} (50-node tournaments, SP)...");
-    let points = sweeps::sweep_csn(
-        &opts.config,
-        50,
-        ahn_core::cases::CaseSpec::paper(1).mode,
-        &densities,
-    );
+    let points = sweeps::sweep_csn(&opts.config, 50, mode, &densities);
     let t = sweeps::render_sweep(
         "Cooperation vs CSN density (50-node tournaments, shorter paths)",
         "density",
@@ -1714,11 +535,11 @@ fn sweep_csn(opts: &Options) {
     print!("{t}");
     println!("(TE1..TE4 are the 0%, 20%, 50% and 60% points of this curve)");
     opts.maybe_write("sweep_csn.txt", &t);
+    Ok(())
 }
 
-fn sweep_mutation(opts: &Options) {
-    use ahn_core::sweeps;
-    let case = CaseSpec::paper(3);
+fn sweep_mutation(opts: &Options) -> Result<(), CliError> {
+    let case = fits(&opts.config, CaseSpec::paper(3))?;
     let rates = [0.0, 0.001, 0.01, 0.05];
     eprintln!("sweeping mutation rate over {rates:?} on case 3...");
     let points = sweeps::sweep_mutation(&opts.config, &case, &rates);
@@ -1730,9 +551,19 @@ fn sweep_mutation(opts: &Options) {
     print!("{t}");
     println!("(the paper uses 0.001)");
     opts.maybe_write("sweep_mutation.txt", &t);
+    Ok(())
 }
 
-fn trace(opts: &Options) {
+fn check() -> Result<(), CliError> {
+    let rendered = ahn_core::checks::render(&ahn_core::checks::run_all());
+    let (Ok(text) | Err(text)) = &rendered;
+    print!("{text}");
+    rendered
+        .map(drop)
+        .map_err(|_| Failed("model input checks failed".into()))
+}
+
+fn trace(opts: &Options) -> Result<(), CliError> {
     use rand::SeedableRng;
     // Evolve briefly, then trace the first games of a converged
     // tournament so the dump shows meaningful trust-driven decisions.
@@ -1760,7 +591,6 @@ fn trace(opts: &Options) {
         }
     }
     println!("[");
-    let mut first = true;
     for (pos, &src) in participants.iter().enumerate().take(25) {
         let report =
             ahn_core::ahn_play_game(&mut arena, &mut rng, &participants, pos, 0, &mut scratch);
@@ -1770,10 +600,9 @@ fn trace(opts: &Options) {
             .map(|(d, t)| format!("{d}@{t}"))
             .collect();
         let path: Vec<u32> = scratch.last_path().iter().map(|n| n.0).collect();
-        if !first {
+        if pos > 0 {
             println!(",");
         }
-        first = false;
         print!(
             "  {{\"source\": {}, \"destination\": {}, \"path\": {:?}, \"decisions\": {:?}, \"delivered\": {}}}",
             src.0,
@@ -1784,6 +613,7 @@ fn trace(opts: &Options) {
         );
     }
     println!("\n]");
+    Ok(())
 }
 
 /// True when `ahn-exp trace` was given span-log files to join rather
@@ -1795,7 +625,7 @@ fn trace_join_requested(args: &[String]) -> bool {
 }
 
 /// `ahn-exp trace FILE..` flags.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 struct TraceJoinFlags {
     /// Fail unless at least this many cells reconstruct end to end.
     require_complete: usize,
@@ -1803,26 +633,20 @@ struct TraceJoinFlags {
     files: Vec<String>,
 }
 
-fn parse_trace_join_flags(args: &[String]) -> Result<TraceJoinFlags, String> {
-    let mut flags = TraceJoinFlags {
-        require_complete: 0,
-        files: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--require-complete" => match it.next().map(|s| s.parse()) {
-                Some(Ok(n)) => flags.require_complete = n,
-                _ => return Err("--require-complete needs a cell count".into()),
-            },
-            other if other.starts_with("--") => {
-                return Err(format!("unknown trace flag {other:?}"))
+fn parse_trace_join_flags(args: &[String]) -> Result<TraceJoinFlags, CliError> {
+    let mut flags = TraceJoinFlags::default();
+    let mut args = Args::new(args);
+    while let Some(arg) = args.flag() {
+        match arg {
+            "--require-complete" => {
+                flags.require_complete = args.checked(arg, "a cell count", |v| v.parse().ok())?
             }
+            _ if arg.starts_with("--") => return Err(CliError::unknown("trace", arg)),
             path => flags.files.push(path.to_owned()),
         }
     }
     if flags.files.is_empty() {
-        return Err("trace needs at least one span-log file to join".into());
+        return Err(Bad("trace needs at least one span-log file to join".into()));
     }
     Ok(flags)
 }
@@ -1832,45 +656,749 @@ fn parse_trace_join_flags(args: &[String]) -> Result<TraceJoinFlags, String> {
 /// when any spans are orphaned (a log file is missing from the join, or
 /// trace-id propagation broke) or fewer than `--require-complete N`
 /// cells reconstructed end to end — the CI chaos job's assertion.
-fn trace_join(args: &[String]) {
-    let flags = match parse_trace_join_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+fn trace_join(args: &[String]) -> Result<(), CliError> {
+    let flags = parse_trace_join_flags(args)?;
     let mut events = Vec::new();
     let mut discarded = 0usize;
     for path in &flags.files {
-        match ahn_obs::read_trace(std::path::Path::new(path)) {
-            Ok(read) => {
-                events.extend(read.events);
-                discarded += read.discarded;
-            }
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
-                std::process::exit(2);
-            }
-        }
+        let read = ahn_obs::read_trace(std::path::Path::new(path))
+            .map_err(|e| Bad(format!("cannot read {path}: {e}")))?;
+        events.extend(read.events);
+        discarded += read.discarded;
     }
     let tree = ahn_obs::join_traces(events, discarded);
     print!("{}", ahn_obs::render_tree(&tree));
     if tree.orphan_spans > 0 {
-        eprintln!(
-            "error: {} orphaned spans (a log file is missing from the join, or propagation broke)",
+        return Err(Failed(format!(
+            "{} orphaned spans (a log file is missing from the join, or propagation broke)",
             tree.orphan_spans
-        );
-        std::process::exit(1);
+        )));
     }
     if tree.complete_cells() < flags.require_complete {
-        eprintln!(
-            "error: only {} of the required {} cells reconstructed end to end",
+        return Err(Failed(format!(
+            "only {} of the required {} cells reconstructed end to end",
             tree.complete_cells(),
             flags.require_complete
-        );
-        std::process::exit(1);
+        )));
     }
+    Ok(())
+}
+
+/// Participants per tournament (`--size`), at least 3.
+fn participants(args: &mut Args, flag: &str) -> Result<usize, CliError> {
+    args.checked(flag, "an integer >= 3", |v| {
+        v.parse().ok().filter(|&n| n >= 3)
+    })
+}
+
+/// The flags `sweep` and `calibrate` share around their grid: where to
+/// run it, how to print its report, and the shared experiment flags,
+/// whose configuration becomes the grid's base.
+#[derive(Debug, Default)]
+struct GridFlags {
+    json: bool,
+    /// Run the grid through a serve node at this address instead of
+    /// computing locally (`ahn_serve::run_sweep_via_traced`,
+    /// `ahn_serve::run_calibration_via_traced`).
+    via: Option<String>,
+    /// Checkpoint completed cells to this journal; resume skips them.
+    journal: Option<String>,
+    /// Span trace log path (`--trace`): local sweeps record per-cell
+    /// lifecycles and per-generation hot-loop samples, `--via` runs
+    /// record the coordinator's side of every cell.
+    trace: Option<String>,
+    opts: Options,
+}
+
+impl GridFlags {
+    /// Applies a flag both grid commands take; any other falls through
+    /// to the shared experiment flags.
+    fn apply(&mut self, flag: &str, args: &mut Args) -> Result<(), CliError> {
+        match flag {
+            "--json" => self.json = true,
+            "--via" => self.via = Some(args.value(flag)?.into()),
+            "--journal" => self.journal = Some(args.value(flag)?.into()),
+            "--trace" => self.trace = Some(args.value(flag)?.into()),
+            _ => self.opts.apply(flag, args)?,
+        }
+        Ok(())
+    }
+
+    /// Checks the flags against each other, then finishes the shared
+    /// experiment flags.
+    fn finish(&mut self) -> Result<(), CliError> {
+        if self.journal.is_some() && self.via.is_none() {
+            return Err(Bad(
+                "--journal requires --via (it checkpoints a distributed run)".into(),
+            ));
+        }
+        self.opts.finish()
+    }
+
+    /// Prints the report — its JSON with `--json`, else `rendered` — and
+    /// writes the JSON to `--out` as `file`.
+    fn print(
+        &self,
+        json: Result<String, serde_json::Error>,
+        rendered: impl FnOnce() -> String,
+        file: &str,
+    ) -> Result<(), CliError> {
+        let json = json.map_err(|e| Failed(format!("cannot serialize report: {e}")))?;
+        if self.json {
+            println!("{json}");
+        } else {
+            print!("{}", rendered());
+        }
+        self.opts.maybe_write(file, &json);
+        Ok(())
+    }
+}
+
+fn parse_sweep_flags(args: &[String]) -> Result<(ahn_core::SweepGrid, GridFlags), CliError> {
+    let mut grid = ahn_core::SweepGrid::new(ExperimentConfig::scaled(), &[1], &[50], 1);
+    let mut f = GridFlags::default();
+    f.opts.config = ExperimentConfig::scaled();
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--cases" => grid.cases = args.list(flag)?,
+            "--scenarios" => {
+                grid.scenarios = Some(args.checked(flag, "non-empty scenario names", |v| {
+                    v.split(',')
+                        .map(|s| (!s.is_empty()).then(|| s.to_owned()))
+                        .collect()
+                })?)
+            }
+            "--payoffs" => grid.payoffs = args.list(flag)?,
+            "--sizes" => grid.sizes = args.list(flag)?,
+            "--seed-blocks" => grid.seed_blocks = (0..args.positive(flag)?).collect(),
+            _ => f.apply(flag, &mut args)?,
+        }
+    }
+    f.finish()?;
+    grid.base = f.opts.config.clone();
+    Ok((grid, f))
+}
+
+/// `ahn-exp sweep`: run a (case x payoff x size x seed-block) grid with
+/// one pure experiment per cell, cells in parallel
+/// (`ahn_core::sweeps::run_sweep`), or — with `--via ADDR` — through a
+/// serve node, merging the distributed cells to the bit-identical
+/// report.
+fn sweep(args: &[String]) -> Result<(), CliError> {
+    let (grid, f) = parse_sweep_flags(args)?;
+    eprintln!(
+        "sweeping {} cells ({} scenarios x {} cases x {} payoffs x {} sizes x {} seed blocks, {} replications each)...",
+        grid.cell_count(),
+        grid.scenarios.as_ref().map(Vec::len).unwrap_or(1),
+        grid.cases.len(),
+        grid.payoffs.len(),
+        grid.sizes.len(),
+        grid.seed_blocks.len(),
+        grid.base.replications
+    );
+    let report = if let Some(addr) = &f.via {
+        eprintln!("  distributing via {addr}...");
+        let trace = open_trace(f.trace.as_deref(), "coordinator")?;
+        let mut transport = ahn_serve::HttpTransport::new(addr);
+        let journal = f.journal.as_deref().map(std::path::Path::new);
+        ahn_serve::run_sweep_via_traced(&mut transport, &grid, journal, 10, trace.as_ref())?
+    } else {
+        let trace = open_trace(f.trace.as_deref(), "ahn-exp")?;
+        ahn_core::run_sweep_traced(&grid, trace.as_ref())?
+    };
+    f.print(
+        serde_json::to_string_pretty(&report),
+        || sweeps::render_sweep_report(&report),
+        "sweep.json",
+    )
+}
+
+fn parse_calibrate_flags(
+    args: &[String],
+) -> Result<(ahn_core::CalibrationGrid, GridFlags), CliError> {
+    let mut grid = ahn_core::CalibrationGrid {
+        base: ExperimentConfig::smoke(),
+        cases: vec![1, 2, 3, 4],
+        scales: vec![1.0],
+        selections: vec!["paper".into()],
+        size: 10,
+        seed_blocks: vec![0],
+        max_candidates: 0,
+    };
+    // The smoke preset (not `scaled`) so a bare `ahn-exp calibrate`
+    // finishes in seconds.
+    let mut f = GridFlags::default();
+    f.opts.config = ExperimentConfig::smoke();
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--cases" => grid.cases = args.list(flag)?,
+            "--scales" => grid.scales = args.list(flag)?,
+            "--selections" => {
+                grid.selections = args.checked(flag, "a comma-separated list", |v| {
+                    let names: Vec<String> = v
+                        .split(',')
+                        .filter(|s| !s.is_empty())
+                        .map(str::to_owned)
+                        .collect();
+                    (!names.is_empty()).then_some(names)
+                })?
+            }
+            "--size" => grid.size = participants(&mut args, flag)?,
+            "--seed-blocks" => grid.seed_blocks = (0..args.positive(flag)?).collect(),
+            "--max-candidates" => grid.max_candidates = args.parse(flag)?,
+            _ => f.apply(flag, &mut args)?,
+        }
+    }
+    if f.trace.is_some() && f.via.is_none() {
+        return Err(Bad(
+            "calibrate --trace requires --via (it records the coordinator's spans)".into(),
+        ));
+    }
+    f.finish()?;
+    grid.base = f.opts.config.clone();
+    Ok((grid, f))
+}
+
+/// `ahn-exp calibrate`: search the reconstruction space of the garbled
+/// Fig. 2 payoff table (x scale x selection variant), scoring every
+/// candidate against the paper's per-case cooperation targets
+/// (`ahn_core::calibrate`). The base configuration defaults to the
+/// `smoke` preset; override with the usual experiment flags.
+fn calibrate(args: &[String]) -> Result<(), CliError> {
+    let (grid, f) = parse_calibrate_flags(args)?;
+    eprintln!(
+        "searching {} candidates ({} cases x {} seed blocks = {} cells, {} replications each)...",
+        grid.candidate_count(),
+        grid.cases.len(),
+        grid.seed_blocks.len(),
+        grid.cell_count(),
+        grid.base.replications
+    );
+    let report = if let Some(addr) = &f.via {
+        eprintln!("  distributing via {addr}...");
+        let trace = open_trace(f.trace.as_deref(), "coordinator")?;
+        let mut transport = ahn_serve::HttpTransport::new(addr);
+        let journal = f.journal.as_deref().map(std::path::Path::new);
+        ahn_serve::run_calibration_via_traced(&mut transport, &grid, journal, 10, trace.as_ref())?
+    } else {
+        ahn_core::run_calibration(&grid)?
+    };
+    f.print(
+        serde_json::to_string_pretty(&report),
+        || ahn_core::calibrate::render_calibration_report(&report),
+        "calibrate.json",
+    )
+}
+
+/// `ahn-exp scenario list`: every built-in scenario (name, hash,
+/// summary).
+fn scenario_list(args: &[String]) -> Result<(), CliError> {
+    let mut json = false;
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--json" => json = true,
+            _ => return Err(CliError::unknown("scenario list", flag)),
+        }
+    }
+    let all = ahn_core::builtin_scenarios();
+    if json {
+        println!(
+            "{}",
+            serde_json::to_string_pretty(&all).expect("scenarios serialize")
+        );
+        return Ok(());
+    }
+    println!("{} scenarios (rows of `ahn-exp atlas`):", all.len());
+    for s in &all {
+        println!(
+            "  {:<18} {:016x}  {}",
+            s.name,
+            s.canonical_hash(),
+            s.summary
+        );
+    }
+    Ok(())
+}
+
+/// `ahn-exp scenario run NAME`: resolve the scenario, apply it to a
+/// scaled case-1 world, run the experiment, print the usual report.
+fn scenario_run(args: &[String]) -> Result<(), CliError> {
+    let mut name = None;
+    let mut defense = "watchdog";
+    let mut size = 10usize;
+    // Default to the smoke preset (like calibrate) so a bare
+    // `ahn-exp scenario run slanderers` finishes in seconds.
+    let mut opts = Options::new(ExperimentConfig::smoke());
+    let mut args = Args::new(args);
+    while let Some(arg) = args.flag() {
+        match arg {
+            "--defense" => defense = args.value(arg)?,
+            "--size" => size = participants(&mut args, arg)?,
+            _ if arg.starts_with("--") => opts.apply(arg, &mut args)?,
+            _ if name.is_none() => name = Some(arg),
+            _ => return Err(Bad(format!("unexpected argument {arg:?}"))),
+        }
+    }
+    let name = name.ok_or_else(|| {
+        Bad("scenario run needs a scenario name (try `ahn-exp scenario list`)".into())
+    })?;
+    opts.finish()?;
+    let scenario = ahn_core::resolve_scenario(name)?;
+    let mut config = opts.config.clone();
+    config.gossip = ahn_core::atlas::resolve_defense(defense)?;
+    let case = CaseSpec::mini(name, &[0], size, ahn_core::PathMode::Shorter);
+    let (config, case) = scenario.apply(&config, &case)?;
+    eprintln!(
+        "running scenario {name:?} (hash {:016x}) against {defense:?}, \
+         {size} participants, {} replications...",
+        scenario.canonical_hash(),
+        config.replications
+    );
+    let result = experiment::run_experiment(&config, &case);
+    println!(
+        "scenario {name} vs {defense}: cooperation {} ± {}",
+        ahn_stats::pct(result.final_coop.mean().unwrap_or(0.0), 1),
+        ahn_stats::pct(result.final_coop.ci95_half_width().unwrap_or(0.0), 1),
+    );
+    for (i, env) in result.per_env_csn_free.iter().enumerate() {
+        println!(
+            "  env {i}: attacker-free paths {}",
+            ahn_stats::pct(env.mean().unwrap_or(0.0), 1)
+        );
+    }
+    Ok(())
+}
+
+/// `ahn-exp atlas`: run the scenario x defense grid and emit the
+/// committed artifacts — markdown to stdout or `--out`, the
+/// byte-stable JSON report to `--json`.
+fn atlas(args: &[String]) -> Result<(), CliError> {
+    let mut grid = ahn_core::AtlasGrid::smoke();
+    let (mut json_path, mut out_path) = (None, None);
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--json" => json_path = Some(args.value(flag)?),
+            "--out" => out_path = Some(args.value(flag)?),
+            "--scenarios" => {
+                grid.scenarios = args.value(flag)?.split(',').map(str::to_owned).collect()
+            }
+            "--size" => grid.size = participants(&mut args, flag)?,
+            _ => return Err(CliError::unknown("atlas", flag)),
+        }
+    }
+    eprintln!(
+        "atlas: {} scenarios x {} defenses at {} participants...",
+        grid.scenarios.len(),
+        ahn_core::atlas::DEFENSES.len(),
+        grid.size
+    );
+    let report = ahn_core::run_atlas(&grid)?;
+    let write = |path: &str, contents: &str| {
+        std::fs::write(path, contents).map_err(|e| Bad(format!("cannot write {path}: {e}")))?;
+        eprintln!("  wrote {path}");
+        Ok::<_, CliError>(())
+    };
+    if let Some(path) = json_path {
+        // serde_json's compact form is deterministic; a trailing
+        // newline keeps the committed file POSIX-friendly.
+        let mut bytes = serde_json::to_string(&report).expect("an atlas report serializes");
+        bytes.push('\n');
+        write(path, &bytes)?;
+    }
+    let md = ahn_core::render_atlas(&report);
+    match out_path {
+        Some(path) => write(path, &md)?,
+        None => print!("{md}"),
+    }
+    Ok(())
+}
+
+/// `ahn-exp fidelity` flags.
+#[derive(Debug)]
+struct FidelityFlags {
+    cases: Vec<usize>,
+    tolerance: f64,
+    opts: Options,
+}
+
+fn parse_fidelity_flags(args: &[String]) -> Result<FidelityFlags, CliError> {
+    let mut f = FidelityFlags {
+        cases: vec![1, 3],
+        tolerance: 0.15,
+        opts: Options::new(ExperimentConfig::scaled()),
+    };
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--cases" => {
+                f.cases =
+                    args.checked(flag, "a comma-separated list of paper cases 1..=4", |v| {
+                        v.split(',')
+                            .map(|c| c.parse().ok().filter(|c| (1..=4).contains(c)))
+                            .collect()
+                    })?
+            }
+            "--tol" => f.tolerance = args.fraction(flag)?,
+            _ => f.opts.apply(flag, &mut args)?,
+        }
+    }
+    f.opts.finish()?;
+    Ok(f)
+}
+
+/// `ahn-exp fidelity`: run the given paper cases and exit non-zero when
+/// any final cooperation level lands outside `--tol` of the paper's
+/// target — the CI guard that hot-path work cannot silently break the
+/// model where it is known to reproduce.
+fn fidelity(args: &[String]) -> Result<(), CliError> {
+    let f = parse_fidelity_flags(args)?;
+    let (opts, tolerance) = (&f.opts, f.tolerance);
+    let results = run_cases(opts, &f.cases)?;
+    println!(
+        "reproduction fidelity: {} replications x {} generations, R={}, tolerance {:.0}%",
+        opts.config.replications,
+        opts.config.generations,
+        opts.config.rounds,
+        tolerance * 100.0
+    );
+    let mut failed = false;
+    for (&case_no, result) in f.cases.iter().zip(&results) {
+        // Single-environment cases check the aggregate §6.2 number;
+        // multi-environment cases check each environment against its
+        // Table 5 column (the aggregate would blur four very different
+        // equilibria — see ahn_core::calibrate::per_env_targets).
+        let checks: Vec<(String, f64, f64)> = match ahn_core::calibrate::per_env_targets(case_no) {
+            Some(targets) if result.per_env_coop.len() == targets.len() => {
+                (result.per_env_coop.iter().zip(targets).enumerate())
+                    .map(|(e, (env, &target))| {
+                        (format!(" TE{}", e + 1), env.mean().unwrap_or(0.0), target)
+                    })
+                    .collect()
+            }
+            _ => vec![(
+                String::new(),
+                result.final_coop.mean().unwrap_or(0.0),
+                ahn_core::calibrate::paper_target(case_no),
+            )],
+        };
+        for (env, coop, target) in checks {
+            let error = (coop - target).abs();
+            let ok = error <= tolerance;
+            println!(
+                "  case {case_no}{env}: cooperation {:>6} vs paper {:>6}  (|error| {:>5})  {}",
+                ahn_stats::pct(coop, 1),
+                ahn_stats::pct(target, 1),
+                ahn_stats::pct(error, 1),
+                if ok { "ok" } else { "OUTSIDE TOLERANCE" }
+            );
+            failed |= !ok;
+        }
+    }
+    if failed {
+        return Err(Failed(format!(
+            "reproduction fidelity violated (tolerance {:.0}%)",
+            tolerance * 100.0
+        )));
+    }
+    Ok(())
+}
+
+/// `ahn-exp bench` flags.
+#[derive(Debug, Clone, PartialEq)]
+struct BenchFlags {
+    json: bool,
+    baseline_path: Option<String>,
+    max_regression: f64,
+    threads: Vec<usize>,
+}
+
+fn parse_bench_flags(args: &[String]) -> Result<BenchFlags, CliError> {
+    let mut f = BenchFlags {
+        json: false,
+        baseline_path: None,
+        max_regression: 2.0,
+        threads: vec![1, 4, 8],
+    };
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--json" => f.json = true,
+            "--baseline" => {
+                f.baseline_path = Some(args.checked(flag, "a file", |p| Some(p.into()))?)
+            }
+            "--max-regression" => {
+                f.max_regression = args.checked(flag, "a factor >= 1", |v| {
+                    v.parse().ok().filter(|&x| x >= 1.0)
+                })?
+            }
+            // The report schema has rows for exactly t = 1, 4, 8; other
+            // counts would be measured into the void.
+            "--threads" => {
+                f.threads = args.checked(flag, "a comma-separated subset of 1,4,8", |v| {
+                    v.split(',')
+                        .map(|t| t.trim().parse().ok().filter(|t| [1, 4, 8].contains(t)))
+                        .collect()
+                })?
+            }
+            _ => return Err(CliError::unknown("bench", flag)),
+        }
+    }
+    Ok(f)
+}
+
+/// `ahn-exp bench`: time the artifact pipelines and game throughput
+/// (PERFORMANCE.md documents the protocol and the `BENCH_N.json`
+/// convention).
+fn bench(args: &[String]) -> Result<(), CliError> {
+    let flags = parse_bench_flags(args)?;
+    if let Some(reason) = ahn_bench::harness::portable_build_warning() {
+        eprintln!("warning: {reason}");
+    }
+    ahn_core::threads::log_once("bench");
+    let runs = ahn_bench::harness::MEASURE_RUNS;
+    eprintln!("measuring (min of {runs} runs per pipeline)...");
+    let report = ahn_bench::harness::run_bench(&flags.threads);
+    if flags.json {
+        let text = serde_json::to_string_pretty(&report)
+            .map_err(|e| Failed(format!("cannot serialize report: {e}")))?;
+        println!("{text}");
+    } else {
+        print!("{}", ahn_bench::harness::render(&report));
+    }
+
+    if let Some(path) = flags.baseline_path {
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| Failed(format!("cannot read baseline {path}: {e}")))?;
+        let baseline: ahn_bench::harness::BenchBaseline = serde_json::from_str(&text)
+            .map_err(|e| Failed(format!("malformed baseline {path}: {e}")))?;
+        ahn_bench::harness::check_regression(&report, &baseline, flags.max_regression)
+            .map_err(|msg| Failed(format!("performance regression vs {path}: {msg}")))?;
+        eprintln!(
+            "within {}x of the committed baseline ({})",
+            flags.max_regression, baseline.note
+        );
+    }
+    Ok(())
+}
+
+fn parse_serve_flags(args: &[String]) -> Result<ahn_serve::ServerConfig, CliError> {
+    let mut config = ahn_serve::ServerConfig::default();
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--addr" => config.addr = args.value(flag)?.into(),
+            // 0 is legal: a pull-only node that computes nothing
+            // itself and serves cells to `ahn-exp worker` processes.
+            "--workers" => config.workers = args.parse(flag)?,
+            "--cache-cap" => config.cache_cap = args.parse(flag)?,
+            "--journal" => config.journal = Some(args.value(flag)?.into()),
+            "--trace" => config.trace = Some(args.value(flag)?.into()),
+            "--queue-cap" => config.queue_cap = args.positive(flag)?,
+            // Deadline knobs, all in milliseconds, 0 = disabled.
+            "--read-timeout-ms" => config.read_timeout_ms = args.parse(flag)?,
+            "--idle-timeout-ms" => config.idle_timeout_ms = args.parse(flag)?,
+            "--write-timeout-ms" => config.write_timeout_ms = args.parse(flag)?,
+            "--drain-ms" => config.drain_ms = args.parse(flag)?,
+            _ => return Err(CliError::unknown("serve", flag)),
+        }
+    }
+    Ok(config)
+}
+
+/// `ahn-exp serve`: run the HTTP job server until `POST /v1/shutdown`.
+fn serve(args: &[String]) -> Result<(), CliError> {
+    let config = parse_serve_flags(args)?;
+    // Keep worker fan-out and per-job rayon fan-out from multiplying
+    // into oversubscription: unless the operator already pinned
+    // AHN_THREADS (the vendored rayon's cap, vendor/README.md), give
+    // each worker an equal share of the cores.
+    if std::env::var_os("AHN_THREADS").is_none() {
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let share = (cores / config.workers.max(1)).max(1);
+        std::env::set_var("AHN_THREADS", share.to_string());
+    }
+    let handle = ahn_serve::spawn(config.clone())
+        .map_err(|e| Failed(format!("cannot bind {}: {e}", config.addr)))?;
+    println!("ahn-serve listening on {}", handle.addr());
+    eprintln!(
+        "  {} workers, cache capacity {}, queue capacity {} (POST /v1/shutdown to stop)",
+        config.workers, config.cache_cap, config.queue_cap
+    );
+    if let Some(path) = &config.journal {
+        eprintln!("  completion journal: {path}");
+    }
+    if let Some(path) = &config.trace {
+        eprintln!("  span trace log: {path}");
+    }
+    handle.join();
+    eprintln!("ahn-serve: shut down cleanly");
+    Ok(())
+}
+
+/// `ahn-exp loadtest` flags: the client config plus reporting options.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct LoadtestFlags {
+    config: ahn_serve::LoadtestConfig,
+    json: bool,
+    min_hit_rate: Option<f64>,
+    shutdown: bool,
+}
+
+fn parse_loadtest_flags(args: &[String]) -> Result<LoadtestFlags, CliError> {
+    let mut f = LoadtestFlags::default();
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--addr" => f.config.addr = args.value(flag)?.into(),
+            "--connections" => f.config.connections = args.positive(flag)?,
+            "--requests" => f.config.requests = args.positive(flag)?,
+            "--distinct" => f.config.distinct = args.positive(flag)?,
+            "--json" => f.json = true,
+            "--min-hit-rate" => f.min_hit_rate = Some(args.fraction(flag)?),
+            "--shutdown" => f.shutdown = true,
+            _ => return Err(CliError::unknown("loadtest", flag)),
+        }
+    }
+    Ok(f)
+}
+
+/// `ahn-exp loadtest`: drive a running server with a mixed
+/// cache-hit/cache-miss workload and report latency + throughput.
+fn loadtest(args: &[String]) -> Result<(), CliError> {
+    let flags = parse_loadtest_flags(args)?;
+    let config = &flags.config;
+    eprintln!(
+        "loadtest: {} requests over {} connections against {} ({} distinct specs)...",
+        config.requests, config.connections, config.addr, config.distinct
+    );
+    let report = ahn_serve::run_loadtest(config).map_err(Failed)?;
+    if flags.json {
+        let text = serde_json::to_string_pretty(&report)
+            .map_err(|e| Failed(format!("cannot serialize report: {e}")))?;
+        println!("{text}");
+    } else {
+        print!("{}", ahn_serve::loadtest::render(&report));
+    }
+
+    if flags.shutdown {
+        match ahn_serve::loadtest::one_shot(&config.addr, "POST", "/v1/shutdown", "") {
+            Ok((200, _)) => eprintln!("sent shutdown to {}", config.addr),
+            Ok((status, body)) => {
+                return Err(Failed(format!("shutdown returned {status}: {body}")))
+            }
+            Err(e) => return Err(Failed(format!("shutdown failed: {e}"))),
+        }
+    }
+
+    if report.errors > 0 {
+        return Err(Failed(format!("{} requests failed", report.errors)));
+    }
+    if let Some(min) = flags.min_hit_rate {
+        let rate = report.server_metrics.map_or(0.0, |m| m.cache_hit_rate);
+        if rate < min {
+            return Err(Failed(format!(
+                "cache hit rate {rate:.3} is below the required {min:.3}"
+            )));
+        }
+        eprintln!("cache hit rate {rate:.3} >= {min:.3}");
+    }
+    Ok(())
+}
+
+/// `ahn-exp worker` flags: where to pull work from, when to stop, how
+/// to back off and break, and which chaos faults to self-inject.
+#[derive(Debug, Clone, PartialEq)]
+struct WorkerFlags {
+    addr: String,
+    config: ahn_serve::WorkerConfig,
+    /// Breaker trip threshold (consecutive failures); 0 disables.
+    breaker_threshold: u32,
+    /// Breaker cooldown before the half-open probe, milliseconds.
+    breaker_cooldown_ms: u64,
+    /// Seeded self-injected transport chaos (`--chaos-*`): the CLI face
+    /// of the `FlakyTransport` harness, for drills and the CI chaos job.
+    chaos: ahn_serve::FaultPlan,
+    /// Span trace log path (`--trace`).
+    trace: Option<String>,
+}
+
+fn parse_worker_flags(args: &[String]) -> Result<WorkerFlags, CliError> {
+    let mut f = WorkerFlags {
+        addr: "127.0.0.1:7878".into(),
+        config: ahn_serve::WorkerConfig::default(),
+        breaker_threshold: 8,
+        breaker_cooldown_ms: 1_000,
+        chaos: ahn_serve::FaultPlan::none(),
+        trace: None,
+    };
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--addr" => f.addr = args.value(flag)?.into(),
+            "--lease-ms" => f.config.lease_ms = args.positive(flag)?,
+            "--poll-ms" => f.config.poll_ms = args.positive(flag)?,
+            "--max-cells" => f.config.max_cells = args.parse(flag)?,
+            "--exit-when-idle" => f.config.idle_exit_polls = 3,
+            "--retry-base-ms" => f.config.backoff.base_ms = args.positive(flag)?,
+            "--retry-cap-ms" => f.config.backoff.cap_ms = args.positive(flag)?,
+            "--backoff-seed" => f.config.backoff.seed = args.parse(flag)?,
+            "--max-errors" => f.config.max_consecutive_errors = args.parse(flag)?,
+            "--breaker-threshold" => f.breaker_threshold = args.parse(flag)?,
+            "--breaker-cooldown-ms" => f.breaker_cooldown_ms = args.parse(flag)?,
+            "--chaos-seed" => f.chaos.seed = args.parse(flag)?,
+            "--chaos-drop-request" => f.chaos.drop_request_percent = args.percent(flag)?,
+            "--chaos-drop-response" => f.chaos.drop_response_percent = args.percent(flag)?,
+            "--chaos-latency-percent" => f.chaos.latency_percent = args.percent(flag)?,
+            "--chaos-latency-ms" => f.chaos.latency_ms = args.parse(flag)?,
+            "--chaos-stall-percent" => f.chaos.stall_percent = args.percent(flag)?,
+            "--chaos-stall-ms" => f.chaos.stall_ms = args.parse(flag)?,
+            "--chaos-partial-percent" => f.chaos.partial_write_percent = args.percent(flag)?,
+            "--trace" => f.trace = Some(args.value(flag)?.into()),
+            _ => return Err(CliError::unknown("worker", flag)),
+        }
+    }
+    Ok(f)
+}
+
+/// `ahn-exp worker`: pull cells from a serve node over
+/// `POST /v1/work/claim` / `complete` until told to stop (or, with
+/// `--exit-when-idle`, until the queue stays empty).
+fn worker(args: &[String]) -> Result<(), CliError> {
+    let flags = parse_worker_flags(args)?;
+    eprintln!("worker: pulling cells from {}...", flags.addr);
+    if flags.chaos.is_active() {
+        eprintln!("worker: chaos enabled: {:?}", flags.chaos);
+    }
+    let trace = open_trace(flags.trace.as_deref(), "worker")?;
+    let mut transport = ahn_serve::CircuitBreaker::new(
+        ahn_serve::FlakyTransport::new(ahn_serve::HttpTransport::new(&flags.addr), flags.chaos),
+        flags.breaker_threshold,
+        std::time::Duration::from_millis(flags.breaker_cooldown_ms),
+    );
+    let (report, telemetry) =
+        ahn_serve::run_worker_observed(&mut transport, &flags.config, trace.as_ref())
+            .map_err(Failed)?;
+    eprintln!(
+        "worker: {} completed, {} failed, {} duplicates, {} dropped, {} empty polls, {} breaker trips",
+        report.completed,
+        report.failed,
+        report.duplicates,
+        report.dropped,
+        report.empty_polls,
+        report.breaker_opens
+    );
+    // The machine-readable exit summary: one JSON line on stdout (the
+    // human-readable progress stays on stderr).
+    let summary = ahn_serve::WorkerSummary::new(&report, &telemetry);
+    match serde_json::to_string(&summary) {
+        Ok(line) => println!("{line}"),
+        Err(e) => eprintln!("warning: cannot serialize worker summary: {e}"),
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1879,6 +1407,11 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The shared experiment flags alone, from the scaled preset.
+    fn options(list: &[&str]) -> Result<Options, CliError> {
+        Options::parse(&args(list), ExperimentConfig::scaled())
     }
 
     #[test]
@@ -1898,16 +1431,20 @@ mod tests {
 
     #[test]
     fn bench_flag_errors() {
-        let err = parse_bench_flags(&args(&["--frobnicate"])).unwrap_err();
+        let err = parse_bench_flags(&args(&["--frobnicate"]))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("unknown bench flag"), "{err}");
-        let err = parse_bench_flags(&args(&["--baseline"])).unwrap_err();
+        let err = parse_bench_flags(&args(&["--baseline"]))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("--baseline needs a file"), "{err}");
         for bad in [
             &["--max-regression"][..],
             &["--max-regression", "0.5"],
             &["--max-regression", "x"],
         ] {
-            let err = parse_bench_flags(&args(bad)).unwrap_err();
+            let err = parse_bench_flags(&args(bad)).unwrap_err().to_string();
             assert!(err.contains("factor >= 1"), "{bad:?}: {err}");
         }
         for bad in [
@@ -1917,7 +1454,7 @@ mod tests {
             &["--threads", "1,x"],
             &["--threads", "1,,4"],
         ] {
-            let err = parse_bench_flags(&args(bad)).unwrap_err();
+            let err = parse_bench_flags(&args(bad)).unwrap_err().to_string();
             assert!(err.contains("subset of 1,4,8"), "{bad:?}: {err}");
         }
     }
@@ -1988,9 +1525,13 @@ mod tests {
 
     #[test]
     fn serve_flag_errors() {
-        let err = parse_serve_flags(&args(&["--port", "80"])).unwrap_err();
+        let err = parse_serve_flags(&args(&["--port", "80"]))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("unknown serve flag"), "{err}");
-        let err = parse_serve_flags(&args(&["--addr"])).unwrap_err();
+        let err = parse_serve_flags(&args(&["--addr"]))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("--addr needs a value"), "{err}");
         for bad in [&["--workers", "-1"][..], &["--workers", "many"]] {
             assert!(parse_serve_flags(&args(bad)).is_err(), "{bad:?}");
@@ -2091,7 +1632,9 @@ mod tests {
 
     #[test]
     fn worker_flag_errors() {
-        let err = parse_worker_flags(&args(&["--what"])).unwrap_err();
+        let err = parse_worker_flags(&args(&["--what"]))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("unknown worker flag"), "{err}");
         for bad in [
             &["--lease-ms", "0"][..],
@@ -2108,7 +1651,9 @@ mod tests {
         ] {
             assert!(parse_worker_flags(&args(bad)).is_err(), "{bad:?}");
         }
-        let err = parse_worker_flags(&args(&["--chaos-drop-request", "101"])).unwrap_err();
+        let err = parse_worker_flags(&args(&["--chaos-drop-request", "101"]))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("[0, 100]"), "{err}");
     }
 
@@ -2141,7 +1686,9 @@ mod tests {
 
     #[test]
     fn loadtest_flag_errors() {
-        let err = parse_loadtest_flags(&args(&["--what"])).unwrap_err();
+        let err = parse_loadtest_flags(&args(&["--what"]))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("unknown loadtest flag"), "{err}");
         for bad in [
             &["--connections", "0"][..],
@@ -2157,16 +1704,17 @@ mod tests {
 
     #[test]
     fn sweep_flags_parse() {
-        let f = parse_sweep_flags(&args(&[])).unwrap();
+        let (grid, f) = parse_sweep_flags(&args(&[])).unwrap();
         assert_eq!(
-            (f.cases, f.sizes, f.seed_blocks, f.json),
+            (grid.cases, grid.sizes, grid.seed_blocks.len(), f.json),
             (vec![1], vec![50], 1, false)
         );
-        assert_eq!(f.payoffs, vec!["paper".to_string()]);
-        assert_eq!(f.scenarios, None);
-        assert!(f.rest.is_empty());
+        assert_eq!(grid.payoffs, vec!["paper".to_string()]);
+        assert_eq!(grid.scenarios, None);
+        // No shared flags: the base is the scaled preset.
+        assert_eq!(grid.base, ExperimentConfig::scaled());
 
-        let f = parse_sweep_flags(&args(&[
+        let (grid, f) = parse_sweep_flags(&args(&[
             "--scenarios",
             "base,slanderers",
             "--cases",
@@ -2185,23 +1733,24 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(
-            f.scenarios,
+            grid.scenarios,
             Some(vec!["base".to_string(), "slanderers".to_string()])
         );
-        assert_eq!(f.cases, vec![1, 3]);
+        assert_eq!(grid.cases, vec![1, 3]);
         assert_eq!(
-            f.payoffs,
+            grid.payoffs,
             vec!["paper".to_string(), "literal-ocr".to_string()]
         );
-        assert_eq!(f.sizes, vec![10, 50, 100]);
-        assert_eq!(f.seed_blocks, 4);
+        assert_eq!(grid.sizes, vec![10, 50, 100]);
+        assert_eq!(grid.seed_blocks.len(), 4);
         assert!(f.json);
-        assert_eq!(f.rest, args(&["--preset", "smoke", "--reps", "2"]));
-        // The shared flags parse through Options.
-        let o = Options::parse(&f.rest).unwrap();
-        assert_eq!(o.config.replications, 2);
+        // The shared flags `--preset smoke --reps 2` apply in place.
+        let mut smoke = ExperimentConfig::smoke();
+        smoke.replications = 2;
+        assert_eq!(grid.base, smoke);
+        assert_eq!(f.opts.config.replications, 2);
 
-        let f =
+        let (_, f) =
             parse_sweep_flags(&args(&["--via", "127.0.0.1:7172", "--journal", "s.log"])).unwrap();
         assert_eq!(f.via.as_deref(), Some("127.0.0.1:7172"));
         assert_eq!(f.journal.as_deref(), Some("s.log"));
@@ -2222,24 +1771,30 @@ mod tests {
         ] {
             assert!(parse_sweep_flags(&args(bad)).is_err(), "{bad:?}");
         }
-        // Unknown flags pass through to Options::parse, which rejects.
-        let f = parse_sweep_flags(&args(&["--frob", "x"])).unwrap();
-        assert!(Options::parse(&f.rest).is_err());
+        // Unknown flags fall through to the shared experiment flags,
+        // which reject them.
+        assert!(parse_sweep_flags(&args(&["--frob", "x"])).is_err());
     }
 
     #[test]
     fn calibrate_flags_parse() {
-        let f = parse_calibrate_flags(&args(&[])).unwrap();
-        assert_eq!(f.cases, vec![1, 2, 3, 4]);
-        assert_eq!(f.scales, vec![1.0]);
-        assert_eq!(f.selections, vec!["paper".to_string()]);
+        let (grid, f) = parse_calibrate_flags(&args(&[])).unwrap();
+        assert_eq!(grid.cases, vec![1, 2, 3, 4]);
+        assert_eq!(grid.scales, vec![1.0]);
+        assert_eq!(grid.selections, vec!["paper".to_string()]);
         assert_eq!(
-            (f.size, f.seed_blocks, f.max_candidates, f.json),
+            (
+                grid.size,
+                grid.seed_blocks.len(),
+                grid.max_candidates,
+                f.json
+            ),
             (10, 1, 0, false)
         );
-        assert!(f.rest.is_empty());
+        // No shared flags: the base is calibrate's smoke preset.
+        assert_eq!(grid.base, ExperimentConfig::smoke());
 
-        let f = parse_calibrate_flags(&args(&[
+        let (grid, f) = parse_calibrate_flags(&args(&[
             "--cases",
             "2,4",
             "--scales",
@@ -2259,24 +1814,30 @@ mod tests {
             "4",
         ]))
         .unwrap();
-        assert_eq!(f.cases, vec![2, 4]);
-        assert_eq!(f.scales, vec![0.5, 1.0, 2.0]);
+        assert_eq!(grid.cases, vec![2, 4]);
+        assert_eq!(grid.scales, vec![0.5, 1.0, 2.0]);
         assert_eq!(
-            f.selections,
+            grid.selections,
             vec![
                 "paper".to_string(),
                 "rank".to_string(),
                 "elitist-2".to_string()
             ]
         );
-        assert_eq!((f.size, f.seed_blocks, f.max_candidates), (50, 3, 24));
+        assert_eq!(
+            (grid.size, grid.seed_blocks.len(), grid.max_candidates),
+            (50, 3, 24)
+        );
         assert!(f.json);
-        assert_eq!(f.rest, args(&["--preset", "scaled", "--reps", "4"]));
-        let o = Options::parse(&f.rest).unwrap();
-        assert_eq!(o.config.replications, 4);
+        // The shared flags `--preset scaled --reps 4` apply in place.
+        let mut scaled = ExperimentConfig::scaled();
+        scaled.replications = 4;
+        assert_eq!(grid.base, scaled);
+        assert_eq!(f.opts.config.replications, 4);
 
-        let f = parse_calibrate_flags(&args(&["--via", "127.0.0.1:7172", "--journal", "c.log"]))
-            .unwrap();
+        let (_, f) =
+            parse_calibrate_flags(&args(&["--via", "127.0.0.1:7172", "--journal", "c.log"]))
+                .unwrap();
         assert_eq!(f.via.as_deref(), Some("127.0.0.1:7172"));
         assert_eq!(f.journal.as_deref(), Some("c.log"));
     }
@@ -2301,9 +1862,9 @@ mod tests {
         ] {
             assert!(parse_calibrate_flags(&args(bad)).is_err(), "{bad:?}");
         }
-        // Unknown flags pass through to Options::parse, which rejects.
-        let f = parse_calibrate_flags(&args(&["--frob", "x"])).unwrap();
-        assert!(Options::parse(&f.rest).is_err());
+        // Unknown flags fall through to the shared experiment flags,
+        // which reject them.
+        assert!(parse_calibrate_flags(&args(&["--frob", "x"])).is_err());
     }
 
     #[test]
@@ -2317,7 +1878,7 @@ mod tests {
         .unwrap();
         assert_eq!(f.cases, vec![1, 2, 3, 4]);
         assert_eq!(f.tolerance, 0.2);
-        assert_eq!(f.rest, args(&["--preset", "smoke"]));
+        assert_eq!(f.opts.config, ExperimentConfig::smoke());
     }
 
     #[test]
@@ -2336,30 +1897,31 @@ mod tests {
 
     #[test]
     fn experiment_options_flag_errors() {
-        let err = Options::parse(&args(&["--bogus"])).unwrap_err();
+        let err = options(&["--bogus"]).unwrap_err().to_string();
         assert!(err.contains("unknown flag"), "{err}");
-        let err = Options::parse(&args(&["--reps"])).unwrap_err();
+        let err = options(&["--reps"]).unwrap_err().to_string();
         assert!(err.contains("--reps needs a value"), "{err}");
-        let err = Options::parse(&args(&["--reps", "zero"])).unwrap_err();
+        let err = options(&["--reps", "zero"]).unwrap_err().to_string();
         assert!(err.contains("--reps"), "{err}");
-        let err = Options::parse(&args(&["--preset", "galactic"])).unwrap_err();
+        let err = options(&["--preset", "galactic"]).unwrap_err().to_string();
         assert!(err.contains("unknown preset"), "{err}");
-        let err = Options::parse(&args(&["--config", "/no/such/file.json"])).unwrap_err();
+        let err = options(&["--config", "/no/such/file.json"])
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("cannot read"), "{err}");
         // Flag values that parse but violate config validation.
-        let err = Options::parse(&args(&["--reps", "0"])).unwrap_err();
+        let err = options(&["--reps", "0"]).unwrap_err().to_string();
         assert!(err.contains("positive"), "{err}");
     }
 
     #[test]
     fn experiment_options_happy_path() {
-        let o =
-            Options::parse(&args(&["--preset", "smoke", "--reps", "3", "--seed", "9"])).unwrap();
+        let o = options(&["--preset", "smoke", "--reps", "3", "--seed", "9"]).unwrap();
         assert_eq!(o.config.replications, 3);
         assert_eq!(o.config.base_seed, 9);
         assert!(o.out_dir.is_none());
         assert!(o.trace.is_none());
-        let o = Options::parse(&args(&["--out", "/tmp/x"])).unwrap();
+        let o = options(&["--out", "/tmp/x"]).unwrap();
         assert_eq!(o.out_dir.as_deref(), Some(std::path::Path::new("/tmp/x")));
     }
 
@@ -2382,20 +1944,37 @@ mod tests {
         assert_eq!(f.trace.as_deref(), Some("w.trace"));
         assert!(parse_worker_flags(&args(&[])).unwrap().trace.is_none());
 
-        let f = parse_sweep_flags(&args(&["--trace", "s.trace"])).unwrap();
+        let (_, f) = parse_sweep_flags(&args(&["--trace", "s.trace"])).unwrap();
         assert_eq!(f.trace.as_deref(), Some("s.trace"));
 
-        let f = parse_calibrate_flags(&args(&["--via", "127.0.0.1:7172", "--trace", "c.trace"]))
-            .unwrap();
+        let (_, f) =
+            parse_calibrate_flags(&args(&["--via", "127.0.0.1:7172", "--trace", "c.trace"]))
+                .unwrap();
         assert_eq!(f.trace.as_deref(), Some("c.trace"));
         // A coordinator trace without a coordinator is a user error.
-        let err = parse_calibrate_flags(&args(&["--trace", "c.trace"])).unwrap_err();
+        let err = parse_calibrate_flags(&args(&["--trace", "c.trace"]))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("requires --via"), "{err}");
 
         let path = tmp("options.trace");
-        let o = Options::parse(&args(&["--trace", &path])).unwrap();
+        let o = options(&["--trace", &path]).unwrap();
         assert!(o.trace.is_some());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn trace_log_opens_only_after_the_whole_line_parses() {
+        let path = tmp("rejected.trace");
+        let err = options(&["--trace", &path, "--bogus"]).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(m) if m.contains("--bogus")),
+            "{err:?}"
+        );
+        assert!(
+            !std::path::Path::new(&path).exists(),
+            "a rejected command line must not leave a trace log behind"
+        );
     }
 
     #[test]

@@ -14,17 +14,11 @@
 //!   counts, path rating as the product of known forwarding rates, and
 //!   best-reputation route selection;
 //! * [`energy`] — Feeney–Nilsson-style per-state energy accounting (the
-//!   paper's §1 motivation: sleeping costs ≈ 2 % of idle listening);
-//! * [`topology`] — an *optional extension*: a geometric
-//!   random-waypoint mobility model that can replace the random
-//!   intermediate selection, letting users check the paper's high-mobility
-//!   abstraction against an explicit topology.
+//!   paper's §1 motivation: sleeping costs ≈ 2 % of idle listening).
 //!
 //! The paper's own network model is deliberately abstract: "All
 //! intermediate nodes are chosen randomly. This simulates a network with a
-//! high mobility level" (§4.1). The [`paths`] module is therefore the
-//! substrate actually used by the experiments; [`topology`] exists for
-//! sensitivity analysis.
+//! high mobility level" (§4.1). The [`paths`] module is that substrate.
 
 #![deny(missing_docs)]
 
@@ -33,7 +27,6 @@ pub mod energy;
 pub mod gossip;
 pub mod paths;
 pub mod reputation;
-pub mod topology;
 pub mod trust;
 pub mod watchdog;
 

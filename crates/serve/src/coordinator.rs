@@ -318,18 +318,8 @@ pub fn run_sweep_via_traced(
 /// Runs `grid` through the serve node behind `transport` and scores the
 /// merged per-candidate sweeps into a [`CalibrationReport`] — Pareto
 /// front included — bit-identical to [`ahn_core::run_calibration`].
-/// `journal_path` enables checkpoint/resume.
-pub fn run_calibration_via(
-    transport: &mut dyn Transport,
-    grid: &CalibrationGrid,
-    journal_path: Option<&Path>,
-    poll_ms: u64,
-) -> Result<CalibrationReport, String> {
-    run_calibration_via_traced(transport, grid, journal_path, poll_ms, None)
-}
-
-/// [`run_calibration_via`] with span tracing — same contract as
-/// [`run_sweep_via_traced`].
+/// `journal_path` enables checkpoint/resume, and `trace` span tracing
+/// with the same contract as [`run_sweep_via_traced`].
 pub fn run_calibration_via_traced(
     transport: &mut dyn Transport,
     grid: &CalibrationGrid,

@@ -83,9 +83,7 @@ pub mod resilience;
 pub mod server;
 pub mod worker;
 
-pub use coordinator::{
-    run_calibration_via, run_calibration_via_traced, run_sweep_via, run_sweep_via_traced,
-};
+pub use coordinator::{run_calibration_via_traced, run_sweep_via, run_sweep_via_traced};
 pub use faults::{FaultPlan, FlakyTransport};
 pub use loadtest::{run_loadtest, LoadtestConfig, LoadtestReport};
 pub use metrics::{LatencySnapshot, Snapshot};
@@ -93,6 +91,6 @@ pub use protocol::JobSpec;
 pub use resilience::{Backoff, BackoffPolicy, CircuitBreaker};
 pub use server::{spawn, ServerConfig, ServerHandle};
 pub use worker::{
-    run_worker, run_worker_observed, HttpTransport, Transport, WorkerConfig, WorkerReport,
-    WorkerSummary, WorkerTelemetry,
+    run_worker_observed, HttpTransport, Transport, WorkerConfig, WorkerReport, WorkerSummary,
+    WorkerTelemetry,
 };

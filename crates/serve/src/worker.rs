@@ -286,18 +286,12 @@ impl WorkerSummary {
 /// `breaker_open_total` aggregates fleet-wide trips. The report is
 /// at-least-once under faults: a delta whose claim response is lost is
 /// re-sent with the next claim.
-pub fn run_worker(
-    transport: &mut dyn Transport,
-    config: &WorkerConfig,
-) -> Result<WorkerReport, String> {
-    run_worker_observed(transport, config, None).map(|(report, _)| report)
-}
-
-/// [`run_worker`] with observability: collects latency histograms
-/// (claim round trip, compute, backoff sleeps) and, when `trace` is
-/// set, appends one span event per lifecycle step
-/// (claim/compute/deliver/retry/breaker_open) so a cell's trail joins
-/// with the server's via the grant's `trace_id`.
+///
+/// Alongside the report it collects latency histograms (claim round
+/// trip, compute, backoff sleeps) and, when `trace` is set, appends one
+/// span event per lifecycle step (claim/compute/deliver/retry/
+/// breaker_open) so a cell's trail joins with the server's via the
+/// grant's `trace_id`.
 pub fn run_worker_observed(
     transport: &mut dyn Transport,
     config: &WorkerConfig,

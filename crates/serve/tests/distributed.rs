@@ -9,8 +9,8 @@ use ahn_serve::loadtest::one_shot;
 use ahn_serve::protocol::{WorkCompletion, WorkGrant};
 use ahn_serve::server::{spawn, ServerConfig, ServerHandle};
 use ahn_serve::{
-    run_calibration_via, run_sweep_via, run_worker, BackoffPolicy, CircuitBreaker, FaultPlan,
-    FlakyTransport, HttpTransport, WorkerConfig, WorkerReport,
+    run_calibration_via_traced, run_sweep_via, run_worker_observed, BackoffPolicy, CircuitBreaker,
+    FaultPlan, FlakyTransport, HttpTransport, WorkerConfig, WorkerReport,
 };
 use serde_json::Value;
 use std::path::PathBuf;
@@ -88,7 +88,7 @@ fn start_worker(
                 seed: 3,
             },
         };
-        let outcome = run_worker(&mut transport, &config);
+        let outcome = run_worker_observed(&mut transport, &config, None).map(|(report, _)| report);
         (outcome, transport.injected())
     })
 }
@@ -123,7 +123,7 @@ fn start_hardened_worker(
                 seed: 7,
             },
         };
-        let outcome = run_worker(&mut transport, &config);
+        let outcome = run_worker_observed(&mut transport, &config, None).map(|(report, _)| report);
         (outcome, transport.inner().injected(), transport.opens())
     })
 }
@@ -263,7 +263,7 @@ fn worker_crash_mid_cell_expires_the_lease_and_another_worker_finishes() {
                 max_consecutive_errors: 3,
                 ..WorkerConfig::default()
             };
-            run_worker(&mut transport, &config)
+            run_worker_observed(&mut transport, &config, None).map(|(report, _)| report)
         }
     });
     assert!(
@@ -416,7 +416,7 @@ fn distributed_calibration_matches_local_including_pareto_front() {
         .map(|_| start_worker(&addr, FaultPlan::none(), 60_000))
         .collect();
     let mut transport = HttpTransport::new(&addr);
-    let report = run_calibration_via(&mut transport, &grid, Some(&journal), 2)
+    let report = run_calibration_via_traced(&mut transport, &grid, Some(&journal), 2, None)
         .expect("distributed calibration");
     assert_eq!(
         serde_json::to_string_pretty(&report).unwrap(),
@@ -432,7 +432,7 @@ fn distributed_calibration_matches_local_including_pareto_front() {
     // workers anywhere can still produce the full report.
     let (handle, addr) = boot(0, None);
     let mut transport = HttpTransport::new(&addr);
-    let resumed = run_calibration_via(&mut transport, &grid, Some(&journal), 2)
+    let resumed = run_calibration_via_traced(&mut transport, &grid, Some(&journal), 2, None)
         .expect("journal-only calibration");
     assert_eq!(
         serde_json::to_string_pretty(&resumed).unwrap(),
@@ -569,7 +569,7 @@ fn drain_mid_sweep_then_restart_resumes_byte_identically_from_a_torn_journal() {
                     seed: 3,
                 },
             };
-            run_worker(&mut transport, &config)
+            run_worker_observed(&mut transport, &config, None).map(|(report, _)| report)
         }
     });
     let coordinator = std::thread::spawn({

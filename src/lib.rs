@@ -16,7 +16,7 @@
 //! |-------|----------|
 //! | [`bitstr`] | fixed-width bit-string genomes |
 //! | [`stats`] | summaries, series, histograms |
-//! | [`net`] | reputation, trust, activity, watchdog, paths, energy, topology |
+//! | [`net`] | reputation, trust, activity, watchdog, paths, energy, gossip |
 //! | [`strategy`] | the 13-bit strategy codec and population analysis |
 //! | [`game`] | the Ad Hoc Network Game, tournaments, environments |
 //! | [`ga`] | the genetic-algorithm engine |

@@ -2,8 +2,7 @@
 //! ways the main harness does not exercise.
 
 use ahn::bitstr::BitStr;
-use ahn::game::{game::Scratch, play_game, play_round, Arena, GameConfig, NodeKind};
-use ahn::net::topology::{MobileNetwork, WaypointParams};
+use ahn::game::{game::Scratch, play_round, Arena, GameConfig, NodeKind};
 use ahn::net::{NodeId, PathMode, RouteSelection, TrustLevel};
 use ahn::strategy::{reduced::ReducedStrategy, Strategy};
 use rand::SeedableRng;
@@ -11,50 +10,6 @@ use rand_chacha::ChaCha8Rng;
 
 fn rng(seed: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(seed)
-}
-
-/// The topology module can replace the abstract relay pool: draw the
-/// participant set from a geometric neighborhood and play real games on
-/// it.
-#[test]
-fn games_on_topology_derived_pools() {
-    let mut r = rng(5);
-    // Dense network so most nodes are reachable.
-    let net = MobileNetwork::new(
-        &mut r,
-        20,
-        WaypointParams {
-            side: 400.0,
-            ..WaypointParams::default()
-        },
-        250.0,
-    );
-    let mut arena = Arena::new(
-        vec![Strategy::always_forward(); 20],
-        0,
-        GameConfig::paper(PathMode::Shorter),
-        1,
-    );
-    let mut scratch = Scratch::default();
-    let mut played = 0;
-    for src in 0..20u32 {
-        let src = NodeId(src);
-        // Participants: the source plus its geometric neighborhood.
-        let mut participants = vec![src];
-        participants.extend(net.neighbors(src));
-        if participants.len() < 3 {
-            continue;
-        }
-        let report = play_game(&mut arena, &mut r, &participants, 0, 0, &mut scratch);
-        assert!(
-            report.outcome.delivered(),
-            "all-cooperator pool must deliver"
-        );
-        assert!(report.hops >= 1);
-        played += 1;
-    }
-    assert!(played > 10, "topology too sparse for the test: {played}");
-    arena.reputation.check_invariants().unwrap();
 }
 
 /// The reduced (5-bit) codec and a hand-lifted full strategy must play

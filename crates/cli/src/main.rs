@@ -16,12 +16,14 @@
 //! through a serve node, distributed across its workers) and
 //! `--journal FILE` (checkpoint completed cells; resume skips them).
 //!
-//! `serve`, `worker`, `sweep`, `calibrate` and the experiment commands
-//! all accept `--trace FILE`: each node appends checksummed JSON span
-//! events ([`ahn_obs::TraceLog`]) keyed by a trace id derived from the
-//! cell's canonical hash, so `ahn-exp trace FILE..` reconstructs one
-//! cell's submit → enqueue → lease → compute → complete → merge
-//! lifecycle across server, worker and coordinator logs.
+//! `serve`, `worker`, `sweep`, `calibrate` and every experiment command
+//! that runs experiment cells accept `--trace FILE`: each node appends
+//! checksummed JSON span events ([`ahn_obs::TraceLog`]) keyed by a trace
+//! id derived from the cell's canonical hash, so `ahn-exp trace FILE..`
+//! reconstructs one cell's submit → enqueue → lease → compute → complete
+//! → merge lifecycle across server, worker and coordinator logs, or a
+//! local cell's `cell_start` → `generation` → `cell_done` spans. The
+//! commands that run no cells refuse `--trace`.
 //!
 //! `serve` takes deadlines in milliseconds, 0 disabling each:
 //! `--read-timeout-ms`, `--idle-timeout-ms`, `--write-timeout-ms` and
@@ -41,8 +43,9 @@ mod args;
 
 use ahn_core::ablations::{self, ablate_activity, ablate_gossip, ablate_payoff};
 use ahn_core::ablations::{ablate_selection, ablate_trust_table, ablate_unknown};
-use ahn_core::experiment::{self, ExperimentResult};
-use ahn_core::{baselines, cases::CaseSpec, config::ExperimentConfig, extensions, report, sweeps};
+use ahn_core::experiment::ExperimentResult;
+use ahn_core::{baselines, cases::CaseSpec, config::ExperimentConfig, extensions, report};
+use ahn_core::{sweeps, Cell};
 use args::{Args, CliError, CliError::Bad, CliError::Failed, CliError::Usage};
 
 fn main() {
@@ -65,8 +68,11 @@ fn run(args: &[String]) -> Result<(), CliError> {
             return Ok(());
         }
     };
-    // The experiment commands take the shared flags only.
-    let opts = || Options::parse(rest, ExperimentConfig::scaled());
+    // The experiment commands take the shared flags only. Those that run
+    // no experiment cells have no spans to record, so they refuse
+    // `--trace`.
+    let opts = || Options::parse(rest, ExperimentConfig::scaled(), true);
+    let untraced = || Options::parse(rest, ExperimentConfig::scaled(), false);
     match command.as_str() {
         "fig4" => fig4(&opts()?),
         "table5" => table(&opts()?, 5, &[3, 4], |r| report::table5(&r[0], &r[1])),
@@ -75,26 +81,21 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "table8" => table(&opts()?, 8, &[3], |r| report::table8_9(&r[0], 0.03)),
         "table9" => table(&opts()?, 9, &[4], |r| report::table8_9(&r[0], 0.03)),
         "all" => all(&opts()?),
-        "ipdrp" => ipdrp(&opts()?),
-        "baseline-pathrater" => pathrater(&opts()?),
-        "ablate-payoff" => ablate(&opts()?, "A1 payoff-table reading", ablate_payoff),
-        "ablate-activity" => ablate(&opts()?, "A2 activity dimension", ablate_activity),
-        "ablate-selection" => ablate(&opts()?, "A3 selection operator", ablate_selection),
-        "ablate-trust-table" => ablate(&opts()?, "A5 trust-table thresholds", ablate_trust_table),
-        "ablate-unknown" => ablate(&opts()?, "A6 unknown-node bit", ablate_unknown),
-        "ablate-gossip" => ablate(&opts()?, "A7 second-hand reputation", ablate_gossip),
-        "transfer" => transfer(&opts()?),
-        "newcomer" => newcomer(&opts()?),
-        "sleepers" => sleepers(&opts()?),
-        "sweep-rounds" => sweep_rounds(&opts()?),
-        "sweep-csn" => sweep_csn(&opts()?),
-        "sweep-mutation" => sweep_mutation(&opts()?),
+        "ipdrp" => ipdrp(&untraced()?),
+        "baseline-pathrater" => pathrater(&untraced()?),
+        "ablate-payoff" | "ablate-activity" | "ablate-selection" | "ablate-trust-table"
+        | "ablate-unknown" | "ablate-gossip" | "sweep-rounds" | "sweep-csn" | "sweep-mutation" => {
+            study(&opts()?, command)
+        }
+        "transfer" => transfer(&untraced()?),
+        "newcomer" => newcomer(&untraced()?),
+        "sleepers" => sleepers(&untraced()?),
         // `trace` is two commands sharing a name: with trace-file
         // arguments it joins span logs; with experiment flags only, it
         // keeps its original meaning (dump a game decision trace).
         "trace" if trace_join_requested(rest) => trace_join(rest),
-        "trace" => trace(&opts()?),
-        "check" => opts().and_then(|_| check()),
+        "trace" => trace(&untraced()?),
+        "check" => untraced().and_then(|_| check()),
         "sweep" => sweep(rest),
         // The adversary-zoo registry: `list` prints it, `run NAME`
         // evaluates one scenario against a chosen defense.
@@ -172,8 +173,9 @@ struct Options {
     out_dir: Option<std::path::PathBuf>,
     /// `--trace FILE` as given; [`Options::finish`] opens it.
     trace_path: Option<String>,
-    /// The span log experiment commands record each case's lifecycle and
-    /// per-generation hot-loop samples into.
+    /// The span log: local runs record each cell's lifecycle and
+    /// per-generation hot-loop samples into it, `--via` runs the
+    /// coordinator's side of every cell.
     trace: Option<ahn_obs::TraceLog>,
 }
 
@@ -187,13 +189,21 @@ impl Options {
     }
 
     /// A command line of shared flags only, starting from `preset`.
-    fn parse(args: &[String], preset: ExperimentConfig) -> Result<Self, CliError> {
+    /// `traced` is false for a command that runs no experiment cells: it
+    /// has no spans to record, so `--trace` is bad input, refused before
+    /// the file is created.
+    fn parse(args: &[String], preset: ExperimentConfig, traced: bool) -> Result<Self, CliError> {
         let mut opts = Options::new(preset);
         let mut args = Args::new(args);
         while let Some(flag) = args.flag() {
             opts.apply(flag, &mut args)?;
         }
-        opts.finish()?;
+        if !traced && opts.trace_path.is_some() {
+            return Err(Bad(
+                "--trace records the spans of experiment cells, and this command runs none".into(),
+            ));
+        }
+        opts.finish("ahn-exp")?;
         Ok(opts)
     }
 
@@ -231,12 +241,12 @@ impl Options {
         apply().map_err(CliError::with_usage)
     }
 
-    /// Validates the configuration and opens the `--trace` log, once the
-    /// whole command line has parsed. The usage follows any error.
-    fn finish(&mut self) -> Result<(), CliError> {
+    /// Validates the configuration and opens the `--trace` log as node
+    /// `role`, once the whole command line has parsed. The usage follows
+    /// any error.
+    fn finish(&mut self, role: &str) -> Result<(), CliError> {
         self.config.validate().map_err(Usage)?;
-        self.trace =
-            open_trace(self.trace_path.as_deref(), "ahn-exp").map_err(CliError::with_usage)?;
+        self.trace = open_trace(self.trace_path.as_deref(), role).map_err(CliError::with_usage)?;
         Ok(())
     }
 
@@ -280,23 +290,21 @@ fn fits(config: &ExperimentConfig, case: CaseSpec) -> Result<CaseSpec, CliError>
     Ok(case)
 }
 
-/// Runs the paper cases `case_nos`, once the population fits them all.
+/// Runs the paper cases `case_nos` as one batch, once the population
+/// fits them all.
 fn run_cases(opts: &Options, case_nos: &[usize]) -> Result<Vec<ExperimentResult>, CliError> {
     let config = &opts.config;
-    let cases = case_nos
+    let cells = case_nos
         .iter()
-        .map(|&n| fits(config, CaseSpec::paper(n)))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(cases
-        .iter()
-        .map(|case| {
-            eprintln!(
-                "running {} ({} replications x {} generations, R={})...",
-                case.name, config.replications, config.generations, config.rounds
-            );
-            experiment::run_experiment_traced(config, case, opts.trace.as_ref())
-        })
-        .collect())
+        .map(|&n| Ok((config.clone(), fits(config, CaseSpec::paper(n))?)))
+        .collect::<Result<Vec<_>, CliError>>()?;
+    eprintln!(
+        "running cases {case_nos:?} ({} replications x {} generations, R={})...",
+        config.replications, config.generations, config.rounds
+    );
+    Ok(ahn_core::run_cells(&cells, opts.trace.as_ref(), |i| {
+        cells[i].1.name.clone()
+    }))
 }
 
 fn fig4(opts: &Options) -> Result<(), CliError> {
@@ -414,24 +422,73 @@ fn pathrater(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-fn ablate(
-    opts: &Options,
-    title: &str,
-    run: fn(&ExperimentConfig, &CaseSpec) -> Vec<ablations::Variant>,
-) -> Result<(), CliError> {
-    // Ablations run on case 3 (the paper's richest setting).
-    let case = fits(&opts.config, CaseSpec::paper(3))?;
-    eprintln!("running ablation {title} on {} ...", case.name);
-    let variants = run(&opts.config, &case);
-    let rendered = ablations::render_variants(title, &variants);
-    print!("{rendered}");
-    opts.maybe_write("ablation.txt", &rendered);
+/// The one-knob studies — the six `ablate-*` and three `sweep-*`
+/// commands: labeled cells that each vary one knob of the base
+/// configuration, run as one batch and printed one row per cell.
+fn study(opts: &Options, command: &str) -> Result<(), CliError> {
+    let config = &opts.config;
+    let paper = |n| fits(config, CaseSpec::paper(n));
+    // Ablations run on case 3 (the paper's richest setting). A sweep
+    // names its x axis and prints a footer under its table.
+    let ablation = |title, run: fn(&ExperimentConfig, &CaseSpec) -> Vec<(String, Cell)>| {
+        Ok::<_, CliError>((title, None, run(config, &paper(3)?), "ablation.txt", None))
+    };
+    let (title, x_label, cells, file, footer) = match command {
+        "ablate-payoff" => ablation("A1 payoff-table reading", ablate_payoff)?,
+        "ablate-activity" => ablation("A2 activity dimension", ablate_activity)?,
+        "ablate-selection" => ablation("A3 selection operator", ablate_selection)?,
+        "ablate-trust-table" => ablation("A5 trust-table thresholds", ablate_trust_table)?,
+        "ablate-unknown" => ablation("A6 unknown-node bit", ablate_unknown)?,
+        "ablate-gossip" => ablation("A7 second-hand reputation", ablate_gossip)?,
+        "sweep-rounds" => (
+            "Cooperation vs reputation horizon R (case 1)",
+            Some("rounds"),
+            sweeps::sweep_rounds(config, &paper(1)?, &[30, 100, 200, 300, 500]),
+            "sweep_rounds.txt",
+            Some("(the paper's R = 300 sits above the defection-basin crossover)"),
+        ),
+        "sweep-csn" => {
+            let mode = CaseSpec::paper(1).mode;
+            // The 0% point is the most demanding: 50 normal players.
+            fits(config, CaseSpec::mini("csn 0%", &[0], 50, mode))?;
+            (
+                "Cooperation vs CSN density (50-node tournaments, shorter paths)",
+                Some("density"),
+                sweeps::sweep_csn(config, 50, mode, &[0.0, 0.2, 0.4, 0.6, 0.8]),
+                "sweep_csn.txt",
+                Some("(TE1..TE4 are the 0%, 20%, 50% and 60% points of this curve)"),
+            )
+        }
+        "sweep-mutation" => (
+            "Cooperation vs per-bit mutation probability (case 3)",
+            Some("mutation"),
+            sweeps::sweep_mutation(config, &paper(3)?, &[0.0, 0.001, 0.01, 0.05]),
+            "sweep_mutation.txt",
+            Some("(the paper uses 0.001)"),
+        ),
+        other => unreachable!("{other} is not a one-knob study"),
+    };
+    eprintln!("running {title} ({} cells)...", cells.len());
+    let (labels, cells): (Vec<String>, Vec<_>) = cells.into_iter().unzip();
+    let results = ahn_core::run_cells(&cells, opts.trace.as_ref(), |i| labels[i].clone());
+    let rows: Vec<_> = (labels.into_iter())
+        .zip(results.into_iter().map(|r| r.final_coop))
+        .collect();
+    let t = match x_label {
+        None => ablations::render_variants(title, &rows),
+        Some(x_label) => sweeps::render_sweep(title, x_label, &rows),
+    };
+    print!("{t}");
+    if let Some(footer) = footer {
+        println!("{footer}");
+    }
+    opts.maybe_write(file, &t);
     Ok(())
 }
 
 fn transfer(opts: &Options) -> Result<(), CliError> {
-    // One replication per (train, eval) pair keeps this affordable; use
-    // --reps/--gens to deepen.
+    // One replication per training case keeps this affordable; use
+    // --gens to deepen.
     let cases = CaseSpec::paper_all()
         .into_iter()
         .map(|case| fits(&opts.config, case))
@@ -501,56 +558,6 @@ fn sleepers(opts: &Options) -> Result<(), CliError> {
          keep a perfect forwarding *rate*, so trust alone cannot see them;\n\
          only the activity-aware chromosome can price the free ride."
     );
-    Ok(())
-}
-
-fn sweep_rounds(opts: &Options) -> Result<(), CliError> {
-    let case = fits(&opts.config, CaseSpec::paper(1))?;
-    let rounds = [30usize, 100, 200, 300, 500];
-    eprintln!("sweeping tournament rounds over {rounds:?} on case 1...");
-    let points = sweeps::sweep_rounds(&opts.config, &case, &rounds);
-    let t = sweeps::render_sweep(
-        "Cooperation vs reputation horizon R (case 1)",
-        "rounds",
-        &points,
-    );
-    print!("{t}");
-    println!("(the paper's R = 300 sits above the defection-basin crossover)");
-    opts.maybe_write("sweep_rounds.txt", &t);
-    Ok(())
-}
-
-fn sweep_csn(opts: &Options) -> Result<(), CliError> {
-    let densities = [0.0, 0.2, 0.4, 0.6, 0.8];
-    let mode = CaseSpec::paper(1).mode;
-    // The 0% point is the most demanding: 50 normal players.
-    fits(&opts.config, CaseSpec::mini("csn 0%", &[0], 50, mode))?;
-    eprintln!("sweeping CSN density over {densities:?} (50-node tournaments, SP)...");
-    let points = sweeps::sweep_csn(&opts.config, 50, mode, &densities);
-    let t = sweeps::render_sweep(
-        "Cooperation vs CSN density (50-node tournaments, shorter paths)",
-        "density",
-        &points,
-    );
-    print!("{t}");
-    println!("(TE1..TE4 are the 0%, 20%, 50% and 60% points of this curve)");
-    opts.maybe_write("sweep_csn.txt", &t);
-    Ok(())
-}
-
-fn sweep_mutation(opts: &Options) -> Result<(), CliError> {
-    let case = fits(&opts.config, CaseSpec::paper(3))?;
-    let rates = [0.0, 0.001, 0.01, 0.05];
-    eprintln!("sweeping mutation rate over {rates:?} on case 3...");
-    let points = sweeps::sweep_mutation(&opts.config, &case, &rates);
-    let t = sweeps::render_sweep(
-        "Cooperation vs per-bit mutation probability (case 3)",
-        "mutation",
-        &points,
-    );
-    print!("{t}");
-    println!("(the paper uses 0.001)");
-    opts.maybe_write("sweep_mutation.txt", &t);
     Ok(())
 }
 
@@ -703,10 +710,6 @@ struct GridFlags {
     via: Option<String>,
     /// Checkpoint completed cells to this journal; resume skips them.
     journal: Option<String>,
-    /// Span trace log path (`--trace`): local sweeps record per-cell
-    /// lifecycles and per-generation hot-loop samples, `--via` runs
-    /// record the coordinator's side of every cell.
-    trace: Option<String>,
     opts: Options,
 }
 
@@ -718,7 +721,6 @@ impl GridFlags {
             "--json" => self.json = true,
             "--via" => self.via = Some(args.value(flag)?.into()),
             "--journal" => self.journal = Some(args.value(flag)?.into()),
-            "--trace" => self.trace = Some(args.value(flag)?.into()),
             _ => self.opts.apply(flag, args)?,
         }
         Ok(())
@@ -732,7 +734,8 @@ impl GridFlags {
                 "--journal requires --via (it checkpoints a distributed run)".into(),
             ));
         }
-        self.opts.finish()
+        self.opts
+            .finish(self.via.as_ref().map_or("ahn-exp", |_| "coordinator"))
     }
 
     /// Prints the report — its JSON with `--json`, else `rendered` — and
@@ -797,15 +800,14 @@ fn sweep(args: &[String]) -> Result<(), CliError> {
         grid.seed_blocks.len(),
         grid.base.replications
     );
+    let trace = f.opts.trace.as_ref();
     let report = if let Some(addr) = &f.via {
         eprintln!("  distributing via {addr}...");
-        let trace = open_trace(f.trace.as_deref(), "coordinator")?;
         let mut transport = ahn_serve::HttpTransport::new(addr);
         let journal = f.journal.as_deref().map(std::path::Path::new);
-        ahn_serve::run_sweep_via_traced(&mut transport, &grid, journal, 10, trace.as_ref())?
+        ahn_serve::run_sweep_via_traced(&mut transport, &grid, journal, 10, trace)?
     } else {
-        let trace = open_trace(f.trace.as_deref(), "ahn-exp")?;
-        ahn_core::run_sweep_traced(&grid, trace.as_ref())?
+        ahn_core::run_sweep_traced(&grid, trace)?
     };
     f.print(
         serde_json::to_string_pretty(&report),
@@ -851,11 +853,6 @@ fn parse_calibrate_flags(
             _ => f.apply(flag, &mut args)?,
         }
     }
-    if f.trace.is_some() && f.via.is_none() {
-        return Err(Bad(
-            "calibrate --trace requires --via (it records the coordinator's spans)".into(),
-        ));
-    }
     f.finish()?;
     grid.base = f.opts.config.clone();
     Ok((grid, f))
@@ -876,14 +873,14 @@ fn calibrate(args: &[String]) -> Result<(), CliError> {
         grid.cell_count(),
         grid.base.replications
     );
+    let trace = f.opts.trace.as_ref();
     let report = if let Some(addr) = &f.via {
         eprintln!("  distributing via {addr}...");
-        let trace = open_trace(f.trace.as_deref(), "coordinator")?;
         let mut transport = ahn_serve::HttpTransport::new(addr);
         let journal = f.journal.as_deref().map(std::path::Path::new);
-        ahn_serve::run_calibration_via_traced(&mut transport, &grid, journal, 10, trace.as_ref())?
+        ahn_serve::run_calibration_via_traced(&mut transport, &grid, journal, 10, trace)?
     } else {
-        ahn_core::run_calibration(&grid)?
+        ahn_core::calibrate::run_calibration_traced(&grid, trace)?
     };
     f.print(
         serde_json::to_string_pretty(&report),
@@ -945,19 +942,20 @@ fn scenario_run(args: &[String]) -> Result<(), CliError> {
     let name = name.ok_or_else(|| {
         Bad("scenario run needs a scenario name (try `ahn-exp scenario list`)".into())
     })?;
-    opts.finish()?;
+    opts.finish("ahn-exp")?;
     let scenario = ahn_core::resolve_scenario(name)?;
     let mut config = opts.config.clone();
     config.gossip = ahn_core::atlas::resolve_defense(defense)?;
     let case = CaseSpec::mini(name, &[0], size, ahn_core::PathMode::Shorter);
-    let (config, case) = scenario.apply(&config, &case)?;
+    let cell = scenario.apply(&config, &case)?;
     eprintln!(
         "running scenario {name:?} (hash {:016x}) against {defense:?}, \
          {size} participants, {} replications...",
         scenario.canonical_hash(),
-        config.replications
+        cell.0.replications
     );
-    let result = experiment::run_experiment(&config, &case);
+    let detail = format!("scenario {name} defense {defense} size {size}");
+    let result = &ahn_core::run_cells(&[cell], opts.trace.as_ref(), |_| detail.clone())[0];
     println!(
         "scenario {name} vs {defense}: cooperation {} ± {}",
         ahn_stats::pct(result.final_coop.mean().unwrap_or(0.0), 1),
@@ -1046,7 +1044,7 @@ fn parse_fidelity_flags(args: &[String]) -> Result<FidelityFlags, CliError> {
             _ => f.opts.apply(flag, &mut args)?,
         }
     }
-    f.opts.finish()?;
+    f.opts.finish("ahn-exp")?;
     Ok(f)
 }
 
@@ -1411,7 +1409,7 @@ mod tests {
 
     /// The shared experiment flags alone, from the scaled preset.
     fn options(list: &[&str]) -> Result<Options, CliError> {
-        Options::parse(&args(list), ExperimentConfig::scaled())
+        Options::parse(&args(list), ExperimentConfig::scaled(), true)
     }
 
     #[test]
@@ -1855,10 +1853,6 @@ mod tests {
             &["--max-candidates", "-1"],
             // A journal only makes sense for a distributed run.
             &["--journal", "c.log"],
-            // So does a coordinator trace: without --via there is no
-            // coordinator, and the flag must fail at parse time rather
-            // than after the (potentially long) local run.
-            &["--trace", "t.log"],
         ] {
             assert!(parse_calibrate_flags(&args(bad)).is_err(), "{bad:?}");
         }
@@ -1944,18 +1938,24 @@ mod tests {
         assert_eq!(f.trace.as_deref(), Some("w.trace"));
         assert!(parse_worker_flags(&args(&[])).unwrap().trace.is_none());
 
-        let (_, f) = parse_sweep_flags(&args(&["--trace", "s.trace"])).unwrap();
-        assert_eq!(f.trace.as_deref(), Some("s.trace"));
-
+        // sweep and calibrate open theirs like every experiment command:
+        // as the coordinator with --via, else for the local run.
+        let path = tmp("grid.trace");
+        let (_, f) = parse_sweep_flags(&args(&["--trace", &path])).unwrap();
+        assert_eq!(
+            f.opts.trace.map(|log| log.node().starts_with("ahn-exp:")),
+            Some(true)
+        );
         let (_, f) =
-            parse_calibrate_flags(&args(&["--via", "127.0.0.1:7172", "--trace", "c.trace"]))
-                .unwrap();
-        assert_eq!(f.trace.as_deref(), Some("c.trace"));
-        // A coordinator trace without a coordinator is a user error.
-        let err = parse_calibrate_flags(&args(&["--trace", "c.trace"]))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("requires --via"), "{err}");
+            parse_calibrate_flags(&args(&["--via", "127.0.0.1:7172", "--trace", &path])).unwrap();
+        let coordinator = f
+            .opts
+            .trace
+            .map(|log| log.node().starts_with("coordinator:"));
+        assert_eq!(coordinator, Some(true));
+        let (_, f) = parse_calibrate_flags(&args(&["--trace", &path])).unwrap();
+        assert!(f.opts.trace.is_some());
+        let _ = std::fs::remove_file(&path);
 
         let path = tmp("options.trace");
         let o = options(&["--trace", &path]).unwrap();

@@ -129,3 +129,79 @@ fn paper_case_commands_reject_the_smoke_population_without_panicking() {
         );
     }
 }
+
+/// Every local command that takes `--trace` (`serve` and `worker` aside),
+/// with the number of experiment cells it runs at [`SMALL`]; 0 means it
+/// runs none.
+const TRACEABLE: [(&str, usize); 27] = [
+    ("fig4", 4),
+    ("table5", 2),
+    ("table6", 2),
+    ("table7", 2),
+    ("table8", 1),
+    ("table9", 1),
+    ("all", 4),
+    ("fidelity --tol 1", 2),
+    ("ablate-payoff", 4),
+    ("ablate-activity", 2),
+    ("ablate-selection", 2),
+    ("ablate-trust-table", 3),
+    ("ablate-unknown", 3),
+    ("ablate-gossip", 3),
+    ("sweep-rounds", 5),
+    ("sweep-csn", 5),
+    ("sweep-mutation", 4),
+    ("scenario run slanderers", 1),
+    ("sweep --cases 1,2 --sizes 10", 2),
+    ("calibrate --max-candidates 2 --cases 1,2", 4),
+    ("ipdrp", 0),
+    ("baseline-pathrater", 0),
+    ("transfer", 0),
+    ("newcomer", 0),
+    ("sleepers", 0),
+    ("trace", 0),
+    ("check", 0),
+];
+
+/// The smallest settings that still fill the paper cases.
+const SMALL: &str = "--preset scaled --gens 1 --reps 1 --rounds 5";
+
+#[test]
+fn every_traced_command_joins_into_its_cells_or_refuses_the_flag() {
+    for (i, (command, cells)) in TRACEABLE.into_iter().enumerate() {
+        let path =
+            std::env::temp_dir().join(format!("ahn-cli-traced-{}-{i}.trace", std::process::id()));
+        let path = path.to_str().expect("a UTF-8 temp path");
+        let _ = std::fs::remove_file(path);
+        let line: Vec<&str> = command.split(' ').chain(SMALL.split(' ')).collect();
+        let traced = ahn_exp(&[&line[..], &["--trace", path]].concat());
+        let stderr = text(&traced.stderr);
+        if cells == 0 {
+            assert_eq!(traced.status.code(), Some(2), "{command}: {stderr}");
+            assert!(
+                stderr.contains("error:") && stderr.contains("--trace"),
+                "{command} must name --trace: {stderr}"
+            );
+            assert!(
+                !std::path::Path::new(path).exists(),
+                "{command} created the trace log it refused"
+            );
+            continue;
+        }
+        assert_eq!(traced.status.code(), Some(0), "{command}: {stderr}");
+        let untraced = ahn_exp(&line);
+        assert_eq!(
+            text(&traced.stdout),
+            text(&untraced.stdout),
+            "{command}: --trace changed stdout"
+        );
+        let join = ahn_exp(&["trace", "--require-complete", &cells.to_string(), path]);
+        let tree = text(&join.stdout);
+        assert_eq!(join.status.code(), Some(0), "{command}: {tree}");
+        assert!(
+            tree.contains(&format!("summary: cells={cells} complete={cells} ")),
+            "{command} must join into exactly {cells} complete cells: {tree}"
+        );
+        let _ = std::fs::remove_file(path);
+    }
+}

@@ -150,11 +150,10 @@ pub struct AtlasReport {
     pub rows: Vec<AtlasRow>,
 }
 
-/// Runs the full atlas grid. All `rows × columns` cells run in parallel
-/// through the cell engine behind [`crate::run_sweep`], each a serial
-/// fold of its replications that is pinned bit-identical to
-/// [`crate::run_experiment`], so the report is deterministic at any
-/// `AHN_THREADS`.
+/// Runs the full atlas grid. All `rows × columns` cells run as one
+/// batch of the cell engine ([`crate::run_cells`]), each cell
+/// bit-identical to [`crate::run_experiment`] on its inputs, so the
+/// report is deterministic at any `AHN_THREADS`.
 ///
 /// # Errors
 /// Errors when the grid fails [`AtlasGrid::validate`]; never errors

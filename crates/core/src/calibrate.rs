@@ -25,10 +25,11 @@
 //!   [`SELECTION_VARIANTS`] (tournament sizes, elitism, roulette,
 //!   linear ranking).
 //!
-//! Each candidate is evaluated across the configured paper cases via
-//! [`crate::sweeps::run_sweep`] (one pure experiment per case ×
-//! seed-block cell, cells in parallel, replications serial-folded — so
-//! results are bit-identical whatever `AHN_THREADS` says) and scored
+//! Each candidate is evaluated across the configured paper cases as a
+//! sweep grid ([`CalibrationGrid::sweep_for`]: one pure experiment per
+//! case × seed-block cell), every candidate's cells in one batch of the
+//! cell engine ([`crate::run_cells`] — so results are bit-identical
+//! whatever `AHN_THREADS` says) and scored
 //! with a deterministic loss: the L1 distance, summed over cases,
 //! between its replication-averaged final cooperation and the paper's
 //! targets ([`PAPER_TARGETS`]).
@@ -43,7 +44,7 @@
 //! hit the `ahn_serve` cache.
 
 use crate::config::ExperimentConfig;
-use crate::sweeps::{run_sweep, SweepGrid, SweepReport, BASE_PAYOFF_VARIANT};
+use crate::sweeps::{trim, SweepGrid, SweepReport, BASE_PAYOFF_VARIANT};
 use ahn_ga::Selection;
 use ahn_game::{enumerate_reconstructions, PayoffConfig};
 use serde::{Deserialize, Serialize};
@@ -387,19 +388,33 @@ pub struct CalibrationReport {
 pub const SUSTAINED_FLOOR: f64 = 0.05;
 
 /// Runs the full search: every candidate evaluated over the grid's
-/// cases and seed blocks via [`run_sweep`] (candidates serial, cells
-/// within a candidate parallel), scored, ranked and summarized.
+/// cases and seed blocks (all candidates' cells in one batch of the
+/// cell engine), scored, ranked and summarized.
 ///
 /// # Errors
 /// Errors when the grid fails [`CalibrationGrid::validate`]; never
 /// errors mid-search.
 pub fn run_calibration(grid: &CalibrationGrid) -> Result<CalibrationReport, String> {
+    run_calibration_traced(grid, None)
+}
+
+/// [`run_calibration`], traced into `trace` when one is given: every
+/// cell emits `cell_start`, `generation` and `cell_done` spans as in
+/// [`crate::sweeps::run_sweep_traced`]; either way the report is
+/// bit-identical.
+///
+/// # Errors
+/// Errors when the grid fails [`CalibrationGrid::validate`]; never
+/// errors mid-search.
+pub fn run_calibration_traced(
+    grid: &CalibrationGrid,
+    trace: Option<&ahn_obs::TraceLog>,
+) -> Result<CalibrationReport, String> {
     grid.validate()?;
-    let mut sweeps = Vec::with_capacity(grid.candidate_count());
-    for candidate in grid.candidates() {
-        sweeps.push(run_sweep(&grid.sweep_for(&candidate)?)?);
-    }
-    score_calibration(grid, &sweeps)
+    let sweeps = (grid.candidates().iter())
+        .map(|candidate| grid.sweep_for(candidate))
+        .collect::<Result<Vec<_>, _>>()?;
+    score_calibration(grid, &crate::sweeps::run_grids(&sweeps, trace))
 }
 
 /// Scores per-candidate sweep reports into the final ranked report —
@@ -624,15 +639,6 @@ pub fn render_calibration_report(report: &CalibrationReport) -> String {
     out
 }
 
-/// Formats scale factors and payoff cells without trailing zeros.
-fn trim(x: f64) -> String {
-    if x == x.trunc() {
-        format!("{}", x as i64)
-    } else {
-        format!("{x}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -767,7 +773,7 @@ mod tests {
         let sweeps: Vec<_> = grid
             .candidates()
             .iter()
-            .map(|c| run_sweep(&grid.sweep_for(c).unwrap()).unwrap())
+            .map(|c| crate::run_sweep(&grid.sweep_for(c).unwrap()).unwrap())
             .collect();
         let scored = score_calibration(&grid, &sweeps).unwrap();
         let direct = run_calibration(&grid).unwrap();

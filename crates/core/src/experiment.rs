@@ -4,8 +4,8 @@
 //! `generations` iterations of multi-environment evaluation (§4.4) and
 //! breeding (§5), with per-generation metrics. An *experiment* averages
 //! `replications` independent replications (the paper uses 60), run in
-//! parallel with rayon — each replication owns its RNG
-//! (`base_seed + k`), so parallelism never changes results.
+//! parallel by the cell engine ([`crate::cells`]) — each replication
+//! owns its RNG (`base_seed + k`), so parallelism never changes results.
 
 use crate::cases::CaseSpec;
 use crate::config::ExperimentConfig;
@@ -18,7 +18,6 @@ use ahn_strategy::analysis::StrategyCensus;
 use ahn_strategy::Strategy;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Everything one replication produces.
@@ -235,52 +234,13 @@ pub struct ExperimentResult {
     pub energy_selfish_mj: Summary,
 }
 
-/// Runs `config.replications` replications of `case` in parallel and
-/// aggregates them.
+/// Runs `config.replications` replications of `case` and aggregates
+/// them: a one-cell batch of the cell engine ([`crate::run_cells`]),
+/// whose replications run in parallel.
 pub fn run_experiment(config: &ExperimentConfig, case: &CaseSpec) -> ExperimentResult {
-    run_experiment_traced(config, case, None)
-}
-
-/// [`run_experiment`], traced into `trace` when one is given: the case
-/// becomes one cell with a `cell_start` span, one `generation` span per
-/// generation of every replication, and a `cell_done` span, keyed by
-/// the canonical hash of `(config, case)`. Without a log every
-/// replication runs under [`ahn_obs::NoopRecorder`], so the untraced
-/// path pays nothing; either way the result is bit-identical.
-pub fn run_experiment_traced(
-    config: &ExperimentConfig,
-    case: &CaseSpec,
-    trace: Option<&ahn_obs::TraceLog>,
-) -> ExperimentResult {
-    match trace {
-        None => fan_out(config, case, || ahn_obs::NoopRecorder),
-        Some(log) => {
-            crate::cells::CellSpans::around(log, config, case, case.name.clone(), |spans| {
-                fan_out(config, case, || spans.recorder())
-            })
-        }
-    }
-}
-
-/// Every replication in parallel, each under a fresh recorder, then
-/// aggregated.
-fn fan_out<R: ahn_obs::Recorder>(
-    config: &ExperimentConfig,
-    case: &CaseSpec,
-    recorder: impl Fn() -> R + Sync,
-) -> ExperimentResult {
-    let results: Vec<ReplicationResult> = (0..config.replications)
-        .into_par_iter()
-        .map(|k| {
-            run_replication_with(
-                config,
-                case,
-                config.base_seed.wrapping_add(k as u64),
-                &mut recorder(),
-            )
-        })
-        .collect();
-    aggregate(config, case, &results)
+    let cell = (config.clone(), case.clone());
+    let mut results = crate::cells::run_cells(&[cell], None, |_| String::new());
+    results.pop().expect("one cell, one result")
 }
 
 /// Merges replication results into an [`ExperimentResult`].

@@ -34,33 +34,13 @@ pub struct TransferCell {
     pub cooperation: f64,
 }
 
-/// Evolves a population under `train` (one replication), then freezes it
-/// and measures cooperation under `eval`.
-pub fn transfer(
-    config: &ExperimentConfig,
-    train: &CaseSpec,
-    eval: &CaseSpec,
-    seed: u64,
-) -> TransferCell {
-    let trained = run_replication(config, train, seed);
-    let metrics = crate::baselines::evaluate_static(
-        config,
-        eval,
-        &trained.final_population,
-        seed.wrapping_add(transfer_salt()),
-    );
-    TransferCell {
-        trained_on: train.name.clone(),
-        evaluated_on: eval.name.clone(),
-        cooperation: metrics.cooperation_level(),
-    }
-}
-
 const fn transfer_salt() -> u64 {
     0x7A_5A_17
 }
 
-/// Full train × eval matrix over the given cases.
+/// Full train × eval matrix over the given cases: evolves one population
+/// under each case (one replication), then freezes it and measures its
+/// cooperation under every case.
 pub fn transfer_matrix(
     config: &ExperimentConfig,
     cases: &[CaseSpec],
@@ -68,8 +48,19 @@ pub fn transfer_matrix(
 ) -> Vec<TransferCell> {
     let mut out = Vec::with_capacity(cases.len() * cases.len());
     for train in cases {
+        let trained = run_replication(config, train, seed);
         for eval in cases {
-            out.push(transfer(config, train, eval, seed));
+            let metrics = crate::baselines::evaluate_static(
+                config,
+                eval,
+                &trained.final_population,
+                seed.wrapping_add(transfer_salt()),
+            );
+            out.push(TransferCell {
+                trained_on: train.name.clone(),
+                evaluated_on: eval.name.clone(),
+                cooperation: metrics.cooperation_level(),
+            });
         }
     }
     out
@@ -209,8 +200,9 @@ mod tests {
         let config = cfg();
         let clean = CaseSpec::mini("clean", &[0], 10, PathMode::Shorter);
         let hostile = CaseSpec::mini("hostile", &[6], 10, PathMode::Shorter);
-        let own = transfer(&config, &clean, &clean, 3);
-        let cross = transfer(&config, &clean, &hostile, 3);
+        let cells = transfer_matrix(&config, &[clean, hostile], 3);
+        // Row-major: trained on clean, evaluated on clean then hostile.
+        let (own, cross) = (&cells[0], &cells[1]);
         assert!(
             own.cooperation > cross.cooperation,
             "own {:.2} vs cross {:.2}",

@@ -5,15 +5,19 @@
 //!
 //! The harness wires the workspace together: the network substrate
 //! (`ahn-net`), the 13-bit strategies (`ahn-strategy`), the Ad Hoc
-//! Network Game (`ahn-game`) and the GA engine (`ahn-ga`). Replications
-//! run in parallel with rayon; every run is a pure function of
-//! `(config, case, seed)`.
+//! Network Game (`ahn-game`) and the GA engine (`ahn-ga`). Every run is
+//! a pure function of `(config, case, seed)`, and every local
+//! experiment runs its `(cell, replication)` pairs in parallel through
+//! one engine, [`cells::run_cells`].
 //!
 //! * [`cases`] — the four evaluation cases of Table 4;
 //! * [`config`] — experiment parameters with `paper`, `scaled` and
 //!   `smoke` presets;
 //! * [`experiment`] — replication runner and cross-replication
 //!   aggregation (Fig. 4, Tables 5–9 inputs);
+//! * [`cells`] — the cell engine: a batch of `(config, case)` cells,
+//!   every replication of every cell one parallel work item, optionally
+//!   traced;
 //! * [`report`] — plain-text renderers that print each table the way the
 //!   paper lays it out;
 //! * [`baselines`] — static-strategy and watchdog/pathrater-style
@@ -52,7 +56,7 @@ pub mod atlas;
 pub mod baselines;
 pub mod calibrate;
 pub mod cases;
-mod cells;
+pub mod cells;
 pub mod checks;
 pub mod config;
 pub mod experiment;
@@ -66,10 +70,10 @@ pub use ahn_net::PathMode;
 pub use atlas::{render_atlas, run_atlas, AtlasGrid, AtlasReport};
 pub use calibrate::{run_calibration, score_calibration, CalibrationGrid, CalibrationReport};
 pub use cases::CaseSpec;
+pub use cells::{run_cells, Cell};
 pub use config::{canonical_hash, ExperimentConfig, StrategyCodec};
 pub use experiment::{
-    run_experiment, run_experiment_traced, run_replication, run_replication_with, ExperimentResult,
-    ReplicationResult,
+    run_experiment, run_replication, run_replication_with, ExperimentResult, ReplicationResult,
 };
 pub use scenarios::{builtin_scenarios, find_scenario, resolve_scenario, AttackerShare, Scenario};
 pub use sweeps::{

@@ -1,6 +1,9 @@
 //! Parameter sweeps: single-axis curves and the multi-axis grid engine.
 //!
-//! Three curves the paper never plots but that govern its results:
+//! Three curves the paper never plots but that govern its results, each
+//! built as labeled `(config, case)` cells that the caller runs as one
+//! batch of the cell engine ([`crate::run_cells`]) and prints with
+//! [`render_sweep`]:
 //!
 //! * [`sweep_rounds`] — cooperation vs. the reputation horizon `R`. The
 //!   defection basin swallows every run below a critical `R`
@@ -15,7 +18,7 @@
 //!
 //! [`run_sweep`] evaluates a full grid — **case × payoff-variant ×
 //! network-size × seed-block** (optionally × scenario) — one experiment
-//! per cell, cells in parallel through the same cell engine as
+//! per cell, as one batch of the same cell engine as
 //! [`crate::run_atlas`]. Every cell is a *pure function* of its
 //! resolved `(ExperimentConfig, CaseSpec)`:
 //!
@@ -27,48 +30,37 @@
 //!   of the block index ([`block_seed`] — block 0 keeps the base seed,
 //!   so cell `(c, p, s, 0)` is byte-identical to running the same
 //!   config directly, and shares its `ahn_serve` cache entry);
-//! * replications inside a cell fold serially over `base_seed + k`,
-//!   which `tests/determinism.rs` pins as bit-identical to
-//!   `run_experiment`'s parallel fan-out — so parallelizing across
-//!   cells instead of inside them changes wall-clock, never results.
+//! * replication `k` of a cell runs on seed `base_seed + k`, and the
+//!   engine aggregates a cell's replications in that order however it
+//!   scheduled them, so a cell equals `run_experiment` on its resolved
+//!   inputs bit for bit (`tests/determinism.rs`).
 //!
 //! The CLI front end is `ahn-exp sweep`; the serving front end is
 //! `POST /v1/sweeps` (each cell cached under its canonical hash).
 
 use crate::cases::CaseSpec;
+use crate::cells::Cell;
 use crate::config::ExperimentConfig;
-use crate::experiment::{run_experiment, ExperimentResult};
+use crate::experiment::ExperimentResult;
 use ahn_game::{EnvironmentSpec, PayoffConfig};
 use ahn_net::PathMode;
 use ahn_stats::Summary;
 use serde::{Deserialize, Serialize};
 
-/// One point of a sweep curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SweepPoint {
-    /// The swept parameter's value.
-    pub x: f64,
-    /// Final cooperation level across replications.
-    pub cooperation: Summary,
-}
-
-/// Cooperation as a function of tournament rounds `R`.
-pub fn sweep_rounds(base: &ExperimentConfig, case: &CaseSpec, rounds: &[usize]) -> Vec<SweepPoint> {
-    rounds
-        .iter()
-        .map(|&r| {
-            let mut cfg = base.clone();
-            cfg.rounds = r;
-            SweepPoint {
-                x: r as f64,
-                cooperation: run_experiment(&cfg, case).final_coop,
-            }
-        })
-        .collect()
+/// Cooperation as a function of tournament rounds `R`: one cell per
+/// value, labeled with it.
+pub fn sweep_rounds(
+    base: &ExperimentConfig,
+    case: &CaseSpec,
+    rounds: &[usize],
+) -> Vec<(String, Cell)> {
+    let values = rounds.iter().map(|&r| (trim(r as f64), r));
+    crate::cells::vary(base, case, values, |c, r| c.rounds = r)
 }
 
 /// Cooperation as a function of CSN density (fraction of each
-/// tournament's `size` participants that are constantly selfish).
+/// tournament's `size` participants that are constantly selfish): one
+/// cell per density, labeled with it.
 ///
 /// # Panics
 /// Panics if a density would leave fewer than one normal player.
@@ -77,55 +69,49 @@ pub fn sweep_csn(
     size: usize,
     mode: PathMode,
     densities: &[f64],
-) -> Vec<SweepPoint> {
+) -> Vec<(String, Cell)> {
     densities
         .iter()
         .map(|&d| {
             assert!((0.0..1.0).contains(&d), "density {d} outside [0, 1)");
             let csn = ((size as f64) * d).round() as usize;
             let case = CaseSpec::mini(&format!("csn {:.0}%", d * 100.0), &[csn], size, mode);
-            SweepPoint {
-                x: d,
-                cooperation: run_experiment(base, &case).final_coop,
-            }
+            (trim(d), (base.clone(), case))
         })
         .collect()
 }
 
-/// Cooperation as a function of the per-bit mutation probability.
-pub fn sweep_mutation(base: &ExperimentConfig, case: &CaseSpec, rates: &[f64]) -> Vec<SweepPoint> {
-    rates
-        .iter()
-        .map(|&p| {
-            let mut cfg = base.clone();
-            cfg.ga.mutation_prob = p;
-            SweepPoint {
-                x: p,
-                cooperation: run_experiment(&cfg, case).final_coop,
-            }
-        })
-        .collect()
+/// Cooperation as a function of the per-bit mutation probability: one
+/// cell per rate, labeled with it.
+pub fn sweep_mutation(
+    base: &ExperimentConfig,
+    case: &CaseSpec,
+    rates: &[f64],
+) -> Vec<(String, Cell)> {
+    let values = rates.iter().map(|&p| (trim(p), p));
+    crate::cells::vary(base, case, values, |c, p| c.ga.mutation_prob = p)
 }
 
-/// Renders a sweep as an aligned text table.
-pub fn render_sweep(title: &str, x_label: &str, points: &[SweepPoint]) -> String {
+/// Renders a sweep as an aligned text table, one `(x label, final
+/// cooperation)` row per point.
+pub fn render_sweep(title: &str, x_label: &str, rows: &[(String, Summary)]) -> String {
     use std::fmt::Write as _;
     let mut out = format!("{title}\n  {x_label:>12}  cooperation (±95% CI)\n");
-    for p in points {
+    for (x, cooperation) in rows {
         let _ = writeln!(
             out,
             "  {:>12}  {:>7} ± {:>5}",
-            trim_float(p.x),
-            ahn_stats::pct(p.cooperation.mean().unwrap_or(0.0), 1),
-            ahn_stats::pct(p.cooperation.ci95_half_width().unwrap_or(0.0), 1),
+            x,
+            ahn_stats::pct(cooperation.mean().unwrap_or(0.0), 1),
+            ahn_stats::pct(cooperation.ci95_half_width().unwrap_or(0.0), 1),
         );
     }
     out
 }
 
-/// Formats sweep x-values without trailing zeros (300 not 300.000,
-/// 0.001 stays 0.001).
-fn trim_float(x: f64) -> String {
+/// Formats a float without trailing zeros (300 not 300.000, 0.001
+/// stays 0.001): sweep x-values, calibration scales and payoff cells.
+pub(crate) fn trim(x: f64) -> String {
     if x == x.trunc() {
         format!("{}", x as i64)
     } else {
@@ -323,7 +309,7 @@ impl SweepGrid {
     }
 
     /// Resolves one cell to the pure `(config, case)` inputs of
-    /// [`run_experiment`]. The population grows to fill the scaled
+    /// [`crate::run_experiment`]. The population grows to fill the scaled
     /// case's normal-player demand when the base population is too
     /// small for a large network size. A scenario coordinate, when
     /// present, is applied last ([`crate::scenarios::Scenario::apply`]),
@@ -391,9 +377,10 @@ pub struct SweepReport {
 
 /// Reduces the [`ExperimentResult`] of a cell's resolved
 /// `(config, case)` to the [`SweepCell`] a local [`run_sweep`] would
-/// have produced — bit for bit, because `run_experiment`'s parallel
-/// fan-out is pinned identical to the serial fold [`run_sweep`]
-/// performs (`tests/determinism.rs`). This is the bridge distributed
+/// have produced — bit for bit, because `run_experiment` and
+/// [`run_sweep`] run the cell through the same engine, and the engine's
+/// result does not depend on how it scheduled the batch
+/// (`tests/determinism.rs`). This is the bridge distributed
 /// workers use: a worker computes the ordinary single-experiment job
 /// (the exact thing `ahn_serve` caches) and the coordinator folds it
 /// back into the sweep.
@@ -472,8 +459,9 @@ pub fn merge_sweep(grid: &SweepGrid, cells: &[SweepCell]) -> Result<SweepReport,
     })
 }
 
-/// Runs every cell of the grid, cells in parallel (bounded by
-/// `AHN_THREADS` like all rayon fan-out in this workspace).
+/// Runs every cell of the grid as one batch of the cell engine (every
+/// replication of every cell in parallel, bounded by `AHN_THREADS` like
+/// all rayon fan-out in this workspace).
 ///
 /// # Errors
 /// Errors when the grid fails [`SweepGrid::validate`]; never errors
@@ -498,14 +486,26 @@ pub fn run_sweep_traced(
     trace: Option<&ahn_obs::TraceLog>,
 ) -> Result<SweepReport, String> {
     grid.validate()?;
+    let mut reports = run_grids(std::slice::from_ref(grid), trace);
+    Ok(reports.pop().expect("one grid, one report"))
+}
+
+/// Runs the cells of every grid as one batch of the cell engine and
+/// returns one report per grid. Every cell must resolve, which
+/// [`SweepGrid::validate`] checks.
+pub(crate) fn run_grids(
+    grids: &[SweepGrid],
+    trace: Option<&ahn_obs::TraceLog>,
+) -> Vec<SweepReport> {
     crate::threads::log_once("sweep");
-    let specs = grid.cell_specs();
-    let resolved: Vec<(ExperimentConfig, CaseSpec)> = specs
-        .iter()
-        .map(|spec| grid.resolve(spec).expect("validated above"))
+    let specs: Vec<(&SweepGrid, SweepCellSpec)> = (grids.iter())
+        .flat_map(|grid| grid.cell_specs().into_iter().map(move |spec| (grid, spec)))
         .collect();
-    let results = crate::cells::run_cells(&resolved, trace, |i| {
-        let spec = &specs[i];
+    let cells: Vec<Cell> = (specs.iter())
+        .map(|(grid, spec)| grid.resolve(spec).expect("validated by the caller"))
+        .collect();
+    let results = crate::cells::run_cells(&cells, trace, |i| {
+        let spec = &specs[i].1;
         let scenario = spec
             .scenario
             .as_deref()
@@ -516,17 +516,18 @@ pub fn run_sweep_traced(
             spec.case_no, spec.payoff, spec.size, spec.seed_block
         )
     });
-    let cells = specs
-        .into_iter()
-        .zip(&resolved)
-        .zip(&results)
-        .map(|((spec, (config, case)), result)| cell_from_result(spec, config, case, result))
-        .collect();
-    Ok(SweepReport {
-        schema: "ahn-sweep/1".into(),
-        replications: grid.base.replications,
-        cells,
-    })
+    let mut done = specs.into_iter().zip(&cells).zip(&results);
+    (grids.iter())
+        .map(|grid| SweepReport {
+            schema: "ahn-sweep/1".into(),
+            replications: grid.base.replications,
+            cells: (done.by_ref().take(grid.cell_count()))
+                .map(|(((_, spec), (config, case)), result)| {
+                    cell_from_result(spec, config, case, result)
+                })
+                .collect(),
+        })
+        .collect()
 }
 
 /// Renders a sweep report as an aligned text table. The scenario
@@ -569,6 +570,7 @@ pub fn render_sweep_report(report: &SweepReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::run_experiment;
 
     fn cfg() -> ExperimentConfig {
         let mut c = ExperimentConfig::smoke();
@@ -579,15 +581,25 @@ mod tests {
         c
     }
 
+    /// Runs a sweep's cells as one batch: labels and final cooperation.
+    fn run(cells: Vec<(String, Cell)>) -> Vec<(String, Summary)> {
+        let (labels, cells): (Vec<_>, Vec<_>) = cells.into_iter().unzip();
+        let results = crate::run_cells(&cells, None, |_| String::new());
+        labels
+            .into_iter()
+            .zip(results.into_iter().map(|r| r.final_coop))
+            .collect()
+    }
+
     #[test]
     fn rounds_sweep_shows_the_defection_basin() {
         // At 8-participant scale the crossover sits between ~5 and ~40
         // rounds: the short-horizon end must do markedly worse.
         let case = CaseSpec::mini("r-sweep", &[0], 8, PathMode::Shorter);
-        let points = sweep_rounds(&cfg(), &case, &[4, 40]);
+        let points = run(sweep_rounds(&cfg(), &case, &[4, 40]));
         assert_eq!(points.len(), 2);
-        let short = points[0].cooperation.mean().unwrap();
-        let long = points[1].cooperation.mean().unwrap();
+        let short = points[0].1.mean().unwrap();
+        let long = points[1].1.mean().unwrap();
         assert!(
             long > short + 0.2,
             "reputation horizon should matter: R=4 -> {short:.2}, R=40 -> {long:.2}"
@@ -596,19 +608,19 @@ mod tests {
 
     #[test]
     fn csn_sweep_is_monotone_at_the_extremes() {
-        let points = sweep_csn(&cfg(), 8, PathMode::Shorter, &[0.0, 0.5]);
-        let clean = points[0].cooperation.mean().unwrap();
-        let half = points[1].cooperation.mean().unwrap();
+        let points = run(sweep_csn(&cfg(), 8, PathMode::Shorter, &[0.0, 0.5]));
+        let clean = points[0].1.mean().unwrap();
+        let half = points[1].1.mean().unwrap();
         assert!(clean > half, "CSN must hurt: {clean:.2} vs {half:.2}");
-        assert_eq!(points[0].x, 0.0);
+        assert_eq!(points[0].0, trim(0.0));
     }
 
     #[test]
     fn mutation_sweep_extreme_rates_destroy_convention() {
         let case = CaseSpec::mini("m-sweep", &[0], 8, PathMode::Shorter);
-        let points = sweep_mutation(&cfg(), &case, &[0.001, 0.25]);
-        let paper_rate = points[0].cooperation.mean().unwrap();
-        let scrambled = points[1].cooperation.mean().unwrap();
+        let points = run(sweep_mutation(&cfg(), &case, &[0.001, 0.25]));
+        let paper_rate = points[0].1.mean().unwrap();
+        let scrambled = points[1].1.mean().unwrap();
         assert!(
             paper_rate > scrambled,
             "25% per-bit mutation should destroy conventions: {paper_rate:.2} vs {scrambled:.2}"
@@ -618,14 +630,8 @@ mod tests {
     #[test]
     fn render_is_aligned_and_complete() {
         let points = vec![
-            SweepPoint {
-                x: 300.0,
-                cooperation: [0.97, 0.99].into_iter().collect(),
-            },
-            SweepPoint {
-                x: 0.001,
-                cooperation: [0.5].into_iter().collect(),
-            },
+            (trim(300.0), [0.97, 0.99].into_iter().collect()),
+            (trim(0.001), [0.5].into_iter().collect()),
         ];
         let text = render_sweep("demo", "rounds", &points);
         assert!(text.contains("300"));

@@ -1,6 +1,6 @@
-//! Job storage and execution: the [`JobStore`] trait, its in-memory and
-//! on-disk (journal-backed) backends, and the single place server-side
-//! compute happens.
+//! Job storage and execution: the [`JobStore`] (a bounded queue, a lease
+//! table and an optional on-disk completion journal) and the single
+//! place server-side compute happens.
 //!
 //! Submissions that miss the result cache become [`QueuedJob`]s in a
 //! bounded FIFO; consumers drain it two ways:
@@ -84,59 +84,6 @@ pub struct LeasedJob {
     pub job: QueuedJob,
 }
 
-/// Pluggable job storage: a bounded FIFO plus a lease table, with an
-/// optional durable completion journal (the on-disk backend).
-///
-/// Implementations must be safe to share across the accept loop, the
-/// worker pool and every connection thread.
-pub trait JobStore: Send + Sync {
-    /// Enqueues a job, failing when the queue is full or closed.
-    fn try_push(&self, job: QueuedJob) -> Result<(), QueueFull>;
-
-    /// Blocks until a job is available; returns `None` once the store
-    /// is closed and drained (worker shutdown signal).
-    fn pop_blocking(&self) -> Option<QueuedJob>;
-
-    /// Non-blocking pop under a lease: the job must be completed via
-    /// [`JobStore::complete_lease`] before `lease` elapses or it is
-    /// requeued by the next sweep. Returns `None` when the queue is
-    /// empty or closed.
-    fn claim(&self, lease: Duration) -> Option<LeasedJob>;
-
-    /// Settles a lease (the worker delivered a result for it). Returns
-    /// `false` when the lease is unknown — typically already expired
-    /// and requeued; the *result* may still be usable, only the lease
-    /// bookkeeping is gone.
-    fn complete_lease(&self, lease_id: u64) -> bool;
-
-    /// Requeues every expired lease (at the front of the queue) and
-    /// returns how many were requeued. Called lazily from request
-    /// handlers; cost is bounded by the number of outstanding leases.
-    fn sweep_expired(&self) -> usize;
-
-    /// Records a completed result durably (no-op for the in-memory
-    /// backend; the journal backend appends one checksummed line).
-    fn record_completion(&self, key: u64, result: &str);
-
-    /// Closes the store: pending jobs still drain, new pushes fail, and
-    /// blocked workers wake up to exit.
-    fn close(&self);
-
-    /// Jobs currently waiting (excludes leased jobs).
-    fn depth(&self) -> usize;
-
-    /// Leases currently outstanding.
-    fn leased(&self) -> usize;
-
-    /// Queued plus leased cells — the store-side work a draining node
-    /// must see settled (or give up on at its drain deadline) before it
-    /// can stop. Racy across two loads, which is fine: the drain loop
-    /// re-polls.
-    fn outstanding(&self) -> usize {
-        self.depth() + self.leased()
-    }
-}
-
 struct Lease {
     deadline: Instant,
     job: QueuedJob,
@@ -149,18 +96,31 @@ struct StoreInner {
     open: bool,
 }
 
-/// The in-memory [`JobStore`]: a bounded multi-producer multi-consumer
-/// FIFO with blocking pop and a lease table for external workers.
-pub struct MemStore {
+/// Job storage: a bounded multi-producer multi-consumer FIFO with
+/// blocking pop, a lease table for external workers, and — when opened
+/// on a path — an append-only completion journal. Every completion is
+/// then recorded as one checksummed line; on open the journal is
+/// replayed (torn trailing writes discarded) and the recovered records
+/// are exposed via [`JobStore::recovered`] so the server can warm its
+/// result cache — a restarted node resumes without recomputing
+/// finished cells.
+///
+/// Safe to share across the accept loop, the worker pool and every
+/// connection thread.
+pub struct JobStore {
     inner: Mutex<StoreInner>,
     ready: Condvar,
     capacity: usize,
+    /// The completion journal, when the store is durable.
+    journal: Option<Mutex<Journal>>,
+    recovered: Vec<Record>,
 }
 
-impl MemStore {
-    /// Creates a store queueing at most `capacity` waiting jobs.
-    pub fn new(capacity: usize) -> MemStore {
-        MemStore {
+impl JobStore {
+    /// Creates an in-memory store queueing at most `capacity` waiting
+    /// jobs.
+    pub fn new(capacity: usize) -> JobStore {
+        JobStore {
             inner: Mutex::new(StoreInner {
                 jobs: VecDeque::with_capacity(capacity.min(1024)),
                 leases: HashMap::new(),
@@ -169,28 +129,29 @@ impl MemStore {
             }),
             ready: Condvar::new(),
             capacity,
+            journal: None,
+            recovered: Vec::new(),
         }
     }
 
-    /// Moves every expired lease back to the front of the queue.
-    /// Returns the requeue count; wakes a blocked worker per requeue.
-    fn sweep_locked(inner: &mut StoreInner, now: Instant) -> usize {
-        let expired: Vec<u64> = inner
-            .leases
-            .iter()
-            .filter(|(_, lease)| lease.deadline <= now)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in &expired {
-            let lease = inner.leases.remove(id).expect("expired lease present");
-            inner.jobs.push_front(lease.job);
-        }
-        expired.len()
+    /// Opens a durable store, replaying any existing journal at `path`.
+    pub fn open(capacity: usize, path: &Path) -> std::io::Result<JobStore> {
+        let recovered = crate::journal::replay(path)?.records;
+        Ok(JobStore {
+            journal: Some(Mutex::new(Journal::open(path)?)),
+            recovered,
+            ..JobStore::new(capacity)
+        })
     }
-}
 
-impl JobStore for MemStore {
-    fn try_push(&self, job: QueuedJob) -> Result<(), QueueFull> {
+    /// Completions recovered from the journal when the store opened
+    /// (none for an in-memory store).
+    pub fn recovered(&self) -> &[Record] {
+        &self.recovered
+    }
+
+    /// Enqueues a job, failing when the queue is full or closed.
+    pub fn try_push(&self, job: QueuedJob) -> Result<(), QueueFull> {
         let mut inner = self.inner.lock().expect("store lock");
         if !inner.open || inner.jobs.len() >= self.capacity {
             return Err(QueueFull);
@@ -201,7 +162,9 @@ impl JobStore for MemStore {
         Ok(())
     }
 
-    fn pop_blocking(&self) -> Option<QueuedJob> {
+    /// Blocks until a job is available; returns `None` once the store
+    /// is closed and drained (worker shutdown signal).
+    pub fn pop_blocking(&self) -> Option<QueuedJob> {
         let mut inner = self.inner.lock().expect("store lock");
         loop {
             if let Some(job) = inner.jobs.pop_front() {
@@ -214,7 +177,11 @@ impl JobStore for MemStore {
         }
     }
 
-    fn claim(&self, lease: Duration) -> Option<LeasedJob> {
+    /// Non-blocking pop under a lease: the job must be completed via
+    /// [`JobStore::complete_lease`] before `lease` elapses or it is
+    /// requeued by the next sweep. Returns `None` when the queue is
+    /// empty or closed.
+    pub fn claim(&self, lease: Duration) -> Option<LeasedJob> {
         let mut inner = self.inner.lock().expect("store lock");
         let job = inner.jobs.pop_front()?;
         let lease_id = inner.next_lease_id;
@@ -229,109 +196,74 @@ impl JobStore for MemStore {
         Some(LeasedJob { lease_id, job })
     }
 
-    fn complete_lease(&self, lease_id: u64) -> bool {
+    /// Settles a lease (the worker delivered a result for it). Returns
+    /// `false` when the lease is unknown — typically already expired
+    /// and requeued; the *result* may still be usable, only the lease
+    /// bookkeeping is gone.
+    pub fn complete_lease(&self, lease_id: u64) -> bool {
         let mut inner = self.inner.lock().expect("store lock");
         inner.leases.remove(&lease_id).is_some()
     }
 
-    fn sweep_expired(&self) -> usize {
+    /// Requeues every expired lease (at the front of the queue) and
+    /// returns how many were requeued, waking a blocked worker per
+    /// requeue. Called lazily from request handlers; cost is bounded by
+    /// the number of outstanding leases.
+    pub fn sweep_expired(&self) -> usize {
         let mut inner = self.inner.lock().expect("store lock");
-        let requeued = Self::sweep_locked(&mut inner, Instant::now());
+        let now = Instant::now();
+        let expired: Vec<u64> = inner
+            .leases
+            .iter()
+            .filter(|(_, lease)| lease.deadline <= now)
+            .map(|(&id, _)| id)
+            .collect();
+        for id in &expired {
+            let lease = inner.leases.remove(id).expect("expired lease present");
+            inner.jobs.push_front(lease.job);
+        }
         drop(inner);
-        for _ in 0..requeued {
+        for _ in 0..expired.len() {
             self.ready.notify_one();
         }
-        requeued
+        expired.len()
     }
 
-    fn record_completion(&self, _key: u64, _result: &str) {}
-
-    fn close(&self) {
-        self.inner.lock().expect("store lock").open = false;
-        self.ready.notify_all();
-    }
-
-    fn depth(&self) -> usize {
-        self.inner.lock().expect("store lock").jobs.len()
-    }
-
-    fn leased(&self) -> usize {
-        self.inner.lock().expect("store lock").leases.len()
-    }
-}
-
-/// The on-disk [`JobStore`]: [`MemStore`] semantics plus an append-only
-/// completion journal. Every completion is recorded as one checksummed
-/// line; on open the journal is replayed (torn trailing writes
-/// discarded) and the recovered records are exposed via
-/// [`JournalStore::recovered`] so the server can warm its result cache
-/// — a restarted node resumes without recomputing finished cells.
-pub struct JournalStore {
-    mem: MemStore,
-    journal: Mutex<Journal>,
-    recovered: Vec<Record>,
-}
-
-impl JournalStore {
-    /// Opens the store, replaying any existing journal at `path`.
-    pub fn open(capacity: usize, path: &Path) -> std::io::Result<JournalStore> {
-        let recovered = crate::journal::replay(path)?.records;
-        Ok(JournalStore {
-            mem: MemStore::new(capacity),
-            journal: Mutex::new(Journal::open(path)?),
-            recovered,
-        })
-    }
-
-    /// Completions recovered from the journal when the store opened.
-    pub fn recovered(&self) -> &[Record] {
-        &self.recovered
-    }
-}
-
-impl JobStore for JournalStore {
-    fn try_push(&self, job: QueuedJob) -> Result<(), QueueFull> {
-        self.mem.try_push(job)
-    }
-
-    fn pop_blocking(&self) -> Option<QueuedJob> {
-        self.mem.pop_blocking()
-    }
-
-    fn claim(&self, lease: Duration) -> Option<LeasedJob> {
-        self.mem.claim(lease)
-    }
-
-    fn complete_lease(&self, lease_id: u64) -> bool {
-        self.mem.complete_lease(lease_id)
-    }
-
-    fn sweep_expired(&self) -> usize {
-        self.mem.sweep_expired()
-    }
-
-    fn record_completion(&self, key: u64, result: &str) {
+    /// Records a completed result durably: one checksummed journal line
+    /// when the store has a journal, nothing otherwise.
+    pub fn record_completion(&self, key: u64, result: &str) {
         // A full disk must not take the serving path down: the journal
         // is an optimization (resume without recompute), not a
         // correctness requirement, so append errors degrade to
         // in-memory behavior.
-        let _ = self
-            .journal
-            .lock()
-            .expect("journal lock")
-            .append(key, result);
+        if let Some(journal) = &self.journal {
+            let _ = journal.lock().expect("journal lock").append(key, result);
+        }
     }
 
-    fn close(&self) {
-        self.mem.close();
+    /// Closes the store: pending jobs still drain, new pushes fail, and
+    /// blocked workers wake up to exit.
+    pub fn close(&self) {
+        self.inner.lock().expect("store lock").open = false;
+        self.ready.notify_all();
     }
 
-    fn depth(&self) -> usize {
-        self.mem.depth()
+    /// Jobs currently waiting (excludes leased jobs).
+    pub fn depth(&self) -> usize {
+        self.inner.lock().expect("store lock").jobs.len()
     }
 
-    fn leased(&self) -> usize {
-        self.mem.leased()
+    /// Leases currently outstanding.
+    pub fn leased(&self) -> usize {
+        self.inner.lock().expect("store lock").leases.len()
+    }
+
+    /// Queued plus leased cells — the store-side work a draining node
+    /// must see settled (or give up on at its drain deadline) before it
+    /// can stop. Racy across two loads, which is fine: the drain loop
+    /// re-polls.
+    pub fn outstanding(&self) -> usize {
+        self.depth() + self.leased()
     }
 }
 
@@ -360,10 +292,10 @@ pub fn run_job(spec: &JobSpec) -> Result<String, String> {
 fn run_job_inner(spec: &JobSpec) -> Result<String, String> {
     match spec {
         JobSpec::Experiment { config, cases } => {
-            let results: Vec<ahn_core::ExperimentResult> = cases
-                .iter()
-                .map(|case| ahn_core::run_experiment(config, case))
+            let cells: Vec<ahn_core::Cell> = (cases.iter())
+                .map(|case| (config.clone(), case.clone()))
                 .collect();
+            let results = ahn_core::run_cells(&cells, None, |_| String::new());
             serde_json::to_string(&results).map_err(|e| format!("cannot serialize result: {e}"))
         }
         JobSpec::Ipdrp { config, seed } => {
@@ -392,7 +324,7 @@ mod tests {
 
     #[test]
     fn push_pop_fifo() {
-        let q = MemStore::new(4);
+        let q = JobStore::new(4);
         q.try_push(job(1)).unwrap();
         q.try_push(job(2)).unwrap();
         assert_eq!(q.depth(), 2);
@@ -403,7 +335,7 @@ mod tests {
 
     #[test]
     fn full_queue_rejects() {
-        let q = MemStore::new(1);
+        let q = JobStore::new(1);
         q.try_push(job(1)).unwrap();
         assert_eq!(q.try_push(job(2)), Err(QueueFull));
         let _ = q.pop_blocking();
@@ -412,7 +344,7 @@ mod tests {
 
     #[test]
     fn close_drains_then_stops() {
-        let q = MemStore::new(4);
+        let q = JobStore::new(4);
         q.try_push(job(1)).unwrap();
         q.close();
         assert_eq!(q.try_push(job(2)), Err(QueueFull));
@@ -422,7 +354,7 @@ mod tests {
 
     #[test]
     fn close_wakes_blocked_workers() {
-        let q = Arc::new(MemStore::new(1));
+        let q = Arc::new(JobStore::new(1));
         let q2 = Arc::clone(&q);
         let waiter = std::thread::spawn(move || q2.pop_blocking());
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -432,7 +364,7 @@ mod tests {
 
     #[test]
     fn claim_then_complete_settles_the_lease() {
-        let q = MemStore::new(4);
+        let q = JobStore::new(4);
         q.try_push(job(1)).unwrap();
         let leased = q.claim(Duration::from_secs(60)).unwrap();
         assert_eq!(leased.job.id, 1);
@@ -450,7 +382,7 @@ mod tests {
 
     #[test]
     fn expired_lease_requeues_at_the_front() {
-        let q = MemStore::new(4);
+        let q = JobStore::new(4);
         q.try_push(job(1)).unwrap();
         q.try_push(job(2)).unwrap();
         let leased = q.claim(Duration::from_millis(0)).unwrap();
@@ -465,7 +397,7 @@ mod tests {
 
     #[test]
     fn unexpired_leases_survive_the_sweep() {
-        let q = MemStore::new(4);
+        let q = JobStore::new(4);
         q.try_push(job(1)).unwrap();
         let leased = q.claim(Duration::from_secs(60)).unwrap();
         assert_eq!(q.sweep_expired(), 0);
@@ -475,7 +407,7 @@ mod tests {
 
     #[test]
     fn expired_requeue_wakes_a_blocked_worker() {
-        let q = Arc::new(MemStore::new(4));
+        let q = Arc::new(JobStore::new(4));
         q.try_push(job(7)).unwrap();
         let _leased = q.claim(Duration::from_millis(0)).unwrap();
         let q2 = Arc::clone(&q);
@@ -491,14 +423,14 @@ mod tests {
         path.push(format!("ahn-jobstore-test-{}.journal", std::process::id()));
         let _ = std::fs::remove_file(&path);
 
-        let store = JournalStore::open(4, &path).unwrap();
+        let store = JobStore::open(4, &path).unwrap();
         assert!(store.recovered().is_empty());
         store.record_completion(11, "\"one\"");
         store.record_completion(22, "\"two\"");
         store.record_completion(11, "\"one-retry\"");
         drop(store);
 
-        let store = JournalStore::open(4, &path).unwrap();
+        let store = JobStore::open(4, &path).unwrap();
         let recovered: Vec<(u64, &str)> = store
             .recovered()
             .iter()
@@ -506,7 +438,7 @@ mod tests {
             .collect();
         // First completion wins; append order preserved.
         assert_eq!(recovered, vec![(11, "\"one\""), (22, "\"two\"")]);
-        // Queue/lease semantics are untouched MemStore behavior.
+        // Queue/lease semantics are those of the in-memory store.
         store.try_push(job(1)).unwrap();
         let leased = store.claim(Duration::from_secs(60)).unwrap();
         assert!(store.complete_lease(leased.lease_id));

@@ -16,9 +16,9 @@
 //!   [`ahn_core::config::canonical_hash`] of the resolved job spec;
 //! * [`protocol`] — the JSON wire types ([`protocol::JobSpec`],
 //!   acks, presets);
-//! * [`jobs`] — the [`jobs::JobStore`] trait (in-memory and journal
-//!   backends), job lifecycle, work leases and the single place compute
-//!   happens;
+//! * [`jobs`] — the [`jobs::JobStore`] (queue, work leases and the
+//!   optional completion journal), job lifecycle and the single place
+//!   compute happens;
 //! * [`journal`] — the checksummed append-only completion journal
 //!   behind checkpoint/resume;
 //! * [`worker`] — the pull worker driving `POST /v1/work/claim` /

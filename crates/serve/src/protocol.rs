@@ -19,8 +19,9 @@ use serde::{Deserialize, Serialize};
 /// One unit of server work, as submitted by a client.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum JobSpec {
-    /// Run [`ahn_core::run_experiment`] for every case and return the
-    /// `Vec<ExperimentResult>` in case order.
+    /// Run every case as one batch of the cell engine
+    /// ([`ahn_core::run_cells`]) and return the `Vec<ExperimentResult>`
+    /// in case order.
     Experiment {
         /// Experiment parameters (presets: `configs/example.json`).
         config: ExperimentConfig,
@@ -137,15 +138,6 @@ impl JobSpec {
             JobSpec::Preset { .. } => 0,
         }
     }
-}
-
-/// A queued/finished job as reported by `GET /v1/jobs/{id}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct JobInfo {
-    /// Server-assigned job id.
-    pub job_id: u64,
-    /// `queued`, `running`, `done` or `failed`.
-    pub status: String,
 }
 
 /// A submission acknowledgement without an inline result (202 path).

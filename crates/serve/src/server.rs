@@ -47,7 +47,7 @@
 
 use crate::cache::LruCache;
 use crate::http::{read_request_deadlined, write_response, Deadlines, ReadOutcome, Request};
-use crate::jobs::{run_job, JobStatus, JobStore, JournalStore, MemStore, QueuedJob};
+use crate::jobs::{run_job, JobStatus, JobStore, QueuedJob};
 use crate::metrics::Metrics;
 use crate::protocol::{
     presets, ClaimRequest, JobSpec, SubmitAck, WorkCompletion, WorkGrant, DEFAULT_LEASE_MS,
@@ -82,7 +82,7 @@ pub struct ServerConfig {
     /// Waiting-job capacity; a full queue answers 503.
     pub queue_cap: usize,
     /// Path of the on-disk completion journal. `None` keeps everything
-    /// in memory; `Some(path)` switches to the [`JournalStore`] backend:
+    /// in memory; `Some(path)` opens a durable [`JobStore`]:
     /// every completion is appended durably and replayed into the
     /// result cache on the next boot, so a restarted node resumes
     /// without recomputing finished cells.
@@ -156,7 +156,7 @@ struct Shared {
     local_addr: SocketAddr,
     metrics: Metrics,
     state: Mutex<State>,
-    store: Arc<dyn JobStore>,
+    store: JobStore,
     next_job_id: AtomicU64,
     running: AtomicBool,
     /// Set the moment a shutdown is requested: readiness flips to 503,
@@ -226,19 +226,16 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     ahn_core::threads::log_once("serve");
     let workers = config.workers;
     let mut cache = LruCache::new(config.cache_cap);
-    let store: Arc<dyn JobStore> = match &config.journal {
-        None => Arc::new(MemStore::new(config.queue_cap)),
-        Some(path) => {
-            let journal = JournalStore::open(config.queue_cap, std::path::Path::new(path))?;
-            // Checkpoint/resume: completions recorded by the previous
-            // incarnation become cache hits, so resubmitted cells are
-            // answered without recomputation.
-            for record in journal.recovered() {
-                cache.put(record.key, Arc::from(record.result.as_str()));
-            }
-            Arc::new(journal)
-        }
+    let store = match &config.journal {
+        None => JobStore::new(config.queue_cap),
+        Some(path) => JobStore::open(config.queue_cap, std::path::Path::new(path))?,
     };
+    // Checkpoint/resume: completions recorded by the previous
+    // incarnation become cache hits, so resubmitted cells are answered
+    // without recomputation.
+    for record in store.recovered() {
+        cache.put(record.key, Arc::from(record.result.as_str()));
+    }
     // The trace node name carries the bound address so logs from several
     // serve incarnations (e.g. before/after a chaos restart) stay
     // distinguishable after joining.

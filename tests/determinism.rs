@@ -357,7 +357,7 @@ proptest! {
 // Tracing never changes results, and a traced local run's span log
 // joins back into one complete span tree per cell.
 
-use ahn::core::{run_experiment_traced, run_sweep_traced};
+use ahn::core::{run_cells, run_sweep_traced, Cell};
 use ahn::obs::{join_traces, read_trace, TraceLog};
 use std::path::{Path, PathBuf};
 
@@ -426,11 +426,80 @@ fn traced_experiment_matches_untraced_and_joins_into_one_cell() {
     let case = CaseSpec::mini("traced", &[2], 10, PathMode::Shorter);
     let path = fresh_trace_path("experiment");
     let log = TraceLog::open(&path, "test").expect("open trace");
-    let traced = run_experiment_traced(&config, &case, Some(&log));
+    let cell = (config.clone(), case.clone());
+    let traced = run_cells(&[cell], Some(&log), |_| "traced".into());
     drop(log);
     assert_eq!(
-        serde_json::to_string(&traced).unwrap(),
+        serde_json::to_string(&traced[0]).unwrap(),
         serde_json::to_string(&run_experiment(&config, &case)).unwrap()
     );
     assert_complete_cells(&path, 1, config.replications * config.generations);
+}
+
+/// One batch of cells with 1, 3 and 6 replications on both path modes:
+/// more items than cores, of uneven cost, so under `AHN_THREADS` > 1
+/// the replications of several cells run at once and finish out of
+/// order.
+fn mixed_batch() -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for mode in [PathMode::Shorter, PathMode::Longer] {
+        for replications in [1, 3, 6] {
+            let mut config = traced_cfg();
+            config.replications = replications;
+            cells.push((config, CaseSpec::mini("mixed", &[2], 10, mode)));
+        }
+    }
+    cells
+}
+
+#[test]
+fn a_mixed_batch_equals_serial_folds_and_single_cell_runs() {
+    let cells = mixed_batch();
+    let batch = run_cells(&cells, None, |_| String::new());
+    assert_eq!(batch.len(), cells.len());
+    for ((config, case), result) in cells.iter().zip(&batch) {
+        let serial: Vec<_> = (0..config.replications as u64)
+            .map(|k| run_replication(config, case, config.base_seed.wrapping_add(k)))
+            .collect();
+        let json = serde_json::to_string(result).unwrap();
+        for reference in [
+            aggregate(config, case, &serial),
+            run_experiment(config, case),
+        ] {
+            assert_eq!(result, &reference);
+            assert_eq!(json, serde_json::to_string(&reference).unwrap());
+        }
+    }
+}
+
+#[test]
+fn a_traced_mixed_batch_brackets_every_cell_with_its_spans() {
+    let cells = mixed_batch();
+    let path = fresh_trace_path("mixed");
+    let log = TraceLog::open(&path, "test").expect("open trace");
+    let traced = run_cells(&cells, Some(&log), |i| format!("cell {i}"));
+    drop(log);
+    assert_eq!(traced, run_cells(&cells, None, |_| String::new()));
+
+    let read = read_trace(&path).expect("read trace");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(read.discarded, 0);
+    let tree = join_traces(read.events.clone(), 0);
+    assert_eq!(tree.cells.len(), cells.len());
+    assert_eq!(tree.complete_cells(), cells.len());
+    assert_eq!(tree.orphan_spans, 0);
+    for (config, case) in &cells {
+        let key = ahn::core::canonical_hash(&(config, case)).unwrap();
+        let trace_id = ahn::obs::trace_id_of_key(key);
+        // This cell's spans in log order.
+        let spans: Vec<&str> = (read.events.iter())
+            .filter(|e| e.trace_id == trace_id)
+            .map(|e| e.span.as_str())
+            .collect();
+        let generations = config.replications * config.generations;
+        assert_eq!(spans.len(), generations + 2, "{spans:?}");
+        assert_eq!(spans[0], "cell_start");
+        assert_eq!(spans[spans.len() - 1], "cell_done");
+        assert!(spans[1..=generations].iter().all(|&s| s == "generation"));
+    }
 }

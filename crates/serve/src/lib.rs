@@ -7,18 +7,20 @@
 //! that with a dependency-free HTTP/1.1 job server on
 //! `std::net::TcpListener`:
 //!
-//! * [`server`] — routing, a bounded worker pool for experiment jobs,
-//!   graceful shutdown; submissions that miss the cache return `202` +
-//!   a job id to poll, identical in-flight submissions coalesce onto
-//!   one job, and a full queue answers `503` instead of buffering
+//! * [`server`] — HTTP routing, request decoding, response encoding,
+//!   metrics and spans, the bounded in-process worker pool and graceful
+//!   shutdown; submissions that miss the cache return `202` + a job id
+//!   to poll, and a full queue answers `503` instead of buffering
 //!   unbounded work;
+//! * [`jobs`] — the owner of the job lifecycle: the [`jobs::JobStore`]
+//!   holds the result cache, job table, coalescing map, queue, leases
+//!   and optional completion journal behind one lock, and settles every
+//!   job first-completion-wins for the pool and pull workers alike;
+//!   also the single place compute happens;
 //! * [`cache`] — an LRU result cache keyed by
 //!   [`ahn_core::config::canonical_hash`] of the resolved job spec;
 //! * [`protocol`] — the JSON wire types ([`protocol::JobSpec`],
 //!   acks, presets);
-//! * [`jobs`] — the [`jobs::JobStore`] (queue, work leases and the
-//!   optional completion journal), job lifecycle and the single place
-//!   compute happens;
 //! * [`journal`] — the checksummed append-only completion journal
 //!   behind checkpoint/resume;
 //! * [`worker`] — the pull worker driving `POST /v1/work/claim` /

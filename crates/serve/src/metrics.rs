@@ -27,9 +27,10 @@ pub struct Metrics {
     pub coalesced: AtomicU64,
     /// Submissions rejected because the job queue was full (503s).
     pub rejected_queue_full: AtomicU64,
-    /// Jobs a worker finished successfully.
+    /// Jobs settled with a result — once per job, by whichever worker
+    /// (pool or external) finished it first.
     pub jobs_completed: AtomicU64,
-    /// Jobs a worker finished with an error.
+    /// Jobs settled with an error, once per job.
     pub jobs_failed: AtomicU64,
     /// Ad Hoc Network Games simulated by completed jobs.
     pub games_simulated: AtomicU64,
@@ -84,7 +85,8 @@ pub struct Metrics {
     /// workers self-report via `WorkCompletion`), microseconds.
     pub job_compute_us: AtomicHistogram,
     /// External-worker round trip: lease grant → completion accepted,
-    /// microseconds.
+    /// microseconds. A completion whose lease the sweep already
+    /// requeued is not sampled (its grant time went with the lease).
     pub claim_rtt_us: AtomicHistogram,
     /// Backoff sleep totals workers self-report with each claim,
     /// milliseconds.
@@ -251,7 +253,8 @@ pub struct LatencySnapshot {
     pub queue_wait_us: HistogramSnapshot,
     /// Job compute time, microseconds.
     pub job_compute_us: HistogramSnapshot,
-    /// External-worker claim→complete round trip, microseconds.
+    /// External-worker claim→complete round trip, microseconds; a
+    /// completion whose lease was already swept is not sampled.
     pub claim_rtt_us: HistogramSnapshot,
     /// Worker-reported backoff sleep totals, milliseconds.
     pub backoff_sleep_ms: HistogramSnapshot,

@@ -1,5 +1,9 @@
-//! The HTTP job server: routing, submission flow, worker wiring,
-//! graceful shutdown.
+//! The HTTP job server: routing, request decoding, response encoding,
+//! metrics and spans. A job's state and lifecycle — result cache, job
+//! table, coalescing, queue, leases, journal, first-completion-wins
+//! settling — belong to the [`JobStore`] of [`crate::jobs`]; this module
+//! turns requests into store calls and store outcomes into responses,
+//! counters and trace events.
 //!
 //! ```text
 //! POST /v1/experiments   submit a JobSpec; cache hit -> result inline,
@@ -37,7 +41,8 @@
 //! worker and coordinator holds one connection ([`crate::HttpTransport`]),
 //! so it costs one server thread, and a load generator with N
 //! connections costs N. Experiment compute runs on the bounded worker
-//! pool of [`crate::jobs`], never on connection threads. Every
+//! pool, which drains the same queue as the pull workers, never on
+//! connection threads. Every
 //! connection read runs under the [`crate::http::Deadlines`] of the
 //! config — a slowloris client is evicted with 408, a connection idle
 //! past `idle_timeout_ms` is closed silently (its client reconnects on
@@ -45,20 +50,19 @@
 //! Once the server has stopped, a connection thread hangs up at the
 //! next request instead of answering it.
 
-use crate::cache::LruCache;
 use crate::http::{read_request_deadlined, write_response, Deadlines, ReadOutcome, Request};
-use crate::jobs::{run_job, JobStatus, JobStore, QueuedJob};
+use crate::jobs::{run_job, JobStatus, JobStore, LeasedJob, Settle, Submitted};
 use crate::metrics::Metrics;
 use crate::protocol::{
     presets, ClaimRequest, JobSpec, SubmitAck, WorkCompletion, WorkGrant, DEFAULT_LEASE_MS,
     MAX_LEASE_MS,
 };
+use ahn_core::sweeps::{SweepCellSpec, SweepGrid};
 use ahn_obs::{trace_id_of_key, TraceEvent, TraceLog};
-use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -128,61 +132,36 @@ impl Default for ServerConfig {
     }
 }
 
-/// One finished-or-pending job in the table.
-#[derive(Debug, Clone)]
-struct JobRecord {
-    status: JobStatus,
-    result: Option<Arc<str>>,
-    error: Option<String>,
-}
-
-/// Mutable server state behind one lock (cache, job table, in-flight
-/// dedup map). One mutex keeps the lock ordering trivially correct; all
-/// critical sections are bookkeeping-sized.
-struct State {
-    cache: LruCache,
-    jobs: HashMap<u64, JobRecord>,
-    /// cache key -> job id, for submissions while an identical job is
-    /// already queued or running (request coalescing).
-    inflight: HashMap<u64, u64>,
-    /// Finished job ids, oldest first, for table pruning.
-    finished: VecDeque<u64>,
-    /// Finished jobs kept for polling before pruning.
-    retain_finished: usize,
-}
-
 struct Shared {
     config: ServerConfig,
     local_addr: SocketAddr,
     metrics: Metrics,
-    state: Mutex<State>,
     store: JobStore,
-    next_job_id: AtomicU64,
     running: AtomicBool,
     /// Set the moment a shutdown is requested: readiness flips to 503,
     /// submissions bounce, claims answer empty. `running` only follows
     /// once the drain budget is spent or the work is settled.
     draining: AtomicBool,
-    /// In-process worker threads currently inside `run_job` — the
-    /// third kind of outstanding work (besides queued and leased) a
-    /// drain must wait on.
-    busy_jobs: AtomicU64,
     /// Structured trace log, when `--trace` is configured.
     trace: Option<TraceLog>,
-    /// lease id → grant time, for the `claim_rtt_us` histogram (grant →
-    /// completion accepted). Entries whose completion never arrives are
-    /// pruned once older than [`MAX_LEASE_MS`].
-    lease_starts: Mutex<HashMap<u64, Instant>>,
 }
 
 impl Shared {
     /// Appends a span event to the trace log, if one is configured.
-    /// Never called under the state lock (trace emission does file
+    /// Never called under the store lock (trace emission does file
     /// I/O).
     fn emit(&self, event: TraceEvent) {
         if let Some(trace) = &self.trace {
             trace.emit(event);
         }
+    }
+
+    /// Requeues expired leases, counting them. Sweeps are request
+    /// driven (claims, completions, `/metrics`, the drain loop), so an
+    /// idle node never spins.
+    fn sweep_expired(&self) {
+        let requeued = self.store.sweep_expired();
+        Metrics::add(&self.metrics.lease_requeues, requeued as u64);
     }
 }
 
@@ -225,17 +204,13 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     // thread count is a real capacity parameter.
     ahn_core::threads::log_once("serve");
     let workers = config.workers;
-    let mut cache = LruCache::new(config.cache_cap);
+    // Checkpoint/resume: a durable store replays the previous
+    // incarnation's completions into its result cache, so resubmitted
+    // cells are answered without recomputation.
     let store = match &config.journal {
-        None => JobStore::new(config.queue_cap),
-        Some(path) => JobStore::open(config.queue_cap, std::path::Path::new(path))?,
+        None => JobStore::new(config.queue_cap, config.cache_cap),
+        Some(path) => JobStore::open(config.queue_cap, config.cache_cap, path.as_ref())?,
     };
-    // Checkpoint/resume: completions recorded by the previous
-    // incarnation become cache hits, so resubmitted cells are answered
-    // without recomputation.
-    for record in store.recovered() {
-        cache.put(record.key, Arc::from(record.result.as_str()));
-    }
     // The trace node name carries the bound address so logs from several
     // serve incarnations (e.g. before/after a chaos restart) stay
     // distinguishable after joining.
@@ -248,22 +223,12 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     };
     let shared = Arc::new(Shared {
         store,
-        state: Mutex::new(State {
-            cache,
-            jobs: HashMap::new(),
-            inflight: HashMap::new(),
-            finished: VecDeque::new(),
-            retain_finished: (4 * config.cache_cap).max(256),
-        }),
         config,
         local_addr,
         metrics: Metrics::default(),
-        next_job_id: AtomicU64::new(1),
         running: AtomicBool::new(true),
         draining: AtomicBool::new(false),
-        busy_jobs: AtomicU64::new(0),
         trace,
-        lease_starts: Mutex::new(HashMap::new()),
     });
 
     let worker_handles: Vec<JoinHandle<()>> = (0..workers)
@@ -326,10 +291,8 @@ fn initiate_shutdown(shared: &Shared) {
         // The lazy lease sweep keeps running during the drain so a cell
         // abandoned by a crashed worker still requeues (and can be
         // picked up by in-process workers) instead of pinning the wait.
-        let requeued = shared.store.sweep_expired();
-        Metrics::add(&shared.metrics.lease_requeues, requeued as u64);
-        let outstanding =
-            shared.store.outstanding() + shared.busy_jobs.load(Ordering::SeqCst) as usize;
+        shared.sweep_expired();
+        let outstanding = shared.store.outstanding();
         Metrics::set(
             &shared.metrics.drain_nanos,
             started.elapsed().as_nanos() as u64,
@@ -344,7 +307,7 @@ fn initiate_shutdown(shared: &Shared) {
     let _ = TcpStream::connect(shared.local_addr);
 }
 
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
+fn handle_connection(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -373,12 +336,13 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
                 }
                 Metrics::bump(&shared.metrics.http_requests);
                 let started = Instant::now();
-                let (status, body, shutdown) = route(shared, &req);
+                let (status, body) = route(shared, &req).unwrap_or_else(|reply| reply);
                 shared
                     .metrics
                     .request_histogram(&req.path)
                     .record(started.elapsed().as_micros() as u64);
                 let write_ok = write_response(&mut stream, status, &body, req.close).is_ok();
+                let shutdown = req.method == "POST" && req.path == "/v1/shutdown";
                 if shutdown {
                     initiate_shutdown(shared);
                 }
@@ -403,70 +367,48 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     }
 }
 
-/// Dispatches one request; returns `(status, body, initiate_shutdown)`.
-fn route(shared: &Arc<Shared>, req: &Request) -> (u16, String, bool) {
+/// A response: status and JSON body. Handlers return `Err` with a
+/// ready error response, so request decoding can use `?`.
+type Reply = (u16, String);
+
+/// Dispatches one request. `POST /v1/shutdown` answers here; the
+/// connection loop then starts the drain.
+fn route(shared: &Shared, req: &Request) -> Result<Reply, Reply> {
+    let draining = shared.draining.load(Ordering::SeqCst);
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => (200, "{\"status\":\"ok\"}".into(), false),
-        ("GET", "/readyz") => {
-            // Readiness, distinct from liveness: a draining node is
-            // alive (finishing work, accepting completions) but must
-            // not receive new traffic.
-            if shared.draining.load(Ordering::SeqCst) {
-                (503, "{\"status\":\"draining\"}".into(), false)
-            } else {
-                (200, "{\"status\":\"ready\"}".into(), false)
-            }
-        }
+        ("GET", "/healthz") => Ok((200, "{\"status\":\"ok\"}".into())),
+        // Readiness, distinct from liveness: a draining node is alive
+        // (finishing work, accepting completions) but must not receive
+        // new traffic.
+        ("GET", "/readyz") if draining => Ok((503, "{\"status\":\"draining\"}".into())),
+        ("GET", "/readyz") => Ok((200, "{\"status\":\"ready\"}".into())),
         ("GET", "/metrics") => {
             // A metrics scrape doubles as a lazy lease sweep: cells
             // abandoned by crashed workers are requeued here (and on
             // every claim/complete), never by a background thread — an
             // idle node does zero work between requests.
-            let requeued = shared.store.sweep_expired();
-            Metrics::add(&shared.metrics.lease_requeues, requeued as u64);
-            let (queue_depth, cached) = {
-                let state = shared.state.lock().expect("state lock");
-                (shared.store.depth(), state.cache.len())
-            };
+            shared.sweep_expired();
+            let (depth, cached) = (shared.store.depth(), shared.store.cached());
             let snapshot = shared
                 .metrics
-                .snapshot(queue_depth, cached, shared.config.workers);
-            match serde_json::to_string(&snapshot) {
-                Ok(body) => (200, body, false),
-                Err(e) => (500, error_body(&e.to_string()), false),
-            }
+                .snapshot(depth, cached, shared.config.workers);
+            Ok(json(&snapshot))
         }
-        ("GET", "/v1/presets") => match serde_json::to_string(&presets()) {
-            Ok(body) => (200, body, false),
-            Err(e) => (500, error_body(&e.to_string()), false),
-        },
+        ("GET", "/v1/presets") => Ok(json(&presets())),
         // The adversary-zoo registry: pure data straight from
         // `ahn_core::scenarios`, so clients can enumerate the scenario
         // axis they may put in a `/v1/sweeps` grid.
-        ("GET", "/v1/scenarios") => match serde_json::to_string(&ahn_core::builtin_scenarios()) {
-            Ok(body) => (200, body, false),
-            Err(e) => (500, error_body(&e.to_string()), false),
-        },
+        ("GET", "/v1/scenarios") => Ok(json(&ahn_core::builtin_scenarios())),
         // A draining node takes no new work: submissions answer 503 so
         // callers retry elsewhere (or later), and claims answer empty
         // so pull workers idle out instead of erroring. Completions for
         // work already leased keep landing below.
-        ("POST", "/v1/experiments" | "/v1/sweeps" | "/v1/calibrations")
-            if shared.draining.load(Ordering::SeqCst) =>
-        {
-            (
-                503,
-                error_body("server is draining, no new submissions"),
-                false,
-            )
+        ("POST", "/v1/experiments" | "/v1/sweeps" | "/v1/calibrations") if draining => {
+            Ok((503, error_body("server is draining, no new submissions")))
         }
-        ("POST", "/v1/work/claim") if shared.draining.load(Ordering::SeqCst) => {
+        ("POST", "/v1/work/claim") if draining => {
             Metrics::bump(&shared.metrics.work_claim_empty);
-            (
-                200,
-                "{\"status\":\"empty\",\"reason\":\"draining\"}".into(),
-                false,
-            )
+            Ok((200, "{\"status\":\"empty\",\"reason\":\"draining\"}".into()))
         }
         ("POST", "/v1/experiments") => submit(shared, &req.body),
         ("POST", "/v1/sweeps") => submit_sweep(shared, &req.body),
@@ -474,408 +416,233 @@ fn route(shared: &Arc<Shared>, req: &Request) -> (u16, String, bool) {
         ("POST", "/v1/work/claim") => work_claim(shared, &req.body),
         ("POST", "/v1/work/complete") => work_complete(shared, &req.body),
         ("GET", path) if path.starts_with("/v1/jobs/") => job_status(shared, path),
-        ("POST", "/v1/shutdown") => (200, "{\"status\":\"shutting-down\"}".into(), true),
+        ("POST", "/v1/shutdown") => Ok((200, "{\"status\":\"shutting-down\"}".into())),
         (
             _,
             "/healthz" | "/readyz" | "/metrics" | "/v1/presets" | "/v1/scenarios"
             | "/v1/experiments" | "/v1/sweeps" | "/v1/calibrations" | "/v1/work/claim"
             | "/v1/work/complete" | "/v1/shutdown",
-        ) => (405, error_body("method not allowed"), false),
-        (_, path) if path.starts_with("/v1/jobs/") => {
-            (405, error_body("method not allowed"), false)
-        }
-        _ => (404, error_body("no such route"), false),
+        ) => Err((405, error_body("method not allowed"))),
+        (_, path) if path.starts_with("/v1/jobs/") => Err((405, error_body("method not allowed"))),
+        _ => Err((404, error_body("no such route"))),
     }
 }
 
-/// How one cache/coalesce/enqueue attempt ended — shared by the
-/// single-experiment and sweep submission routes.
-enum SubmitOutcome {
-    /// The result was already cached; the JSON is ready to embed.
-    Cached(Arc<str>),
-    /// A job covers this spec (freshly queued, or an identical
-    /// in-flight job the caller was attached to).
-    Job { id: u64, status: JobStatus },
-    /// The queue is full; nothing was recorded.
-    QueueFull,
+/// Decodes a JSON request body; a body that is not UTF-8, or not a
+/// `what`, is a 400.
+fn decode<T: serde::de::DeserializeOwned>(body: &[u8], what: &str) -> Result<T, Reply> {
+    let text = std::str::from_utf8(body).map_err(|_| bad_request("body is not UTF-8"))?;
+    serde_json::from_str(text).map_err(|e| bad_request(&format!("cannot parse {what}: {e}")))
 }
 
-/// Runs one resolved, validated spec through the cache lookup →
-/// coalesce → enqueue flow, bumping the submission metrics and emitting
-/// the cell's root trace spans (submit/enqueue/coalesce).
-fn submit_spec(shared: &Arc<Shared>, spec: JobSpec, key: u64) -> SubmitOutcome {
-    /// Which path the submission took, remembered across the lock scope
-    /// so trace emission (file I/O) happens after the lock is released.
-    enum Flow {
-        Hit,
-        Coalesced(u64),
-        Enqueued(u64),
-        Rejected,
-    }
-    let (outcome, flow) = {
-        let mut state = shared.state.lock().expect("state lock");
-        Metrics::bump(&shared.metrics.submissions);
-
-        if let Some(result) = state.cache.get(key) {
-            Metrics::bump(&shared.metrics.cache_hits);
-            (SubmitOutcome::Cached(result), Flow::Hit)
-        } else if let Some(&job_id) = state.inflight.get(&key) {
-            // An identical job is already queued or running: attach the
-            // caller to it instead of recomputing.
-            Metrics::bump(&shared.metrics.coalesced);
-            let status = state
-                .jobs
-                .get(&job_id)
-                .map(|r| r.status)
-                .unwrap_or(JobStatus::Queued);
-            (
-                SubmitOutcome::Job { id: job_id, status },
-                Flow::Coalesced(job_id),
-            )
-        } else {
-            Metrics::bump(&shared.metrics.cache_misses);
-            let id = shared.next_job_id.fetch_add(1, Ordering::Relaxed);
-            state.jobs.insert(
-                id,
-                JobRecord {
-                    status: JobStatus::Queued,
-                    result: None,
-                    error: None,
-                },
-            );
-            state.inflight.insert(key, id);
-            // Enqueue while holding the state lock so a worker cannot
-            // finish the job before its record and inflight entry exist.
-            let queued = QueuedJob {
-                id,
-                key,
-                spec,
-                enqueued_at: Instant::now(),
-            };
-            if shared.store.try_push(queued).is_err() {
-                state.jobs.remove(&id);
-                state.inflight.remove(&key);
-                Metrics::bump(&shared.metrics.rejected_queue_full);
-                (SubmitOutcome::QueueFull, Flow::Rejected)
-            } else {
-                Metrics::raise(
-                    &shared.metrics.queue_depth_peak,
-                    shared.store.depth() as u64,
-                );
-                (
-                    SubmitOutcome::Job {
-                        id,
-                        status: JobStatus::Queued,
-                    },
-                    Flow::Enqueued(id),
-                )
-            }
+/// Runs one resolved spec through validation, hashing and the store's
+/// cache → coalesce → enqueue flow, counting the submission and
+/// emitting the cell's root trace spans (submit/enqueue/coalesce).
+fn submit_spec(shared: &Shared, spec: JobSpec) -> Result<Submitted, Reply> {
+    spec.validate().map_err(|e| bad_request(&e))?;
+    let key = spec.cache_key().map_err(|e| (500, error_body(&e)))?;
+    let metrics = &shared.metrics;
+    Metrics::bump(&metrics.submissions);
+    let submitted = shared.store.submit(spec, key);
+    match &submitted {
+        Submitted::Cached(_) => Metrics::bump(&metrics.cache_hits),
+        Submitted::Coalesced { .. } => Metrics::bump(&metrics.coalesced),
+        Submitted::Enqueued { depth, .. } => {
+            Metrics::bump(&metrics.cache_misses);
+            Metrics::raise(&metrics.queue_depth_peak, *depth as u64);
         }
-    };
+        Submitted::QueueFull => {
+            Metrics::bump(&metrics.cache_misses);
+            Metrics::bump(&metrics.rejected_queue_full);
+        }
+    }
     if shared.trace.is_some() {
-        let tid = trace_id_of_key(key);
-        match flow {
-            Flow::Hit => shared.emit(
-                TraceEvent::new(tid, "submit")
-                    .key(key)
-                    .outcome(true)
-                    .detail("cache_hit".into()),
-            ),
-            Flow::Coalesced(id) => shared.emit(TraceEvent::new(tid, "coalesce").key(key).job(id)),
-            Flow::Enqueued(id) => {
-                shared.emit(TraceEvent::new(tid, "submit").key(key).job(id));
-                shared.emit(TraceEvent::new(tid, "enqueue").key(key).job(id));
+        let event = |span: &str| TraceEvent::new(trace_id_of_key(key), span).key(key);
+        match &submitted {
+            Submitted::Cached(_) => {
+                shared.emit(event("submit").outcome(true).detail("cache_hit".into()))
             }
-            Flow::Rejected => shared.emit(
-                TraceEvent::new(tid, "submit")
-                    .key(key)
-                    .outcome(false)
-                    .detail("queue_full".into()),
-            ),
+            Submitted::Coalesced { id, .. } => shared.emit(event("coalesce").job(*id)),
+            Submitted::Enqueued { id, .. } => {
+                shared.emit(event("submit").job(*id));
+                shared.emit(event("enqueue").job(*id));
+            }
+            Submitted::QueueFull => {
+                shared.emit(event("submit").outcome(false).detail("queue_full".into()))
+            }
         }
     }
-    outcome
+    Ok(submitted)
 }
 
-/// The `POST /v1/experiments` flow: parse, resolve, validate, hash,
-/// then the shared [`submit_spec`] flow.
-fn submit(shared: &Arc<Shared>, body: &[u8]) -> (u16, String, bool) {
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return (400, error_body("body is not UTF-8"), false),
+/// The `POST /v1/experiments` flow: decode, resolve, then
+/// [`submit_spec`].
+fn submit(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
+    let spec = decode::<JobSpec>(body, "JobSpec")?;
+    let spec = spec.resolve().map_err(|e| bad_request(&e))?;
+    let ack = |job_id: u64, status: JobStatus| {
+        let ack = SubmitAck {
+            job_id,
+            status: status.as_str().into(),
+            cached: false,
+        };
+        (
+            202,
+            serde_json::to_string(&ack).unwrap_or_else(|_| "{}".into()),
+        )
     };
-    let spec: JobSpec = match serde_json::from_str(text) {
-        Ok(s) => s,
-        Err(e) => {
-            return (
-                400,
-                error_body(&format!("cannot parse JobSpec: {e}")),
-                false,
-            )
-        }
-    };
-    let spec = match spec.resolve() {
-        Ok(s) => s,
-        Err(e) => return (400, error_body(&e), false),
-    };
-    if let Err(e) = spec.validate() {
-        return (400, error_body(&e), false);
-    }
-    let key = match spec.cache_key() {
-        Ok(k) => k,
-        Err(e) => return (500, error_body(&e), false),
-    };
-
-    match submit_spec(shared, spec, key) {
-        // Format outside the critical section: the response embeds the
-        // whole result JSON, and an O(result-size) copy under the state
-        // lock would serialize the cache-hit hot path.
-        SubmitOutcome::Cached(result) => (
+    Ok(match submit_spec(shared, spec)? {
+        // Format outside the store lock: the response embeds the whole
+        // result JSON, and an O(result-size) copy under the lock would
+        // serialize the cache-hit hot path.
+        Submitted::Cached(result) => (
             200,
             format!("{{\"job_id\":null,\"status\":\"done\",\"cached\":true,\"result\":{result}}}"),
-            false,
         ),
-        SubmitOutcome::Job { id, status } => {
-            let ack = SubmitAck {
-                job_id: id,
-                status: status.as_str().into(),
-                cached: false,
-            };
-            (
-                202,
-                serde_json::to_string(&ack).unwrap_or_else(|_| "{}".into()),
-                false,
-            )
-        }
-        SubmitOutcome::QueueFull => (503, error_body("job queue is full, retry later"), false),
-    }
-}
-
-/// Validates, hashes and submits one expanded grid cell, formatting its
-/// response entry (shared by the sweep and calibration routes); errors
-/// carry the ready-to-send `(status, body)`.
-fn submit_cell_entry(
-    shared: &Arc<Shared>,
-    spec: JobSpec,
-    coords: &str,
-) -> Result<String, (u16, String)> {
-    if let Err(e) = spec.validate() {
-        return Err((400, error_body(&e)));
-    }
-    let key = spec.cache_key().map_err(|e| (500, error_body(&e)))?;
-    Ok(match submit_spec(shared, spec, key) {
-        SubmitOutcome::Cached(result) => format!(
-            "{{\"spec\":{coords},\"job_id\":null,\"status\":\"done\",\
-             \"cached\":true,\"result\":{result}}}"
-        ),
-        SubmitOutcome::Job { id, status } => format!(
-            "{{\"spec\":{coords},\"job_id\":{id},\"status\":\"{}\",\"cached\":false}}",
-            status.as_str()
-        ),
-        SubmitOutcome::QueueFull => format!(
-            "{{\"spec\":{coords},\"job_id\":null,\"status\":\"rejected\",\
-             \"cached\":false}}"
-        ),
+        Submitted::Coalesced { id, status } => ack(id, status),
+        Submitted::Enqueued { id, .. } => ack(id, JobStatus::Queued),
+        Submitted::QueueFull => (503, error_body("job queue is full, retry later")),
     })
 }
 
-/// The `POST /v1/sweeps` flow: parse a [`ahn_core::sweeps::SweepGrid`],
-/// expand it to one single-case experiment job per cell, and run every
-/// cell through the same cache/coalesce/enqueue flow as
-/// `POST /v1/experiments`. Because a cell's job spec is byte-identical
-/// to the equivalent direct submission, cells share the result cache
-/// with single experiments (and with every other sweep that contains
-/// them).
-///
-/// The response is one entry per cell, in grid order: cached cells
-/// carry their result inline, fresh/coalesced cells a `job_id` to poll
-/// at `GET /v1/jobs/{id}`, and cells bounced by a full queue the status
-/// `"rejected"` (the caller retries just those).
-fn submit_sweep(shared: &Arc<Shared>, body: &[u8]) -> (u16, String, bool) {
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return (400, error_body("body is not UTF-8"), false),
-    };
-    let grid: ahn_core::sweeps::SweepGrid = match serde_json::from_str(text) {
-        Ok(g) => g,
-        Err(e) => {
-            return (
-                400,
-                error_body(&format!("cannot parse SweepGrid: {e}")),
-                false,
-            )
-        }
-    };
-    // Cap the expansion before anything O(cells) runs (validation
-    // included): a kilobyte of repeated axis values would otherwise
-    // expand to millions of cells of server-side work and an unbounded
-    // response body.
-    if grid.cell_count() > MAX_SWEEP_CELLS {
-        return (
-            400,
-            error_body(&format!(
-                "sweep expands to {} cells, above the server cap of {MAX_SWEEP_CELLS}; \
-                 split the grid into smaller submissions",
-                grid.cell_count()
-            )),
-            false,
-        );
+/// Refuses a grid that expands past [`MAX_SWEEP_CELLS`] before anything
+/// O(cells) runs, validation included: a kilobyte of repeated axis
+/// values would otherwise expand to millions of cells of server-side
+/// work and an unbounded response body.
+fn cap_cells(what: &str, cells: usize, advice: &str) -> Result<(), Reply> {
+    if cells > MAX_SWEEP_CELLS {
+        return Err(bad_request(&format!(
+            "{what} expands to {cells} cells, above the server cap of {MAX_SWEEP_CELLS}; {advice}"
+        )));
     }
-    if let Err(e) = grid.validate() {
-        return (400, error_body(&e), false);
-    }
+    Ok(())
+}
 
-    let mut cells = Vec::with_capacity(grid.cell_count());
-    for cell_spec in grid.cell_specs() {
-        let (config, case) = match grid.resolve(&cell_spec) {
-            Ok(resolved) => resolved,
-            Err(e) => return (400, error_body(&e), false),
-        };
+/// Submits every cell of `sweep` in grid order as a single-case
+/// experiment job, through the same flow as `POST /v1/experiments`, and
+/// appends one response entry per cell to `cells`: cached cells carry
+/// their result inline, fresh and coalesced cells a `job_id` to poll at
+/// `GET /v1/jobs/{id}`, and cells bounced by a full queue the status
+/// `"rejected"` (the caller retries just those). `coords` renders a
+/// cell's coordinates for its entry.
+fn submit_cells(
+    shared: &Shared,
+    sweep: &SweepGrid,
+    coords: impl Fn(&SweepCellSpec) -> String,
+    cells: &mut Vec<String>,
+) -> Result<(), Reply> {
+    for cell in sweep.cell_specs() {
+        let (config, case) = sweep.resolve(&cell).map_err(|e| bad_request(&e))?;
         let spec = JobSpec::Experiment {
             config,
             cases: vec![case],
         };
-        let spec_json = serde_json::to_string(&cell_spec).unwrap_or_else(|_| "{}".into());
-        match submit_cell_entry(shared, spec, &spec_json) {
-            Ok(entry) => cells.push(entry),
-            Err((status, body)) => return (status, body, false),
-        }
+        let coords = coords(&cell);
+        let job = |id: u64, status: JobStatus| {
+            format!(
+                "{{\"spec\":{coords},\"job_id\":{id},\"status\":\"{}\",\"cached\":false}}",
+                status.as_str()
+            )
+        };
+        cells.push(match submit_spec(shared, spec)? {
+            Submitted::Cached(result) => format!(
+                "{{\"spec\":{coords},\"job_id\":null,\"status\":\"done\",\
+                 \"cached\":true,\"result\":{result}}}"
+            ),
+            Submitted::Coalesced { id, status } => job(id, status),
+            Submitted::Enqueued { id, .. } => job(id, JobStatus::Queued),
+            Submitted::QueueFull => format!(
+                "{{\"spec\":{coords},\"job_id\":null,\"status\":\"rejected\",\
+                 \"cached\":false}}"
+            ),
+        });
     }
-    let body = format!("{{\"cells\":[{}]}}", cells.join(","));
-    (200, body, false)
+    Ok(())
 }
 
-/// The `POST /v1/calibrations` flow: parse an
-/// [`ahn_core::calibrate::CalibrationGrid`], expand it to one
-/// single-case experiment job per candidate × case × seed-block cell,
-/// and run every cell through the same cache/coalesce/enqueue flow as
-/// `POST /v1/experiments`. A calibration cell resolves to exactly the
-/// `(config, case)` pair the equivalent direct submission or sweep
-/// would use, so repeated searches — and searches overlapping a sweep —
-/// hit the result cache per cell.
-///
-/// The response lists one entry per cell in deterministic order
-/// (candidates outermost, then the candidate's sweep-cell order):
-/// cached cells carry their result inline, fresh/coalesced cells a
-/// `job_id`, queue-bounced cells the status `"rejected"`.
-fn submit_calibration(shared: &Arc<Shared>, body: &[u8]) -> (u16, String, bool) {
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return (400, error_body("body is not UTF-8"), false),
-    };
-    let grid: ahn_core::calibrate::CalibrationGrid = match serde_json::from_str(text) {
-        Ok(g) => g,
-        Err(e) => {
-            return (
-                400,
-                error_body(&format!("cannot parse CalibrationGrid: {e}")),
-                false,
-            )
-        }
-    };
-    // Cap the expansion before anything O(cells) runs, like /v1/sweeps.
-    if grid.cell_count() > MAX_SWEEP_CELLS {
-        return (
-            400,
-            error_body(&format!(
-                "calibration expands to {} cells, above the server cap of {MAX_SWEEP_CELLS}; \
-                 lower max_candidates or split the search",
-                grid.cell_count()
-            )),
-            false,
-        );
-    }
-    if let Err(e) = grid.validate() {
-        return (400, error_body(&e), false);
-    }
+/// The `POST /v1/sweeps` flow: decode a [`SweepGrid`] and submit its
+/// cells (see [`submit_cells`]). Because a cell's job spec is
+/// byte-identical to the equivalent direct submission, cells share the
+/// result cache with single experiments (and with every other sweep
+/// that contains them).
+fn submit_sweep(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
+    let grid: SweepGrid = decode(body, "SweepGrid")?;
+    cap_cells(
+        "sweep",
+        grid.cell_count(),
+        "split the grid into smaller submissions",
+    )?;
+    grid.validate().map_err(|e| bad_request(&e))?;
+    let mut cells = Vec::with_capacity(grid.cell_count());
+    let coords = |cell: &SweepCellSpec| serde_json::to_string(cell).unwrap_or_else(|_| "{}".into());
+    submit_cells(shared, &grid, coords, &mut cells)?;
+    Ok((200, format!("{{\"cells\":[{}]}}", cells.join(","))))
+}
 
+/// The `POST /v1/calibrations` flow: decode an
+/// [`ahn_core::calibrate::CalibrationGrid`] and submit the cells of
+/// each candidate's sweep, candidates outermost (see [`submit_cells`]).
+/// A calibration cell resolves to exactly the `(config, case)` pair the
+/// equivalent direct submission or sweep would use, so repeated
+/// searches — and searches overlapping a sweep — hit the result cache
+/// per cell.
+fn submit_calibration(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
+    let grid: ahn_core::calibrate::CalibrationGrid = decode(body, "CalibrationGrid")?;
+    cap_cells(
+        "calibration",
+        grid.cell_count(),
+        "lower max_candidates or split the search",
+    )?;
+    grid.validate().map_err(|e| bad_request(&e))?;
     let mut cells = Vec::with_capacity(grid.cell_count());
     for candidate in grid.candidates() {
-        let sweep = match grid.sweep_for(&candidate) {
-            Ok(s) => s,
-            Err(e) => return (400, error_body(&e), false),
-        };
-        for cell_spec in sweep.cell_specs() {
-            let (config, case) = match sweep.resolve(&cell_spec) {
-                Ok(resolved) => resolved,
-                Err(e) => return (400, error_body(&e), false),
-            };
-            let spec = JobSpec::Experiment {
-                config,
-                cases: vec![case],
-            };
-            let coords = format!(
+        let sweep = grid.sweep_for(&candidate).map_err(|e| bad_request(&e))?;
+        let coords = |cell: &SweepCellSpec| {
+            format!(
                 "{{\"candidate\":{},\"case_no\":{},\"seed_block\":{}}}",
-                candidate.id, cell_spec.case_no, cell_spec.seed_block
-            );
-            match submit_cell_entry(shared, spec, &coords) {
-                Ok(entry) => cells.push(entry),
-                Err((status, body)) => return (status, body, false),
-            }
-        }
+                candidate.id, cell.case_no, cell.seed_block
+            )
+        };
+        submit_cells(shared, &sweep, coords, &mut cells)?;
     }
-    let body = format!("{{\"cells\":[{}]}}", cells.join(","));
-    (200, body, false)
+    Ok((200, format!("{{\"cells\":[{}]}}", cells.join(","))))
 }
 
 /// The `GET /v1/jobs/{id}` flow.
-fn job_status(shared: &Arc<Shared>, path: &str) -> (u16, String, bool) {
+fn job_status(shared: &Shared, path: &str) -> Result<Reply, Reply> {
     let id_text = &path["/v1/jobs/".len()..];
     let Ok(id) = id_text.parse::<u64>() else {
-        return (400, error_body(&format!("bad job id {id_text:?}")), false);
+        return Err(bad_request(&format!("bad job id {id_text:?}")));
     };
-    // Copy the record's cheap parts (the result is an Arc) and format
-    // outside the critical section.
-    let record = {
-        let state = shared.state.lock().expect("state lock");
-        match state.jobs.get(&id) {
-            Some(record) => record.clone(),
-            None => {
-                return (
-                    404,
-                    error_body("no such job (pruned or never created)"),
-                    false,
-                )
-            }
-        }
+    // The store hands out a copy (the result is an Arc): format outside
+    // its lock.
+    let Some(job) = shared.store.status(id) else {
+        return Err((404, error_body("no such job (pruned or never created)")));
     };
-    let body = match record.status {
+    let body = match job.status {
         JobStatus::Done => {
-            let result = record.result.as_deref().unwrap_or("null");
+            let result = job.result.as_deref().unwrap_or("null");
             format!("{{\"job_id\":{id},\"status\":\"done\",\"result\":{result}}}")
         }
         JobStatus::Failed => {
-            let error = serde_json::to_string(record.error.as_deref().unwrap_or("unknown"))
+            let error = serde_json::to_string(job.error.as_deref().unwrap_or("unknown"))
                 .unwrap_or_else(|_| "\"unknown\"".into());
             format!("{{\"job_id\":{id},\"status\":\"failed\",\"error\":{error}}}")
         }
         status => format!("{{\"job_id\":{id},\"status\":\"{}\"}}", status.as_str()),
     };
-    (200, body, false)
+    Ok((200, body))
 }
 
-/// The `POST /v1/work/claim` flow: sweep expired leases (the only
-/// sweep trigger besides `/v1/work/complete` and `/metrics` — request
-/// driven, so an idle node never spins), then lease the front of the
-/// queue to the caller. An empty queue answers `{"status":"empty"}`.
-fn work_claim(shared: &Arc<Shared>, body: &[u8]) -> (u16, String, bool) {
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return (400, error_body("body is not UTF-8"), false),
-    };
-    let request: ClaimRequest = if text.trim().is_empty() {
+/// The `POST /v1/work/claim` flow: sweep expired leases, then lease the
+/// front of the queue to the caller. An empty queue answers
+/// `{"status":"empty"}`.
+fn work_claim(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
+    // An empty body is a valid claim with the default lease.
+    let request: ClaimRequest = if body.trim_ascii().is_empty() {
         ClaimRequest::default()
     } else {
-        match serde_json::from_str(text) {
-            Ok(r) => r,
-            Err(e) => {
-                return (
-                    400,
-                    error_body(&format!("cannot parse claim request: {e}")),
-                    false,
-                )
-            }
-        }
+        decode(body, "claim request")?
     };
     let lease_ms = request
         .lease_ms
@@ -893,295 +660,171 @@ fn work_claim(shared: &Arc<Shared>, body: &[u8]) -> (u16, String, bool) {
         shared.metrics.backoff_sleep_ms.record(backoff_ms);
     }
 
-    let requeued = shared.store.sweep_expired();
-    Metrics::add(&shared.metrics.lease_requeues, requeued as u64);
-
-    loop {
-        let Some(leased) = shared.store.claim(Duration::from_millis(lease_ms)) else {
-            Metrics::bump(&shared.metrics.work_claim_empty);
-            return (200, "{\"status\":\"empty\"}".into(), false);
-        };
-        // A requeued copy of a job can race its own late completion;
-        // skip anything already settled instead of handing out a cell
-        // whose result is in the cache.
-        let still_pending = {
-            let mut state = shared.state.lock().expect("state lock");
-            match state.jobs.get_mut(&leased.job.id) {
-                Some(record) if matches!(record.status, JobStatus::Queued | JobStatus::Running) => {
-                    record.status = JobStatus::Running;
-                    true
-                }
-                _ => false,
-            }
-        };
-        if !still_pending {
-            shared.store.complete_lease(leased.lease_id);
-            continue;
-        }
-        Metrics::bump(&shared.metrics.work_claims);
-        // The cell just left the queue: that ends its queue wait and
-        // starts its claim round trip.
-        shared
-            .metrics
-            .queue_wait_us
-            .record(leased.job.enqueued_at.elapsed().as_micros() as u64);
-        {
-            let mut starts = shared.lease_starts.lock().expect("lease starts lock");
-            // Completions that never arrive would leak entries; drop
-            // anything older than the longest possible lease.
-            if starts.len() >= 1024 {
-                let horizon = Duration::from_millis(MAX_LEASE_MS);
-                starts.retain(|_, at| at.elapsed() < horizon);
-            }
-            starts.insert(leased.lease_id, Instant::now());
-        }
-        let trace_id = trace_id_of_key(leased.job.key);
-        shared.emit(
-            TraceEvent::new(trace_id, "lease")
-                .key(leased.job.key)
-                .job(leased.job.id)
-                .lease(leased.lease_id),
-        );
-        let grant = WorkGrant {
-            lease_id: leased.lease_id,
-            job_id: leased.job.id,
-            key: leased.job.key,
-            lease_ms,
-            trace_id: Some(trace_id),
-            spec: leased.job.spec,
-        };
-        return match serde_json::to_string(&grant) {
-            Ok(body) => (200, body, false),
-            Err(e) => (500, error_body(&e.to_string()), false),
-        };
-    }
+    shared.sweep_expired();
+    let Some(LeasedJob { lease_id, job }) = shared.store.claim(Duration::from_millis(lease_ms))
+    else {
+        Metrics::bump(&shared.metrics.work_claim_empty);
+        return Ok((200, "{\"status\":\"empty\"}".into()));
+    };
+    Metrics::bump(&shared.metrics.work_claims);
+    // The cell just left the queue: that ends its queue wait and starts
+    // its claim round trip.
+    shared
+        .metrics
+        .queue_wait_us
+        .record(job.enqueued_at.elapsed().as_micros() as u64);
+    let trace_id = trace_id_of_key(job.key);
+    shared.emit(
+        TraceEvent::new(trace_id, "lease")
+            .key(job.key)
+            .job(job.id)
+            .lease(lease_id),
+    );
+    Ok(json(&WorkGrant {
+        lease_id,
+        job_id: job.id,
+        key: job.key,
+        lease_ms,
+        trace_id: Some(trace_id),
+        spec: job.spec,
+    }))
 }
 
-/// The `POST /v1/work/complete` flow, mirroring the bookkeeping of
-/// [`worker_loop`]: first completion wins (`{"status":"recorded"}`),
-/// later deliveries for the same job — retried leases, expired leases
-/// whose worker finished late — are discarded as
-/// `{"status":"duplicate"}`. The completion is accepted even when the
+/// The `POST /v1/work/complete` flow: the completion settles its job
+/// through [`JobStore::settle`], like the pool's. The first completion
+/// wins (`{"status":"recorded"}`); later deliveries for the same job —
+/// retried leases, expired leases whose worker finished late, a cell
+/// the pool recomputed first — are discarded as
+/// `{"status":"duplicate"}`. A completion is accepted even when its
 /// lease already expired: the result is still bit-identical, only the
 /// lease bookkeeping is gone.
-fn work_complete(shared: &Arc<Shared>, body: &[u8]) -> (u16, String, bool) {
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return (400, error_body("body is not UTF-8"), false),
+fn work_complete(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
+    let completion: WorkCompletion = decode(body, "completion")?;
+    let outcome = match (completion.result, completion.error) {
+        (Some(result), None) => Ok(result),
+        (None, Some(error)) => Err(error),
+        _ => return Err(bad_request("exactly one of result and error must be set")),
     };
-    let completion: WorkCompletion = match serde_json::from_str(text) {
-        Ok(c) => c,
-        Err(e) => {
-            return (
-                400,
-                error_body(&format!("cannot parse completion: {e}")),
-                false,
-            )
-        }
-    };
-    if completion.result.is_some() == completion.error.is_some() {
-        return (
-            400,
-            error_body("exactly one of result and error must be set"),
-            false,
-        );
-    }
-    let requeued = shared.store.sweep_expired();
-    Metrics::add(&shared.metrics.lease_requeues, requeued as u64);
-    shared.store.complete_lease(completion.lease_id);
-
-    // The completion ends the lease's round trip (grant → accepted);
-    // expired leases whose start was pruned simply go unsampled.
-    if let Some(granted_at) = shared
-        .lease_starts
-        .lock()
-        .expect("lease starts lock")
-        .remove(&completion.lease_id)
-    {
-        shared
-            .metrics
-            .claim_rtt_us
-            .record(granted_at.elapsed().as_micros() as u64);
-    }
+    shared.sweep_expired();
     // Compute time is worker-measured: the server cannot see the remote
     // clock, so it trusts the self-report (telemetry, not accounting).
     if let Some(compute_us) = completion.compute_us {
         shared.metrics.job_compute_us.record(compute_us);
     }
-    let trace_id = trace_id_of_key(completion.key);
-
-    let mut state = shared.state.lock().expect("state lock");
-    let status = match state.jobs.get(&completion.job_id) {
-        Some(record) => record.status,
-        None => {
-            return (
-                404,
-                error_body("no such job (pruned or never created)"),
-                false,
-            )
-        }
+    let succeeded = outcome.is_ok();
+    let metrics = &shared.metrics;
+    let (settled, granted_at) = shared.store.settle(
+        completion.lease_id,
+        completion.job_id,
+        completion.key,
+        outcome,
+        || {
+            if succeeded {
+                Metrics::bump(&metrics.jobs_completed);
+                Metrics::bump(&metrics.work_completed);
+                // Externally computed cells count here, *not* in
+                // `games_simulated`: that gauge stays honest local
+                // compute (this node never simulated these games).
+                Metrics::bump(&metrics.cells_completed_external);
+            } else {
+                Metrics::bump(&metrics.jobs_failed);
+            }
+        },
+    );
+    // The completion ends its lease's round trip (grant → accepted). A
+    // lease the sweep already requeued has no grant time left, so a late
+    // completion for it goes unsampled.
+    if let Some(granted_at) = granted_at {
+        metrics
+            .claim_rtt_us
+            .record(granted_at.elapsed().as_micros() as u64);
+    }
+    let event = |span: &str| {
+        TraceEvent::new(trace_id_of_key(completion.key), span)
+            .key(completion.key)
+            .job(completion.job_id)
+            .lease(completion.lease_id)
     };
-    if matches!(status, JobStatus::Done | JobStatus::Failed) {
-        Metrics::bump(&shared.metrics.work_duplicate);
-        drop(state);
-        shared.emit(
-            TraceEvent::new(trace_id, "duplicate")
-                .key(completion.key)
-                .job(completion.job_id)
-                .lease(completion.lease_id),
-        );
-        return (200, "{\"status\":\"duplicate\"}".into(), false);
-    }
-    // Idempotency cross-check: while a job is pending its cache key is
-    // in the inflight map, so a completion whose key disagrees with the
-    // server's record is a client bug, not a mergeable result.
-    if state.inflight.get(&completion.key) != Some(&completion.job_id) {
-        return (
-            400,
-            error_body("completion key does not match the job's spec hash"),
-            false,
-        );
-    }
-
-    let mut recorded: Option<Arc<str>> = None;
-    match &completion.result {
-        Some(json) => {
-            let result: Arc<str> = Arc::from(json.as_str());
-            state.cache.put(completion.key, Arc::clone(&result));
-            if let Some(record) = state.jobs.get_mut(&completion.job_id) {
-                record.status = JobStatus::Done;
-                record.result = Some(Arc::clone(&result));
+    match settled {
+        Settle::Recorded => {
+            let mut complete = event("complete").outcome(succeeded);
+            if let Some(compute_us) = completion.compute_us {
+                complete = complete.dur_us(compute_us);
             }
-            recorded = Some(result);
-            Metrics::bump(&shared.metrics.jobs_completed);
-            Metrics::bump(&shared.metrics.work_completed);
-            // Externally computed cells count here, *not* in
-            // `games_simulated`: that gauge stays honest local compute
-            // (this node never simulated these games).
-            Metrics::bump(&shared.metrics.cells_completed_external);
+            shared.emit(complete);
+            Ok((200, "{\"status\":\"recorded\"}".into()))
         }
-        None => {
-            if let Some(record) = state.jobs.get_mut(&completion.job_id) {
-                record.status = JobStatus::Failed;
-                record.error = completion.error.clone();
-            }
-            Metrics::bump(&shared.metrics.jobs_failed);
+        Settle::Duplicate => {
+            Metrics::bump(&metrics.work_duplicate);
+            shared.emit(event("duplicate"));
+            Ok((200, "{\"status\":\"duplicate\"}".into()))
         }
+        Settle::Unknown => Err((404, error_body("no such job (pruned or never created)"))),
+        // While a job is pending the server knows its spec hash, so a
+        // completion quoting another key is a client bug, not a
+        // mergeable result.
+        Settle::KeyMismatch => Err(bad_request(
+            "completion key does not match the job's spec hash",
+        )),
     }
-    state.inflight.remove(&completion.key);
-    state.finished.push_back(completion.job_id);
-    while state.finished.len() > state.retain_finished {
-        if let Some(old) = state.finished.pop_front() {
-            state.jobs.remove(&old);
-        }
-    }
-    drop(state);
-    // Journal outside the state lock: durability is per-store (no-op in
-    // memory, one flushed line on disk) and must not serialize requests.
-    if let Some(result) = recorded {
-        shared.store.record_completion(completion.key, &result);
-    }
-    let mut complete = TraceEvent::new(trace_id, "complete")
-        .key(completion.key)
-        .job(completion.job_id)
-        .lease(completion.lease_id)
-        .outcome(completion.result.is_some());
-    if let Some(compute_us) = completion.compute_us {
-        complete = complete.dur_us(compute_us);
-    }
-    shared.emit(complete);
-    (200, "{\"status\":\"recorded\"}".into(), false)
 }
 
-/// Worker thread body: drain the queue until it closes.
-fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(job) = shared.store.pop_blocking() {
-        // A requeued copy of a job an external worker finished late is
-        // already settled; skip it rather than recompute.
-        let still_pending = {
-            let mut state = shared.state.lock().expect("state lock");
-            match state.jobs.get_mut(&job.id) {
-                Some(record) if matches!(record.status, JobStatus::Queued | JobStatus::Running) => {
-                    record.status = JobStatus::Running;
-                    true
-                }
-                _ => false,
-            }
-        };
-        if !still_pending {
-            continue;
-        }
-
-        // Visible to the drain loop: a job inside `run_job` is neither
-        // queued nor leased, but a drain must still wait for it.
-        shared.busy_jobs.fetch_add(1, Ordering::SeqCst);
-        shared
-            .metrics
+/// Pool thread body: take jobs until the store closes, settling each
+/// through the same [`JobStore::settle`] as `/v1/work/complete`. A cell
+/// an external worker finished first settles as a duplicate and counts
+/// nothing.
+fn worker_loop(shared: &Shared) {
+    while let Some(LeasedJob { lease_id, job }) = shared.store.take() {
+        let metrics = &shared.metrics;
+        metrics
             .queue_wait_us
             .record(job.enqueued_at.elapsed().as_micros() as u64);
         let trace_id = trace_id_of_key(job.key);
         let started = Instant::now();
         let outcome = run_job(&job.spec);
         let elapsed_nanos = started.elapsed().as_nanos() as u64;
-        shared.metrics.job_compute_us.record(elapsed_nanos / 1_000);
+        metrics.job_compute_us.record(elapsed_nanos / 1_000);
+        let succeeded = outcome.is_ok();
         shared.emit(
             TraceEvent::new(trace_id, "compute")
                 .key(job.key)
                 .job(job.id)
                 .dur_us(elapsed_nanos / 1_000)
-                .outcome(outcome.is_ok()),
+                .outcome(succeeded),
         );
-
-        if let Ok(json) = &outcome {
-            // Durable before visible: journal the completion (no-op in
-            // memory) outside the state lock.
-            shared.store.record_completion(job.key, json);
-        }
-        let mut state = shared.state.lock().expect("state lock");
-        match outcome {
-            Ok(json) => {
-                let result: Arc<str> = Arc::from(json);
-                state.cache.put(job.key, Arc::clone(&result));
-                if let Some(record) = state.jobs.get_mut(&job.id) {
-                    record.status = JobStatus::Done;
-                    record.result = Some(result);
-                }
-                Metrics::bump(&shared.metrics.jobs_completed);
-                Metrics::add(&shared.metrics.games_simulated, job.spec.games());
-                Metrics::add(&shared.metrics.busy_nanos, elapsed_nanos);
+        let (settled, _) = shared.store.settle(lease_id, job.id, job.key, outcome, || {
+            if succeeded {
+                Metrics::bump(&metrics.jobs_completed);
+                Metrics::add(&metrics.games_simulated, job.spec.games());
+                Metrics::add(&metrics.busy_nanos, elapsed_nanos);
+            } else {
+                Metrics::bump(&metrics.jobs_failed);
             }
-            Err(error) => {
-                if let Some(record) = state.jobs.get_mut(&job.id) {
-                    record.status = JobStatus::Failed;
-                    record.error = Some(error);
-                }
-                Metrics::bump(&shared.metrics.jobs_failed);
-            }
-        }
-        let succeeded = state
-            .jobs
-            .get(&job.id)
-            .map(|r| r.status == JobStatus::Done)
-            .unwrap_or(false);
-        state.inflight.remove(&job.key);
-        state.finished.push_back(job.id);
-        while state.finished.len() > state.retain_finished {
-            if let Some(old) = state.finished.pop_front() {
-                state.jobs.remove(&old);
-            }
-        }
-        drop(state);
+        });
+        let span = if settled == Settle::Recorded {
+            "complete"
+        } else {
+            "duplicate"
+        };
         shared.emit(
-            TraceEvent::new(trace_id, "complete")
+            TraceEvent::new(trace_id, span)
                 .key(job.key)
                 .job(job.id)
                 .outcome(succeeded),
         );
-        // Decrement only after the result is visible: the drain loop
-        // must not observe zero outstanding work while a completed
-        // job's bookkeeping is still in flight.
-        shared.busy_jobs.fetch_sub(1, Ordering::SeqCst);
     }
+}
+
+/// Serializes a response body: 200, or 500 when serialization fails.
+fn json<T: serde::Serialize>(value: &T) -> Reply {
+    match serde_json::to_string(value) {
+        Ok(body) => (200, body),
+        Err(e) => (500, error_body(&e.to_string())),
+    }
+}
+
+fn bad_request(message: &str) -> Reply {
+    (400, error_body(message))
 }
 
 /// `{"error": <json-escaped message>}`.

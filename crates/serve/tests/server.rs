@@ -1,7 +1,9 @@
 //! Socket-level integration tests: a real server on an ephemeral port,
 //! a real TCP client, full submit/poll/cache round trips.
 
-use ahn_serve::loadtest::{one_shot, run_loadtest, LoadtestConfig};
+use ahn_serve::jobs::run_job;
+use ahn_serve::loadtest::{one_shot, run_loadtest, smoke_spec, LoadtestConfig};
+use ahn_serve::protocol::{JobSpec, WorkCompletion};
 use ahn_serve::server::{spawn, ServerConfig, ServerHandle};
 use ahn_serve::{HttpTransport, Transport};
 use serde_json::Value;
@@ -850,16 +852,9 @@ fn full_queue_answers_503() {
     // submitted back to back: the third submission must find the worker
     // busy and the queue occupied.
     let (handle, addr) = boot(1, 8, 1);
-    let slow_body = |seed: u64| {
-        let mut spec = ahn_serve::loadtest::smoke_spec(seed);
-        if let ahn_serve::protocol::JobSpec::Experiment { config, .. } = &mut spec {
-            // ~hundreds of ms per job: enough to keep the worker busy
-            // while the test submits, far from the test timeout.
-            config.generations = 40;
-            config.replications = 8;
-        }
-        serde_json::to_string(&spec).unwrap()
-    };
+    // ~hundreds of ms per job: enough to keep the worker busy while the
+    // test submits, far from the test timeout.
+    let slow_body = |seed: u64| serde_json::to_string(&slow_spec(seed, 40)).unwrap();
 
     let (s1, _) = post(&addr, "/v1/experiments", &slow_body(1));
     assert_eq!(s1, 202);
@@ -883,4 +878,194 @@ fn full_queue_answers_503() {
         ref other => panic!("{other:?}"),
     }
     handle.shutdown();
+}
+
+/// `smoke_spec(seed)` with `generations` generations of 8 replications:
+/// hundreds of milliseconds per job in a debug build at 40 generations.
+fn slow_spec(seed: u64, generations: usize) -> JobSpec {
+    let mut spec = smoke_spec(seed);
+    if let JobSpec::Experiment { config, .. } = &mut spec {
+        config.generations = generations;
+        config.replications = 8;
+    }
+    spec
+}
+
+fn u64_field(value: &Value, name: &str) -> u64 {
+    match value[name] {
+        Value::U64(n) => n,
+        ref other => panic!("{name}: {other:?} in {value:?}"),
+    }
+}
+
+/// Claims the front of the queue on a `lease_ms` lease, asserting it is
+/// the job hashing to `key`.
+fn claim(addr: &str, lease_ms: u64, key: u64) -> Value {
+    let (status, grant) = post(
+        addr,
+        "/v1/work/claim",
+        &format!("{{\"lease_ms\":{lease_ms}}}"),
+    );
+    assert_eq!(status, 200);
+    assert_eq!(grant["key"], Value::U64(key), "claim leased another job");
+    grant
+}
+
+/// Delivers `result` for a granted lease as an external worker would.
+fn deliver(addr: &str, grant: &Value, result: &str) -> (u16, Value) {
+    let completion = WorkCompletion {
+        lease_id: u64_field(grant, "lease_id"),
+        job_id: u64_field(grant, "job_id"),
+        key: u64_field(grant, "key"),
+        result: Some(result.into()),
+        error: None,
+        trace_id: None,
+        compute_us: None,
+    };
+    post(
+        addr,
+        "/v1/work/complete",
+        &serde_json::to_string(&completion).unwrap(),
+    )
+}
+
+fn await_metrics(addr: &str, what: &str, done: impl Fn(&Value) -> bool) -> Value {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let (_, metrics) = get(addr, "/metrics");
+        if done(&metrics) {
+            return metrics;
+        }
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Waits until the pool has computed `jobs` jobs, then a little longer:
+/// the pool samples a compute time just before it settles the job.
+fn await_pool_computes(addr: &str, jobs: u64) {
+    await_metrics(addr, "the pool's compute", |m| {
+        m["latency"]["job_compute_us"]["count"] == Value::U64(jobs)
+    });
+    std::thread::sleep(Duration::from_millis(50));
+}
+
+/// A node with one pool thread where the pool and an external worker
+/// both finish one cell: the pool is busy with an occupier job while an
+/// external worker leases the cell on a 1 ms lease; once the pool is
+/// idle a `/metrics` sweep requeues the cell to it, and the worker's
+/// late result lands (and wins) while the pool recomputes the cell.
+struct Race {
+    handle: ServerHandle,
+    addr: String,
+    cell: JobSpec,
+    cell_result: String,
+    occupier_games: u64,
+}
+
+fn race_the_pool_and_a_late_worker(cache_cap: usize) -> Race {
+    let (handle, addr) = boot(1, cache_cap, 8);
+    let occupier = slow_spec(1, 40);
+    let cell = slow_spec(2, 80);
+    let (status, ack) = post(
+        &addr,
+        "/v1/experiments",
+        &serde_json::to_string(&occupier).unwrap(),
+    );
+    assert_eq!(status, 202, "{ack:?}");
+    let occupier_id = u64_field(&ack, "job_id");
+    await_metrics(&addr, "the pool to take the occupier", |m| {
+        m["queue_depth"] == Value::U64(0)
+    });
+    let (status, _) = post(
+        &addr,
+        "/v1/experiments",
+        &serde_json::to_string(&cell).unwrap(),
+    );
+    assert_eq!(status, 202);
+    let grant = claim(&addr, 1, cell.cache_key().unwrap());
+    // The worker's result, computed while the pool runs the occupier.
+    let cell_result = run_job(&cell).unwrap();
+    await_job(&addr, occupier_id);
+
+    await_metrics(&addr, "the pool to take the requeued cell", |m| {
+        m["lease_requeues"] == Value::U64(1) && m["queue_depth"] == Value::U64(0)
+    });
+    let (status, answer) = deliver(&addr, &grant, &cell_result);
+    assert_eq!(status, 200, "{answer:?}");
+    assert_eq!(
+        answer["status"],
+        Value::String("recorded".into()),
+        "the worker's result must land while the pool still computes the cell"
+    );
+    Race {
+        handle,
+        addr,
+        cell,
+        cell_result,
+        occupier_games: occupier.games(),
+    }
+}
+
+#[test]
+fn a_cell_settled_by_a_late_worker_while_the_pool_recomputes_it_counts_once() {
+    let race = race_the_pool_and_a_late_worker(8);
+    let addr = &race.addr;
+    await_pool_computes(addr, 2);
+    let (_, metrics) = get(addr, "/metrics");
+    // The occupier and the cell, each once; the pool's losing result
+    // counts nothing, not even its games.
+    assert_eq!(metrics["jobs_completed"], Value::U64(2), "{metrics:?}");
+    assert_eq!(metrics["cells_completed_external"], Value::U64(1));
+    assert_eq!(metrics["work_duplicate"], Value::U64(0));
+    assert_eq!(metrics["games_simulated"], Value::U64(race.occupier_games));
+    // The winner's bytes answer the next submission.
+    let (status, hit) = post(
+        addr,
+        "/v1/experiments",
+        &serde_json::to_string(&race.cell).unwrap(),
+    );
+    assert_eq!(status, 200, "{hit:?}");
+    let expected: Value = serde_json::from_str(&race.cell_result).unwrap();
+    assert_eq!(hit["result"], expected);
+    race.handle.shutdown();
+}
+
+#[test]
+fn a_late_pool_result_leaves_a_resubmitted_cell_completable() {
+    let cheap = smoke_spec(3);
+    let cheap_result = run_job(&cheap).unwrap();
+    let race = race_the_pool_and_a_late_worker(1);
+    let addr = &race.addr;
+    let key = race.cell.cache_key().unwrap();
+
+    // Evict the cell from the one-entry cache with a cheap job that an
+    // external worker completes.
+    let (status, _) = post(
+        addr,
+        "/v1/experiments",
+        &serde_json::to_string(&cheap).unwrap(),
+    );
+    assert_eq!(status, 202);
+    let grant = claim(addr, 60_000, cheap.cache_key().unwrap());
+    assert_eq!(deliver(addr, &grant, &cheap_result).0, 200);
+
+    // Resubmitted, the cell is a fresh job, leased before the pool's
+    // recompute of the old one finishes.
+    let (status, ack) = post(
+        addr,
+        "/v1/experiments",
+        &serde_json::to_string(&race.cell).unwrap(),
+    );
+    assert_eq!(status, 202, "{ack:?}");
+    let grant = claim(addr, 60_000, key);
+    assert_eq!(grant["job_id"], ack["job_id"]);
+
+    // The pool's late result must not unlink the new job, so its
+    // worker's honest completion is recorded.
+    await_pool_computes(addr, 2);
+    let (status, answer) = deliver(addr, &grant, &race.cell_result);
+    assert_eq!(status, 200, "{answer:?}");
+    assert_eq!(answer["status"], Value::String("recorded".into()));
+    race.handle.shutdown();
 }

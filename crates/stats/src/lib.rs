@@ -1,14 +1,14 @@
 //! Descriptive statistics used by the experiment harness.
 //!
 //! The paper averages every experiment over 60 independent repetitions
-//! (§6.1) and reports percentages, generation series (Fig. 4) and
-//! popularity histograms (Tab. 7–9). This crate provides the small,
-//! dependency-free numerical toolkit behind those reports:
+//! (§6.1) and reports percentages and generation series (Fig. 4); its
+//! popularity tables (Tab. 7–9) are counted by `ahn_strategy::analysis`.
+//! This crate provides the small, dependency-free numerical toolkit
+//! behind the reports:
 //!
 //! * [`Summary`] — streaming mean / variance (Welford) with confidence
 //!   intervals,
 //! * [`Series`] — aligned per-generation series averaged across runs,
-//! * [`Histogram`] — counting histogram with fraction reports,
 //! * [`chi_squared_uniformity`] and friends — goodness-of-fit helpers used
 //!   by the distribution tests for Tables 2–3,
 //! * [`sampling`] — the shared categorical sampler (linear CDF walk and
@@ -17,13 +17,11 @@
 
 #![deny(missing_docs)]
 
-pub mod histogram;
 pub mod plot;
 pub mod sampling;
 pub mod series;
 pub mod summary;
 
-pub use histogram::Histogram;
 pub use plot::{ascii_chart, sparkline, PlotSeries};
 pub use sampling::{last_positive_category, walk_categorical, CdfTable};
 pub use series::Series;

@@ -1,6 +1,6 @@
 //! Property-based tests for the statistics toolkit.
 
-use ahn_stats::{chi_squared_uniformity, ratio, weighted_mean, Histogram, Series, Summary};
+use ahn_stats::{chi_squared_uniformity, ratio, weighted_mean, Series, Summary};
 use proptest::prelude::*;
 
 proptest! {
@@ -36,24 +36,6 @@ proptest! {
         if xs.len() > 1 {
             prop_assert!((left.variance().unwrap() - whole.variance().unwrap()).abs() < 1e-6);
         }
-    }
-
-    /// Histogram totals and fractions are consistent.
-    #[test]
-    fn histogram_bookkeeping(keys in proptest::collection::vec(0u64..32, 0..300)) {
-        let h: Histogram = keys.iter().copied().collect();
-        prop_assert_eq!(h.total(), keys.len() as u64);
-        let frac_sum: f64 = (0..32).map(|k| h.fraction(k)).sum();
-        if !keys.is_empty() {
-            prop_assert!((frac_sum - 1.0).abs() < 1e-9);
-        }
-        // ranked() is sorted and conserves counts.
-        let ranked = h.ranked();
-        for w in ranked.windows(2) {
-            prop_assert!(w[0].1 >= w[1].1);
-        }
-        let count_sum: u64 = ranked.iter().map(|&(_, c)| c).sum();
-        prop_assert_eq!(count_sum, h.total());
     }
 
     /// Series means are invariant to the order runs are added in.

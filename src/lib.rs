@@ -15,7 +15,7 @@
 //! | crate | contents |
 //! |-------|----------|
 //! | [`bitstr`] | fixed-width bit-string genomes |
-//! | [`stats`] | summaries, series, histograms |
+//! | [`stats`] | summaries, series, plots, sampling |
 //! | [`net`] | reputation, trust, activity, watchdog, paths, energy, gossip |
 //! | [`strategy`] | the 13-bit strategy codec and population analysis |
 //! | [`game`] | the Ad Hoc Network Game, tournaments, environments |

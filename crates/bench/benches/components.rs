@@ -169,7 +169,7 @@ fn bench_path_generation(c: &mut Criterion) {
         })
     });
 
-    // The precomputed-table samplers on their own.
+    // The path-model samplers on their own.
     let lengths = PathLengthDist::paper_longer();
     c.bench_function("paths/sample_length_LP", |b| {
         b.iter(|| black_box(lengths.sample(&mut rng)))
@@ -204,6 +204,7 @@ fn bench_strategy_ops(c: &mut Criterion) {
 }
 
 fn bench_ga(c: &mut Criterion) {
+    use rand::Rng as _;
     let mut rng = bench_rng(8);
     let population: Vec<BitStr> = (0..100).map(|_| BitStr::random(&mut rng, 13)).collect();
     let fitnesses: Vec<f64> = (0..100).map(|i| i as f64).collect();
@@ -220,8 +221,11 @@ fn bench_ga(c: &mut Criterion) {
     });
     let a = BitStr::random(&mut rng, 13);
     let bgen = BitStr::random(&mut rng, 13);
-    c.bench_function("ga/one_point_crossover_13", |b| {
-        b.iter(|| black_box(ops::one_point_crossover(&mut rng, &a, &bgen)))
+    c.bench_function("ga/one_point_child_13", |b| {
+        b.iter(|| {
+            let cut = rng.gen_range(1..13);
+            black_box(ops::one_point_child(&a, &bgen, cut, rng.gen_bool(0.5)))
+        })
     });
 }
 

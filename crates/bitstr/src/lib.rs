@@ -6,8 +6,8 @@
 //! the operations a genetic algorithm needs:
 //!
 //! * random generation ([`BitStr::random`]),
-//! * genetic operators (one-point / two-point / uniform crossover,
-//!   per-bit flip mutation) in [`ops`],
+//! * the paper's genetic operators (one-point crossover, per-bit flip
+//!   mutation) in [`ops`],
 //! * the paper's textual notation (`"010 101 101 111 1"`) via
 //!   [`fmt::Grouped`] and [`std::str::FromStr`],
 //! * serde support (serialized as the compact `0`/`1` string), behind
@@ -254,11 +254,6 @@ impl BitStr {
         self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Number of zero bits.
-    pub fn count_zeros(&self) -> usize {
-        self.len - self.count_ones()
-    }
-
     /// Hamming distance to `other`.
     ///
     /// # Panics
@@ -275,11 +270,6 @@ impl BitStr {
     /// Iterates over the bits from index 0 upward.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))
-    }
-
-    /// Collects the bits into a `Vec<bool>`.
-    pub fn to_bools(&self) -> Vec<bool> {
-        self.iter().collect()
     }
 
     /// Interprets bits `range.start..range.end` (start = most significant)
@@ -358,7 +348,6 @@ mod tests {
         for len in [0, 1, 5, 13, 63, 64, 65, 130] {
             assert_eq!(BitStr::zeros(len).count_ones(), 0, "len={len}");
             assert_eq!(BitStr::ones(len).count_ones(), len, "len={len}");
-            assert_eq!(BitStr::ones(len).count_zeros(), 0, "len={len}");
         }
     }
 
@@ -452,6 +441,5 @@ mod tests {
         for (i, b) in collected.iter().enumerate() {
             assert_eq!(*b, s.get(i));
         }
-        assert_eq!(s.to_bools(), collected);
     }
 }

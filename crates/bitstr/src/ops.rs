@@ -1,49 +1,26 @@
-//! Genetic operators over [`BitStr`] genomes.
+//! The paper's genetic operators over [`BitStr`] genomes (§5):
+//! *standard one-point crossover* and *standard uniform bit-flip
+//! mutation*.
 //!
-//! The paper (§5) uses *standard one-point crossover* and *standard uniform
-//! bit-flip mutation*; the other operators here (two-point, uniform
-//! crossover) exist for the ablation studies and are implemented with the
-//! same conventions:
-//!
-//! * crossover takes two parents of equal length and returns two children;
-//! * the cut point of one-point crossover is drawn uniformly from
-//!   `1..len`, so both children always receive genetic material from both
-//!   parents (a cut at 0 or `len` would merely clone the parents);
-//! * mutation flips every bit independently with probability `p`.
+//! * A one-point crossover of parents `a` and `b` at `cut` has the
+//!   children `a[..cut] ++ b[cut..]` and `b[..cut] ++ a[cut..]`. The
+//!   paper keeps one of the two at random, so [`one_point_child`] builds
+//!   only that one; the breeding loop (`ahn_ga::next_generation_into`)
+//!   draws the cut from `1..len`, so a child always receives genetic
+//!   material from both parents (a cut at 0 or `len` would merely clone
+//!   a parent).
+//! * Mutation flips every bit independently with probability `p`.
 
 use crate::BitStr;
 use rand::Rng;
-
-/// One-point crossover (§5 of the paper).
-///
-/// Children are `(a[..cut] ++ b[cut..], b[..cut] ++ a[cut..])` with
-/// `cut ∈ [1, len)`. For genomes shorter than 2 bits the parents are
-/// returned unchanged (no interior cut point exists).
-///
-/// # Panics
-/// Panics if the parents' lengths differ.
-pub fn one_point_crossover<R: Rng + ?Sized>(
-    rng: &mut R,
-    a: &BitStr,
-    b: &BitStr,
-) -> (BitStr, BitStr) {
-    assert_eq!(a.len(), b.len(), "crossover of unequal lengths");
-    if a.len() < 2 {
-        return (a.clone(), b.clone());
-    }
-    let cut = rng.gen_range(1..a.len());
-    crossover_at(a, b, cut)
-}
 
 /// Builds **one** child of a one-point crossover without materializing
 /// its sibling: `a[..cut] ++ b[cut..]` when `take_second` is false,
 /// `b[..cut] ++ a[cut..]` when true.
 ///
-/// This is the breeding hot path's variant of [`crossover_at`]: the
-/// paper's GA keeps only one of the two children (§5), so building both
-/// doubles the work for nothing. The caller draws the cut and the
-/// child pick itself (in that order) to keep RNG streams identical to
-/// the two-child construction.
+/// The paper's GA keeps only one of the two children (§5), so building
+/// both would double the work for nothing. The caller draws the cut and
+/// the child pick itself (in that order).
 ///
 /// # Panics
 /// Panics if the lengths differ or `cut > len`.
@@ -56,74 +33,6 @@ pub fn one_point_child(a: &BitStr, b: &BitStr, cut: usize, take_second: bool) ->
         child.set(i, tail.get(i));
     }
     child
-}
-
-/// Deterministic one-point crossover at a given cut (exposed for tests and
-/// for replaying logged runs).
-///
-/// # Panics
-/// Panics if the lengths differ or `cut > len`.
-pub fn crossover_at(a: &BitStr, b: &BitStr, cut: usize) -> (BitStr, BitStr) {
-    assert_eq!(a.len(), b.len(), "crossover of unequal lengths");
-    assert!(cut <= a.len(), "cut {cut} out of range");
-    let mut c = a.clone();
-    let mut d = b.clone();
-    for i in cut..a.len() {
-        c.set(i, b.get(i));
-        d.set(i, a.get(i));
-    }
-    (c, d)
-}
-
-/// Two-point crossover: swaps the segment between two cut points.
-///
-/// # Panics
-/// Panics if the parents' lengths differ.
-pub fn two_point_crossover<R: Rng + ?Sized>(
-    rng: &mut R,
-    a: &BitStr,
-    b: &BitStr,
-) -> (BitStr, BitStr) {
-    assert_eq!(a.len(), b.len(), "crossover of unequal lengths");
-    if a.len() < 2 {
-        return (a.clone(), b.clone());
-    }
-    let mut p1 = rng.gen_range(0..=a.len());
-    let mut p2 = rng.gen_range(0..=a.len());
-    if p1 > p2 {
-        std::mem::swap(&mut p1, &mut p2);
-    }
-    let mut c = a.clone();
-    let mut d = b.clone();
-    for i in p1..p2 {
-        c.set(i, b.get(i));
-        d.set(i, a.get(i));
-    }
-    (c, d)
-}
-
-/// Uniform crossover: each position is swapped independently with
-/// probability `swap_prob` (0.5 gives the classical operator).
-///
-/// # Panics
-/// Panics if the parents' lengths differ or `swap_prob ∉ [0, 1]`.
-pub fn uniform_crossover<R: Rng + ?Sized>(
-    rng: &mut R,
-    a: &BitStr,
-    b: &BitStr,
-    swap_prob: f64,
-) -> (BitStr, BitStr) {
-    assert_eq!(a.len(), b.len(), "crossover of unequal lengths");
-    assert!((0.0..=1.0).contains(&swap_prob), "swap_prob out of range");
-    let mut c = a.clone();
-    let mut d = b.clone();
-    for i in 0..a.len() {
-        if rng.gen_bool(swap_prob) {
-            c.set(i, b.get(i));
-            d.set(i, a.get(i));
-        }
-    }
-    (c, d)
 }
 
 /// Uniform bit-flip mutation: flips each bit independently with
@@ -157,33 +66,38 @@ mod tests {
         ChaCha8Rng::seed_from_u64(seed)
     }
 
+    /// Both children of a one-point crossover at `cut`.
+    fn children(a: &BitStr, b: &BitStr, cut: usize) -> (BitStr, BitStr) {
+        (
+            one_point_child(a, b, cut, false),
+            one_point_child(a, b, cut, true),
+        )
+    }
+
     #[test]
     fn crossover_at_known_cut() {
         let a: BitStr = "0000".parse().unwrap();
         let b: BitStr = "1111".parse().unwrap();
-        let (c, d) = crossover_at(&a, &b, 2);
+        let (c, d) = children(&a, &b, 2);
         assert_eq!(c.to_string(), "0011");
         assert_eq!(d.to_string(), "1100");
     }
 
     #[test]
     fn one_point_child_matches_both_siblings() {
+        // Each child is one parent up to the cut and the other after it,
+        // and the two children split every position's bits between them.
         let mut r = rng(21);
         for len in [2usize, 13, 64, 90] {
             let a = BitStr::random(&mut r, len);
             let b = BitStr::random(&mut r, len);
             for cut in 0..=len {
-                let (c1, c2) = crossover_at(&a, &b, cut);
-                assert_eq!(
-                    one_point_child(&a, &b, cut, false),
-                    c1,
-                    "len {len} cut {cut}"
-                );
-                assert_eq!(
-                    one_point_child(&a, &b, cut, true),
-                    c2,
-                    "len {len} cut {cut}"
-                );
+                let (c1, c2) = children(&a, &b, cut);
+                for i in 0..len {
+                    let (head, tail) = if i < cut { (&a, &b) } else { (&b, &a) };
+                    assert_eq!(c1.get(i), head.get(i), "len {len} cut {cut} bit {i}");
+                    assert_eq!(c2.get(i), tail.get(i), "len {len} cut {cut} bit {i}");
+                }
             }
         }
     }
@@ -191,24 +105,19 @@ mod tests {
     #[test]
     fn crossover_preserves_positionwise_multiset() {
         // For every position the children's bits are a permutation of the
-        // parents' bits at that position, for every operator.
+        // parents' bits at that position, whatever the cut.
         let mut r = rng(11);
         let a = BitStr::random(&mut r, 13);
         let b = BitStr::random(&mut r, 13);
         for _ in 0..50 {
-            for (c, d) in [
-                one_point_crossover(&mut r, &a, &b),
-                two_point_crossover(&mut r, &a, &b),
-                uniform_crossover(&mut r, &a, &b, 0.5),
-            ] {
-                for i in 0..13 {
-                    let parents = [a.get(i), b.get(i)];
-                    let mut kids = [c.get(i), d.get(i)];
-                    kids.sort();
-                    let mut sorted_parents = parents;
-                    sorted_parents.sort();
-                    assert_eq!(kids, sorted_parents, "position {i}");
-                }
+            let (c, d) = children(&a, &b, r.gen_range(1..13));
+            for i in 0..13 {
+                let parents = [a.get(i), b.get(i)];
+                let mut kids = [c.get(i), d.get(i)];
+                kids.sort();
+                let mut sorted_parents = parents;
+                sorted_parents.sort();
+                assert_eq!(kids, sorted_parents, "position {i}");
             }
         }
     }
@@ -218,7 +127,7 @@ mod tests {
         let a = BitStr::zeros(13);
         let b = BitStr::ones(13);
         let mut r = rng(5);
-        let (c, d) = one_point_crossover(&mut r, &a, &b);
+        let (c, d) = children(&a, &b, r.gen_range(1..13));
         // With an interior cut both children are proper mixtures.
         assert!(c.count_ones() > 0 && c.count_ones() < 13);
         assert!(d.count_ones() > 0 && d.count_ones() < 13);
@@ -227,11 +136,11 @@ mod tests {
 
     #[test]
     fn one_point_on_tiny_genomes_clones() {
+        // A 1-bit genome has no interior cut: either cut clones the parents.
         let a = BitStr::zeros(1);
         let b = BitStr::ones(1);
-        let mut r = rng(0);
-        let (c, d) = one_point_crossover(&mut r, &a, &b);
-        assert_eq!((c, d), (a, b));
+        assert_eq!(children(&a, &b, 0), (b.clone(), a.clone()));
+        assert_eq!(children(&a, &b, 1), (a, b));
     }
 
     #[test]
@@ -261,19 +170,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "unequal lengths")]
     fn crossover_length_mismatch_panics() {
-        let mut r = rng(1);
-        let _ = one_point_crossover(&mut r, &BitStr::zeros(5), &BitStr::zeros(6));
+        let _ = one_point_child(&BitStr::zeros(5), &BitStr::zeros(6), 3, false);
     }
 
     #[test]
     fn two_point_full_range_swaps_everything_or_nothing() {
         let a = BitStr::zeros(8);
         let b = BitStr::ones(8);
-        // Deterministic check through crossover_at-equivalent extremes.
-        let (c, d) = crossover_at(&a, &b, 0);
+        // A cut at either end swaps everything or nothing.
+        let (c, d) = children(&a, &b, 0);
         assert_eq!(c, b);
         assert_eq!(d, a);
-        let (c, d) = crossover_at(&a, &b, 8);
+        let (c, d) = children(&a, &b, 8);
         assert_eq!(c, a);
         assert_eq!(d, b);
     }

@@ -190,7 +190,7 @@ pub struct ExperimentConfig {
     /// When set, the selfish pool is built from these attacker groups
     /// (adversary zoo; see `ahn_core::scenarios`) instead of plain
     /// constantly-selfish nodes. `None` — the paper's model — keeps the
-    /// all-CSN pool and the exact legacy construction path.
+    /// all-CSN pool.
     pub attackers: Option<Vec<AttackerGroup>>,
     /// Base RNG seed; replication `k` runs with `base_seed + k`.
     pub base_seed: u64,
@@ -446,6 +446,18 @@ mod tests {
         json = json.replace(needle, "");
         let back: ExperimentConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, ExperimentConfig::smoke());
+    }
+
+    #[test]
+    fn committed_best_fit_config_is_the_scaled_preset_with_the_best_fit_table() {
+        // CI's all-four-cases fidelity gate runs `--config configs/best-fit.json`.
+        let json = include_str!("../../../configs/best-fit.json");
+        let config: ExperimentConfig = serde_json::from_str(json).unwrap();
+        let want = ExperimentConfig {
+            payoff: PayoffConfig::best_fit(),
+            ..ExperimentConfig::scaled()
+        };
+        assert_eq!(config, want);
     }
 
     #[test]

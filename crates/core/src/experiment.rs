@@ -92,17 +92,15 @@ pub fn run_replication_with<R: ahn_obs::Recorder>(
     let decode =
         |gs: &[BitStr]| -> Vec<Strategy> { gs.iter().map(|g| config.codec.decode(g)).collect() };
 
-    let mut arena = match &config.attackers {
-        // The paper's model: the selfish pool is all-CSN, built by the
-        // legacy constructor — byte-identical draw sequences.
-        None => Arena::new(
-            decode(&genomes),
+    // Normal players take the first ids; the selfish pool fills the tail:
+    // the paper's constantly selfish nodes, or the adversary zoo's
+    // attacker groups expanded in declaration order.
+    let mut kinds = vec![ahn_game::NodeKind::Normal; config.population];
+    match &config.attackers {
+        None => kinds.extend(std::iter::repeat_n(
+            ahn_game::NodeKind::ConstantlySelfish,
             schedule.required_csn(),
-            game_config,
-            case.envs.len(),
-        ),
-        // Adversary zoo: the pool is the attacker groups expanded in
-        // declaration order, occupying the same tail slots CSNs would.
+        )),
         Some(groups) => {
             let pool: usize = groups.iter().map(|g| g.count).sum();
             assert!(
@@ -110,13 +108,12 @@ pub fn run_replication_with<R: ahn_obs::Recorder>(
                 "attacker pool ({pool}) cannot fill an environment needing {} selfish nodes",
                 schedule.required_csn()
             );
-            let mut kinds = vec![ahn_game::NodeKind::Normal; config.population];
             for g in groups {
                 kinds.extend(std::iter::repeat_n(g.behavior.node_kind(), g.count));
             }
-            Arena::with_kinds(decode(&genomes), kinds, game_config, case.envs.len())
         }
-    };
+    }
+    let mut arena = Arena::with_kinds(decode(&genomes), kinds, game_config, case.envs.len());
     for sleeper in &config.sleepers {
         arena.set_duty_cycle(ahn_net::NodeId::from(sleeper.index), sleeper.duty);
     }

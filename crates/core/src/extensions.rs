@@ -16,7 +16,7 @@
 use crate::cases::CaseSpec;
 use crate::config::{ExperimentConfig, SleeperSpec, StrategyCodec};
 use crate::experiment::run_replication;
-use ahn_game::{game::Scratch, play_game, Arena};
+use ahn_game::{game::Scratch, play_game, Arena, RoundScratch, Tournament};
 use ahn_net::NodeId;
 use ahn_strategy::Strategy;
 use rand::SeedableRng;
@@ -316,8 +316,9 @@ pub fn sleeper_study(
         let rep = run_replication(&cfg, case, seed);
 
         // Observation phase: the converged strategies play one CSN-free
-        // tournament with the same duty cycles; per-source deliveries are
-        // tracked directly.
+        // tournament with the same duty cycles, through the tournament's
+        // own rounds (awake sampling, idle and sleep energy); its game
+        // hook attributes deliveries per source.
         let game_config = crate::game_config_of(&cfg, case);
         let size = case.envs[0].normal().min(rep.final_population.len());
         let mut arena = Arena::new(rep.final_population[..size].to_vec(), 0, game_config, 1);
@@ -326,39 +327,19 @@ pub fn sleeper_study(
         }
         let participants: Vec<NodeId> = (0..size as u32).map(NodeId).collect();
         let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(transfer_salt()));
-        let mut scratch = Scratch::default();
         let mut delivered = vec![0u64; size];
         let mut sourced = vec![0u64; size];
-        // Mirror the tournament's sleep handling via Tournament::run-like
-        // manual rounds so deliveries can be attributed per source.
-        for _round in 0..cfg.rounds {
-            // Sample awake set.
-            let mut awake: Vec<NodeId> = Vec::with_capacity(size);
-            for &p in &participants {
-                let d = arena.duty_cycle(p);
-                if d >= 1.0 || rand::Rng::gen_bool(&mut rng, d) {
-                    awake.push(p);
-                }
-            }
-            if awake.len() < 2 {
-                continue;
-            }
-            for &source in &participants {
-                let awake_pos = awake.iter().position(|&p| p == source);
-                if awake_pos.is_none() {
-                    awake.push(source);
-                }
-                if awake.len() >= 3 {
-                    let pos = awake_pos.unwrap_or(awake.len() - 1);
-                    let report = play_game(&mut arena, &mut rng, &awake, pos, 0, &mut scratch);
-                    sourced[source.index()] += 1;
-                    delivered[source.index()] += report.outcome.delivered() as u64;
-                }
-                if awake_pos.is_none() {
-                    awake.pop();
-                }
-            }
-        }
+        Tournament::new(cfg.rounds).run_observed(
+            &mut arena,
+            &mut rng,
+            &participants,
+            0,
+            &mut RoundScratch::default(),
+            |source, report| {
+                sourced[source.index()] += 1;
+                delivered[source.index()] += u64::from(report.outcome.delivered());
+            },
+        );
         let rate_over = |range: std::ops::Range<usize>| -> f64 {
             let d: u64 = range.clone().map(|i| delivered[i]).sum();
             let s: u64 = range.map(|i| sourced[i]).sum();
@@ -428,6 +409,42 @@ mod sleeper_tests {
             assert!((0.0..=1.0).contains(&v));
         }
         let (_full_gap, _trust_gap) = study.activity_penalty();
+    }
+
+    #[test]
+    fn sleeper_energy_is_the_tournaments_energy() {
+        // The settings of `sleeper_study_reports_energy_savings`.
+        let mut cfg = ExperimentConfig::smoke();
+        cfg.population = 12;
+        cfg.rounds = 40;
+        cfg.generations = 20;
+        let case = CaseSpec::mini("sleep", &[0], 12, PathMode::Shorter);
+        let (n_sleepers, duty, seed) = (3, 0.3, 7);
+        let study = sleeper_study(&cfg, &case, n_sleepers, duty, seed);
+
+        // The full-codec observation tournament, played by `Tournament::run`.
+        cfg.sleepers = (0..n_sleepers)
+            .map(|index| SleeperSpec { index, duty })
+            .collect();
+        let rep = run_replication(&cfg, &case, seed);
+        let game_config = crate::game_config_of(&cfg, &case);
+        let mut arena = Arena::new(rep.final_population, 0, game_config, 1);
+        for s in 0..n_sleepers {
+            arena.set_duty_cycle(NodeId::from(s), duty);
+        }
+        let participants: Vec<NodeId> = (0..12).map(NodeId).collect();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(transfer_salt()));
+        Tournament::new(cfg.rounds).run(&mut arena, &mut rng, &participants, 0);
+        // Every node spends each round listening or asleep.
+        for ledger in &arena.energy {
+            assert_eq!(ledger.idle_s + ledger.sleep_s, 40.0);
+        }
+        let profile = ahn_net::energy::PowerProfile::wavelan();
+        let mean = |r: std::ops::Range<usize>| {
+            let n = r.len() as f64;
+            r.map(|i| arena.energy[i].total_mj(&profile)).sum::<f64>() / n
+        };
+        assert_eq!(study.sleeper_energy_ratio, mean(0..3) / mean(3..12));
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! through unchanged (off by default; the paper uses none).
 
 use crate::selection::Selection;
-use crate::stats::GenStats;
 use ahn_bitstr::{ops, BitStr};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -137,7 +136,7 @@ pub fn next_generation_into<R: Rng + ?Sized>(
         let mut child = if rng.gen_bool(params.crossover_prob) {
             if a.len() < 2 {
                 // No interior cut point exists: the "children" are the
-                // parents themselves (see ops::one_point_crossover).
+                // parents themselves.
                 if rng.gen_bool(0.5) {
                     a.clone()
                 } else {
@@ -161,73 +160,10 @@ pub fn next_generation_into<R: Rng + ?Sized>(
     }
 }
 
-/// One generation's record from [`evolve`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GenerationRecord {
-    /// Generation index (0 = the initial random population).
-    pub generation: usize,
-    /// Fitness statistics of the evaluated population.
-    pub stats: GenStats,
-    /// The fittest genome of the generation.
-    pub best: BitStr,
-}
-
-/// Runs a complete evolution: random initial population of `pop_size`
-/// genomes of `genome_bits` bits, `generations` iterations of
-/// evaluate-and-breed, returning one record per generation.
-///
-/// `evaluate` receives the whole population and returns one fitness per
-/// genome — the ad hoc experiments plug the tournament evaluation in
-/// here.
-pub fn evolve<R, F>(
-    rng: &mut R,
-    params: &GaParams,
-    pop_size: usize,
-    genome_bits: usize,
-    generations: usize,
-    mut evaluate: F,
-) -> Vec<GenerationRecord>
-where
-    R: Rng + ?Sized,
-    F: FnMut(&[BitStr]) -> Vec<f64>,
-{
-    assert!(pop_size > 0 && generations > 0, "empty evolution requested");
-    let mut population: Vec<BitStr> = (0..pop_size)
-        .map(|_| BitStr::random(rng, genome_bits))
-        .collect();
-    let mut offspring: Vec<BitStr> = Vec::with_capacity(pop_size);
-    let mut history = Vec::with_capacity(generations);
-    for generation in 0..generations {
-        let fitnesses = evaluate(&population);
-        assert_eq!(
-            fitnesses.len(),
-            population.len(),
-            "evaluator length mismatch"
-        );
-        let stats = GenStats::from_fitnesses(&fitnesses);
-        let best_idx = (0..fitnesses.len())
-            .max_by(|&a, &b| {
-                fitnesses[a]
-                    .partial_cmp(&fitnesses[b])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .expect("non-empty population");
-        history.push(GenerationRecord {
-            generation,
-            stats,
-            best: population[best_idx].clone(),
-        });
-        if generation + 1 < generations {
-            next_generation_into(rng, params, &population, &fitnesses, &mut offspring);
-            std::mem::swap(&mut population, &mut offspring);
-        }
-    }
-    history
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::GenStats;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -237,6 +173,33 @@ mod tests {
 
     fn ones_fitness(pop: &[BitStr]) -> Vec<f64> {
         pop.iter().map(|g| g.count_ones() as f64).collect()
+    }
+
+    /// One-max evolution over [`next_generation_into`]: a random
+    /// population of `pop_size` genomes of `bits` bits, bred for
+    /// `generations` generations, with the fitness statistics of every
+    /// generation and the final population.
+    fn onemax(
+        seed: u64,
+        pop_size: usize,
+        bits: usize,
+        generations: usize,
+    ) -> (Vec<GenStats>, Vec<BitStr>) {
+        let mut r = rng(seed);
+        let mut pop: Vec<BitStr> = (0..pop_size)
+            .map(|_| BitStr::random(&mut r, bits))
+            .collect();
+        let mut next = Vec::new();
+        let mut history = Vec::new();
+        for generation in 0..generations {
+            let fit = ones_fitness(&pop);
+            history.push(GenStats::from_fitnesses(&fit));
+            if generation + 1 < generations {
+                next_generation_into(&mut r, &GaParams::paper(), &pop, &fit, &mut next);
+                std::mem::swap(&mut pop, &mut next);
+            }
+        }
+        (history, pop)
     }
 
     #[test]
@@ -280,18 +243,17 @@ mod tests {
 
     #[test]
     fn onemax_converges() {
-        let mut r = rng(1);
-        let history = evolve(&mut r, &GaParams::paper(), 40, 16, 60, ones_fitness);
+        let (history, _) = onemax(1, 40, 16, 60);
         assert_eq!(history.len(), 60);
         let first = &history[0];
         let last = &history[59];
         assert!(
-            last.stats.mean > first.stats.mean + 3.0,
+            last.mean > first.mean + 3.0,
             "mean fitness should rise: {} -> {}",
-            first.stats.mean,
-            last.stats.mean
+            first.mean,
+            last.mean
         );
-        assert!(last.stats.best >= 15.0, "best = {}", last.stats.best);
+        assert!(last.best >= 15.0, "best = {}", last.best);
     }
 
     #[test]
@@ -346,22 +308,18 @@ mod tests {
 
     #[test]
     fn evolve_is_deterministic_under_seed() {
-        let run = |seed| {
-            let mut r = rng(seed);
-            evolve(&mut r, &GaParams::paper(), 10, 13, 10, ones_fitness)
-        };
-        assert_eq!(run(7), run(7));
+        assert_eq!(onemax(7, 10, 13, 10), onemax(7, 10, 13, 10));
     }
 
     #[test]
     fn history_records_are_indexed() {
-        let mut r = rng(5);
-        let history = evolve(&mut r, &GaParams::paper(), 5, 5, 7, ones_fitness);
-        for (i, rec) in history.iter().enumerate() {
-            assert_eq!(rec.generation, i);
-            assert!(rec.stats.best >= rec.stats.mean);
-            assert!(rec.stats.mean >= rec.stats.worst);
+        let (history, pop) = onemax(5, 5, 5, 7);
+        assert_eq!(history.len(), 7);
+        for stats in &history {
+            assert!(stats.best >= stats.mean);
+            assert!(stats.mean >= stats.worst);
         }
+        assert!(pop.iter().all(|g| g.len() == 5));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the GA engine.
 
 use ahn_bitstr::BitStr;
-use ahn_ga::{evolve, next_generation, GaParams, GenStats, Selection};
+use ahn_ga::{next_generation, next_generation_into, GaParams, GenStats, Selection};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -96,18 +96,19 @@ proptest! {
         prop_assert!(s.std_dev >= 0.0);
     }
 
-    /// evolve() records exactly one entry per generation with the genome
-    /// width requested.
+    /// Breeding generation after generation into one reused buffer keeps
+    /// the population size and the genome width requested.
     #[test]
     fn evolve_shapes(seed in any::<u64>(), bits in 1usize..20, gens in 1usize..8) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let history = evolve(&mut rng, &GaParams::paper(), 6, bits, gens, |pop| {
-            pop.iter().map(|g| g.count_ones() as f64).collect()
-        });
-        prop_assert_eq!(history.len(), gens);
-        for (i, rec) in history.iter().enumerate() {
-            prop_assert_eq!(rec.generation, i);
-            prop_assert_eq!(rec.best.len(), bits);
+        let mut pop: Vec<BitStr> = (0..6).map(|_| BitStr::random(&mut rng, bits)).collect();
+        let mut next = Vec::new();
+        for _ in 1..gens {
+            let fitnesses: Vec<f64> = pop.iter().map(|g| g.count_ones() as f64).collect();
+            next_generation_into(&mut rng, &GaParams::paper(), &pop, &fitnesses, &mut next);
+            std::mem::swap(&mut pop, &mut next);
+            prop_assert_eq!(pop.len(), 6);
+            prop_assert!(pop.iter().all(|g| g.len() == bits));
         }
     }
 }

@@ -4,20 +4,24 @@
 //! normal players' strategies, the shared reputation matrix, per-player
 //! payoff accounts and energy ledgers, and the per-environment metrics.
 //! Node ids are dense: normal players take `0..n_normal`, the
-//! constantly-selfish pool follows.
+//! selfish pool (constantly selfish nodes, or the adversary zoo's
+//! attackers) follows.
 //!
 //! # Layout: struct of arrays, sized once
 //!
 //! Per-node state is stored as parallel arrays indexed by node id
-//! (`kinds[i]`, `strategies[i]`, `payoffs[i]`, `energy[i]`,
+//! (`kinds[i]`, `strategy_masks[i]`, `payoffs[i]`, `energy[i]`,
 //! `duty_cycle[i]`) rather than an array of node structs: the hot game
 //! loop touches one dimension at a time (a decision reads kind +
 //! strategy, the payoff pass writes payoffs + energy), so SoA keeps each
 //! pass on contiguous memory and leaves untouched dimensions out of the
-//! cache. Every buffer is sized at construction and **reused across
-//! generations**: [`Arena::begin_generation`] clears in place,
-//! [`Arena::set_strategies_with`] decodes a new generation into the
-//! existing strategy buffer, and [`Arena::fitnesses_into`] fills a
+//! cache. A normal player's strategy is held only as its 13-bit
+//! [`Strategy::encode`] mask, the form the game kernel decides from;
+//! [`Arena::strategy`] decodes it back. Every buffer is sized at
+//! construction and **reused across generations**:
+//! [`Arena::begin_generation`] clears in place,
+//! [`Arena::set_strategies_with`] writes a new generation's masks into
+//! the existing buffer, and [`Arena::fitnesses_into`] fills a
 //! caller-owned vector — so the generational loop performs no
 //! steady-state allocations even at 1 000 nodes (tests/zero_alloc.rs).
 
@@ -69,14 +73,10 @@ impl GameConfig {
 #[derive(Debug, Clone)]
 pub struct Arena {
     kinds: Vec<NodeKind>,
-    /// Strategies of the normal players (index = node id).
-    strategies: Vec<Strategy>,
-    /// Bit-parallel twin of `strategies`: player `i`'s 13-bit genome as
-    /// the integer [`Strategy::encode`] produces (paper bit 0 = most
-    /// significant). The game kernel reads decisions straight
-    /// off this flat array — a shift and a mask against a 2-byte word —
-    /// instead of loading the `Strategy` struct per decision. Kept in
-    /// sync by every strategy-mutating method.
+    /// Player `i`'s 13-bit genome as the integer [`Strategy::encode`]
+    /// produces (paper bit 0 = most significant), one per normal
+    /// player. The game kernel reads decisions straight off this flat
+    /// array — a shift and a mask against a 2-byte word.
     strategy_masks: Vec<u16>,
     /// Shared reputation state, sized for every node (normal + selfish).
     pub reputation: ReputationMatrix,
@@ -111,23 +111,9 @@ impl Arena {
         config: GameConfig,
         n_envs: usize,
     ) -> Self {
-        let n_normal = strategies.len();
-        let total = n_normal + csn_count;
-        let mut kinds = vec![NodeKind::Normal; n_normal];
+        let mut kinds = vec![NodeKind::Normal; strategies.len()];
         kinds.extend(std::iter::repeat_n(NodeKind::ConstantlySelfish, csn_count));
-        let strategy_masks = strategies.iter().map(Strategy::encode).collect();
-        Arena {
-            kinds,
-            strategies,
-            strategy_masks,
-            reputation: ReputationMatrix::new(total),
-            payoffs: vec![PayoffAccount::new(); total],
-            energy: vec![EnergyLedger::new(); total],
-            config,
-            metrics: Metrics::new(n_envs),
-            duty_cycle: vec![1.0; total],
-            round_clock: 0,
-        }
+        Arena::with_kinds(strategies, kinds, config, n_envs)
     }
 
     /// Builds an arena with explicit node kinds (for extension kinds such
@@ -152,11 +138,9 @@ impl Arena {
             }
         }
         let total = kinds.len();
-        let strategy_masks = strategies.iter().map(Strategy::encode).collect();
         Arena {
             kinds,
-            strategies,
-            strategy_masks,
+            strategy_masks: strategies.iter().map(Strategy::encode).collect(),
             reputation: ReputationMatrix::new(total),
             payoffs: vec![PayoffAccount::new(); total],
             energy: vec![EnergyLedger::new(); total],
@@ -169,7 +153,7 @@ impl Arena {
 
     /// Number of normal (strategy-driven) players.
     pub fn n_normal(&self) -> usize {
-        self.strategies.len()
+        self.strategy_masks.len()
     }
 
     /// Total number of nodes (normal + selfish pool).
@@ -193,19 +177,17 @@ impl Arena {
         self.kinds[id.index()]
     }
 
-    /// The strategy of a normal player.
+    /// The strategy of a normal player, decoded from its mask.
     ///
     /// # Panics
     /// Panics if `id` is not a normal player.
-    #[inline]
-    pub fn strategy(&self, id: NodeId) -> &Strategy {
-        &self.strategies[id.index()]
+    pub fn strategy(&self, id: NodeId) -> Strategy {
+        Strategy::decode(self.strategy_mask(id))
     }
 
     /// The encoded 13-bit genome of a normal player, paper bit `b` at
     /// integer bit `12 - b` (see [`Strategy::encode`]). The game
-    /// kernel's decision read: 2 bytes per player instead of the full
-    /// `Strategy` struct.
+    /// kernel's decision read.
     ///
     /// # Panics
     /// Panics if `id` is not a normal player.
@@ -214,37 +196,12 @@ impl Arena {
         self.strategy_masks[id.index()]
     }
 
-    /// Replaces the normal players' strategies (new generation).
-    ///
-    /// # Panics
-    /// Panics if the count changes.
-    pub fn set_strategies(&mut self, strategies: Vec<Strategy>) {
-        assert_eq!(
-            strategies.len(),
-            self.strategies.len(),
-            "population size is fixed for an arena"
-        );
-        self.strategies = strategies;
-        self.strategy_masks.clear();
-        self.strategy_masks
-            .extend(self.strategies.iter().map(Strategy::encode));
-    }
-
-    /// Replaces the normal players' strategies **in place**: `decode(i)`
-    /// produces player `i`'s new strategy directly into the existing SoA
-    /// buffer. The allocation-free sibling of
-    /// [`Arena::set_strategies`] for the generational loop (decoding a
-    /// genome is a pure bit operation, so no intermediate `Vec` is
-    /// needed).
+    /// Replaces the normal players' strategies **in place** (new
+    /// generation): `decode(i)` produces player `i`'s new strategy, and
+    /// its mask overwrites the old one in the existing buffer.
     pub fn set_strategies_with(&mut self, mut decode: impl FnMut(usize) -> Strategy) {
-        for (i, (slot, mask)) in self
-            .strategies
-            .iter_mut()
-            .zip(self.strategy_masks.iter_mut())
-            .enumerate()
-        {
-            *slot = decode(i);
-            *mask = slot.encode();
+        for (i, mask) in self.strategy_masks.iter_mut().enumerate() {
+            *mask = decode(i).encode();
         }
     }
 
@@ -375,17 +332,10 @@ mod tests {
     #[test]
     fn set_strategies_swaps_generation() {
         let mut a = arena(2, 0);
-        let new = vec![Strategy::always_forward(), Strategy::always_discard()];
-        a.set_strategies(new.clone());
-        assert_eq!(a.strategy(NodeId(0)), &new[0]);
-        assert_eq!(a.strategy(NodeId(1)), &new[1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "population size is fixed")]
-    fn set_strategies_rejects_resize() {
-        let mut a = arena(2, 0);
-        a.set_strategies(vec![Strategy::always_forward()]);
+        let new = [Strategy::always_forward(), Strategy::always_discard()];
+        a.set_strategies_with(|i| new[i].clone());
+        assert_eq!(a.strategy(NodeId(0)), new[0]);
+        assert_eq!(a.strategy(NodeId(1)), new[1]);
     }
 
     #[test]

@@ -89,15 +89,6 @@ impl NodeKind {
         )
     }
 
-    /// The fixed decision this kind makes regardless of strategy, or
-    /// `None` when the decision is strategy-driven. Context-free form
-    /// for the original kinds; the zoo kinds are treated as at round 0
-    /// relaying for a normal source (colluders discard, on-off nodes
-    /// start in their on-phase).
-    pub fn fixed_decision<R: Rng + ?Sized>(self, rng: &mut R) -> Option<Decision> {
-        self.fixed_decision_ctx(rng, NodeKind::Normal, 0)
-    }
-
     /// The fixed decision this kind makes for a packet sourced by a
     /// node of kind `source` during tournament round `round`, or `None`
     /// when the decision is strategy-driven. Only
@@ -156,7 +147,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         for _ in 0..10 {
             assert_eq!(
-                NodeKind::ConstantlySelfish.fixed_decision(&mut rng),
+                NodeKind::ConstantlySelfish.fixed_decision_ctx(&mut rng, NodeKind::Normal, 0),
                 Some(Decision::Discard)
             );
         }
@@ -165,7 +156,10 @@ mod tests {
     #[test]
     fn normal_defers_to_strategy() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        assert_eq!(NodeKind::Normal.fixed_decision(&mut rng), None);
+        assert_eq!(
+            NodeKind::Normal.fixed_decision_ctx(&mut rng, NodeKind::Normal, 0),
+            None
+        );
     }
 
     #[test]
@@ -173,7 +167,9 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let kind = NodeKind::RandomDropper(0.25);
         let drops = (0..10_000)
-            .filter(|_| kind.fixed_decision(&mut rng) == Some(Decision::Discard))
+            .filter(|_| {
+                kind.fixed_decision_ctx(&mut rng, NodeKind::Normal, 0) == Some(Decision::Discard)
+            })
             .count();
         assert!((2_200..=2_800).contains(&drops), "drops={drops}");
     }
@@ -247,11 +243,11 @@ mod tests {
     fn dropper_extremes() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         assert_eq!(
-            NodeKind::RandomDropper(0.0).fixed_decision(&mut rng),
+            NodeKind::RandomDropper(0.0).fixed_decision_ctx(&mut rng, NodeKind::Normal, 0),
             Some(Decision::Forward)
         );
         assert_eq!(
-            NodeKind::RandomDropper(1.0).fixed_decision(&mut rng),
+            NodeKind::RandomDropper(1.0).fixed_decision_ctx(&mut rng, NodeKind::Normal, 0),
             Some(Decision::Discard)
         );
     }

@@ -6,7 +6,7 @@
 //! model.
 
 use crate::arena::Arena;
-use crate::game::{play_game, Scratch};
+use crate::game::{play_game, GameReport, Scratch};
 use crate::players::NodeKind;
 use ahn_net::NodeId;
 use rand::Rng;
@@ -76,6 +76,27 @@ impl Tournament {
         env: usize,
         round_scratch: &mut RoundScratch,
     ) {
+        self.run_observed(arena, rng, participants, env, round_scratch, |_, _| {});
+    }
+
+    /// [`Tournament::run_with_scratch`] that calls `on_game(source,
+    /// &report)` after every game played, for callers that attribute
+    /// outcomes to sources. The hook runs after the game has settled
+    /// and cannot reach the RNG or the arena, so the tournament plays
+    /// the same games with or without it; the no-op hook of
+    /// [`Tournament::run`] compiles to nothing.
+    pub fn run_observed<R, F>(
+        &self,
+        arena: &mut Arena,
+        rng: &mut R,
+        participants: &[NodeId],
+        env: usize,
+        round_scratch: &mut RoundScratch,
+        mut on_game: F,
+    ) where
+        R: Rng + ?Sized,
+        F: FnMut(NodeId, &GameReport),
+    {
         assert!(
             participants.len() >= 3,
             "a tournament needs at least three participants"
@@ -147,16 +168,24 @@ impl Tournament {
             }
             // Every participant sources one game (§4.4); energy-exhaustion
             // attackers then source `extra` more each.
-            for pos in 0..participants.len() {
+            for (pos, &source) in participants.iter().enumerate() {
                 let awake = sample_sleep.then_some(&mut *awake);
-                play_sourced(arena, rng, participants, pos, awake, env, scratch);
+                if let Some(report) =
+                    play_sourced(arena, rng, participants, pos, awake, env, scratch)
+                {
+                    on_game(source, &report);
+                }
             }
             if has_flooders {
                 for (pos, &source) in participants.iter().enumerate() {
                     if let NodeKind::Flooder { extra } = arena.kind(source) {
                         for _ in 0..extra {
                             let awake = sample_sleep.then_some(&mut *awake);
-                            play_sourced(arena, rng, participants, pos, awake, env, scratch);
+                            if let Some(report) =
+                                play_sourced(arena, rng, participants, pos, awake, env, scratch)
+                            {
+                                on_game(source, &report);
+                            }
                         }
                     }
                 }
@@ -244,12 +273,13 @@ impl Tournament {
     }
 }
 
-/// Plays one game sourced by `participants[pos]`. In a sleeper round
-/// (`awake` is the round's awake set) the game is played among the awake
-/// nodes instead, in their order. A sleeping source still wakes to send
-/// its own packet (sleep saves listening energy, not transmission), so
-/// it joins the end of the awake list for its own game only. A game
-/// needs three eligible nodes; with fewer the packet is not sent.
+/// Plays one game sourced by `participants[pos]` and returns its
+/// report. In a sleeper round (`awake` is the round's awake set) the
+/// game is played among the awake nodes instead, in their order. A
+/// sleeping source still wakes to send its own packet (sleep saves
+/// listening energy, not transmission), so it joins the end of the
+/// awake list for its own game only. A game needs three eligible nodes;
+/// with fewer the packet is not sent and `None` is returned.
 fn play_sourced<R: Rng + ?Sized>(
     arena: &mut Arena,
     rng: &mut R,
@@ -258,24 +288,21 @@ fn play_sourced<R: Rng + ?Sized>(
     awake: Option<&mut Vec<NodeId>>,
     env: usize,
     scratch: &mut Scratch,
-) {
+) -> Option<GameReport> {
     let Some(awake) = awake else {
-        play_game(arena, rng, participants, pos, env, scratch);
-        return;
+        return Some(play_game(arena, rng, participants, pos, env, scratch));
     };
     let source = participants[pos];
     match awake.iter().position(|&p| p == source) {
         Some(awake_pos) => {
-            if awake.len() >= 3 {
-                play_game(arena, rng, awake, awake_pos, env, scratch);
-            }
+            (awake.len() >= 3).then(|| play_game(arena, rng, awake, awake_pos, env, scratch))
         }
         None => {
             awake.push(source);
-            if awake.len() >= 3 {
-                play_game(arena, rng, awake, awake.len() - 1, env, scratch);
-            }
+            let report = (awake.len() >= 3)
+                .then(|| play_game(arena, rng, awake, awake.len() - 1, env, scratch));
             awake.pop();
+            report
         }
     }
 }

@@ -17,11 +17,15 @@
 //!
 //! Table 2's numbers are *per hop count* probabilities (the only reading
 //! under which both columns sum to 1; see DESIGN.md §1).
+//!
+//! Steps 1 and 2 each take one uniform draw through
+//! [`ahn_stats::walk_categorical`], the workspace's one categorical
+//! sampler.
 
 use crate::{NodeId, ReputationMatrix};
-use ahn_stats::CdfTable;
+use ahn_stats::{last_positive_category, walk_categorical};
 use rand::Rng;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use serde::{Deserialize, Deserializer, Serialize};
 
 pub use crate::reputation::UNKNOWN_RATE;
 
@@ -45,21 +49,15 @@ impl std::fmt::Display for PathMode {
 
 /// Distribution over hop counts (path lengths).
 ///
-/// Sampling goes through a [`CdfTable`] precomputed at construction
-/// time: one uniform draw, one ordered comparison per category, and —
-/// by the table's exact-threshold construction — the same category the
-/// historical linear CDF walk would have returned for every
-/// representable draw. Only `probs`/`min_hops` are serialized and
-/// compared; the table is derived state.
-#[derive(Debug, Clone)]
+/// One uniform draw per sample through [`walk_categorical`]; a draw
+/// that floating-point slack pushes off the end of the table falls back
+/// to the last positive category.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PathLengthDist {
     /// `probs[i]` is the probability of `min_hops + i` hops.
     probs: Vec<f64>,
     /// Smallest hop count with non-zero support range start.
     min_hops: usize,
-    /// Precomputed sampler (fallback: last non-zero category, the
-    /// documented floating-point-slack convention).
-    table: CdfTable,
 }
 
 impl PathLengthDist {
@@ -67,35 +65,30 @@ impl PathLengthDist {
     /// `min_hops`.
     ///
     /// # Panics
-    /// Panics unless the probabilities are non-negative, sum to ~1, and
-    /// number at most [`ahn_stats::sampling::MAX_CATEGORIES`] (the
-    /// precomputed sampler's inline capacity; the paper's Table 2 uses
-    /// 9), and unless every hop count lies in `1..=MAX_RELAYS + 1` (a
-    /// path crosses `hops - 1` relays, at most [`MAX_RELAYS`]).
+    /// Panics unless the probabilities are non-negative and sum to ~1,
+    /// and every hop count lies in `1..=MAX_RELAYS + 1` (a path crosses
+    /// `hops - 1` relays, at most [`MAX_RELAYS`]).
     pub fn new(min_hops: usize, probs: Vec<f64>) -> Self {
-        assert!(!probs.is_empty(), "empty distribution");
-        assert!(
-            probs.len() <= ahn_stats::sampling::MAX_CATEGORIES,
-            "hop-count distribution has {} categories, the precomputed sampler supports {}",
-            probs.len(),
-            ahn_stats::sampling::MAX_CATEGORIES
-        );
-        if let Err(e) = check_hop_range(min_hops, probs.len()) {
-            panic!("{e}");
+        Self::checked(min_hops, probs).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The validation [`PathLengthDist::new`] and deserialization share.
+    fn checked(min_hops: usize, probs: Vec<f64>) -> Result<Self, String> {
+        if probs.is_empty() || probs.iter().any(|&p| p < 0.0) {
+            return Err("invalid hop-count probabilities".into());
         }
-        assert!(probs.iter().all(|&p| p >= 0.0), "negative probability");
         let sum: f64 = probs.iter().sum();
-        assert!(
-            (sum - 1.0).abs() < 1e-9,
-            "hop-count probabilities sum to {sum}, not 1"
-        );
-        let fallback = ahn_stats::last_positive_category(probs.iter().copied());
-        let table = CdfTable::new(&probs, fallback);
-        PathLengthDist {
-            probs,
-            min_hops,
-            table,
+        if !is_unit(sum) {
+            return Err(format!("hop-count probabilities sum to {sum}, not 1"));
         }
+        let max_hops = min_hops.saturating_add(probs.len() - 1);
+        if min_hops == 0 || max_hops > MAX_RELAYS + 1 {
+            return Err(format!(
+                "hop counts {min_hops}..={max_hops} outside 1..={}",
+                MAX_RELAYS + 1
+            ));
+        }
+        Ok(PathLengthDist { probs, min_hops })
     }
 
     /// Table 2, *shorter paths* column: 2 hops 0.2; 3–4 hops 0.3 each;
@@ -136,80 +129,42 @@ impl PathLengthDist {
         self.probs.get(hops - self.min_hops).copied().unwrap_or(0.0)
     }
 
-    /// Draws a hop count (one `f64` draw, precomputed-table lookup).
+    /// Draws a hop count (one `f64` draw).
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        self.min_hops + self.table.locate(rng.gen::<f64>())
+        let probs = || self.probs.iter().copied();
+        self.min_hops
+            + walk_categorical(rng.gen::<f64>(), probs())
+                .unwrap_or_else(|| last_positive_category(probs()))
     }
 }
 
-/// Checks that hop counts `min_hops..min_hops + categories` all lie in
-/// `1..=MAX_RELAYS + 1`.
-fn check_hop_range(min_hops: usize, categories: usize) -> Result<(), String> {
-    let max_hops = min_hops + categories - 1;
-    if min_hops == 0 || max_hops > MAX_RELAYS + 1 {
-        return Err(format!(
-            "hop counts {min_hops}..={max_hops} outside 1..={}",
-            MAX_RELAYS + 1
-        ));
-    }
-    Ok(())
+/// `true` when probabilities summing to `sum` are normalized (NaN is
+/// not).
+fn is_unit(sum: f64) -> bool {
+    (sum - 1.0).abs() < 1e-9
 }
 
-impl PartialEq for PathLengthDist {
-    fn eq(&self, other: &Self) -> bool {
-        self.probs == other.probs && self.min_hops == other.min_hops
-    }
-}
-
-/// Serialized shape of [`PathLengthDist`] (the sampler table is derived).
-#[derive(Serialize, Deserialize)]
+/// Serialized shape of [`PathLengthDist`].
+#[derive(Deserialize)]
 struct PathLengthDistRepr {
     probs: Vec<f64>,
     min_hops: usize,
 }
 
-impl Serialize for PathLengthDist {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        PathLengthDistRepr {
-            probs: self.probs.clone(),
-            min_hops: self.min_hops,
-        }
-        .serialize(serializer)
-    }
-}
-
 impl<'de> Deserialize<'de> for PathLengthDist {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let repr = PathLengthDistRepr::deserialize(deserializer)?;
-        if repr.probs.is_empty() || repr.probs.iter().any(|&p| p < 0.0) {
-            return Err(serde::de::Error::custom("invalid hop-count probabilities"));
-        }
-        if repr.probs.len() > ahn_stats::sampling::MAX_CATEGORIES {
-            return Err(serde::de::Error::custom(format!(
-                "hop-count distribution has {} categories, the sampler supports {}",
-                repr.probs.len(),
-                ahn_stats::sampling::MAX_CATEGORIES
-            )));
-        }
-        let sum: f64 = repr.probs.iter().sum();
-        if (sum - 1.0).abs() >= 1e-9 {
-            return Err(serde::de::Error::custom(format!(
-                "hop-count probabilities sum to {sum}, not 1"
-            )));
-        }
-        check_hop_range(repr.min_hops, repr.probs.len()).map_err(serde::de::Error::custom)?;
-        Ok(PathLengthDist::new(repr.min_hops, repr.probs))
+        PathLengthDist::checked(repr.min_hops, repr.probs).map_err(serde::de::Error::custom)
     }
 }
 
 /// Distribution over the number of alternative paths per hop bucket
 /// (Table 3).
 ///
-/// Like [`PathLengthDist`], sampling uses precomputed exact-threshold
-/// [`CdfTable`]s (one per bucket row) that reproduce the historical
-/// linear walk draw for draw; only the rows are serialized/compared.
-#[derive(Debug, Clone)]
+/// Sampled like [`PathLengthDist`], one [`walk_categorical`] draw over
+/// the bucket's row; slack falls back to the row's last category.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AltPathDist {
     /// `(max_hops_inclusive, [p(1 path), p(2 paths), p(3 paths)])` rows in
     /// ascending bucket order; a hop count uses the first row whose bound
@@ -217,34 +172,33 @@ pub struct AltPathDist {
     /// (Table 3 stops at 8 hops; 9–10-hop paths reuse the 7–8 row, see
     /// DESIGN.md §1).
     rows: Vec<(usize, [f64; 3])>,
-    /// One precomputed sampler per row (fallback: the last category —
-    /// the historical slack convention for this table).
-    tables: Vec<CdfTable>,
 }
 
 impl AltPathDist {
     /// Builds a distribution from bucket rows.
     ///
     /// # Panics
-    /// Panics unless every row's probabilities sum to ~1 and bucket bounds
-    /// strictly increase.
+    /// Panics unless every row's probabilities are non-negative and sum
+    /// to ~1 and bucket bounds strictly increase.
     pub fn new(rows: Vec<(usize, [f64; 3])>) -> Self {
-        assert!(!rows.is_empty(), "empty distribution");
+        Self::checked(rows).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The validation [`AltPathDist::new`] and deserialization share.
+    fn checked(rows: Vec<(usize, [f64; 3])>) -> Result<Self, String> {
+        if rows.is_empty() {
+            return Err("empty alternative-path table".into());
+        }
         for (i, (bound, probs)) in rows.iter().enumerate() {
             let sum: f64 = probs.iter().sum();
-            assert!(
-                (sum - 1.0).abs() < 1e-9,
-                "row {i} probabilities sum to {sum}, not 1"
-            );
-            if i > 0 {
-                assert!(*bound > rows[i - 1].0, "bucket bounds must increase");
+            if !is_unit(sum) || probs.iter().any(|&p| p < 0.0) {
+                return Err(format!("row {i} probabilities sum to {sum}, not 1"));
+            }
+            if i > 0 && *bound <= rows[i - 1].0 {
+                return Err("bucket bounds must increase".into());
             }
         }
-        let tables = rows
-            .iter()
-            .map(|(_, probs)| CdfTable::new(probs, probs.len() - 1))
-            .collect();
-        AltPathDist { rows, tables }
+        Ok(AltPathDist { rows })
     }
 
     /// Table 3: 2–3 hops → (0.5, 0.3, 0.2); 4–6 → (0.6, 0.25, 0.15);
@@ -257,69 +211,36 @@ impl AltPathDist {
         ])
     }
 
-    /// Index of the bucket row covering `hops`.
-    #[inline]
-    fn row_index(&self, hops: usize) -> usize {
-        for (i, (bound, _)) in self.rows.iter().enumerate() {
-            if hops <= *bound {
-                return i;
-            }
-        }
-        self.rows.len() - 1
-    }
-
     /// The probability row for `hops`.
     pub fn row(&self, hops: usize) -> &[f64; 3] {
-        &self.rows[self.row_index(hops)].1
+        let last = self.rows.len() - 1;
+        let i = self
+            .rows
+            .iter()
+            .position(|&(bound, _)| hops <= bound)
+            .unwrap_or(last);
+        &self.rows[i].1
     }
 
     /// Draws the number of available paths (1..=3) for a path of `hops`
-    /// hops (one `f64` draw, precomputed-table lookup).
+    /// hops (one `f64` draw).
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, hops: usize) -> usize {
-        self.tables[self.row_index(hops)].locate(rng.gen::<f64>()) + 1
+        let row = self.row(hops);
+        walk_categorical(rng.gen::<f64>(), row.iter().copied()).unwrap_or(row.len() - 1) + 1
     }
 }
 
-impl PartialEq for AltPathDist {
-    fn eq(&self, other: &Self) -> bool {
-        self.rows == other.rows
-    }
-}
-
-/// Serialized shape of [`AltPathDist`] (the sampler tables are derived).
-#[derive(Serialize, Deserialize)]
+/// Serialized shape of [`AltPathDist`].
+#[derive(Deserialize)]
 struct AltPathDistRepr {
     rows: Vec<(usize, [f64; 3])>,
-}
-
-impl Serialize for AltPathDist {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        AltPathDistRepr {
-            rows: self.rows.clone(),
-        }
-        .serialize(serializer)
-    }
 }
 
 impl<'de> Deserialize<'de> for AltPathDist {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let repr = AltPathDistRepr::deserialize(deserializer)?;
-        if repr.rows.is_empty() {
-            return Err(serde::de::Error::custom("empty alternative-path table"));
-        }
-        for (i, (bound, probs)) in repr.rows.iter().enumerate() {
-            let sum: f64 = probs.iter().sum();
-            if (sum - 1.0).abs() >= 1e-9 || probs.iter().any(|&p| p < 0.0) {
-                return Err(serde::de::Error::custom(format!(
-                    "row {i} probabilities sum to {sum}, not 1"
-                )));
-            }
-            if i > 0 && *bound <= repr.rows[i - 1].0 {
-                return Err(serde::de::Error::custom("bucket bounds must increase"));
-            }
-        }
-        Ok(AltPathDist::new(repr.rows))
+        AltPathDist::checked(repr.rows).map_err(serde::de::Error::custom)
     }
 }
 
@@ -802,17 +723,25 @@ mod tests {
         let json = |min_hops: usize, probs: &[f64]| {
             format!("{{\"probs\": {probs:?}, \"min_hops\": {min_hops}}}")
         };
-        // Both bounds are accepted, by both constructors.
-        for (min_hops, probs) in [(1, vec![1.0]), (top, vec![1.0]), (top - 1, vec![0.5, 0.5])] {
+        // Both bounds are accepted, by both constructors, up to a
+        // category for every hop count in range.
+        for (min_hops, probs) in [
+            (1, vec![1.0]),
+            (top, vec![1.0]),
+            (top - 1, vec![0.5, 0.5]),
+            (1, vec![1.0 / top as f64; top]),
+        ] {
             let back: PathLengthDist = serde_json::from_str(&json(min_hops, &probs)).unwrap();
             assert_eq!(back, PathLengthDist::new(min_hops, probs));
         }
-        // 0 hops and MAX_RELAYS + 2 hops are rejected, by both.
+        // 0 hops, MAX_RELAYS + 2 hops and a range running past
+        // `usize::MAX` are rejected, by both.
         for (min_hops, probs) in [
             (0, vec![1.0]),
             (0, vec![0.0, 1.0]),
             (top + 1, vec![1.0]),
             (top, vec![0.5, 0.5]),
+            (usize::MAX, vec![0.5, 0.5]),
         ] {
             let err = serde_json::from_str::<PathLengthDist>(&json(min_hops, &probs)).unwrap_err();
             assert!(err.to_string().contains("outside 1..="), "{err}");

@@ -22,8 +22,9 @@
 //! * [`hash`] — [`fnv1a64`] and [`splitmix64`], the workspace's only
 //!   copies (canonical hashes, trace ids, seeded fault and backoff
 //!   schedules).
-//! * [`line`](mod@line) — [`encode_line`]/[`decode_line`], the checksummed
-//!   JSON-lines format of the trace log and the serve journal.
+//! * [`line`](mod@line) — [`encode_line`]/[`decode_line`]/[`read_lines`],
+//!   the checksummed JSON-lines format of the trace log and the serve
+//!   journal.
 //!
 //! Nothing in this crate touches seeded RNG streams or simulated
 //! state: observability on or off, results are bit-identical.
@@ -38,7 +39,7 @@ pub mod trace;
 
 pub use hash::{fnv1a64, splitmix64};
 pub use hist::{bucket_bound, AtomicHistogram, BucketCount, HistogramSnapshot, BUCKETS};
-pub use line::{decode_line, encode_line};
+pub use line::{decode_line, encode_line, read_lines};
 pub use recorder::{GenSample, NoopRecorder, Phase, Recorder, SeriesRecorder};
 pub use trace::{
     join_traces, read_trace, render_tree, trace_id_of_key, CellTrace, TraceEvent, TraceLog,

@@ -42,11 +42,11 @@
 //! | `generation` | local runs | one hot-loop generation (coop + phase timings) |
 
 use crate::hash::splitmix64;
-use crate::line::{decode_line, encode_line};
+use crate::line::{decode_line, encode_line, read_lines};
 use crate::recorder::GenSample;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -243,7 +243,7 @@ pub fn read_trace(path: &Path) -> std::io::Result<TraceRead> {
         Err(e) => return Err(e),
     };
     let mut out = TraceRead::default();
-    for line in BufReader::new(file).lines() {
+    for line in read_lines(BufReader::new(file)) {
         let line = line?;
         match decode_line(&line) {
             Some(event) => out.events.push(event),

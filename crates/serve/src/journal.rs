@@ -20,10 +20,10 @@
 //! occurrence, matching the first-completion-wins rule of the serving
 //! layer.
 
-use ahn_obs::{decode_line, encode_line};
+use ahn_obs::{decode_line, encode_line, read_lines};
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
 
 /// One journal record: a completed cell keyed by the canonical hash of
@@ -51,17 +51,17 @@ pub struct Replay {
 /// normal first boot), not an error; a corrupted or truncated trailing
 /// record is detected via its checksum and discarded together with any
 /// lines after it (they may depend on lost state, so the safe cut is
-/// the first bad line).
+/// the first bad line). A line that is not UTF-8 is a bad line like
+/// any other; only an I/O error fails the replay.
 pub fn replay(path: &Path) -> std::io::Result<Replay> {
     let file = match File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Replay::default()),
         Err(e) => return Err(e),
     };
-    let reader = BufReader::new(file);
     let mut out = Replay::default();
     let mut seen = std::collections::HashSet::new();
-    let mut lines = reader.lines();
+    let mut lines = read_lines(BufReader::new(file));
     let mut tail = 0usize;
     for line in &mut lines {
         let line = line?;

@@ -408,31 +408,6 @@ mod tests {
     /// `latency`) must still deserialize — the new fields are `Option`
     /// precisely so archived reports and old dashboards keep working.
     #[test]
-    fn v1_snapshot_still_deserializes() {
-        let v1 = r#"{
-            "schema": "ahn-serve-metrics/1",
-            "http_requests": 10, "submissions": 4, "cache_hits": 1,
-            "cache_misses": 3, "coalesced": 0, "cache_hit_rate": 0.25,
-            "rejected_queue_full": 0, "jobs_completed": 3,
-            "jobs_failed": 0, "queue_depth": 0, "queue_depth_peak": 2,
-            "cached_results": 3, "workers": 2, "games_simulated": 900,
-            "games_per_second": 1200.0, "job_seconds_total": 0.75,
-            "job_seconds_mean": 0.25, "work_claims": 0,
-            "work_claim_empty": 0, "work_completed": 0,
-            "work_duplicate": 0, "lease_requeues": 0,
-            "requests_timed_out": 0, "breaker_open_total": 0,
-            "cells_completed_external": 0, "drain_seconds": 0.0
-        }"#;
-        let s: Snapshot = serde_json::from_str(v1).unwrap();
-        assert_eq!(s.schema, "ahn-serve-metrics/1");
-        assert_eq!(s.jobs_completed, 3);
-        assert_eq!(s.uptime_seconds, None);
-        assert_eq!(s.latency, None);
-        assert_eq!(s.effective_threads, None);
-        assert_eq!(s.connections_accepted, None);
-    }
-
-    #[test]
     fn effective_threads_is_reported_and_sane() {
         let m = Metrics::default();
         let s = m.snapshot(0, 0, 1);

@@ -9,11 +9,10 @@
 //! * [`Summary`] — streaming mean / variance (Welford) with confidence
 //!   intervals,
 //! * [`Series`] — aligned per-generation series averaged across runs,
-//! * [`chi_squared_uniformity`] and friends — goodness-of-fit helpers used
-//!   by the distribution tests for Tables 2–3,
-//! * [`sampling`] — the shared categorical sampler (linear CDF walk and
-//!   precomputed exact-threshold tables) behind the path distributions
-//!   and roulette selection.
+//! * [`chi_squared`] and its critical values — the goodness-of-fit check
+//!   behind `ahn-exp check`'s Table 2–3 sampling rows,
+//! * [`sampling`] — the shared categorical sampler (the linear CDF walk)
+//!   behind the path distributions and roulette selection.
 
 #![deny(missing_docs)]
 
@@ -22,8 +21,8 @@ pub mod sampling;
 pub mod series;
 pub mod summary;
 
-pub use plot::{ascii_chart, sparkline, PlotSeries};
-pub use sampling::{last_positive_category, walk_categorical, CdfTable};
+pub use plot::{ascii_chart, PlotSeries};
+pub use sampling::{last_positive_category, walk_categorical};
 pub use series::Series;
 pub use summary::Summary;
 
@@ -59,15 +58,6 @@ pub fn chi_squared(observed: &[u64], expected: &[f64]) -> f64 {
     stat
 }
 
-/// Chi-squared statistic against the uniform distribution over
-/// `observed.len()` categories.
-pub fn chi_squared_uniformity(observed: &[u64]) -> f64 {
-    let k = observed.len();
-    assert!(k > 0, "no categories");
-    let p = vec![1.0 / k as f64; k];
-    chi_squared(observed, &p)
-}
-
 /// 99.9 % critical values of the chi-squared distribution for small degrees
 /// of freedom (1..=15), used by statistical unit tests so they practically
 /// never flake.
@@ -81,17 +71,6 @@ pub fn chi_squared_crit_999(dof: usize) -> f64 {
     ];
     assert!((1..=15).contains(&dof), "dof {dof} outside table");
     TABLE[dof - 1]
-}
-
-/// Weighted mean of `(value, weight)` pairs; returns `None` when the total
-/// weight is zero.
-pub fn weighted_mean<I: IntoIterator<Item = (f64, f64)>>(pairs: I) -> Option<f64> {
-    let (mut num, mut den) = (0.0, 0.0);
-    for (v, w) in pairs {
-        num += v * w;
-        den += w;
-    }
-    (den != 0.0).then(|| num / den)
 }
 
 /// A safe ratio: `num / den`, or 0 when `den == 0`. Experiment reports are
@@ -119,13 +98,13 @@ mod tests {
     #[test]
     fn chi_squared_perfect_fit_is_zero() {
         let obs = [25u64, 25, 25, 25];
-        assert_eq!(chi_squared_uniformity(&obs), 0.0);
+        assert_eq!(chi_squared(&obs, &[0.25; 4]), 0.0);
     }
 
     #[test]
     fn chi_squared_detects_skew() {
         let obs = [100u64, 0, 0, 0];
-        assert!(chi_squared_uniformity(&obs) > chi_squared_crit_999(3));
+        assert!(chi_squared(&obs, &[0.25; 4]) > chi_squared_crit_999(3));
     }
 
     #[test]
@@ -148,14 +127,6 @@ mod tests {
     #[should_panic(expected = "sum to")]
     fn chi_squared_bad_probabilities_panic() {
         let _ = chi_squared(&[1, 2], &[0.3, 0.3]);
-    }
-
-    #[test]
-    fn weighted_mean_basics() {
-        assert_eq!(weighted_mean([(1.0, 1.0), (3.0, 1.0)]), Some(2.0));
-        assert_eq!(weighted_mean([(1.0, 3.0), (5.0, 1.0)]), Some(2.0));
-        assert_eq!(weighted_mean(std::iter::empty()), None);
-        assert_eq!(weighted_mean([(1.0, 0.0)]), None);
     }
 
     #[test]

@@ -72,18 +72,6 @@ pub fn ascii_chart(series: &[PlotSeries<'_>], width: usize, height: usize) -> St
     out
 }
 
-/// A one-line sparkline over `[0, 1]`-ranged values using block glyphs.
-pub fn sparkline(values: &[f64]) -> String {
-    const BLOCKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    values
-        .iter()
-        .map(|&v| {
-            let v = v.clamp(0.0, 1.0);
-            BLOCKS[((v * 7.0).round() as usize).min(7)]
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,15 +170,6 @@ mod tests {
             4,
         );
         assert!(chart.contains("x none"));
-    }
-
-    #[test]
-    fn sparkline_maps_extremes() {
-        let line = sparkline(&[0.0, 1.0]);
-        let chars: Vec<char> = line.chars().collect();
-        assert_eq!(chars[0], '▁');
-        assert_eq!(chars[1], '█');
-        assert_eq!(sparkline(&[]), "");
     }
 
     #[test]

@@ -1,29 +1,16 @@
-//! Categorical sampling shared by every hand-rolled discrete sampler in
-//! the workspace.
+//! The one categorical sampler of the workspace.
 //!
 //! Three hot loops draw from small categorical distributions: the path
 //! length of Table 2 (`ahn_net::PathLengthDist`), the alternative-path
 //! count of Table 3 (`ahn_net::AltPathDist`) and the GA's roulette
-//! selection (`ahn_ga::Selection::Roulette`). Historically each carried
-//! its own copy of the same linear CDF walk; this module is the single
-//! shared implementation.
-//!
-//! Two entry points:
-//!
-//! * [`walk_categorical`] — the reference subtractive walk for *dynamic*
-//!   weights (roulette selection, where fitnesses change every call). It
-//!   returns `None` when accumulated floating-point slack lets the draw
-//!   fall off the end of the table; callers map that to the documented
-//!   fallback (the **last positive-weight category** — a zero-weight
-//!   category must never be selected).
-//! * [`CdfTable`] — a precomputed threshold table for *fixed* weights
-//!   (the paper's path distributions). One comparison per category, no
-//!   subtraction chain, and — crucially — **provably draw-identical** to
-//!   the reference walk: the thresholds are found by bit-level binary
-//!   search over the `f64` space against [`walk_categorical`] itself, so
-//!   every representable draw maps to the same category the walk would
-//!   have produced. Seeded simulations therefore stay bit-identical
-//!   across the sampler swap.
+//! selection (`ahn_ga::Selection::Roulette`). All three sample with
+//! [`walk_categorical`], the linear subtractive CDF walk. It returns
+//! `None` when accumulated floating-point slack lets the draw fall off
+//! the end of the table, and each caller maps that to its documented
+//! fallback: the **last positive-weight category**
+//! ([`last_positive_category`]; a zero-weight category must never be
+//! selected) for path lengths and roulette, the last category for the
+//! alternative-path rows.
 //!
 //! The crate stays RNG-agnostic: callers draw one uniform `f64` in
 //! `[0, 1)` per sample (one `rng.gen::<f64>()`) and pass it in, which
@@ -73,169 +60,32 @@ where
     last.expect("distribution has no positive weight")
 }
 
-/// Most categories a [`CdfTable`] supports. The paper's distributions
-/// top out at 9 (Table 2's hop counts); the fixed bound keeps the
-/// threshold array inline — no heap indirection on the sampling path.
-pub const MAX_CATEGORIES: usize = 12;
-
-/// Precomputed threshold table over a fixed categorical distribution.
-///
-/// `locate(u)` returns exactly what
-/// `walk_categorical(u, weights).unwrap_or(fallback)` would return, for
-/// every representable `u ∈ [0, 1)`, with one ordered comparison per
-/// category instead of a subtraction chain.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CdfTable {
-    /// `thresholds[c]` is the smallest `f64` draw whose category exceeds
-    /// `c`; a sentinel `> 1` marks categories never exceeded, and pads
-    /// the unused tail so `locate` can scan the whole fixed array
-    /// branchlessly.
-    thresholds: [f64; MAX_CATEGORIES],
-    /// Category reached when every threshold is passed.
-    fallback: usize,
-}
-
-impl CdfTable {
-    /// Builds the table for non-negative `weights` (summing to ~1) and a
-    /// slack `fallback` category.
-    ///
-    /// The fallback must be at least the last walk-reachable category —
-    /// both documented fallback conventions (last positive weight, last
-    /// category) satisfy this — so that the category is a monotone
-    /// non-decreasing function of the draw, which is what makes exact
-    /// thresholds exist at all.
-    ///
-    /// # Panics
-    /// Panics if `weights` is empty or longer than [`MAX_CATEGORIES`],
-    /// a weight is negative, or `fallback` is out of range or below the
-    /// last positive weight.
-    pub fn new(weights: &[f64], fallback: usize) -> Self {
-        assert!(!weights.is_empty(), "empty distribution");
-        assert!(
-            weights.len() <= MAX_CATEGORIES,
-            "distribution has {} categories, CdfTable supports {MAX_CATEGORIES}",
-            weights.len()
-        );
-        assert!(
-            weights.iter().all(|&w| w >= 0.0),
-            "negative weight in distribution"
-        );
-        assert!(fallback < weights.len(), "fallback category out of range");
-        assert!(
-            fallback >= last_positive_category(weights.iter().copied()),
-            "fallback below the last reachable category breaks monotonicity"
-        );
-
-        let reference = |u: f64| walk_categorical(u, weights.iter().copied()).unwrap_or(fallback);
-
-        // For each category c < fallback, bit-level binary search for the
-        // smallest f64 in [0, 1] whose reference category exceeds c.
-        // Non-negative f64s order identically to their bit patterns, and
-        // the reference category is monotone in the draw (subtracting a
-        // constant is monotone under round-to-nearest), so the search is
-        // exact.
-        let one = 1.0f64.to_bits();
-        // Unused slots keep the sentinel (> 1), so the branchless count
-        // in `locate` never sees them.
-        let mut thresholds = [2.0f64; MAX_CATEGORIES];
-        for (c, slot) in thresholds.iter_mut().enumerate().take(fallback) {
-            *slot = if reference(0.0) > c {
-                0.0
-            } else if reference(1.0) <= c {
-                2.0 // sentinel: never exceeded inside [0, 1]
-            } else {
-                let (mut lo, mut hi) = (0u64, one);
-                // Invariant: reference(lo) <= c < reference(hi).
-                while hi - lo > 1 {
-                    let mid = lo + (hi - lo) / 2;
-                    if reference(f64::from_bits(mid)) > c {
-                        hi = mid;
-                    } else {
-                        lo = mid;
-                    }
-                }
-                f64::from_bits(hi)
-            };
-        }
-        CdfTable {
-            thresholds,
-            fallback,
-        }
-    }
-
-    /// Category of a uniform draw `u ∈ [0, 1)`.
-    ///
-    /// Branchless: thresholds are non-decreasing (the category function
-    /// is monotone), so the category is simply the number of thresholds
-    /// at or below the draw — `fallback` when all of them are (sentinel
-    /// padding is never counted). A counting loop over a fixed-size
-    /// array vectorizes and never mispredicts, unlike an early-exit
-    /// scan on a random draw.
-    #[inline]
-    pub fn locate(&self, u: f64) -> usize {
-        self.thresholds.iter().map(|&t| usize::from(u >= t)).sum()
-    }
-
-    /// Number of categories covered by the table.
-    pub fn len(&self) -> usize {
-        self.fallback + 1
-    }
-
-    /// `true` only for a single-category table (never empty).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Draws the `f64` grid an RNG with 53-bit mantissa produces, plus
-    /// values straddling every threshold.
-    fn exhaustive_check(weights: &[f64], fallback: usize) {
-        let table = CdfTable::new(weights, fallback);
-        let reference = |u: f64| walk_categorical(u, weights.iter().copied()).unwrap_or(fallback);
-        // Dense deterministic sweep…
-        let n = 200_001u64;
-        for k in 0..n {
-            let u = k as f64 / n as f64;
-            assert_eq!(table.locate(u), reference(u), "u = {u}");
-        }
-        // …plus every threshold neighborhood down to single ulps.
-        for &t in &table.thresholds {
-            if !(0.0..=1.0).contains(&t) {
-                continue;
-            }
-            let bits = t.to_bits();
-            for b in bits.saturating_sub(3)..=bits.saturating_add(3) {
-                let u = f64::from_bits(b);
-                if (0.0..1.0).contains(&u) {
-                    assert_eq!(table.locate(u), reference(u), "u = {u:e}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn table_matches_reference_walk_on_paper_distributions() {
-        // Table 2 shorter / longer columns.
-        exhaustive_check(&[0.2, 0.3, 0.3, 0.05, 0.05, 0.05, 0.05, 0.0, 0.0], 6);
-        exhaustive_check(&[0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.15, 0.15], 8);
-        // Table 3 rows.
-        exhaustive_check(&[0.5, 0.3, 0.2], 2);
-        exhaustive_check(&[0.6, 0.25, 0.15], 2);
-        exhaustive_check(&[0.8, 0.15, 0.05], 2);
-    }
-
     #[test]
     fn degenerate_and_gapped_distributions() {
-        exhaustive_check(&[1.0], 0);
-        exhaustive_check(&[0.0, 1.0], 1);
-        exhaustive_check(&[0.5, 0.0, 0.5], 2);
-        // Fallback above the last positive weight (the AltPathDist
-        // convention when a custom row zeroes the last category).
-        exhaustive_check(&[0.7, 0.3, 0.0], 2);
+        // The walk with the last-positive fallback never selects a
+        // zero-weight category, down to the draws one ulp below 1.
+        let below_one = (1..=3).map(|k| f64::from_bits(1.0f64.to_bits() - k));
+        let draws: Vec<f64> = (0..10_000)
+            .map(|k| f64::from(k) / 10_000.0)
+            .chain(below_one)
+            .collect();
+        for weights in [
+            &[1.0][..],
+            &[0.0, 1.0],
+            &[0.5, 0.0, 0.5],
+            &[0.7, 0.3, 0.0],
+            &[0.2, 0.3, 0.3, 0.05, 0.05, 0.05, 0.05, 0.0, 0.0],
+        ] {
+            for &u in &draws {
+                let c = walk_categorical(u, weights.iter().copied())
+                    .unwrap_or_else(|| last_positive_category(weights.iter().copied()));
+                assert!(weights[c] > 0.0, "u = {u:e} picked empty category {c}");
+            }
+        }
     }
 
     #[test]
@@ -256,25 +106,5 @@ mod tests {
     #[should_panic(expected = "no positive weight")]
     fn all_zero_distribution_panics() {
         last_positive_category([0.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "breaks monotonicity")]
-    fn fallback_below_reachable_panics() {
-        let _ = CdfTable::new(&[0.5, 0.5], 0);
-    }
-
-    #[test]
-    fn locate_is_monotone() {
-        let table = CdfTable::new(&[0.2, 0.3, 0.3, 0.05, 0.05, 0.05, 0.05, 0.0, 0.0], 6);
-        let mut prev = 0;
-        for k in 0..10_000 {
-            let u = k as f64 / 10_000.0;
-            let c = table.locate(u);
-            assert!(c >= prev, "category regressed at u = {u}");
-            prev = c;
-        }
-        assert_eq!(table.len(), 7);
-        assert!(!table.is_empty());
     }
 }

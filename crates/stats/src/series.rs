@@ -19,13 +19,6 @@ impl Series {
         Series { points: Vec::new() }
     }
 
-    /// Creates a series pre-sized for `len` indices.
-    pub fn with_len(len: usize) -> Self {
-        Series {
-            points: vec![Summary::new(); len],
-        }
-    }
-
     /// Adds `value` as one observation of index `idx`, growing the series
     /// as needed.
     pub fn add(&mut self, idx: usize, value: f64) {
@@ -75,30 +68,8 @@ impl Series {
             .collect()
     }
 
-    /// Mean of the final index, i.e. the "last generation" value the
-    /// paper's tables report.
-    pub fn final_mean(&self) -> Option<f64> {
-        self.points.last().and_then(|s| s.mean())
-    }
-
-    /// Renders the series as CSV rows `idx,mean,ci95` (no header).
-    pub fn to_csv(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (i, s) in self.points.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{},{},{}",
-                i,
-                s.mean().unwrap_or(f64::NAN),
-                s.ci95_half_width().unwrap_or(0.0),
-            );
-        }
-        out
-    }
-
     /// Down-samples to at most `max_points` indices by keeping every k-th
-    /// point (always keeping the last) — handy for terminal sparklines.
+    /// point (always keeping the last) — handy for terminal output.
     pub fn thin(&self, max_points: usize) -> Vec<(usize, f64)> {
         assert!(max_points > 0, "max_points must be positive");
         if self.points.is_empty() {
@@ -131,7 +102,6 @@ mod tests {
         s.add_run(&[3.0, 4.0, 5.0]);
         assert_eq!(s.len(), 3);
         assert_eq!(s.means(), vec![2.0, 3.0, 4.0]);
-        assert_eq!(s.final_mean(), Some(4.0));
     }
 
     #[test]
@@ -157,16 +127,6 @@ mod tests {
         seq.add_run(&[3.0, 4.0, 9.0]);
         assert_eq!(merged.means(), seq.means());
         assert_eq!(merged.len(), 3);
-    }
-
-    #[test]
-    fn csv_has_one_row_per_index() {
-        let mut s = Series::new();
-        s.add_run(&[0.5, 0.75]);
-        let csv = s.to_csv();
-        let rows: Vec<&str> = csv.lines().collect();
-        assert_eq!(rows.len(), 2);
-        assert!(rows[0].starts_with("0,0.5,"));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! *sub-strategies* per trust level, showing those above a 3 % share.
 //! [`StrategyCensus`] accumulates both views across runs.
 
-use crate::{Strategy, STRATEGY_BITS};
+use crate::Strategy;
 use ahn_net::TrustLevel;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -129,35 +129,6 @@ pub fn sub_strategy_str(code: u8) -> String {
     format!("{code:03b}")
 }
 
-/// Mean pairwise-distinct diversity of a population: number of distinct
-/// strategies divided by population size.
-pub fn diversity<'a, I: IntoIterator<Item = &'a Strategy>>(pop: I) -> f64 {
-    let mut seen = std::collections::BTreeSet::new();
-    let mut n = 0u64;
-    for s in pop {
-        seen.insert(s.encode());
-        n += 1;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        seen.len() as f64 / n as f64
-    }
-}
-
-/// Mean Hamming distance from every strategy to the population's most
-/// popular strategy — a convergence diagnostic.
-pub fn convergence_spread(pop: &[Strategy]) -> f64 {
-    if pop.is_empty() {
-        return 0.0;
-    }
-    let mut census = StrategyCensus::new();
-    census.add_population(pop);
-    let center = census.top_strategies(1)[0].0.clone();
-    let total: usize = pop.iter().map(|s| s.bits().hamming(center.bits())).sum();
-    total as f64 / (pop.len() * STRATEGY_BITS) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,24 +212,6 @@ mod tests {
     #[should_panic(expected = "exceeds 3 bits")]
     fn sub_strategy_string_rejects_wide_codes() {
         let _ = sub_strategy_str(8);
-    }
-
-    #[test]
-    fn diversity_metric() {
-        let a = strat("111 111 111 111 1");
-        let b = strat("000 000 000 000 0");
-        assert_eq!(diversity([&a, &a, &a, &a]), 0.25);
-        assert_eq!(diversity([&a, &b]), 1.0);
-        assert_eq!(diversity(std::iter::empty()), 0.0);
-    }
-
-    #[test]
-    fn convergence_spread_zero_for_converged() {
-        let pop = vec![strat("111 111 111 111 1"); 10];
-        assert_eq!(convergence_spread(&pop), 0.0);
-        let mixed = vec![strat("111 111 111 111 1"), strat("000 000 000 000 0")];
-        assert!(convergence_spread(&mixed) > 0.0);
-        assert_eq!(convergence_spread(&[]), 0.0);
     }
 
     #[test]

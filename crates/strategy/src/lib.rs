@@ -123,11 +123,6 @@ impl Strategy {
         &self.bits
     }
 
-    /// Consumes the strategy, returning the genome.
-    pub fn into_bits(self) -> BitStr {
-        self.bits
-    }
-
     /// The decision against a *known* source with the given trust and
     /// activity levels (bits 0–11).
     #[inline]

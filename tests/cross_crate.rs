@@ -119,15 +119,19 @@ fn trust_threshold_matches_description() {
 /// stack (the genome length is the only difference).
 #[test]
 fn ga_engine_is_genome_length_agnostic() {
-    use ahn::ga::{evolve, GaParams};
+    use ahn::ga::{next_generation_into, GaParams, GenStats};
+    let ones = |pop: &[BitStr]| -> Vec<f64> { pop.iter().map(|g| g.count_ones() as f64).collect() };
     let mut r = rng(13);
     for bits in [5usize, 13] {
-        let history = evolve(&mut r, &GaParams::paper(), 20, bits, 15, |pop| {
-            pop.iter().map(|g| g.count_ones() as f64).collect()
-        });
-        assert_eq!(history.len(), 15);
-        assert!(history.last().unwrap().stats.best >= (bits as f64) - 2.0);
-        assert_eq!(history.last().unwrap().best.len(), bits);
+        // 15 generations: the random one, then 14 bred ones.
+        let mut pop: Vec<BitStr> = (0..20).map(|_| BitStr::random(&mut r, bits)).collect();
+        let mut next = Vec::new();
+        for _ in 1..15 {
+            next_generation_into(&mut r, &GaParams::paper(), &pop, &ones(&pop), &mut next);
+            std::mem::swap(&mut pop, &mut next);
+        }
+        assert!(GenStats::from_fitnesses(&ones(&pop)).best >= (bits as f64) - 2.0);
+        assert!(pop.iter().all(|g| g.len() == bits));
     }
 }
 

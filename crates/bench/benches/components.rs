@@ -8,7 +8,7 @@
 use ahn_bench::{bench_arena, bench_bignet_arena, bench_rng};
 use ahn_bitstr::{ops, BitStr};
 use ahn_ga::{next_generation, next_generation_into, GaParams};
-use ahn_game::{game::Scratch, play_game, play_round, Tournament};
+use ahn_game::{game::Scratch, play_game, RoundScratch, Tournament};
 use ahn_net::{
     paths::{path_rating, AltPathDist, PathGenerator, PathLengthDist},
     Candidates, NodeId, PathMode, ReputationMatrix, RouteSelection, TrustTable,
@@ -142,15 +142,16 @@ fn bench_arena_round(c: &mut Criterion) {
     for (name, build) in cases {
         let (mut arena, participants) = build(9);
         let mut rng = bench_rng(10);
-        let mut scratch = Scratch::default();
+        let mut scratch = RoundScratch::default();
+        let round = Tournament::new(1);
         // Warm the reputation rows so the bench times the steady state,
         // not first-touch growth.
         for _ in 0..2 {
-            play_round(&mut arena, &mut rng, &participants, 0, &mut scratch);
+            round.run_with_scratch(&mut arena, &mut rng, &participants, 0, &mut scratch);
         }
         c.bench_function(name, |b| {
             b.iter(|| {
-                play_round(&mut arena, &mut rng, &participants, 0, &mut scratch);
+                round.run_with_scratch(&mut arena, &mut rng, &participants, 0, &mut scratch);
                 black_box(arena.metrics.env(0).nn_games)
             })
         });

@@ -275,29 +275,23 @@ fn open_trace(path: Option<&str>, role: &str) -> Result<Option<ahn_obs::TraceLog
         .map_err(|e| Bad(format!("cannot open trace log {path}: {e}")))
 }
 
-/// `case`, once the population can fill every one of its environments.
-/// `run_replication` asserts the same for library callers; checking
-/// first turns that panic into bad input before anything runs.
-fn fits(config: &ExperimentConfig, case: CaseSpec) -> Result<CaseSpec, CliError> {
-    let need = case.required_normal();
-    if config.population < need {
-        return Err(Bad(format!(
-            "population {} cannot fill an environment needing {need} normal players \
-             (use --preset scaled or paper)",
-            config.population
-        )));
+/// Refuses a run, before any of its cells starts, unless every cell
+/// passes `ahn_core::check_cell` — which `run_replication` asserts for
+/// library callers.
+fn check_cells(cells: &[Cell]) -> Result<(), CliError> {
+    for (config, case) in cells {
+        ahn_core::check_cell(config, case)?;
     }
-    Ok(case)
+    Ok(())
 }
 
-/// Runs the paper cases `case_nos` as one batch, once the population
-/// fits them all.
+/// Runs the paper cases `case_nos` as one batch, once every cell can run.
 fn run_cases(opts: &Options, case_nos: &[usize]) -> Result<Vec<ExperimentResult>, CliError> {
     let config = &opts.config;
-    let cells = case_nos
-        .iter()
-        .map(|&n| Ok((config.clone(), fits(config, CaseSpec::paper(n))?)))
-        .collect::<Result<Vec<_>, CliError>>()?;
+    let cells: Vec<Cell> = (case_nos.iter())
+        .map(|&n| (config.clone(), CaseSpec::paper(n)))
+        .collect();
+    check_cells(&cells)?;
     eprintln!(
         "running cases {case_nos:?} ({} replications x {} generations, R={})...",
         config.replications, config.generations, config.rounds
@@ -405,7 +399,7 @@ fn ipdrp(opts: &Options) -> Result<(), CliError> {
 
 fn pathrater(opts: &Options) -> Result<(), CliError> {
     // Marti et al.'s setting: 50 nodes with 20 selfish (40%).
-    let report = baselines::pathrater_comparison(&opts.config, 50, 20, opts.config.base_seed);
+    let report = baselines::pathrater_comparison(&opts.config, 50, 20, opts.config.base_seed)?;
     println!("Watchdog/pathrater-style baseline (X1): 50 nodes, 20 selfish, AllC normals");
     println!(
         "  throughput with rating-based avoidance:    {:.1}%",
@@ -427,49 +421,45 @@ fn pathrater(opts: &Options) -> Result<(), CliError> {
 /// configuration, run as one batch and printed one row per cell.
 fn study(opts: &Options, command: &str) -> Result<(), CliError> {
     let config = &opts.config;
-    let paper = |n| fits(config, CaseSpec::paper(n));
+    let paper = CaseSpec::paper;
     // Ablations run on case 3 (the paper's richest setting). A sweep
     // names its x axis and prints a footer under its table.
     let ablation = |title, run: fn(&ExperimentConfig, &CaseSpec) -> Vec<(String, Cell)>| {
-        Ok::<_, CliError>((title, None, run(config, &paper(3)?), "ablation.txt", None))
+        (title, None, run(config, &paper(3)), "ablation.txt", None)
     };
     let (title, x_label, cells, file, footer) = match command {
-        "ablate-payoff" => ablation("A1 payoff-table reading", ablate_payoff)?,
-        "ablate-activity" => ablation("A2 activity dimension", ablate_activity)?,
-        "ablate-selection" => ablation("A3 selection operator", ablate_selection)?,
-        "ablate-trust-table" => ablation("A5 trust-table thresholds", ablate_trust_table)?,
-        "ablate-unknown" => ablation("A6 unknown-node bit", ablate_unknown)?,
-        "ablate-gossip" => ablation("A7 second-hand reputation", ablate_gossip)?,
+        "ablate-payoff" => ablation("A1 payoff-table reading", ablate_payoff),
+        "ablate-activity" => ablation("A2 activity dimension", ablate_activity),
+        "ablate-selection" => ablation("A3 selection operator", ablate_selection),
+        "ablate-trust-table" => ablation("A5 trust-table thresholds", ablate_trust_table),
+        "ablate-unknown" => ablation("A6 unknown-node bit", ablate_unknown),
+        "ablate-gossip" => ablation("A7 second-hand reputation", ablate_gossip),
         "sweep-rounds" => (
             "Cooperation vs reputation horizon R (case 1)",
             Some("rounds"),
-            sweeps::sweep_rounds(config, &paper(1)?, &[30, 100, 200, 300, 500]),
+            sweeps::sweep_rounds(config, &paper(1), &[30, 100, 200, 300, 500]),
             "sweep_rounds.txt",
             Some("(the paper's R = 300 sits above the defection-basin crossover)"),
         ),
-        "sweep-csn" => {
-            let mode = CaseSpec::paper(1).mode;
-            // The 0% point is the most demanding: 50 normal players.
-            fits(config, CaseSpec::mini("csn 0%", &[0], 50, mode))?;
-            (
-                "Cooperation vs CSN density (50-node tournaments, shorter paths)",
-                Some("density"),
-                sweeps::sweep_csn(config, 50, mode, &[0.0, 0.2, 0.4, 0.6, 0.8]),
-                "sweep_csn.txt",
-                Some("(TE1..TE4 are the 0%, 20%, 50% and 60% points of this curve)"),
-            )
-        }
+        "sweep-csn" => (
+            "Cooperation vs CSN density (50-node tournaments, shorter paths)",
+            Some("density"),
+            sweeps::sweep_csn(config, 50, paper(1).mode, &[0.0, 0.2, 0.4, 0.6, 0.8]),
+            "sweep_csn.txt",
+            Some("(TE1..TE4 are the 0%, 20%, 50% and 60% points of this curve)"),
+        ),
         "sweep-mutation" => (
             "Cooperation vs per-bit mutation probability (case 3)",
             Some("mutation"),
-            sweeps::sweep_mutation(config, &paper(3)?, &[0.0, 0.001, 0.01, 0.05]),
+            sweeps::sweep_mutation(config, &paper(3), &[0.0, 0.001, 0.01, 0.05]),
             "sweep_mutation.txt",
             Some("(the paper uses 0.001)"),
         ),
         other => unreachable!("{other} is not a one-knob study"),
     };
-    eprintln!("running {title} ({} cells)...", cells.len());
     let (labels, cells): (Vec<String>, Vec<_>) = cells.into_iter().unzip();
+    check_cells(&cells)?;
+    eprintln!("running {title} ({} cells)...", cells.len());
     let results = ahn_core::run_cells(&cells, opts.trace.as_ref(), |i| labels[i].clone());
     let rows: Vec<_> = (labels.into_iter())
         .zip(results.into_iter().map(|r| r.final_coop))
@@ -489,12 +479,9 @@ fn study(opts: &Options, command: &str) -> Result<(), CliError> {
 fn transfer(opts: &Options) -> Result<(), CliError> {
     // One replication per training case keeps this affordable; use
     // --gens to deepen.
-    let cases = CaseSpec::paper_all()
-        .into_iter()
-        .map(|case| fits(&opts.config, case))
-        .collect::<Result<Vec<_>, _>>()?;
+    let cases = CaseSpec::paper_all();
     eprintln!("running {}x{} transfer matrix...", cases.len(), cases.len());
-    let cells = extensions::transfer_matrix(&opts.config, &cases, opts.config.base_seed);
+    let cells = extensions::transfer_matrix(&opts.config, &cases, opts.config.base_seed)?;
     let rendered = extensions::render_transfer(&cells);
     print!("{rendered}");
     println!(
@@ -507,9 +494,9 @@ fn transfer(opts: &Options) -> Result<(), CliError> {
 }
 
 fn newcomer(opts: &Options) -> Result<(), CliError> {
-    let case = fits(&opts.config, CaseSpec::paper(1))?;
     eprintln!("evolving a case-1 population, then admitting a newcomer...");
-    let report = extensions::newcomer_join(&opts.config, &case, 120, opts.config.base_seed);
+    let case = CaseSpec::paper(1);
+    let report = extensions::newcomer_join(&opts.config, &case, 120, opts.config.base_seed)?;
     println!("Newcomer-join experiment (case 1 veterans + 1 unknown cooperator)");
     println!(
         "  unknown-node bit forwards in {:.0}% of the evolved population",
@@ -530,9 +517,9 @@ fn newcomer(opts: &Options) -> Result<(), CliError> {
 fn sleepers(opts: &Options) -> Result<(), CliError> {
     // Case 1 needs 50 normal players, so a population that fills it
     // also keeps nodes awake beside the 20 sleepers.
-    let case = fits(&opts.config, CaseSpec::paper(1))?;
+    let case = CaseSpec::paper(1);
     eprintln!("sleeper study: evolving with 20 low-duty nodes, both codecs...");
-    let study = extensions::sleeper_study(&opts.config, &case, 20, 0.3, opts.config.base_seed);
+    let study = extensions::sleeper_study(&opts.config, &case, 20, 0.3, opts.config.base_seed)?;
     let (full_gap, trust_gap) = study.activity_penalty();
     println!("Sleeper study (X6): 20 of 100 nodes at 30% duty cycle, case-1 world");
     println!(
@@ -571,55 +558,8 @@ fn check() -> Result<(), CliError> {
 }
 
 fn trace(opts: &Options) -> Result<(), CliError> {
-    use rand::SeedableRng;
-    // Evolve briefly, then trace the first games of a converged
-    // tournament so the dump shows meaningful trust-driven decisions.
-    let mut cfg = opts.config.clone();
-    cfg.replications = 1;
-    let case = CaseSpec::paper(3);
-    cfg.population = cfg.population.max(case.required_normal());
-    eprintln!("evolving one replication of {} for the trace...", case.name);
-    let rep = ahn_core::experiment::run_replication(&cfg, &case, cfg.base_seed);
-
-    let game_config = ahn_core::game_config_of(&cfg, &case);
-    let size = case.envs[1].normal().min(rep.final_population.len());
-    let csn = case.envs[1].csn;
-    let mut arena =
-        ahn_core::AhnArena::new(rep.final_population[..size].to_vec(), csn, game_config, 1);
-    let participants: Vec<ahn_core::AhnNodeId> =
-        (0..(size + csn) as u32).map(ahn_core::AhnNodeId).collect();
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(cfg.base_seed ^ 0xdecaf);
-    let mut scratch = ahn_core::AhnScratch::default();
-
-    // Warm-up rounds so trust levels exist, then trace 25 games.
-    for _ in 0..40 {
-        for pos in 0..participants.len() {
-            ahn_core::ahn_play_game(&mut arena, &mut rng, &participants, pos, 0, &mut scratch);
-        }
-    }
-    println!("[");
-    for (pos, &src) in participants.iter().enumerate().take(25) {
-        let report =
-            ahn_core::ahn_play_game(&mut arena, &mut rng, &participants, pos, 0, &mut scratch);
-        let decisions: Vec<String> = scratch
-            .last_decisions()
-            .iter()
-            .map(|(d, t)| format!("{d}@{t}"))
-            .collect();
-        let path: Vec<u32> = scratch.last_path().iter().map(|n| n.0).collect();
-        if pos > 0 {
-            println!(",");
-        }
-        print!(
-            "  {{\"source\": {}, \"destination\": {}, \"path\": {:?}, \"decisions\": {:?}, \"delivered\": {}}}",
-            src.0,
-            report.destination.0,
-            path,
-            decisions,
-            report.outcome.delivered()
-        );
-    }
-    println!("\n]");
+    eprintln!("evolving one replication of case 3 for the trace...");
+    print!("{}", extensions::decision_trace(&opts.config)?);
     Ok(())
 }
 
@@ -948,6 +888,7 @@ fn scenario_run(args: &[String]) -> Result<(), CliError> {
     config.gossip = ahn_core::atlas::resolve_defense(defense)?;
     let case = CaseSpec::mini(name, &[0], size, ahn_core::PathMode::Shorter);
     let cell = scenario.apply(&config, &case)?;
+    check_cells(std::slice::from_ref(&cell))?;
     eprintln!(
         "running scenario {name:?} (hash {:016x}) against {defense:?}, \
          {size} participants, {} replications...",
@@ -1069,28 +1010,34 @@ fn fidelity(args: &[String]) -> Result<(), CliError> {
         // multi-environment cases check each environment against its
         // Table 5 column (the aggregate would blur four very different
         // equilibria — see ahn_core::calibrate::per_env_targets).
-        let checks: Vec<(String, f64, f64)> = match ahn_core::calibrate::per_env_targets(case_no) {
-            Some(targets) if result.per_env_coop.len() == targets.len() => {
-                (result.per_env_coop.iter().zip(targets).enumerate())
-                    .map(|(e, (env, &target))| {
-                        (format!(" TE{}", e + 1), env.mean().unwrap_or(0.0), target)
-                    })
-                    .collect()
-            }
-            _ => vec![(
-                String::new(),
-                result.final_coop.mean().unwrap_or(0.0),
-                ahn_core::calibrate::paper_target(case_no),
-            )],
-        };
-        for (env, coop, target) in checks {
+        let checks: Vec<(String, &ahn_stats::Summary, f64)> =
+            match ahn_core::calibrate::per_env_targets(case_no) {
+                Some(targets) if result.per_env_coop.len() == targets.len() => {
+                    (result.per_env_coop.iter().zip(targets).enumerate())
+                        .map(|(e, (env, &target))| (format!(" TE{}", e + 1), env, target))
+                        .collect()
+                }
+                _ => vec![(
+                    String::new(),
+                    &result.final_coop,
+                    ahn_core::calibrate::paper_target(case_no),
+                )],
+            };
+        for (env, summary, target) in checks {
+            let coop = summary.mean().unwrap_or(0.0);
             let error = (coop - target).abs();
             let ok = error <= tolerance;
+            // The replication count and min–max range the tolerance
+            // rests on (too few replications for a normal interval).
             println!(
-                "  case {case_no}{env}: cooperation {:>6} vs paper {:>6}  (|error| {:>5})  {}",
+                "  case {case_no}{env}: cooperation {:>6} vs paper {:>6}  (|error| {:>5}; \
+                 {} reps, range {}–{})  {}",
                 ahn_stats::pct(coop, 1),
                 ahn_stats::pct(target, 1),
                 ahn_stats::pct(error, 1),
+                summary.count(),
+                ahn_stats::pct(summary.min().unwrap_or(0.0), 1),
+                ahn_stats::pct(summary.max().unwrap_or(0.0), 1),
                 if ok { "ok" } else { "OUTSIDE TOLERANCE" }
             );
             failed |= !ok;

@@ -130,6 +130,65 @@ fn paper_case_commands_reject_the_smoke_population_without_panicking() {
     }
 }
 
+/// `--config` files whose cells cannot run, as edits of the committed
+/// example config, each with the field its error must name: a sleeper
+/// that never wakes, a sleeper outside the population, and a single
+/// attacker where a case needs up to 30 selfish nodes.
+const INVALID_CONFIGS: [(&str, &str, &str); 3] = [
+    (
+        "duty-0",
+        "\"sleepers\": [{\"index\": 0, \"duty\": 0.0}]",
+        "sleepers[0].duty",
+    ),
+    (
+        "index-10000",
+        "\"sleepers\": [{\"index\": 10000, \"duty\": 0.5}]",
+        "sleepers[0].index",
+    ),
+    (
+        "one-liar",
+        "\"sleepers\": [], \"attackers\": [{\"behavior\": \"Liar\", \"count\": 1}]",
+        "attackers",
+    ),
+];
+
+#[test]
+fn invalid_config_cells_exit_2_naming_the_field_without_panicking() {
+    let example = include_str!("../../../configs/example.json");
+    // `sweep` runs case 2 (30 selfish of 50). `newcomer` evolves case 1
+    // only, which needs no selfish node, so one attacker fills it.
+    let commands: [&[&str]; 5] = [
+        &["fig4"],
+        &["sweep", "--cases", "2"],
+        &["transfer"],
+        &["newcomer"],
+        &["baseline-pathrater"],
+    ];
+    for (name, sleepers, field) in INVALID_CONFIGS {
+        let path = std::env::temp_dir().join(format!("ahn-cli-{name}-{}.json", std::process::id()));
+        std::fs::write(&path, example.replace("\"sleepers\": []", sleepers)).unwrap();
+        let config = path.to_str().expect("a UTF-8 temp path");
+        for command in commands {
+            if name == "one-liar" && command == ["newcomer"] {
+                continue;
+            }
+            // The small budget keeps a wrongly accepted cell short.
+            let flags = [
+                "--config", config, "--gens", "1", "--reps", "1", "--rounds", "5",
+            ];
+            let out = ahn_exp(&[command, &flags[..]].concat());
+            let stderr = text(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{command:?} {name}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{command:?} {name}: {stderr}");
+            assert!(
+                stderr.contains("error:") && stderr.contains(field),
+                "{command:?} {name} must name {field}: {stderr}"
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
 /// Every local command that takes `--trace` (`serve` and `worker` aside),
 /// with the number of experiment cells it runs at [`SMALL`]; 0 means it
 /// runs none.

@@ -92,7 +92,10 @@ impl AtlasGrid {
         CaseSpec::mini("atlas", &[0], self.size, PathMode::Shorter)
     }
 
-    /// Validates the grid without running anything.
+    /// Validates the grid without running anything: every scenario row
+    /// resolves, and its cell passes [`crate::check_cell`]. The defense
+    /// columns of a row differ only in gossip, which no check reads, so
+    /// one check per row covers all of them.
     pub fn validate(&self) -> Result<(), String> {
         self.base.validate()?;
         if self.scenarios.is_empty() {
@@ -100,8 +103,8 @@ impl AtlasGrid {
         }
         let case = self.case();
         for name in &self.scenarios {
-            let scenario = resolve_scenario(name)?;
-            scenario.apply(&self.base, &case)?;
+            let (config, case) = resolve_scenario(name)?.apply(&self.base, &case)?;
+            crate::check_cell(&config, &case)?;
         }
         Ok(())
     }

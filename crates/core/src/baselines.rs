@@ -12,7 +12,8 @@
 
 use crate::cases::CaseSpec;
 use crate::config::ExperimentConfig;
-use ahn_game::{Arena, EnvMetrics, EvaluationSchedule};
+use crate::experiment::{arena_for, check_cell};
+use ahn_game::{EnvMetrics, EvaluationSchedule};
 use ahn_net::RouteSelection;
 use ahn_strategy::Strategy;
 use rand::SeedableRng;
@@ -20,8 +21,13 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// Runs the schedule once with a fixed population of `strategies`
-/// (cycled to fill `config.population`) and returns the aggregate
-/// metrics.
+/// (cycled to fill `config.population`) in the cell's own world — its
+/// selfish pool or attacker groups and its sleepers — and returns the
+/// aggregate metrics.
+///
+/// # Panics
+/// Panics if `strategies` is empty, or with [`check_cell`]'s message
+/// when the cell cannot run.
 pub fn evaluate_static(
     config: &ExperimentConfig,
     case: &CaseSpec,
@@ -29,18 +35,13 @@ pub fn evaluate_static(
     seed: u64,
 ) -> EnvMetrics {
     assert!(!strategies.is_empty(), "at least one strategy is required");
+    check_cell(config, case).unwrap_or_else(|e| panic!("{e}"));
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let schedule = EvaluationSchedule::new(case.envs.clone(), config.rounds, config.plays_per_env);
     let population: Vec<Strategy> = (0..config.population)
         .map(|i| strategies[i % strategies.len()].clone())
         .collect();
-    let game_config = crate::game_config_of(config, case);
-    let mut arena = Arena::new(
-        population,
-        schedule.required_csn(),
-        game_config,
-        case.envs.len(),
-    );
+    let mut arena = arena_for(config, case, population);
     schedule.run(&mut arena, &mut rng);
     arena.metrics.total()
 }
@@ -71,30 +72,39 @@ impl PathraterReport {
 /// punishment, exactly the pathrater setting) with and without
 /// reputation-based route selection, in an environment with `csn`
 /// selfish nodes out of `size`.
+///
+/// # Errors
+/// Errors, before running anything, when either cell fails
+/// [`check_cell`].
+///
+/// # Panics
+/// Panics unless `csn < size` and `size >= 3` (like
+/// [`CaseSpec::mini`]).
 pub fn pathrater_comparison(
     config: &ExperimentConfig,
     size: usize,
     csn: usize,
     seed: u64,
-) -> PathraterReport {
+) -> Result<PathraterReport, String> {
     let case = CaseSpec::mini("pathrater", &[csn], size, ahn_net::PathMode::Shorter);
     let allc = [Strategy::always_forward()];
-
-    let mut rated = config.clone();
-    // The population must at least fill one tournament of this size.
-    rated.population = rated.population.max(size - csn);
-    rated.route_selection = RouteSelection::BestRated;
-    let with_rating = evaluate_static(&rated, &case, &allc, seed).cooperation_level();
-
-    let mut random = config.clone();
-    random.population = random.population.max(size - csn);
-    random.route_selection = RouteSelection::Random;
-    let without_rating = evaluate_static(&random, &case, &allc, seed).cooperation_level();
-
-    PathraterReport {
+    let cells = [RouteSelection::BestRated, RouteSelection::Random].map(|route_selection| {
+        ExperimentConfig {
+            // The population must at least fill one tournament of this size.
+            population: config.population.max(size - csn),
+            route_selection,
+            ..config.clone()
+        }
+    });
+    for cell in &cells {
+        check_cell(cell, &case)?;
+    }
+    let [with_rating, without_rating] =
+        cells.map(|cell| evaluate_static(&cell, &case, &allc, seed).cooperation_level());
+    Ok(PathraterReport {
         with_rating,
         without_rating,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -139,7 +149,7 @@ mod tests {
     fn pathrater_avoidance_improves_throughput() {
         // The Marti et al. shape: with selfish nodes present, rating-based
         // avoidance beats random routing.
-        let report = pathrater_comparison(&cfg(), 12, 4, 3);
+        let report = pathrater_comparison(&cfg(), 12, 4, 3).unwrap();
         assert!(
             report.with_rating > report.without_rating,
             "avoidance should help: {report:?}"

@@ -282,9 +282,9 @@ impl CalibrationGrid {
         })
     }
 
-    /// Validates the axes and the first candidate's implied sweep (all
-    /// candidates share case/size geometry, so one check covers the
-    /// expensive invariants before any compute is spent).
+    /// Validates the axes and every candidate's implied sweep
+    /// ([`SweepGrid::validate`]), so a bad search fails before any cell
+    /// runs or is queued.
     pub fn validate(&self) -> Result<(), String> {
         self.base.validate()?;
         if self.cases.is_empty() || self.scales.is_empty() || self.selections.is_empty() {
@@ -309,10 +309,12 @@ impl CalibrationGrid {
             selection_variant(name)?;
         }
         let candidates = self.candidates();
-        let Some(first) = candidates.first() else {
+        if candidates.is_empty() {
             return Err("the candidate family is empty".into());
-        };
-        self.sweep_for(first)?.validate()?;
+        }
+        for candidate in &candidates {
+            self.sweep_for(candidate)?.validate()?;
+        }
         Ok(())
     }
 }

@@ -254,7 +254,27 @@ impl ExperimentConfig {
             return Err("rounds and plays_per_env must be positive".into());
         }
         self.ga.validate()?;
+        if self.ga.elitism > self.population {
+            return Err(format!(
+                "ga.elitism {} exceeds the population ({})",
+                self.ga.elitism, self.population
+            ));
+        }
         self.trust.validate()?;
+        for (i, sleeper) in self.sleepers.iter().enumerate() {
+            if !(sleeper.duty > 0.0 && sleeper.duty <= 1.0) {
+                return Err(format!(
+                    "sleepers[{i}].duty {} outside (0, 1]",
+                    sleeper.duty
+                ));
+            }
+            if sleeper.index >= self.population {
+                return Err(format!(
+                    "sleepers[{i}].index {} outside the population ({})",
+                    sleeper.index, self.population
+                ));
+            }
+        }
         if let Some(groups) = &self.attackers {
             if groups.is_empty() {
                 return Err("attackers, when set, needs at least one group".into());

@@ -11,7 +11,7 @@ use crate::cases::CaseSpec;
 use crate::config::ExperimentConfig;
 use ahn_bitstr::BitStr;
 use ahn_ga::{next_generation_into, GenStats};
-use ahn_game::{Arena, EnvMetrics, EvaluationSchedule};
+use ahn_game::{Arena, EnvMetrics, EvaluationSchedule, NodeKind};
 use ahn_net::energy::{EnergyLedger, PowerProfile};
 use ahn_stats::{Series, Summary};
 use ahn_strategy::analysis::StrategyCensus;
@@ -41,11 +41,89 @@ pub struct ReplicationResult {
     pub energy_selfish_mj: f64,
 }
 
+/// Decides whether a `(config, case)` cell can run: the whole
+/// precondition of [`run_replication_with`], checked without running
+/// or allocating anything, so every front end refuses a bad cell with
+/// an error instead of a panic.
+///
+/// # Errors
+/// Names the first field that makes the cell unrunnable: an invalid
+/// config ([`ExperimentConfig::validate`]), a case without environments
+/// or with one of fewer than 3 participants or no normal player
+/// (deserialization bypasses [`ahn_game::EnvironmentSpec::new`]), a
+/// population or attacker pool short of the case's largest demand.
+pub fn check_cell(config: &ExperimentConfig, case: &CaseSpec) -> Result<(), String> {
+    config.validate()?;
+    if case.envs.is_empty() {
+        return Err(format!("{:?} has no environments", case.name));
+    }
+    for env in &case.envs {
+        if env.size < 3 {
+            return Err(format!(
+                "{:?}: an environment of {} participants cannot route \
+                 (source, relay and destination need 3)",
+                case.name, env.size
+            ));
+        }
+        if env.csn >= env.size {
+            return Err(format!(
+                "{:?}: {} CSN cannot fit an environment of {} participants",
+                case.name, env.csn, env.size
+            ));
+        }
+    }
+    if config.population < case.required_normal() {
+        return Err(format!(
+            "population {} cannot fill {:?}, which needs {} normal players",
+            config.population,
+            case.name,
+            case.required_normal()
+        ));
+    }
+    if config.attackers.is_some() && config.attacker_count() < case.required_csn() {
+        return Err(format!(
+            "attackers: a pool of {} cannot fill {:?}, which needs {} selfish nodes",
+            config.attacker_count(),
+            case.name,
+            case.required_csn()
+        ));
+    }
+    Ok(())
+}
+
+/// The world a cell plays in: `strategies` as the normal players (ids
+/// `0..strategies.len()`), then the selfish pool — the case's
+/// constantly selfish nodes, or the adversary zoo's attacker groups in
+/// declaration order — with the configured sleepers' duty cycles.
+pub(crate) fn arena_for(
+    config: &ExperimentConfig,
+    case: &CaseSpec,
+    strategies: Vec<Strategy>,
+) -> Arena {
+    let mut kinds = vec![NodeKind::Normal; strategies.len()];
+    match &config.attackers {
+        None => kinds.extend(std::iter::repeat_n(
+            NodeKind::ConstantlySelfish,
+            case.required_csn(),
+        )),
+        Some(groups) => {
+            for g in groups {
+                kinds.extend(std::iter::repeat_n(g.behavior.node_kind(), g.count));
+            }
+        }
+    }
+    let game_config = crate::game_config_of(config, case);
+    let mut arena = Arena::with_kinds(strategies, kinds, game_config, case.envs.len());
+    for sleeper in &config.sleepers {
+        arena.set_duty_cycle(ahn_net::NodeId::from(sleeper.index), sleeper.duty);
+    }
+    arena
+}
+
 /// Runs a single replication with the given seed.
 ///
 /// # Panics
-/// Panics if the configuration is invalid or the population is smaller
-/// than the largest environment's normal-player demand.
+/// Panics with [`check_cell`]'s message when the cell cannot run.
 pub fn run_replication(config: &ExperimentConfig, case: &CaseSpec, seed: u64) -> ReplicationResult {
     run_replication_with(config, case, seed, &mut ahn_obs::NoopRecorder)
 }
@@ -60,25 +138,17 @@ pub fn run_replication(config: &ExperimentConfig, case: &CaseSpec, seed: u64) ->
 /// so results are bit-identical with recording on or off.
 ///
 /// # Panics
-/// Panics if the configuration is invalid or the population is smaller
-/// than the largest environment's normal-player demand.
+/// Panics with [`check_cell`]'s message when the cell cannot run.
 pub fn run_replication_with<R: ahn_obs::Recorder>(
     config: &ExperimentConfig,
     case: &CaseSpec,
     seed: u64,
     recorder: &mut R,
 ) -> ReplicationResult {
-    config.validate().expect("invalid experiment configuration");
-    assert!(
-        config.population >= case.required_normal(),
-        "population {} cannot fill an environment needing {} normal players",
-        config.population,
-        case.required_normal()
-    );
+    check_cell(config, case).unwrap_or_else(|e| panic!("{e}"));
 
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let schedule = EvaluationSchedule::new(case.envs.clone(), config.rounds, config.plays_per_env);
-    let game_config = crate::game_config_of(config, case);
 
     let bits = config.codec.genome_bits();
     let mut genomes: Vec<BitStr> = (0..config.population)
@@ -92,31 +162,7 @@ pub fn run_replication_with<R: ahn_obs::Recorder>(
     let decode =
         |gs: &[BitStr]| -> Vec<Strategy> { gs.iter().map(|g| config.codec.decode(g)).collect() };
 
-    // Normal players take the first ids; the selfish pool fills the tail:
-    // the paper's constantly selfish nodes, or the adversary zoo's
-    // attacker groups expanded in declaration order.
-    let mut kinds = vec![ahn_game::NodeKind::Normal; config.population];
-    match &config.attackers {
-        None => kinds.extend(std::iter::repeat_n(
-            ahn_game::NodeKind::ConstantlySelfish,
-            schedule.required_csn(),
-        )),
-        Some(groups) => {
-            let pool: usize = groups.iter().map(|g| g.count).sum();
-            assert!(
-                pool >= schedule.required_csn(),
-                "attacker pool ({pool}) cannot fill an environment needing {} selfish nodes",
-                schedule.required_csn()
-            );
-            for g in groups {
-                kinds.extend(std::iter::repeat_n(g.behavior.node_kind(), g.count));
-            }
-        }
-    }
-    let mut arena = Arena::with_kinds(decode(&genomes), kinds, game_config, case.envs.len());
-    for sleeper in &config.sleepers {
-        arena.set_duty_cycle(ahn_net::NodeId::from(sleeper.index), sleeper.duty);
-    }
+    let mut arena = arena_for(config, case, decode(&genomes));
 
     let mut coop_by_gen = Vec::with_capacity(config.generations);
     let mut fitness_by_gen = Vec::with_capacity(config.generations);

@@ -12,11 +12,14 @@
 //!   [`newcomer_join`] tests the claim: drop a fresh, unknown node into a
 //!   converged population and track how its own packets fare as its
 //!   reputation forms.
+//!
+//! Every study checks its cells up front ([`check_cell`]) and plays its
+//! observation rounds through [`Tournament`], like the evolution does.
 
 use crate::cases::CaseSpec;
 use crate::config::{ExperimentConfig, SleeperSpec, StrategyCodec};
-use crate::experiment::run_replication;
-use ahn_game::{game::Scratch, play_game, Arena, RoundScratch, Tournament};
+use crate::experiment::{check_cell, run_replication};
+use ahn_game::{Arena, RoundScratch, Tournament};
 use ahn_net::NodeId;
 use ahn_strategy::Strategy;
 use rand::SeedableRng;
@@ -41,11 +44,18 @@ const fn transfer_salt() -> u64 {
 /// Full train × eval matrix over the given cases: evolves one population
 /// under each case (one replication), then freezes it and measures its
 /// cooperation under every case.
+///
+/// # Errors
+/// Errors, before running anything, when a `(config, case)` cell fails
+/// [`check_cell`].
 pub fn transfer_matrix(
     config: &ExperimentConfig,
     cases: &[CaseSpec],
     seed: u64,
-) -> Vec<TransferCell> {
+) -> Result<Vec<TransferCell>, String> {
+    for case in cases {
+        check_cell(config, case)?;
+    }
     let mut out = Vec::with_capacity(cases.len() * cases.len());
     for train in cases {
         let trained = run_replication(config, train, seed);
@@ -63,7 +73,7 @@ pub fn transfer_matrix(
             });
         }
     }
-    out
+    Ok(out)
 }
 
 /// Renders a transfer matrix as a text table.
@@ -118,16 +128,20 @@ pub struct NewcomerReport {
 /// (unknown to everyone) and plays `rounds` observation rounds in a
 /// CSN-free tournament drawn from the evolved population.
 ///
+/// # Errors
+/// Errors, before running anything, when the cell fails [`check_cell`].
+///
 /// # Panics
-/// Panics if the case has no environments or the population is smaller
-/// than the tournament demand.
+/// Panics if `rounds < 8`, or if the case's first environment has
+/// fewer than 3 normal players (a tournament of veterans needs 3).
 pub fn newcomer_join(
     config: &ExperimentConfig,
     case: &CaseSpec,
     rounds: usize,
     seed: u64,
-) -> NewcomerReport {
+) -> Result<NewcomerReport, String> {
     assert!(rounds >= 8, "need at least 8 rounds to compare quarters");
+    check_cell(config, case)?;
     let trained = run_replication(config, case, seed);
     let mut census = ahn_strategy::analysis::StrategyCensus::new();
     census.add_population(&trained.final_population);
@@ -143,27 +157,28 @@ pub fn newcomer_join(
     let mut arena = Arena::new(strategies, 0, game_config, 1);
     let participants: Vec<NodeId> = (0..arena.n_total() as u32).map(NodeId).collect();
     let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(transfer_salt()));
-    let mut scratch = Scratch::default();
+    let mut scratch = RoundScratch::default();
+    let tournament = Tournament::new(rounds);
 
     // Warm up the veterans' mutual reputation WITHOUT the newcomer so it
     // is genuinely the only unknown party.
-    let veterans_only: Vec<NodeId> = participants[..veterans].to_vec();
-    for _ in 0..rounds {
-        for pos in 0..veterans_only.len() {
-            play_game(&mut arena, &mut rng, &veterans_only, pos, 0, &mut scratch);
-        }
-    }
+    let veterans_only = &participants[..veterans];
+    tournament.run_with_scratch(&mut arena, &mut rng, veterans_only, 0, &mut scratch);
 
     // Observation: everyone plays, and we track the newcomer's games.
     let mut deliveries: Vec<bool> = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        for (pos, &src) in participants.iter().enumerate() {
-            let report = play_game(&mut arena, &mut rng, &participants, pos, 0, &mut scratch);
-            if src == newcomer {
+    tournament.run_observed(
+        &mut arena,
+        &mut rng,
+        &participants,
+        0,
+        &mut scratch,
+        |source, report, _| {
+            if source == newcomer {
                 deliveries.push(report.outcome.delivered());
             }
-        }
-    }
+        },
+    );
 
     let quarter = (deliveries.len() / 4).max(1);
     let rate = |slice: &[bool]| -> f64 {
@@ -173,11 +188,11 @@ pub fn newcomer_join(
             slice.iter().filter(|&&d| d).count() as f64 / slice.len() as f64
         }
     };
-    NewcomerReport {
+    Ok(NewcomerReport {
         early_delivery: rate(&deliveries[..quarter]),
         late_delivery: rate(&deliveries[deliveries.len() - quarter..]),
         unknown_forward_share: census.unknown_forward_share(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -200,7 +215,7 @@ mod tests {
         let config = cfg();
         let clean = CaseSpec::mini("clean", &[0], 10, PathMode::Shorter);
         let hostile = CaseSpec::mini("hostile", &[6], 10, PathMode::Shorter);
-        let cells = transfer_matrix(&config, &[clean, hostile], 3);
+        let cells = transfer_matrix(&config, &[clean, hostile], 3).unwrap();
         // Row-major: trained on clean, evaluated on clean then hostile.
         let (own, cross) = (&cells[0], &cells[1]);
         assert!(
@@ -218,7 +233,7 @@ mod tests {
             CaseSpec::mini("a", &[0], 10, PathMode::Shorter),
             CaseSpec::mini("b", &[4], 10, PathMode::Shorter),
         ];
-        let cells = transfer_matrix(&config, &cases, 1);
+        let cells = transfer_matrix(&config, &cases, 1).unwrap();
         assert_eq!(cells.len(), 4);
         let rendered = render_transfer(&cells);
         assert!(rendered.contains('a') && rendered.contains('b'));
@@ -235,7 +250,7 @@ mod tests {
         config.rounds = 100;
         config.generations = 60;
         let case = CaseSpec::mini("join", &[0], 10, PathMode::Shorter);
-        let report = newcomer_join(&config, &case, 40, 5);
+        let report = newcomer_join(&config, &case, 40, 5).unwrap();
         // In a CSN-free evolved world the newcomer must end up served.
         assert!(
             report.late_delivery > 0.5,
@@ -295,31 +310,40 @@ impl SleeperStudy {
 /// `duty` cycle, the population evolves under `case`, and the converged
 /// generation's per-node delivery rates are compared across codecs.
 ///
+/// # Errors
+/// Errors, before running anything, when a cell fails [`check_cell`]
+/// (a `duty` outside (0, 1] among them).
+///
 /// # Panics
-/// Panics if `n_sleepers` ≥ the population size or `duty ∉ (0, 1]`.
+/// Panics if the cells pass but leave no member awake (`n_sleepers`
+/// equal to the population).
 pub fn sleeper_study(
     base: &ExperimentConfig,
     case: &CaseSpec,
     n_sleepers: usize,
     duty: f64,
     seed: u64,
-) -> SleeperStudy {
-    assert!(n_sleepers < base.population, "leave some nodes awake");
-    assert!(duty > 0.0 && duty <= 1.0, "duty {duty} outside (0, 1]");
-
-    let run_codec = |codec: StrategyCodec| -> (f64, f64, f64) {
-        let mut cfg = base.clone();
-        cfg.codec = codec;
-        cfg.sleepers = (0..n_sleepers)
+) -> Result<SleeperStudy, String> {
+    let cells = [StrategyCodec::Full, StrategyCodec::TrustOnly].map(|codec| ExperimentConfig {
+        codec,
+        sleepers: (0..n_sleepers)
             .map(|index| SleeperSpec { index, duty })
-            .collect();
-        let rep = run_replication(&cfg, case, seed);
+            .collect(),
+        ..base.clone()
+    });
+    for cfg in &cells {
+        check_cell(cfg, case)?;
+    }
+    assert!(n_sleepers < base.population, "leave some nodes awake");
+
+    let run_codec = |cfg: &ExperimentConfig| -> (f64, f64, f64) {
+        let rep = run_replication(cfg, case, seed);
 
         // Observation phase: the converged strategies play one CSN-free
         // tournament with the same duty cycles, through the tournament's
         // own rounds (awake sampling, idle and sleep energy); its game
         // hook attributes deliveries per source.
-        let game_config = crate::game_config_of(&cfg, case);
+        let game_config = crate::game_config_of(cfg, case);
         let size = case.envs[0].normal().min(rep.final_population.len());
         let mut arena = Arena::new(rep.final_population[..size].to_vec(), 0, game_config, 1);
         for s in 0..n_sleepers.min(size) {
@@ -335,7 +359,7 @@ pub fn sleeper_study(
             &participants,
             0,
             &mut RoundScratch::default(),
-            |source, report| {
+            |source, report, _| {
                 sourced[source.index()] += 1;
                 delivered[source.index()] += u64::from(report.outcome.delivered());
             },
@@ -369,15 +393,76 @@ pub fn sleeper_study(
         (sleeper_rate, active_rate, ratio)
     };
 
-    let (full_sleeper, full_active, energy_ratio) = run_codec(StrategyCodec::Full);
-    let (trust_sleeper, trust_active, _) = run_codec(StrategyCodec::TrustOnly);
-    SleeperStudy {
+    let [full, trust_only] = &cells;
+    let (full_sleeper, full_active, energy_ratio) = run_codec(full);
+    let (trust_sleeper, trust_active, _) = run_codec(trust_only);
+    Ok(SleeperStudy {
         full_sleeper_delivery: full_sleeper,
         full_active_delivery: full_active,
         trust_only_sleeper_delivery: trust_sleeper,
         trust_only_active_delivery: trust_active,
         sleeper_energy_ratio: energy_ratio,
-    }
+    })
+}
+
+/// The `ahn-exp trace` dump: evolves one replication of case 3 (the
+/// population grown to fill it), plays the evolved strategies in a TE2
+/// tournament (case 3's second environment) for 40 warm-up rounds, and
+/// renders the first 25 games of the next round as a JSON array, one
+/// game per line: source, destination, relay path, and each relay's
+/// decision with its trust in the source (`D@TL0`, `F@TL3`).
+///
+/// # Errors
+/// Errors, before running anything, when the case-3 cell fails
+/// [`check_cell`].
+pub fn decision_trace(config: &ExperimentConfig) -> Result<String, String> {
+    let case = CaseSpec::paper(3);
+    let cfg = ExperimentConfig {
+        replications: 1,
+        population: config.population.max(case.required_normal()),
+        ..config.clone()
+    };
+    check_cell(&cfg, &case)?;
+    let rep = run_replication(&cfg, &case, cfg.base_seed);
+
+    let env = case.envs[1];
+    let size = env.normal().min(rep.final_population.len());
+    let game_config = crate::game_config_of(&cfg, &case);
+    let mut arena = Arena::new(
+        rep.final_population[..size].to_vec(),
+        env.csn,
+        game_config,
+        1,
+    );
+    let participants: Vec<NodeId> = (0..arena.n_total() as u32).map(NodeId).collect();
+    let mut rng = ChaCha8Rng::seed_from_u64(cfg.base_seed ^ 0xdecaf);
+    let mut scratch = RoundScratch::default();
+    Tournament::new(40).run_with_scratch(&mut arena, &mut rng, &participants, 0, &mut scratch);
+    let mut games = Vec::with_capacity(25);
+    Tournament::new(1).run_observed(
+        &mut arena,
+        &mut rng,
+        &participants,
+        0,
+        &mut scratch,
+        |source, report, game| {
+            if games.len() == 25 {
+                return;
+            }
+            let path: Vec<u32> = game.last_path().iter().map(|n| n.0).collect();
+            let decisions: Vec<String> = (game.last_decisions().iter())
+                .map(|(d, t)| format!("{d}@{t}"))
+                .collect();
+            games.push(format!(
+                "  {{\"source\": {}, \"destination\": {}, \"path\": {path:?}, \
+                 \"decisions\": {decisions:?}, \"delivered\": {}}}",
+                source.0,
+                report.destination.0,
+                report.outcome.delivered()
+            ));
+        },
+    );
+    Ok(format!("[\n{}\n]\n", games.join(",\n")))
 }
 
 #[cfg(test)]
@@ -392,7 +477,7 @@ mod sleeper_tests {
         cfg.rounds = 40;
         cfg.generations = 20;
         let case = CaseSpec::mini("sleep", &[0], 12, PathMode::Shorter);
-        let study = sleeper_study(&cfg, &case, 3, 0.3, 7);
+        let study = sleeper_study(&cfg, &case, 3, 0.3, 7).unwrap();
         // Sleeping must save energy in the observation tournament.
         assert!(
             study.sleeper_energy_ratio < 0.9,
@@ -420,7 +505,7 @@ mod sleeper_tests {
         cfg.generations = 20;
         let case = CaseSpec::mini("sleep", &[0], 12, PathMode::Shorter);
         let (n_sleepers, duty, seed) = (3, 0.3, 7);
-        let study = sleeper_study(&cfg, &case, n_sleepers, duty, seed);
+        let study = sleeper_study(&cfg, &case, n_sleepers, duty, seed).unwrap();
 
         // The full-codec observation tournament, played by `Tournament::run`.
         cfg.sleepers = (0..n_sleepers)
@@ -452,6 +537,6 @@ mod sleeper_tests {
     fn all_sleepers_rejected() {
         let cfg = ExperimentConfig::smoke();
         let case = CaseSpec::mini("sleep", &[0], 10, PathMode::Shorter);
-        sleeper_study(&cfg, &case, cfg.population, 0.5, 0);
+        let _ = sleeper_study(&cfg, &case, cfg.population, 0.5, 0);
     }
 }

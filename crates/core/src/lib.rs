@@ -13,7 +13,8 @@
 //! * [`cases`] — the four evaluation cases of Table 4;
 //! * [`config`] — experiment parameters with `paper`, `scaled` and
 //!   `smoke` presets;
-//! * [`experiment`] — replication runner and cross-replication
+//! * [`experiment`] — replication runner, the one validity check of a
+//!   `(config, case)` cell ([`check_cell`]) and cross-replication
 //!   aggregation (Fig. 4, Tables 5–9 inputs);
 //! * [`cells`] — the cell engine: a batch of `(config, case)` cells,
 //!   every replication of every cell one parallel work item, optionally
@@ -73,7 +74,8 @@ pub use cases::CaseSpec;
 pub use cells::{run_cells, Cell};
 pub use config::{canonical_hash, ExperimentConfig, StrategyCodec};
 pub use experiment::{
-    run_experiment, run_replication, run_replication_with, ExperimentResult, ReplicationResult,
+    check_cell, run_experiment, run_replication, run_replication_with, ExperimentResult,
+    ReplicationResult,
 };
 pub use scenarios::{builtin_scenarios, find_scenario, resolve_scenario, AttackerShare, Scenario};
 pub use sweeps::{
@@ -81,16 +83,10 @@ pub use sweeps::{
     SweepGrid, SweepReport,
 };
 
-// Re-exports used by downstream tooling (the `ahn-exp trace` command and
-// similar inspection code) so the CLI depends on one crate only.
-pub use ahn_game::game::Scratch as AhnScratch;
-pub use ahn_game::play_game as ahn_play_game;
-pub use ahn_game::Arena as AhnArena;
-pub use ahn_net::NodeId as AhnNodeId;
-
 /// Builds the [`ahn_game::GameConfig`] an [`ExperimentConfig`] implies
-/// for a case — shared by the experiment runner, baselines and tooling.
-pub fn game_config_of(config: &ExperimentConfig, case: &CaseSpec) -> ahn_game::GameConfig {
+/// for a case — shared by the cell world and the studies' observation
+/// worlds.
+pub(crate) fn game_config_of(config: &ExperimentConfig, case: &CaseSpec) -> ahn_game::GameConfig {
     ahn_game::GameConfig {
         payoff: config.payoff,
         trust: config.trust,

@@ -257,8 +257,9 @@ impl SweepGrid {
             .saturating_mul(self.seed_blocks.len())
     }
 
-    /// Validates the axes and every cell they imply (so a bad grid fails
-    /// before any compute is spent).
+    /// Validates the axes and runs [`crate::check_cell`] on every cell
+    /// they resolve to, so a bad grid fails before any cell runs or is
+    /// queued.
     pub fn validate(&self) -> Result<(), String> {
         self.base.validate()?;
         if self.cell_count() == 0 {
@@ -278,7 +279,8 @@ impl SweepGrid {
             }
         }
         for spec in self.cell_specs() {
-            self.resolve(&spec)?;
+            let (config, case) = self.resolve(&spec)?;
+            crate::check_cell(&config, &case)?;
         }
         Ok(())
     }

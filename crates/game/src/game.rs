@@ -243,23 +243,6 @@ pub fn play_game<R: Rng + ?Sized>(
     }
 }
 
-/// Plays one tournament round: every participant sources one game, in
-/// participant order, charging metrics to environment `env`.
-///
-/// # Panics
-/// Panics if `participants` has fewer than three nodes.
-pub fn play_round<R: Rng + ?Sized>(
-    arena: &mut Arena,
-    rng: &mut R,
-    participants: &[NodeId],
-    env: usize,
-    scratch: &mut Scratch,
-) {
-    for source_pos in 0..participants.len() {
-        play_game(arena, rng, participants, source_pos, env, scratch);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

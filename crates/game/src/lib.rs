@@ -17,8 +17,7 @@
 //!   Tables 5–6;
 //! * [`arena`] — the mutable world state one generation plays in;
 //! * [`game`] — a single Ad Hoc Network Game (§4.1), the one game
-//!   implementation for every node kind, and a tournament round as a
-//!   loop over it;
+//!   implementation for every node kind;
 //! * [`tournament`] — the R-round tournament scheme (§4.4);
 //! * [`environment`] — tournament environments TE1–TE4 (Tab. 1) and the
 //!   multi-environment evaluation schedule (§4.4, Fig. 3).
@@ -35,7 +34,7 @@ pub mod tournament;
 
 pub use arena::{Arena, GameConfig};
 pub use environment::{EnvironmentSpec, EvaluationSchedule, ScheduleScratch};
-pub use game::{play_game, play_round};
+pub use game::play_game;
 pub use metrics::{EnvMetrics, Metrics, ReqCounts};
 pub use payoff::{enumerate_reconstructions, PayoffAccount, PayoffConfig, GARBLED_READINGS};
 pub use players::NodeKind;

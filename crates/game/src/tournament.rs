@@ -76,14 +76,16 @@ impl Tournament {
         env: usize,
         round_scratch: &mut RoundScratch,
     ) {
-        self.run_observed(arena, rng, participants, env, round_scratch, |_, _| {});
+        self.run_observed(arena, rng, participants, env, round_scratch, |_, _, _| {});
     }
 
     /// [`Tournament::run_with_scratch`] that calls `on_game(source,
-    /// &report)` after every game played, for callers that attribute
-    /// outcomes to sources. The hook runs after the game has settled
-    /// and cannot reach the RNG or the arena, so the tournament plays
-    /// the same games with or without it; the no-op hook of
+    /// &report, &scratch)` after every game played, for callers that
+    /// attribute outcomes to sources or inspect a game's relays: the
+    /// [`Scratch`] holds the settled game's path and decisions
+    /// ([`Scratch::last_path`], [`Scratch::last_decisions`]). The hook
+    /// cannot reach the RNG or the arena, so the tournament plays the
+    /// same games with or without it; the no-op hook of
     /// [`Tournament::run`] compiles to nothing.
     pub fn run_observed<R, F>(
         &self,
@@ -95,7 +97,7 @@ impl Tournament {
         mut on_game: F,
     ) where
         R: Rng + ?Sized,
-        F: FnMut(NodeId, &GameReport),
+        F: FnMut(NodeId, &GameReport, &Scratch),
     {
         assert!(
             participants.len() >= 3,
@@ -173,7 +175,7 @@ impl Tournament {
                 if let Some(report) =
                     play_sourced(arena, rng, participants, pos, awake, env, scratch)
                 {
-                    on_game(source, &report);
+                    on_game(source, &report, scratch);
                 }
             }
             if has_flooders {
@@ -184,7 +186,7 @@ impl Tournament {
                             if let Some(report) =
                                 play_sourced(arena, rng, participants, pos, awake, env, scratch)
                             {
-                                on_game(source, &report);
+                                on_game(source, &report, scratch);
                             }
                         }
                     }

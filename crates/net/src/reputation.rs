@@ -28,9 +28,9 @@
 //! Both backings sit behind one API and are *observationally
 //! equivalent* (pinned by a property test in `tests/properties.rs`):
 //! the same update sequence produces the same rates, aggregates and
-//! serialized counters, so seeded RNG streams never depend on the
-//! backing. Two derived caches are maintained incrementally at update
-//! time so lookups stay branch- and division-free:
+//! counters, so seeded RNG streams never depend on the backing. Two
+//! derived caches are maintained incrementally at update time so
+//! lookups stay branch- and division-free:
 //!
 //! * the forwarding **rate** of every observed pair
 //!   ([`ReputationMatrix::rate_or_unknown`] — [`UNKNOWN_RATE`] until the
@@ -41,15 +41,13 @@
 //!   ([`ReputationMatrix::mean_forwarded_of_known`]) O(1) instead of a
 //!   row scan per forwarding decision.
 //!
-//! Only the raw counters are serialized and compared; the caches are
-//! rebuilt on deserialization and checked by
-//! [`ReputationMatrix::check_invariants`]. Dense matrices serialize in
-//! the historical `{n, records}` form; sparse matrices serialize as a
-//! `{n, entries}` list sorted by (observer, subject) — O(observed
-//! pairs), deterministic, and accepted interchangeably on input.
+//! Only the raw counters are compared, across backings too; the caches
+//! are checked against a rebuild from them by
+//! [`ReputationMatrix::check_invariants`]. A matrix is per-generation
+//! working state and has no serialized form.
 
 use crate::NodeId;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use serde::{Deserialize, Serialize};
 
 /// Forwarding rate assumed for nodes the rater has no data about (§3.1).
 pub const UNKNOWN_RATE: f64 = 0.5;
@@ -336,52 +334,11 @@ impl ReputationMatrix {
         self.row_known.iter().map(|&k| k as usize).sum()
     }
 
-    /// Rebuilds a matrix from raw dense counters (the historical
-    /// serialized form), recomputing every cache.
-    fn from_parts(n: usize, records: Vec<RepRecord>) -> Result<Self, String> {
-        if records.len() != n * n {
-            return Err(format!(
-                "reputation matrix for {n} nodes needs {} records, got {}",
-                n * n,
-                records.len()
-            ));
-        }
-        let mut m = Self::new(n);
-        for o in 0..n {
-            for s in 0..n {
-                let r = records[o * n + s];
-                if r != RepRecord::default() {
-                    m.set_raw(o, s, r);
-                }
-            }
-        }
-        Ok(m)
-    }
-
-    /// Rebuilds a matrix from a sparse entry list (the sparse serialized
-    /// form), recomputing every cache. Duplicate (observer, subject)
-    /// entries accumulate, mirroring repeated observations.
-    fn from_entries(n: usize, entries: Vec<EntryRepr>) -> Result<Self, String> {
-        let mut m = Self::new(n);
-        for e in entries {
-            let (o, s) = (e.observer as usize, e.subject as usize);
-            if o >= n || s >= n {
-                return Err(format!("entry n{o} -> n{s} outside a {n}-node matrix"));
-            }
-            let mut r = m.record_raw(o, s);
-            r.requests += e.requests;
-            r.forwarded += e.forwarded;
-            if r != RepRecord::default() {
-                m.set_raw(o, s, r);
-            }
-        }
-        Ok(m)
-    }
-
     /// Overwrites the raw cell (o, s) and repairs the caches for it —
     /// deliberately permissive (no `pf <= ps` or diagonal validation) so
-    /// deserialization can materialize corrupt state for
+    /// the corruption tests can materialize state for
     /// [`ReputationMatrix::check_invariants`] to reject.
+    #[cfg(test)]
     fn set_raw(&mut self, o: usize, s: usize, r: RepRecord) {
         let old = self.record_raw(o, s);
         if old.requests > 0 {
@@ -655,10 +612,10 @@ impl ReputationMatrix {
     }
 
     /// Occupied `(observer, subject, record)` cells in (observer,
-    /// subject) order — the deterministic iteration behind the sparse
-    /// serialized form and cross-backing equality. Dense matrices report
-    /// only non-default cells, so observationally equal matrices yield
-    /// identical lists regardless of backing.
+    /// subject) order — the deterministic iteration behind cross-backing
+    /// equality. Dense matrices report only non-default cells, so
+    /// observationally equal matrices yield identical lists regardless
+    /// of backing.
     fn sorted_entries(&self) -> Vec<EntryRepr> {
         let mut out = Vec::new();
         match &self.backing {
@@ -778,8 +735,8 @@ impl PartialEq for ReputationMatrix {
 
 impl Eq for ReputationMatrix {}
 
-/// One non-empty cell of the sparse serialized form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// One non-empty cell, as [`ReputationMatrix::sorted_entries`] lists it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct EntryRepr {
     /// Observer node id.
     observer: u32,
@@ -789,61 +746,6 @@ struct EntryRepr {
     requests: u32,
     /// Raw `pf` counter.
     forwarded: u32,
-}
-
-/// The dense serialized shape (the historical format): raw counters
-/// only, caches rebuilt on deserialization.
-#[derive(Serialize)]
-struct DenseRepr {
-    n: usize,
-    records: Vec<RepRecord>,
-}
-
-/// The sparse serialized shape: one entry per observed pair, sorted by
-/// (observer, subject).
-#[derive(Serialize)]
-struct SparseRepr {
-    n: usize,
-    entries: Vec<EntryRepr>,
-}
-
-/// The union the deserializer accepts: either `records` (dense) or
-/// `entries` (sparse) must be present.
-#[derive(Deserialize)]
-struct MatrixRepr {
-    n: usize,
-    records: Option<Vec<RepRecord>>,
-    entries: Option<Vec<EntryRepr>>,
-}
-
-impl Serialize for ReputationMatrix {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        match &self.backing {
-            Backing::Dense { records, .. } => DenseRepr {
-                n: self.n,
-                records: records.clone(),
-            }
-            .serialize(serializer),
-            Backing::Sparse(_) => SparseRepr {
-                n: self.n,
-                entries: self.sorted_entries(),
-            }
-            .serialize(serializer),
-        }
-    }
-}
-
-impl<'de> Deserialize<'de> for ReputationMatrix {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let repr = MatrixRepr::deserialize(deserializer)?;
-        let matrix = match (repr.records, repr.entries) {
-            (Some(records), None) => ReputationMatrix::from_parts(repr.n, records),
-            (None, Some(entries)) => ReputationMatrix::from_entries(repr.n, entries),
-            (Some(_), Some(_)) => Err("matrix has both records and entries".into()),
-            (None, None) => Err("matrix needs records (dense) or entries (sparse)".into()),
-        };
-        matrix.map_err(serde::de::Error::custom)
-    }
 }
 
 #[cfg(test)]
@@ -1014,21 +916,29 @@ mod tests {
         assert!(m.check_invariants().is_ok());
         // Corrupt: forwarded > requests.
         let mut bad = m.clone();
-        // Reach in through serde to simulate corruption without exposing
-        // mutable internals.
-        let mut json: serde_json::Value = serde_json::to_value(&bad).unwrap();
-        json["records"][1]["forwarded"] = serde_json::json!(5);
-        bad = serde_json::from_value(json).unwrap();
+        bad.set_raw(
+            0,
+            1,
+            RepRecord {
+                requests: 1,
+                forwarded: 5,
+            },
+        );
         assert!(bad.check_invariants().is_err());
     }
 
     #[test]
     fn sparse_invariant_checker_catches_corruption() {
-        let mut m = ReputationMatrix::new_sparse(2);
-        m.record_forward(id(0), id(1));
-        let mut json: serde_json::Value = serde_json::to_value(&m).unwrap();
-        json["entries"][0]["forwarded"] = serde_json::json!(5);
-        let bad: ReputationMatrix = serde_json::from_value(json).unwrap();
+        let mut bad = ReputationMatrix::new_sparse(2);
+        bad.record_forward(id(0), id(1));
+        bad.set_raw(
+            0,
+            1,
+            RepRecord {
+                requests: 1,
+                forwarded: 5,
+            },
+        );
         assert!(bad.check_invariants().unwrap_err().contains("pf > ps"));
     }
 
@@ -1041,63 +951,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
-        for mut m in both(2) {
-            m.record_forward(id(0), id(1));
-            let json = serde_json::to_string(&m).unwrap();
-            let back: ReputationMatrix = serde_json::from_str(&json).unwrap();
-            assert_eq!(m, back);
-        }
-    }
-
-    #[test]
-    fn dense_wire_format_is_unchanged() {
-        // The historical `{n, records}` shape, byte for byte.
-        let mut m = ReputationMatrix::new_dense(2);
-        m.record_forward(id(0), id(1));
-        assert_eq!(
-            serde_json::to_string(&m).unwrap(),
-            "{\"n\":2,\"records\":[{\"requests\":0,\"forwarded\":0},\
-             {\"requests\":1,\"forwarded\":1},{\"requests\":0,\"forwarded\":0},\
-             {\"requests\":0,\"forwarded\":0}]}"
-        );
-    }
-
-    #[test]
-    fn sparse_wire_format_is_o_observed_pairs() {
-        let mut m = ReputationMatrix::new_sparse(1000);
-        m.record_forward(id(999), id(3));
-        m.record_drop(id(2), id(7));
-        let json = serde_json::to_string(&m).unwrap();
-        assert_eq!(
-            json,
-            "{\"n\":1000,\"entries\":[\
-             {\"observer\":2,\"subject\":7,\"requests\":1,\"forwarded\":0},\
-             {\"observer\":999,\"subject\":3,\"requests\":1,\"forwarded\":1}]}"
-        );
-        let back: ReputationMatrix = serde_json::from_str(&json).unwrap();
-        assert_eq!(m, back);
-        assert!(
-            back.is_sparse(),
-            "n=1000 deserializes onto the sparse backing"
-        );
-    }
-
-    #[test]
-    fn backings_deserialize_interchangeably() {
-        // A dense wire form with sparse-scale n lands on the sparse
-        // backing (and vice versa) without changing the observations.
-        let mut small_sparse = ReputationMatrix::new_sparse(3);
-        small_sparse.record_forward(id(0), id(2));
-        let json = serde_json::to_string(&small_sparse).unwrap();
-        let back: ReputationMatrix = serde_json::from_str(&json).unwrap();
-        assert!(!back.is_sparse(), "n=3 lands on the dense backing");
-        assert_eq!(back, small_sparse);
-        back.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn cross_backing_equality_and_serde_agree() {
+    fn cross_backing_equality_agrees() {
         let mut d = ReputationMatrix::new_dense(6);
         let mut s = ReputationMatrix::new_sparse(6);
         for m in [&mut d, &mut s] {
@@ -1107,11 +961,8 @@ mod tests {
         }
         assert_eq!(d, s);
         assert_eq!(s, d);
-        // And their canonical entry lists match, so any consumer that
-        // serializes both sees the same observations.
-        let via_sparse: ReputationMatrix =
-            serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
-        assert_eq!(via_sparse, d);
+        // And their canonical entry lists match.
+        assert_eq!(d.sorted_entries(), s.sorted_entries());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! `GET /v1/presets` returns ready-to-POST bodies for every preset, so a
 //! client never has to author a config by hand to get started.
 
-use ahn_core::{canonical_hash, cases::CaseSpec, config::ExperimentConfig};
+use ahn_core::{canonical_hash, cases::CaseSpec, check_cell, config::ExperimentConfig};
 use ahn_ipdrp::IpdrpConfig;
 use serde::{Deserialize, Serialize};
 
@@ -61,43 +61,11 @@ impl JobSpec {
     pub fn validate(&self) -> Result<(), String> {
         match self {
             JobSpec::Experiment { config, cases } => {
-                config.validate()?;
                 if cases.is_empty() {
                     return Err("cases must not be empty".into());
                 }
-                for case in cases {
-                    // Deserialization bypasses the constructors'
-                    // assertions, so re-check the environment
-                    // invariants here: a bad spec must become a 400,
-                    // never a worker panic.
-                    if case.envs.is_empty() {
-                        return Err(format!("{:?} has no environments", case.name));
-                    }
-                    for env in &case.envs {
-                        if env.size < 3 {
-                            return Err(format!(
-                                "{:?}: an environment of {} participants cannot route \
-                                 (source, relay and destination need 3)",
-                                case.name, env.size
-                            ));
-                        }
-                        if env.csn >= env.size {
-                            return Err(format!(
-                                "{:?}: {} CSN cannot fit an environment of {} participants",
-                                case.name, env.csn, env.size
-                            ));
-                        }
-                    }
-                    if config.population < case.required_normal() {
-                        return Err(format!(
-                            "population {} cannot fill {:?}, which needs {} normal players",
-                            config.population,
-                            case.name,
-                            case.required_normal()
-                        ));
-                    }
-                }
-                Ok(())
+                // A bad cell must become a 400, never a worker panic.
+                cases.iter().try_for_each(|case| check_cell(config, case))
             }
             JobSpec::Ipdrp { config, .. } => {
                 if config.population < 2 || config.population % 2 != 0 {

@@ -1,6 +1,8 @@
 //! Socket-level integration tests: a real server on an ephemeral port,
 //! a real TCP client, full submit/poll/cache round trips.
 
+use ahn_core::calibrate::CalibrationGrid;
+use ahn_core::{CaseSpec, ExperimentConfig, SweepGrid};
 use ahn_serve::jobs::run_job;
 use ahn_serve::loadtest::{one_shot, run_loadtest, smoke_spec, LoadtestConfig};
 use ahn_serve::protocol::{JobSpec, WorkCompletion};
@@ -131,6 +133,86 @@ fn healthz_metrics_presets_and_errors() {
     let (status, _) = get(&addr, "/v1/jobs/not-a-number");
     assert_eq!(status, 400);
 
+    handle.shutdown();
+}
+
+/// Small configs whose cells cannot run, each with the field its error
+/// must name: a sleeper that never wakes, a sleeper outside the
+/// population, and a single attacker where case 2 needs selfish nodes.
+fn invalid_configs() -> Vec<(ExperimentConfig, &'static str)> {
+    use ahn_core::config::{AttackerBehavior, AttackerGroup, SleeperSpec};
+    let small = ExperimentConfig {
+        population: 50,
+        generations: 1,
+        replications: 1,
+        rounds: 5,
+        ..ExperimentConfig::smoke()
+    };
+    let sleeper = |index, duty| ExperimentConfig {
+        sleepers: vec![SleeperSpec { index, duty }],
+        ..small.clone()
+    };
+    let one_liar = ExperimentConfig {
+        attackers: Some(vec![AttackerGroup {
+            behavior: AttackerBehavior::Liar,
+            count: 1,
+        }]),
+        ..small.clone()
+    };
+    vec![
+        (sleeper(0, 0.0), "sleepers[0].duty"),
+        (sleeper(10_000, 0.5), "sleepers[0].index"),
+        (one_liar, "attackers"),
+    ]
+}
+
+#[test]
+fn invalid_cells_are_refused_with_400_and_create_no_job() {
+    let (handle, addr) = boot(1, 8, 8);
+    for (config, field) in invalid_configs() {
+        let experiment = JobSpec::Experiment {
+            config: config.clone(),
+            cases: vec![CaseSpec::paper(2)],
+        };
+        let sweep = SweepGrid::new(config.clone(), &[2], &[10], 1);
+        let calibration = CalibrationGrid {
+            base: config,
+            cases: vec![2],
+            scales: vec![1.0],
+            selections: vec!["paper".into()],
+            size: 10,
+            seed_blocks: vec![0],
+            max_candidates: 1,
+        };
+        let bodies = [
+            (
+                "/v1/experiments",
+                serde_json::to_string(&experiment).unwrap(),
+            ),
+            ("/v1/sweeps", serde_json::to_string(&sweep).unwrap()),
+            (
+                "/v1/calibrations",
+                serde_json::to_string(&calibration).unwrap(),
+            ),
+        ];
+        for (path, body) in bodies {
+            let (status, answer) = post(&addr, path, &body);
+            assert_eq!(status, 400, "{path} {field}: {answer:?}");
+            match &answer["error"] {
+                Value::String(error) => assert!(error.contains(field), "{path}: {error}"),
+                other => panic!("{path} {field}: no error message: {other:?}"),
+            }
+        }
+    }
+    let (_, metrics) = get(&addr, "/metrics");
+    for counter in [
+        "queue_depth",
+        "queue_depth_peak",
+        "jobs_failed",
+        "submissions",
+    ] {
+        assert_eq!(metrics[counter], Value::U64(0), "{counter}: {metrics:?}");
+    }
     handle.shutdown();
 }
 

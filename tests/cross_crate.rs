@@ -2,7 +2,7 @@
 //! ways the main harness does not exercise.
 
 use ahn::bitstr::BitStr;
-use ahn::game::{game::Scratch, play_round, Arena, GameConfig, NodeKind};
+use ahn::game::{Arena, GameConfig, NodeKind, Tournament};
 use ahn::net::{NodeId, PathMode, RouteSelection, TrustLevel};
 use ahn::strategy::{reduced::ReducedStrategy, Strategy};
 use rand::SeedableRng;
@@ -29,10 +29,7 @@ fn reduced_strategy_plays_like_its_lift() {
         );
         let ids: Vec<NodeId> = (0..10u32).map(NodeId).collect();
         let mut r = rng(seed);
-        let mut scratch = Scratch::default();
-        for _ in 0..50 {
-            play_round(&mut arena, &mut r, &ids, 0, &mut scratch);
-        }
+        Tournament::new(50).run(&mut arena, &mut r, &ids, 0);
         (*arena.metrics.env(0), arena.fitnesses())
     };
 
@@ -57,10 +54,7 @@ fn random_droppers_interpolate() {
         );
         let ids: Vec<NodeId> = (0..10u32).map(NodeId).collect();
         let mut r = rng(3);
-        let mut scratch = Scratch::default();
-        for _ in 0..100 {
-            play_round(&mut arena, &mut r, &ids, 0, &mut scratch);
-        }
+        Tournament::new(100).run(&mut arena, &mut r, &ids, 0);
         arena.metrics.env(0).cooperation_level()
     };
     let none = coop_with_dropper(0.0);
@@ -82,10 +76,7 @@ fn route_selection_policies_differ_under_selfishness() {
         let mut arena = Arena::new(vec![Strategy::always_forward(); 8], 4, config, 1);
         let ids: Vec<NodeId> = (0..12u32).map(NodeId).collect();
         let mut r = rng(11);
-        let mut scratch = Scratch::default();
-        for _ in 0..150 {
-            play_round(&mut arena, &mut r, &ids, 0, &mut scratch);
-        }
+        Tournament::new(150).run(&mut arena, &mut r, &ids, 0);
         arena.metrics.env(0).cooperation_level()
     };
     let rated = run(RouteSelection::BestRated);

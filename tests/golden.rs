@@ -11,23 +11,30 @@
 //! Rust's shortest-roundtrip representation, so a one-ulp drift anywhere
 //! in the pipeline fails the comparison.
 //!
+//! A second snapshot pins the studies that run no cells of their own
+//! (strategy transfer, newcomer join, the pathrater baseline, the
+//! sleeper study and the decision-trace dump), whose outputs nothing
+//! else checks.
+//!
 //! To regenerate after an *intentional* behavior change (never to paper
 //! over an accidental one):
 //!
 //! ```console
 //! $ AHN_GOLDEN_REGEN=1 cargo test --test golden
-//! $ git diff tests/golden_replication.json   # review every changed draw
+//! $ git diff tests/golden_replication.json tests/golden_studies.json
 //! ```
 
 use ahn::core::{
+    baselines,
     cases::CaseSpec,
     config::{AttackerBehavior, ExperimentConfig},
     experiment::{run_replication, ReplicationResult},
-    AttackerShare,
+    extensions, AttackerShare,
 };
 use ahn::net::{GossipConfig, PathMode, RouteSelection};
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_replication.json");
+const STUDIES_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_studies.json");
 
 /// One pinned scenario: a named (config, case, seed) triple.
 struct Scenario {
@@ -235,21 +242,64 @@ fn render(snaps: &[(String, Vec<String>)]) -> String {
     out
 }
 
-#[test]
-fn seeded_replications_match_golden_snapshots() {
-    let snaps = current_snapshots();
-    let rendered = render(&snaps);
+/// The no-cell studies at smoke scale on the default model: one line
+/// per transfer cell, the newcomer, pathrater and sleeper reports, and
+/// the decision-trace dump as `ahn-exp trace --preset smoke --gens 3`
+/// prints it.
+fn study_snapshots() -> Vec<(String, Vec<String>)> {
+    let smoke = ExperimentConfig::smoke();
+    let clean = CaseSpec::mini("clean", &[0], 10, PathMode::Shorter);
+    let hostile = CaseSpec::mini("hostile", &[4], 10, PathMode::Longer);
+    let transfer = extensions::transfer_matrix(&smoke, &[clean.clone(), hostile], 3).unwrap();
+    let newcomer = extensions::newcomer_join(&smoke, &clean, 40, 5).unwrap();
+    let pathrater = baselines::pathrater_comparison(&smoke, 12, 4, 3).unwrap();
+    let sleeper_config = ExperimentConfig {
+        population: 12,
+        ..smoke.clone()
+    };
+    let sleep = CaseSpec::mini("sleep", &[0], 12, PathMode::Shorter);
+    let sleepers = extensions::sleeper_study(&sleeper_config, &sleep, 3, 0.3, 7).unwrap();
+    let trace_config = ExperimentConfig {
+        generations: 3,
+        ..smoke
+    };
+    let trace = extensions::decision_trace(&trace_config).unwrap();
+    vec![
+        (
+            "transfer".into(),
+            (transfer.iter())
+                .map(|c| {
+                    format!(
+                        "{} -> {}: {:?}",
+                        c.trained_on, c.evaluated_on, c.cooperation
+                    )
+                })
+                .collect(),
+        ),
+        ("newcomer".into(), vec![format!("{newcomer:?}")]),
+        ("pathrater".into(), vec![format!("{pathrater:?}")]),
+        ("sleepers".into(), vec![format!("{sleepers:?}")]),
+        ("trace".into(), trace.lines().map(str::to_owned).collect()),
+    ]
+}
+
+/// Compares `snaps` with the golden file at `path`, or rewrites the file
+/// under `AHN_GOLDEN_REGEN`.
+fn check_golden(path: &str, snaps: &[(String, Vec<String>)]) {
+    let rendered = render(snaps);
 
     if std::env::var_os("AHN_GOLDEN_REGEN").is_some() {
-        std::fs::write(GOLDEN_PATH, &rendered).expect("write golden file");
-        eprintln!("regenerated {GOLDEN_PATH}");
+        std::fs::write(path, &rendered).expect("write golden file");
+        eprintln!("regenerated {path}");
         return;
     }
 
-    let expected = std::fs::read_to_string(GOLDEN_PATH).expect(
-        "golden file missing — run `AHN_GOLDEN_REGEN=1 cargo test --test golden` \
-         on a known-good tree and commit tests/golden_replication.json",
-    );
+    let expected = std::fs::read_to_string(path).unwrap_or_else(|_| {
+        panic!(
+            "golden file {path} missing — run `AHN_GOLDEN_REGEN=1 cargo test --test golden` \
+             on a known-good tree and commit it"
+        )
+    });
     if expected == rendered {
         return;
     }
@@ -258,7 +308,7 @@ fn seeded_replications_match_golden_snapshots() {
         assert_eq!(
             want,
             got,
-            "golden line {} diverged — a hot-path change altered the seeded \
+            "golden line {} of {path} diverged — a change altered the seeded \
              simulation (see tests/golden.rs header)",
             i + 1
         );
@@ -268,6 +318,16 @@ fn seeded_replications_match_golden_snapshots() {
         expected.lines().count(),
         rendered.lines().count()
     );
+}
+
+#[test]
+fn seeded_replications_match_golden_snapshots() {
+    check_golden(GOLDEN_PATH, &current_snapshots());
+}
+
+#[test]
+fn no_cell_studies_match_golden_snapshots() {
+    check_golden(STUDIES_PATH, &study_snapshots());
 }
 
 /// Every built-in threat scenario's canonical hash, pinned as a

@@ -15,8 +15,7 @@
 //! performs still fails the test.
 
 use ahn::bitstr::BitStr;
-use ahn::game::game::Scratch;
-use ahn::game::{play_round, Arena, GameConfig, NodeKind, RoundScratch, Tournament};
+use ahn::game::{Arena, GameConfig, NodeKind, RoundScratch, Tournament};
 use ahn::net::{GossipConfig, NodeId, PathMode};
 use ahn::strategy::Strategy;
 use rand::SeedableRng;
@@ -69,19 +68,15 @@ fn steady_state_tournament_round_allocates_zero_bytes() {
     let strategies: Vec<Strategy> = (0..40).map(|_| Strategy::random(&mut rng)).collect();
     let mut arena = Arena::new(strategies, 10, GameConfig::paper(PathMode::Longer), 1);
     let participants: Vec<NodeId> = (0..50u32).map(NodeId).collect();
-    let mut scratch = Scratch::default();
+    let mut scratch = RoundScratch::default();
 
     // Warm-up: enough games that every metrics counter and reputation
     // cell has reached its steady-state capacity.
-    for _ in 0..40 {
-        play_round(&mut arena, &mut rng, &participants, 0, &mut scratch);
-    }
+    Tournament::new(40).run_with_scratch(&mut arena, &mut rng, &participants, 0, &mut scratch);
 
     // Measure: 20 full rounds (1000 games) must allocate nothing.
     let before = allocations();
-    for _ in 0..20 {
-        play_round(&mut arena, &mut rng, &participants, 0, &mut scratch);
-    }
+    Tournament::new(20).run_with_scratch(&mut arena, &mut rng, &participants, 0, &mut scratch);
     let after = allocations();
     assert_eq!(
         after - before,
@@ -103,16 +98,12 @@ fn bignet_paper_traffic_round_allocates_zero_bytes_once_warm() {
     let mut arena = Arena::new(strategies, 100, GameConfig::paper(PathMode::Longer), 1);
     assert!(arena.reputation.is_sparse(), "1000 nodes must be sparse");
     let participants: Vec<NodeId> = (0..50u32).map(NodeId).collect();
-    let mut scratch = Scratch::default();
+    let mut scratch = RoundScratch::default();
 
-    for _ in 0..40 {
-        play_round(&mut arena, &mut rng, &participants, 0, &mut scratch);
-    }
+    Tournament::new(40).run_with_scratch(&mut arena, &mut rng, &participants, 0, &mut scratch);
 
     let before = allocations();
-    for _ in 0..20 {
-        play_round(&mut arena, &mut rng, &participants, 0, &mut scratch);
-    }
+    Tournament::new(20).run_with_scratch(&mut arena, &mut rng, &participants, 0, &mut scratch);
     let after = allocations();
     assert_eq!(
         after - before,
@@ -143,14 +134,12 @@ fn full_bignet_round_allocates_zero_bytes_once_rows_are_saturated() {
             }
         }
     }
-    let mut scratch = Scratch::default();
+    let mut scratch = RoundScratch::default();
     // One warm-up round for the metrics counters.
-    play_round(&mut arena, &mut rng, &participants, 0, &mut scratch);
+    Tournament::new(1).run_with_scratch(&mut arena, &mut rng, &participants, 0, &mut scratch);
 
     let before = allocations();
-    for _ in 0..2 {
-        play_round(&mut arena, &mut rng, &participants, 0, &mut scratch);
-    }
+    Tournament::new(2).run_with_scratch(&mut arena, &mut rng, &participants, 0, &mut scratch);
     let after = allocations();
     assert_eq!(
         after - before,
@@ -268,6 +257,36 @@ fn breeding_into_a_warm_buffer_allocates_zero_bytes() {
         after - before,
         0,
         "steady-state breeding performed {} allocations",
+        after - before
+    );
+}
+
+#[test]
+fn a_passing_cell_check_allocates_zero_bytes() {
+    // The sweep, atlas and calibration grids run `check_cell` on every
+    // cell they validate, so it allocates only to report a failure.
+    use ahn::core::config::{AttackerBehavior, AttackerGroup, SleeperSpec};
+    let config = ahn::core::ExperimentConfig {
+        sleepers: (0..10)
+            .map(|index| SleeperSpec { index, duty: 0.5 })
+            .collect(),
+        attackers: Some(vec![AttackerGroup {
+            behavior: AttackerBehavior::Liar,
+            count: 30,
+        }]),
+        ..ahn::core::ExperimentConfig::scaled()
+    };
+    let case = ahn::core::CaseSpec::paper(3);
+
+    let before = allocations();
+    for _ in 0..100 {
+        assert!(ahn::core::check_cell(&config, &case).is_ok());
+    }
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "passing cell checks performed {} allocations",
         after - before
     );
 }

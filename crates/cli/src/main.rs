@@ -399,8 +399,13 @@ fn ipdrp(opts: &Options) -> Result<(), CliError> {
 
 fn pathrater(opts: &Options) -> Result<(), CliError> {
     // Marti et al.'s setting: 50 nodes with 20 selfish (40%).
-    let report = baselines::pathrater_comparison(&opts.config, 50, 20, opts.config.base_seed)?;
-    println!("Watchdog/pathrater-style baseline (X1): 50 nodes, 20 selfish, AllC normals");
+    let (nodes, selfish) = (50, 20);
+    let report =
+        baselines::pathrater_comparison(&opts.config, nodes, selfish, opts.config.base_seed)?;
+    println!(
+        "Watchdog/pathrater-style baseline (X1): {nodes} nodes, {}, AllC normals",
+        selfish_slots(&opts.config, selfish)
+    );
     println!(
         "  throughput with rating-based avoidance:    {:.1}%",
         report.with_rating * 100.0
@@ -414,6 +419,25 @@ fn pathrater(opts: &Options) -> Result<(), CliError> {
         report.improvement() * 100.0
     );
     Ok(())
+}
+
+/// What the first `slots` nodes of the cell's selfish pool are: the
+/// paper's CSNs, or the config's attacker groups in declaration order
+/// (a tournament draws its selfish participants from the pool's front).
+fn selfish_slots(config: &ExperimentConfig, slots: usize) -> String {
+    let Some(groups) = &config.attackers else {
+        return format!("{slots} selfish");
+    };
+    let mut left = slots;
+    let mut parts = Vec::new();
+    for group in groups {
+        let taken = group.count.min(left);
+        if taken > 0 {
+            parts.push(format!("{taken} {:?}", group.behavior));
+        }
+        left -= taken;
+    }
+    parts.join(" + ")
 }
 
 /// The one-knob studies — the six `ablate-*` and three `sweep-*`

@@ -189,6 +189,44 @@ fn invalid_config_cells_exit_2_naming_the_field_without_panicking() {
     }
 }
 
+#[test]
+fn pathrater_heading_names_what_fills_the_selfish_slots() {
+    let example = include_str!("../../../configs/example.json");
+    let droppers = "\"sleepers\": [], \"attackers\": \
+        [{\"behavior\": {\"RandomDropper\": {\"p\": 0.0}}, \"count\": 30}]";
+    let path = std::env::temp_dir().join(format!("ahn-cli-droppers-{}.json", std::process::id()));
+    std::fs::write(&path, example.replace("\"sleepers\": []", droppers)).unwrap();
+    let config = path.to_str().expect("a UTF-8 temp path");
+    let cases: [(&[&str], &str); 2] = [
+        (&[], "50 nodes, 20 selfish, AllC normals"),
+        (
+            &["--config", config],
+            "50 nodes, 20 RandomDropper { p: 0.0 }, AllC normals",
+        ),
+    ];
+    for (flags, heading) in cases {
+        let line = [
+            &["baseline-pathrater", "--gens", "1", "--rounds", "5"][..],
+            flags,
+        ]
+        .concat();
+        let out = ahn_exp(&line);
+        let stdout = text(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{flags:?}: {}",
+            text(&out.stderr)
+        );
+        assert_eq!(
+            stdout.lines().next(),
+            Some(format!("Watchdog/pathrater-style baseline (X1): {heading}").as_str()),
+            "{flags:?}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 /// Every local command that takes `--trace` (`serve` and `worker` aside),
 /// with the number of experiment cells it runs at [`SMALL`]; 0 means it
 /// runs none.

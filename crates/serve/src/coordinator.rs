@@ -11,20 +11,29 @@
 //! 503s) instead of bouncing a whole grid.
 //!
 //! Determinism: the coordinator never folds floats from wire text.
-//! Results deserialize into typed [`ExperimentResult`]s (the vendored
-//! JSON writer emits shortest-round-trip f64, so the parse is lossless),
-//! become [`SweepCell`]s via [`ahn_core::cell_from_result`], and are
-//! merged by [`ahn_core::merge_sweep`] in grid order — worker count,
-//! arrival order, duplicate completions and crash/resume cannot change
-//! a byte of the output.
+//! Each reply is decoded once, straight into a typed
+//! [`JobReply`] whose results are [`ExperimentResult`]s (the vendored
+//! JSON writer emits shortest-round-trip f64, so the parse is
+//! lossless). They become [`SweepCell`]s via
+//! [`ahn_core::cell_from_result`] and are merged by
+//! [`ahn_core::merge_sweep`] in grid order — worker count, arrival
+//! order, duplicate completions and crash/resume cannot change a byte
+//! of the output.
+//!
+//! One JSON pass per document: each cell's [`JobSpec`] is encoded once,
+//! into the submission body, and its cache key is the FNV-1a hash of
+//! that body (which is what [`JobSpec::cache_key`] computes); each reply
+//! is decoded once, as it arrives; results stay typed until the merge.
 //!
 //! Checkpoint/resume: with a journal path every completed cell is
 //! appended (checksummed, flushed) before the coordinator moves on; a
-//! restarted coordinator replays the journal and submits only the
-//! missing cells.
+//! restarted coordinator replays the journal, decodes the records of
+//! its own cells once, and submits only the missing cells. A record's
+//! result text is the typed result encoded again, byte for byte the
+//! text the worker delivered; without a journal no result is encoded.
 
 use crate::journal::{replay, Journal};
-use crate::protocol::JobSpec;
+use crate::protocol::{JobReply, JobSpec};
 use crate::worker::Transport;
 use ahn_core::cases::CaseSpec;
 use ahn_core::config::ExperimentConfig;
@@ -32,7 +41,7 @@ use ahn_core::{
     cell_from_result, merge_sweep, score_calibration, CalibrationGrid, CalibrationReport,
     ExperimentResult, SweepCell, SweepCellSpec, SweepGrid, SweepReport,
 };
-use ahn_obs::{trace_id_of_key, TraceEvent, TraceLog};
+use ahn_obs::{fnv1a64, trace_id_of_key, TraceEvent, TraceLog};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::time::Duration;
@@ -53,7 +62,9 @@ struct CellTask {
     cell_spec: SweepCellSpec,
     config: ExperimentConfig,
     case: CaseSpec,
-    spec: JobSpec,
+    /// The cell's `JobSpec::Experiment`, encoded once.
+    body: String,
+    /// `fnv1a64(body)`: the cell's `JobSpec::cache_key`.
     key: u64,
 }
 
@@ -67,42 +78,51 @@ fn cell_tasks(grid: &SweepGrid, sweep_index: usize) -> Result<Vec<CellTask>, Str
             config: config.clone(),
             cases: vec![case.clone()],
         };
-        let key = spec.cache_key()?;
+        let body =
+            serde_json::to_string(&spec).map_err(|e| format!("cannot serialize cell: {e}"))?;
         out.push(CellTask {
             sweep_index,
             cell_spec,
             config,
             case,
-            spec,
-            key,
+            key: fnv1a64(body.as_bytes()),
+            body,
         });
     }
     Ok(out)
 }
 
 /// Drives every task through the serve node: journal replay → submit
-/// missing → poll → journal append. Returns result JSON by cache key.
+/// missing → poll → journal append. Returns each cell's result by
+/// cache key.
 fn execute_cells(
     transport: &mut dyn Transport,
     tasks: &[CellTask],
     journal_path: Option<&Path>,
     poll_ms: u64,
     trace: Option<&TraceLog>,
-) -> Result<HashMap<u64, String>, String> {
+) -> Result<HashMap<u64, ExperimentResult>, String> {
     let emit = |event: TraceEvent| {
         if let Some(log) = trace {
             log.emit(event);
         }
     };
     let pause = Duration::from_millis(poll_ms.max(1));
-    let mut done: HashMap<u64, String> = HashMap::new();
+    let mut done: HashMap<u64, ExperimentResult> = HashMap::new();
     let mut journal = match journal_path {
         None => None,
         Some(path) => {
             let replayed = replay(path)
                 .map_err(|e| format!("cannot replay journal {}: {e}", path.display()))?;
+            let keys: HashSet<u64> = tasks.iter().map(|task| task.key).collect();
             for record in replayed.records {
-                done.insert(record.key, record.result);
+                if keys.contains(&record.key) {
+                    let result = serde_json::from_str(&record.result)
+                        .map_err(|e| format!("cannot parse the result: {e}"))
+                        .and_then(|results| single_result(Some(results)))
+                        .map_err(|e| format!("journal record {:016x}: {e}", record.key))?;
+                    done.insert(record.key, result);
+                }
             }
             Some(
                 Journal::open(path)
@@ -119,68 +139,61 @@ fn execute_cells(
         if done.contains_key(&task.key) || !submitted.insert(task.key) {
             continue;
         }
-        let body =
-            serde_json::to_string(&task.spec).map_err(|e| format!("cannot serialize cell: {e}"))?;
         let trace_id = trace_id_of_key(task.key);
         let mut backpressure = 0usize;
         loop {
             let (status, response) = transport
-                .request("POST", "/v1/experiments", &body)
+                .request("POST", "/v1/experiments", &task.body)
                 .map_err(|e| format!("cell submission failed: {e}"))?;
-            match status {
-                200 => {
-                    // Cache hit: the result is inline.
-                    emit(
-                        TraceEvent::new(trace_id, "submit")
-                            .key(task.key)
-                            .outcome(true)
-                            .detail("cache_hit".into()),
-                    );
-                    let reply: serde_json::Value = serde_json::from_str(&response)
-                        .map_err(|e| format!("cannot parse response: {e}"))?;
-                    checkpoint(
-                        &mut done,
-                        &mut journal,
-                        task.key,
-                        result_of(&reply, &response)?,
-                    )?;
-                    emit(
-                        TraceEvent::new(trace_id, "merge")
-                            .key(task.key)
-                            .outcome(true),
-                    );
-                    break;
+            if status == 503 {
+                backpressure += 1;
+                if backpressure >= MAX_BACKPRESSURE_RETRIES {
+                    return Err("server queue stayed full; giving up".into());
                 }
-                202 => {
-                    let value: serde_json::Value = serde_json::from_str(&response)
-                        .map_err(|e| format!("cannot parse submit ack: {e}"))?;
-                    let serde_json::Value::U64(job_id) = value["job_id"] else {
-                        return Err(format!("submit ack without job_id: {response}"));
-                    };
-                    emit(
-                        TraceEvent::new(trace_id, "submit")
-                            .key(task.key)
-                            .job(job_id),
-                    );
-                    polling.push((index, job_id));
-                    break;
-                }
-                503 => {
-                    backpressure += 1;
-                    if backpressure >= MAX_BACKPRESSURE_RETRIES {
-                        return Err("server queue stayed full; giving up".into());
-                    }
-                    std::thread::sleep(pause);
-                }
-                _ => return Err(format!("cell submission rejected: {status} {response}")),
+                std::thread::sleep(pause);
+                continue;
             }
+            if status != 200 && status != 202 {
+                return Err(format!("cell submission rejected: {status} {response}"));
+            }
+            let in_cell = |e: String| format!("cell {:?}: {e}", task.cell_spec);
+            let reply = decode(&response).map_err(in_cell)?;
+            if status == 200 {
+                // Cache hit: the result is inline.
+                emit(
+                    TraceEvent::new(trace_id, "submit")
+                        .key(task.key)
+                        .outcome(true)
+                        .detail("cache_hit".into()),
+                );
+                let result = single_result(reply.result).map_err(in_cell)?;
+                checkpoint(&mut done, &mut journal, task.key, result)?;
+                emit(
+                    TraceEvent::new(trace_id, "merge")
+                        .key(task.key)
+                        .outcome(true),
+                );
+            } else {
+                let Some(job_id) = reply.job_id else {
+                    return Err(format!("submit ack without job_id: {response}"));
+                };
+                emit(
+                    TraceEvent::new(trace_id, "submit")
+                        .key(task.key)
+                        .job(job_id),
+                );
+                polling.push((index, job_id));
+            }
+            break;
         }
     }
 
     // Poll submissions to completion in order; cells finish in any
-    // order server-side, the order here only shapes wait time.
+    // order server-side, the order here only shapes wait time. Each
+    // done reply is decoded as it arrives, while later cells compute.
     for (index, job_id) in polling {
         let task = &tasks[index];
+        let in_job = |e: String| format!("job {job_id}: {e}");
         let mut rounds = 0usize;
         loop {
             let (status, response) = transport
@@ -189,16 +202,11 @@ fn execute_cells(
             if status != 200 {
                 return Err(format!("job {job_id} poll rejected: {status} {response}"));
             }
-            let value: serde_json::Value = serde_json::from_str(&response)
-                .map_err(|e| format!("cannot parse job status: {e}"))?;
-            match &value["status"] {
-                serde_json::Value::String(s) if s == "done" => {
-                    checkpoint(
-                        &mut done,
-                        &mut journal,
-                        task.key,
-                        result_of(&value, &response)?,
-                    )?;
+            let reply = decode(&response).map_err(in_job)?;
+            match reply.status.as_str() {
+                "done" => {
+                    let result = single_result(reply.result).map_err(in_job)?;
+                    checkpoint(&mut done, &mut journal, task.key, result)?;
                     emit(
                         TraceEvent::new(trace_id_of_key(task.key), "merge")
                             .key(task.key)
@@ -207,8 +215,8 @@ fn execute_cells(
                     );
                     break;
                 }
-                serde_json::Value::String(s) if s == "failed" => {
-                    let error = serde_json::to_string(&value["error"]).unwrap_or_default();
+                "failed" => {
+                    let error = serde_json::to_string(&reply.error).unwrap_or_default();
                     return Err(format!("cell job {job_id} failed: {error}"));
                 }
                 _ => {
@@ -224,60 +232,56 @@ fn execute_cells(
     Ok(done)
 }
 
-/// Re-serializes the `result` field of a parsed reply (`response` is
-/// its text, for the error). Both sides use the same writer, so this
-/// reproduces the worker's compact result bytes.
-fn result_of(reply: &serde_json::Value, response: &str) -> Result<String, String> {
-    match reply.get("result") {
-        Some(inner) => {
-            serde_json::to_string(inner).map_err(|e| format!("cannot re-serialize result: {e}"))
-        }
-        None => Err(format!("response has no \"result\" field: {response}")),
+/// Decodes one reply; the caller names the cell or job in the error.
+fn decode(response: &str) -> Result<JobReply, String> {
+    serde_json::from_str(response).map_err(|e| format!("cannot parse the reply: {e}"))
+}
+
+/// The one result of a single-case job.
+fn single_result(results: Option<Vec<ExperimentResult>>) -> Result<ExperimentResult, String> {
+    match results {
+        Some(mut results) if results.len() == 1 => Ok(results.remove(0)),
+        Some(results) => Err(format!("{} results, expected 1", results.len())),
+        None => Err("done without a result".into()),
     }
 }
 
 /// Records one completed cell: durably first (journal append is
-/// checksummed and flushed), then in the in-memory map.
+/// checksummed and flushed), then in the in-memory map. The record's
+/// text encodes the result as the one-element list the worker sent.
 fn checkpoint(
-    done: &mut HashMap<u64, String>,
+    done: &mut HashMap<u64, ExperimentResult>,
     journal: &mut Option<Journal>,
     key: u64,
-    result: String,
+    result: ExperimentResult,
 ) -> Result<(), String> {
     if let Some(journal) = journal {
+        let text = serde_json::to_string(std::slice::from_ref(&result))
+            .map_err(|e| format!("cannot serialize result: {e}"))?;
         journal
-            .append(key, &result)
+            .append(key, &text)
             .map_err(|e| format!("cannot append to journal: {e}"))?;
     }
     done.insert(key, result);
     Ok(())
 }
 
-/// Rebuilds the typed [`SweepCell`]s of one sweep from wire results.
+/// Rebuilds the typed [`SweepCell`]s of one sweep from the results.
 fn build_cells(
     tasks: &[&CellTask],
-    results: &HashMap<u64, String>,
+    results: &HashMap<u64, ExperimentResult>,
 ) -> Result<Vec<SweepCell>, String> {
     tasks
         .iter()
         .map(|task| {
-            let json = results
+            let result = results
                 .get(&task.key)
                 .ok_or_else(|| format!("cell {:?} has no result", task.cell_spec))?;
-            let mut parsed: Vec<ExperimentResult> =
-                serde_json::from_str(json).map_err(|e| format!("cannot parse cell result: {e}"))?;
-            if parsed.len() != 1 {
-                return Err(format!(
-                    "cell {:?} returned {} results, expected 1",
-                    task.cell_spec,
-                    parsed.len()
-                ));
-            }
             Ok(cell_from_result(
                 task.cell_spec.clone(),
                 &task.config,
                 &task.case,
-                &parsed.remove(0),
+                result,
             ))
         })
         .collect()
@@ -343,4 +347,29 @@ pub fn run_calibration_via_traced(
         sweeps.push(merge_sweep(sweep_grid, &cells)?);
     }
     score_calibration(grid, &sweeps)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_task_key_is_its_spec_cache_key() {
+        let grid = CalibrationGrid::smoke();
+        let candidate = grid.candidates().swap_remove(0);
+        let sweep = grid.sweep_for(&candidate).unwrap();
+        let tasks = cell_tasks(&sweep, 0).unwrap();
+        assert_eq!(tasks.len(), sweep.cell_count());
+        for task in &tasks {
+            let spec: JobSpec = serde_json::from_str(&task.body).unwrap();
+            assert_eq!(
+                spec,
+                JobSpec::Experiment {
+                    config: task.config.clone(),
+                    cases: vec![task.case.clone()],
+                }
+            );
+            assert_eq!(task.key, spec.cache_key().unwrap());
+        }
+    }
 }

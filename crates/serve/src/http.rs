@@ -18,6 +18,10 @@ use std::time::{Duration, Instant};
 /// (or a typo'd `Content-Length`) pinning server memory.
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 
+/// Most a body buffer grows per read: a peer that announces a large
+/// `Content-Length` and stalls pins at most this much memory.
+const BODY_CHUNK_BYTES: usize = 64 * 1024;
+
 /// Longest accepted request/status/header line. Lines are read through
 /// a [`Read::take`] limit so a peer streaming bytes with no newline
 /// cannot grow a `String` without bound.
@@ -199,26 +203,54 @@ pub fn read_request_deadlined(
         }
     }
 
-    let mut body = vec![0u8; content_length];
-    let mut filled = 0usize;
-    while filled < content_length {
-        if let Err(outcome) = arm_remaining(reader, deadline) {
-            return Ok(outcome);
+    let rearm = |reader: &mut BufReader<TcpStream>| {
+        arm_remaining(reader, deadline).map_err(|_| io::Error::from(io::ErrorKind::TimedOut))
+    };
+    let body = match read_body(reader, content_length, rearm) {
+        Ok(body) => body,
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+            return Ok(ReadOutcome::Malformed("EOF inside the body".into()))
         }
-        match reader.read(&mut body[filled..]) {
-            Ok(0) => return Ok(ReadOutcome::Malformed("EOF inside the body".into())),
-            Ok(n) => filled += n,
-            Err(e) if is_timeout(&e) => return Ok(ReadOutcome::TimedOut),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
+        Err(e) if is_timeout(&e) => return Ok(ReadOutcome::TimedOut),
+        Err(e) => return Err(e),
+    };
     Ok(ReadOutcome::Request(Request {
         method,
         path,
         body,
         close,
     }))
+}
+
+/// Reads a body of `len` bytes, growing its buffer by at most
+/// [`BODY_CHUNK_BYTES`] per read, so the memory a peer can pin is what
+/// it actually sent, not what its `Content-Length` announced.
+/// `before_read` runs ahead of every read (the server re-arms its
+/// deadline there). EOF before the end is `UnexpectedEof`.
+fn read_body(
+    reader: &mut BufReader<TcpStream>,
+    len: usize,
+    mut before_read: impl FnMut(&mut BufReader<TcpStream>) -> io::Result<()>,
+) -> io::Result<Vec<u8>> {
+    let mut body = Vec::new();
+    while body.len() < len {
+        before_read(reader)?;
+        let filled = body.len();
+        body.resize(filled + (len - filled).min(BODY_CHUNK_BYTES), 0);
+        let read = match reader.read(&mut body[filled..]) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "EOF inside the body",
+                ))
+            }
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
+            Err(e) => return Err(e),
+        };
+        body.truncate(filled + read);
+    }
+    Ok(body)
 }
 
 /// Re-arms the socket read timeout with the time left until `deadline`
@@ -326,8 +358,7 @@ pub fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<(u16, Stri
         }
     }
 
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    let body = read_body(reader, content_length, |_| Ok(()))?;
     let body = String::from_utf8(body)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 response body"))?;
     Ok((status, body))

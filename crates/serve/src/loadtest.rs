@@ -9,7 +9,7 @@
 //! repeat hits the LRU cache.
 
 use crate::metrics::Snapshot;
-use crate::protocol::JobSpec;
+use crate::protocol::{JobSpec, SubmitAck};
 use crate::worker::{HttpTransport, Transport};
 use ahn_core::{cases::CaseSpec, config::ExperimentConfig};
 use ahn_obs::{AtomicHistogram, HistogramSnapshot};
@@ -316,13 +316,11 @@ fn poll_to_completion(conn: &mut HttpTransport, job_id: u64) -> bool {
     false
 }
 
-/// Extracts `"job_id": N` from a submit ack.
+/// The job id of a submit ack.
 fn job_id_of(response: &str) -> Option<u64> {
-    let value: serde_json::Value = serde_json::from_str(response).ok()?;
-    match &value["job_id"] {
-        serde_json::Value::U64(id) => Some(*id),
-        _ => None,
-    }
+    serde_json::from_str::<SubmitAck>(response)
+        .ok()
+        .map(|ack| ack.job_id)
 }
 
 #[cfg(test)]

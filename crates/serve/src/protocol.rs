@@ -12,7 +12,9 @@
 //! `GET /v1/presets` returns ready-to-POST bodies for every preset, so a
 //! client never has to author a config by hand to get started.
 
-use ahn_core::{canonical_hash, cases::CaseSpec, check_cell, config::ExperimentConfig};
+use ahn_core::{
+    canonical_hash, cases::CaseSpec, check_cell, config::ExperimentConfig, ExperimentResult,
+};
 use ahn_ipdrp::IpdrpConfig;
 use serde::{Deserialize, Serialize};
 
@@ -118,6 +120,24 @@ pub struct SubmitAck {
     pub status: String,
     /// Always false on this shape; cache hits return the result inline.
     pub cached: bool,
+}
+
+/// Every reply the server writes about one experiment job, decoded in
+/// one pass: the `200` cache hit of `POST /v1/experiments` (`job_id`
+/// null, `result` inline), its `202` [`SubmitAck`], and each
+/// `GET /v1/jobs/{id}` answer (`queued` or `running`; `done` with
+/// `result`; `failed` with `error`). Fields a shape lacks decode as
+/// `None`, and fields the type does not name (`cached`) are skipped.
+#[derive(Debug, Clone, PartialEq, Deserialize)]
+pub struct JobReply {
+    /// The job to poll; `None` on a cache hit.
+    pub job_id: Option<u64>,
+    /// `queued`, `running`, `done` or `failed`.
+    pub status: String,
+    /// The job's results in case order, on a `done` reply.
+    pub result: Option<Vec<ExperimentResult>>,
+    /// Why the job failed, on a `failed` reply.
+    pub error: Option<String>,
 }
 
 /// Default lease on a `POST /v1/work/claim` that does not name one.

@@ -6,11 +6,11 @@
 
 use ahn_serve::jobs::run_job;
 use ahn_serve::loadtest::one_shot;
-use ahn_serve::protocol::{WorkCompletion, WorkGrant};
+use ahn_serve::protocol::{JobReply, WorkCompletion, WorkGrant};
 use ahn_serve::server::{spawn, ServerConfig, ServerHandle};
 use ahn_serve::{
     run_calibration_via_traced, run_sweep_via, run_worker_observed, BackoffPolicy, CircuitBreaker,
-    FaultPlan, FlakyTransport, HttpTransport, WorkerConfig, WorkerReport,
+    FaultPlan, FlakyTransport, HttpTransport, Transport, WorkerConfig, WorkerReport,
 };
 use serde_json::Value;
 use std::path::PathBuf;
@@ -695,4 +695,261 @@ fn server_journal_replays_onto_a_fresh_store_identically() {
     );
     handle.shutdown();
     let _ = std::fs::remove_file(&journal);
+}
+
+/// Completes a leased cell with `result` or `error`, as a worker would.
+fn complete(addr: &str, grant: &WorkGrant, result: Option<String>, error: Option<String>) {
+    let completion = serde_json::to_string(&WorkCompletion {
+        lease_id: grant.lease_id,
+        job_id: grant.job_id,
+        key: grant.key,
+        result,
+        error,
+        trace_id: grant.trace_id,
+        compute_us: None,
+    })
+    .unwrap();
+    let (status, reply) = post(addr, "/v1/work/complete", &completion);
+    assert_eq!((status, reply.as_str()), (200, "{\"status\":\"recorded\"}"));
+}
+
+#[test]
+fn every_job_reply_the_server_writes_decodes_through_one_type() {
+    let (handle, addr) = boot(0, None);
+    let decode = |text: &str| -> JobReply {
+        serde_json::from_str(text).unwrap_or_else(|e| panic!("{e}: {text}"))
+    };
+    let spec = ahn_serve::loadtest::smoke_spec(11);
+    let body = serde_json::to_string(&spec).unwrap();
+
+    // 202: a queued job to poll.
+    let (status, ack) = post(&addr, "/v1/experiments", &body);
+    assert_eq!(status, 202, "{ack}");
+    let ack = decode(&ack);
+    let job_id = ack.job_id.expect("an ack names its job");
+    assert_eq!(
+        (ack.status.as_str(), &ack.result, &ack.error),
+        ("queued", &None, &None)
+    );
+    let poll = |id: u64| {
+        let (status, text) = one_shot(&addr, "GET", &format!("/v1/jobs/{id}"), "").unwrap();
+        assert_eq!(status, 200, "{text}");
+        decode(&text)
+    };
+    assert_eq!(poll(job_id).status, "queued");
+
+    // Running while leased, done once completed.
+    let (_, granted) = post(&addr, "/v1/work/claim", "{\"lease_ms\":60000}");
+    let grant: WorkGrant = serde_json::from_str(&granted).expect("work grant");
+    assert_eq!(grant.job_id, job_id);
+    let running = poll(job_id);
+    assert_eq!(
+        (running.job_id, running.status.as_str()),
+        (Some(job_id), "running")
+    );
+    let result = run_job(&grant.spec).expect("compute cell");
+    complete(&addr, &grant, Some(result.clone()), None);
+    let done = poll(job_id);
+    assert_eq!(done.status, "done");
+    let results = done.result.expect("a done reply carries its result");
+    assert_eq!(serde_json::to_string(&results).unwrap(), result);
+
+    // 200: the cache hit carries the same result inline, with no job.
+    let (status, hit) = post(&addr, "/v1/experiments", &body);
+    assert_eq!(status, 200, "{hit}");
+    let hit = decode(&hit);
+    assert_eq!((hit.job_id, hit.status.as_str()), (None, "done"));
+    assert_eq!(hit.result, Some(results));
+
+    // Failed: the error text, and no result.
+    let other = serde_json::to_string(&ahn_serve::loadtest::smoke_spec(12)).unwrap();
+    assert_eq!(post(&addr, "/v1/experiments", &other).0, 202);
+    let (_, granted) = post(&addr, "/v1/work/claim", "{\"lease_ms\":60000}");
+    let grant: WorkGrant = serde_json::from_str(&granted).expect("work grant");
+    complete(&addr, &grant, None, Some("boom".into()));
+    let failed = poll(grant.job_id);
+    assert_eq!(failed.status, "failed");
+    assert_eq!(
+        (failed.result, failed.error.as_deref()),
+        (None, Some("boom"))
+    );
+    handle.shutdown();
+
+    // The done shape the server writes when a job holds no result.
+    let empty = decode("{\"job_id\":5,\"status\":\"done\",\"result\":null}");
+    assert_eq!((empty.job_id, empty.result), (Some(5), None));
+}
+
+/// A transport that answers from a script, one reply per request, and
+/// records the requests it saw.
+struct Scripted {
+    replies: std::collections::VecDeque<(u16, String)>,
+    seen: Vec<String>,
+}
+
+impl Scripted {
+    fn new(replies: &[(u16, &str)]) -> Scripted {
+        Scripted {
+            replies: replies.iter().map(|(s, r)| (*s, r.to_string())).collect(),
+            seen: Vec::new(),
+        }
+    }
+}
+
+impl Transport for Scripted {
+    fn request(&mut self, method: &str, path: &str, _body: &str) -> Result<(u16, String), String> {
+        self.seen.push(format!("{method} {path}"));
+        self.replies
+            .pop_front()
+            .ok_or_else(|| "script exhausted".to_string())
+    }
+}
+
+#[test]
+fn bad_replies_fail_the_run_naming_the_job() {
+    let mut grid = small_grid();
+    grid.cases = vec![1];
+    grid.seed_blocks = vec![0];
+    let ack = (202, "{\"job_id\":7,\"status\":\"queued\",\"cached\":false}");
+    let polls: [((u16, &str), &str); 6] = [
+        (
+            (
+                200,
+                "{\"job_id\":7,\"status\":\"failed\",\"error\":\"job panicked: boom\"}",
+            ),
+            "cell job 7 failed: \"job panicked: boom\"",
+        ),
+        (
+            (200, "{\"job_id\":7,\"status\":\"done\",\"result\":null}"),
+            "job 7: done without a result",
+        ),
+        (
+            (200, "{\"job_id\":7,\"status\":\"done\"}"),
+            "job 7: done without a result",
+        ),
+        (
+            (200, "{\"job_id\":7,\"status\":\"done\",\"result\":[]}"),
+            "job 7: 0 results, expected 1",
+        ),
+        (
+            (200, "<html>not json</html>"),
+            "job 7: cannot parse the reply",
+        ),
+        (
+            (500, "{\"error\":\"internal\"}"),
+            "job 7 poll rejected: 500",
+        ),
+    ];
+    for (poll, expected) in polls {
+        let mut transport =
+            Scripted::new(&[ack, (200, "{\"job_id\":7,\"status\":\"running\"}"), poll]);
+        let err = run_sweep_via(&mut transport, &grid, None, 1).expect_err(expected);
+        assert!(
+            err.contains(expected),
+            "{err:?} should contain {expected:?}"
+        );
+        assert_eq!(
+            transport.seen,
+            ["POST /v1/experiments", "GET /v1/jobs/7", "GET /v1/jobs/7"]
+        );
+    }
+
+    // Submission replies that cannot be used name the cell instead.
+    let cell = format!("cell {:?}", grid.cell_specs()[0]);
+    let unparsed = format!("{cell}: cannot parse the reply");
+    let resultless = format!("{cell}: done without a result");
+    let submits: [((u16, &str), &str); 4] = [
+        ((200, "not json"), &unparsed),
+        (
+            (
+                200,
+                "{\"job_id\":null,\"status\":\"done\",\"cached\":true,\"result\":null}",
+            ),
+            &resultless,
+        ),
+        (
+            (202, "{\"status\":\"queued\"}"),
+            "submit ack without job_id",
+        ),
+        (
+            (400, "{\"error\":\"bad\"}"),
+            "cell submission rejected: 400",
+        ),
+    ];
+    for (submit, expected) in submits {
+        let mut transport = Scripted::new(&[submit]);
+        let err = run_sweep_via(&mut transport, &grid, None, 1).expect_err(expected);
+        assert!(
+            err.contains(expected),
+            "{err:?} should contain {expected:?}"
+        );
+    }
+}
+
+#[test]
+fn a_warm_pass_is_all_cache_hits_and_byte_identical() {
+    let grid = small_grid();
+    let cells = grid.cell_count() as u64;
+    let local_json =
+        serde_json::to_string_pretty(&ahn_core::run_sweep(&grid).expect("local sweep")).unwrap();
+    let (handle, addr) = boot(1, None);
+    let mut transport = HttpTransport::new(&addr);
+    let cold = run_sweep_via(&mut transport, &grid, None, 2).expect("cold pass");
+    assert_eq!(serde_json::to_string_pretty(&cold).unwrap(), local_json);
+    let (completed, hits) = (
+        metric_u64(&addr, "jobs_completed"),
+        metric_u64(&addr, "cache_hits"),
+    );
+    assert_eq!(completed, cells);
+
+    let warm = run_sweep_via(&mut transport, &grid, None, 2).expect("warm pass");
+    assert_eq!(serde_json::to_string_pretty(&warm).unwrap(), local_json);
+    assert_eq!(
+        metric_u64(&addr, "jobs_completed"),
+        completed,
+        "nothing recomputed"
+    );
+    assert_eq!(
+        metric_u64(&addr, "cache_hits"),
+        hits + cells,
+        "every cell a hit"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn journal_records_hold_the_bytes_a_worker_delivers() {
+    let grid = small_grid();
+    let journal = tmp("record-bytes");
+    let (handle, addr) = boot(1, None);
+    let mut transport = HttpTransport::new(&addr);
+    // Cold, then warm against a second journal: results that arrived by
+    // poll and inline from the cache are recorded alike.
+    let warm_journal = tmp("record-bytes-warm");
+    run_sweep_via(&mut transport, &grid, Some(&journal), 2).expect("cold pass");
+    run_sweep_via(&mut transport, &grid, Some(&warm_journal), 2).expect("warm pass");
+    handle.shutdown();
+
+    for path in [&journal, &warm_journal] {
+        let replayed = ahn_serve::journal::replay(path).expect("replay");
+        assert_eq!(replayed.discarded, 0);
+        assert_eq!(replayed.records.len(), grid.cell_count());
+        for cell_spec in grid.cell_specs() {
+            let (config, case) = grid.resolve(&cell_spec).unwrap();
+            let key = ahn_serve::JobSpec::Experiment {
+                config: config.clone(),
+                cases: vec![case.clone()],
+            }
+            .cache_key()
+            .unwrap();
+            let local = ahn_core::run_cells(&[(config, case)], None, |_| String::new());
+            let record = replayed
+                .records
+                .iter()
+                .find(|r| r.key == key)
+                .unwrap_or_else(|| panic!("no record for {cell_spec:?}"));
+            assert_eq!(record.result, serde_json::to_string(&local).unwrap());
+        }
+        let _ = std::fs::remove_file(path);
+    }
 }

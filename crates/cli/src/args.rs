@@ -12,8 +12,8 @@ pub(crate) enum CliError {
     Bad(String),
     /// Bad input, followed by the usage text.
     Usage(String),
-    /// A runtime failure, such as a fidelity miss, a bench regression or
-    /// orphaned spans.
+    /// A runtime failure, such as a fidelity miss, a bench regression,
+    /// orphaned spans or a `--via` node that fails a grid's cells.
     Failed(String),
 }
 

@@ -45,7 +45,7 @@ use ahn_core::ablations::{self, ablate_activity, ablate_gossip, ablate_payoff};
 use ahn_core::ablations::{ablate_selection, ablate_trust_table, ablate_unknown};
 use ahn_core::experiment::ExperimentResult;
 use ahn_core::{baselines, cases::CaseSpec, config::ExperimentConfig, extensions, report};
-use ahn_core::{sweeps, Cell};
+use ahn_core::{sweeps, Cell, GridCells};
 use args::{Args, CliError, CliError::Bad, CliError::Failed, CliError::Usage};
 
 fn main() {
@@ -668,9 +668,8 @@ fn participants(args: &mut Args, flag: &str) -> Result<usize, CliError> {
 #[derive(Debug, Default)]
 struct GridFlags {
     json: bool,
-    /// Run the grid through a serve node at this address instead of
-    /// computing locally (`ahn_serve::run_sweep_via_traced`,
-    /// `ahn_serve::run_calibration_via_traced`).
+    /// Run the grid's cells through a serve node at this address
+    /// instead of computing them locally (`ahn_serve::run_cells_via`).
     via: Option<String>,
     /// Checkpoint completed cells to this journal; resume skips them.
     journal: Option<String>,
@@ -700,6 +699,22 @@ impl GridFlags {
         }
         self.opts
             .finish(self.via.as_ref().map_or("ahn-exp", |_| "coordinator"))
+    }
+
+    /// Runs a grid's cells where the flags say — through the serve node
+    /// at `--via`, checkpointed to `--journal`, or in-process — traced
+    /// to `--trace` either way: the cell runner of `sweep` and
+    /// `calibrate`. Whatever fails once the cells run (node, transport,
+    /// job or journal) is a runtime failure.
+    fn run(&self, cells: &GridCells) -> Result<Vec<ExperimentResult>, CliError> {
+        let trace = self.opts.trace.as_ref();
+        let Some(addr) = &self.via else {
+            return Ok(cells.run(trace));
+        };
+        eprintln!("  distributing via {addr}...");
+        let mut transport = ahn_serve::HttpTransport::new(addr);
+        let journal = self.journal.as_deref().map(std::path::Path::new);
+        ahn_serve::run_cells_via(&mut transport, cells, journal, 10, trace).map_err(Failed)
     }
 
     /// Prints the report — its JSON with `--json`, else `rendered` — and
@@ -748,10 +763,9 @@ fn parse_sweep_flags(args: &[String]) -> Result<(ahn_core::SweepGrid, GridFlags)
 }
 
 /// `ahn-exp sweep`: run a (case x payoff x size x seed-block) grid with
-/// one pure experiment per cell, cells in parallel
-/// (`ahn_core::sweeps::run_sweep`), or — with `--via ADDR` — through a
-/// serve node, merging the distributed cells to the bit-identical
-/// report.
+/// one pure experiment per cell (`ahn_core::run_sweep_with`), cells in
+/// parallel or — with `--via ADDR` — through a serve node, folded to
+/// the same report either way.
 fn sweep(args: &[String]) -> Result<(), CliError> {
     let (grid, f) = parse_sweep_flags(args)?;
     eprintln!(
@@ -764,15 +778,7 @@ fn sweep(args: &[String]) -> Result<(), CliError> {
         grid.seed_blocks.len(),
         grid.base.replications
     );
-    let trace = f.opts.trace.as_ref();
-    let report = if let Some(addr) = &f.via {
-        eprintln!("  distributing via {addr}...");
-        let mut transport = ahn_serve::HttpTransport::new(addr);
-        let journal = f.journal.as_deref().map(std::path::Path::new);
-        ahn_serve::run_sweep_via_traced(&mut transport, &grid, journal, 10, trace)?
-    } else {
-        ahn_core::run_sweep_traced(&grid, trace)?
-    };
+    let report = ahn_core::run_sweep_with(&grid, |cells| f.run(cells))?;
     f.print(
         serde_json::to_string_pretty(&report),
         || sweeps::render_sweep_report(&report),
@@ -837,15 +843,7 @@ fn calibrate(args: &[String]) -> Result<(), CliError> {
         grid.cell_count(),
         grid.base.replications
     );
-    let trace = f.opts.trace.as_ref();
-    let report = if let Some(addr) = &f.via {
-        eprintln!("  distributing via {addr}...");
-        let mut transport = ahn_serve::HttpTransport::new(addr);
-        let journal = f.journal.as_deref().map(std::path::Path::new);
-        ahn_serve::run_calibration_via_traced(&mut transport, &grid, journal, 10, trace)?
-    } else {
-        ahn_core::calibrate::run_calibration_traced(&grid, trace)?
-    };
+    let report = ahn_core::run_calibration_with(&grid, |cells| f.run(cells))?;
     f.print(
         serde_json::to_string_pretty(&report),
         || ahn_core::calibrate::render_calibration_report(&report),

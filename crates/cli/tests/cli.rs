@@ -117,6 +117,37 @@ fn every_command_rejects_an_unknown_flag_before_running() {
 }
 
 #[test]
+fn a_node_that_cannot_be_reached_exits_1_and_a_bad_grid_exits_2() {
+    // A port that was just free: nothing listens on it.
+    let addr = {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a free port");
+        listener.local_addr().expect("bound address").to_string()
+    };
+    let grids: [&[&str]; 2] = [
+        &[
+            "sweep", "--preset", "smoke", "--cases", "1", "--sizes", "10",
+        ],
+        &["calibrate", "--max-candidates", "1", "--cases", "1"],
+    ];
+    for grid in grids {
+        let line = [grid, &["--gens", "1", "--reps", "1", "--via", &addr]].concat();
+        let out = ahn_exp(&line);
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{line:?}: {stderr}");
+        assert!(
+            stderr.contains("error: cell submission failed"),
+            "{line:?}: {stderr}"
+        );
+        assert!(text(&out.stdout).is_empty(), "{line:?}");
+        let bad = [&line[..], &["--cases", "9"]].concat();
+        let out = ahn_exp(&bad);
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}: {stderr}");
+        assert!(stderr.contains("cases 1..=4"), "{bad:?}: {stderr}");
+    }
+}
+
+#[test]
 fn paper_case_commands_reject_the_smoke_population_without_panicking() {
     for command in PAPER_CASE_COMMANDS {
         let out = ahn_exp(&[command, "--preset", "smoke"]);

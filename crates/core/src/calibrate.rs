@@ -27,12 +27,14 @@
 //!
 //! Each candidate is evaluated across the configured paper cases as a
 //! sweep grid ([`CalibrationGrid::sweep_for`]: one pure experiment per
-//! case × seed-block cell), every candidate's cells in one batch of the
-//! cell engine ([`crate::run_cells`] — so results are bit-identical
-//! whatever `AHN_THREADS` says) and scored
-//! with a deterministic loss: the L1 distance, summed over cases,
-//! between its replication-averaged final cooperation and the paper's
-//! targets ([`PAPER_TARGETS`]).
+//! case × seed-block cell). Every candidate's cells go through the
+//! sweep engine's grid pipeline (`crate::sweeps`, "One grid pipeline"):
+//! resolved and checked once, run by one cell runner — in-process, one
+//! batch of the cell engine whose results are bit-identical whatever
+//! `AHN_THREADS` says, or through a serve node — and scored with a
+//! deterministic loss: the L1 distance, summed over cases, between its
+//! replication-averaged final cooperation and the paper's targets
+//! ([`PAPER_TARGETS`]).
 //!
 //! The report ranks every candidate by loss, marks the Pareto front of
 //! per-case errors (a candidate is on the front when no other candidate
@@ -44,7 +46,8 @@
 //! hit the `ahn_serve` cache.
 
 use crate::config::ExperimentConfig;
-use crate::sweeps::{trim, SweepGrid, SweepReport, BASE_PAYOFF_VARIANT};
+use crate::experiment::ExperimentResult;
+use crate::sweeps::{trim, GridCells, SweepGrid, BASE_PAYOFF_VARIANT};
 use ahn_ga::Selection;
 use ahn_game::{enumerate_reconstructions, PayoffConfig};
 use serde::{Deserialize, Serialize};
@@ -282,10 +285,19 @@ impl CalibrationGrid {
         })
     }
 
-    /// Validates the axes and every candidate's implied sweep
-    /// ([`SweepGrid::validate`]), so a bad search fails before any cell
-    /// runs or is queued.
+    /// Validates the axes and runs [`crate::check_cell`] on every cell
+    /// of every candidate's implied sweep, so a bad search fails before
+    /// any cell runs or is queued.
     pub fn validate(&self) -> Result<(), String> {
+        self.cells().map(drop)
+    }
+
+    /// The search resolved once: every candidate with the base
+    /// configuration its cells derive from ([`CalibrationGrid::resolve`]),
+    /// and every candidate's cells in report order — candidates
+    /// outermost, then cases, seed blocks innermost — each checked once
+    /// ([`SweepGrid::cells`]).
+    pub fn cells(&self) -> Result<(Vec<(CandidateSpec, ExperimentConfig)>, GridCells), String> {
         self.base.validate()?;
         if self.cases.is_empty() || self.scales.is_empty() || self.selections.is_empty() {
             return Err("every calibration axis needs at least one value".into());
@@ -312,10 +324,14 @@ impl CalibrationGrid {
         if candidates.is_empty() {
             return Err("the candidate family is empty".into());
         }
-        for candidate in &candidates {
-            self.sweep_for(candidate)?.validate()?;
+        let mut resolved = Vec::with_capacity(candidates.len());
+        let mut cells = GridCells::default();
+        for candidate in candidates {
+            let sweep = self.sweep_for(&candidate)?;
+            sweep.each_cell(|spec, cell| cells.push(spec, cell))?;
+            resolved.push((candidate, sweep.base));
         }
-        Ok(())
+        Ok((resolved, cells))
     }
 }
 
@@ -389,80 +405,60 @@ pub struct CalibrationReport {
 /// before conventions die out).
 pub const SUSTAINED_FLOOR: f64 = 0.05;
 
-/// Runs the full search: every candidate evaluated over the grid's
-/// cases and seed blocks (all candidates' cells in one batch of the
-/// cell engine), scored, ranked and summarized.
+/// Runs the full search in-process ([`GridCells::run`]): every
+/// candidate evaluated over the grid's cases and seed blocks (all
+/// candidates' cells in one batch of the cell engine), scored, ranked
+/// and summarized.
 ///
 /// # Errors
 /// Errors when the grid fails [`CalibrationGrid::validate`]; never
 /// errors mid-search.
 pub fn run_calibration(grid: &CalibrationGrid) -> Result<CalibrationReport, String> {
-    run_calibration_traced(grid, None)
+    run_calibration_with(grid, |cells| Ok(cells.run(None)))
 }
 
-/// [`run_calibration`], traced into `trace` when one is given: every
-/// cell emits `cell_start`, `generation` and `cell_done` spans as in
-/// [`crate::sweeps::run_sweep_traced`]; either way the report is
-/// bit-identical.
+/// Resolves the search's cells once ([`CalibrationGrid::cells`]), runs
+/// them through `run` — in-process ([`GridCells::run`]) or through a
+/// serve node (`ahn_serve::run_cells_via`) — and scores the results into
+/// the ranked report, Pareto front included. The report is the same
+/// bytes whichever runner computed the cells.
 ///
 /// # Errors
-/// Errors when the grid fails [`CalibrationGrid::validate`]; never
-/// errors mid-search.
-pub fn run_calibration_traced(
+/// Errors when the grid fails [`CalibrationGrid::validate`] (converted
+/// into `E`) or with the runner's error; nothing runs for a bad grid.
+///
+/// # Panics
+/// Panics if `run` does not return one result per cell.
+pub fn run_calibration_with<E: From<String>>(
     grid: &CalibrationGrid,
-    trace: Option<&ahn_obs::TraceLog>,
-) -> Result<CalibrationReport, String> {
-    grid.validate()?;
-    let sweeps = (grid.candidates().iter())
-        .map(|candidate| grid.sweep_for(candidate))
-        .collect::<Result<Vec<_>, _>>()?;
-    score_calibration(grid, &crate::sweeps::run_grids(&sweeps, trace))
+    run: impl FnOnce(&GridCells) -> Result<Vec<ExperimentResult>, E>,
+) -> Result<CalibrationReport, E> {
+    let (candidates, cells) = grid.cells()?;
+    let results = run(&cells)?;
+    assert_eq!(
+        results.len(),
+        cells.cells().len(),
+        "a cell runner returns one result per cell"
+    );
+    Ok(score(grid, candidates, &results))
 }
 
-/// Scores per-candidate sweep reports into the final ranked report —
-/// the deterministic back half of [`run_calibration`], split out so a
-/// distributed coordinator that assembled each candidate's sweep from
-/// remotely computed cells ([`crate::sweeps::merge_sweep`]) reproduces
-/// the exact single-process report, Pareto front included.
-///
-/// `sweeps[i]` must be the evaluated sweep of `grid.candidates()[i]`
-/// ([`CalibrationGrid::sweep_for`]).
-///
-/// # Errors
-/// Errors when the grid is invalid or `sweeps` doesn't line up with the
-/// candidate list (wrong count, wrong cell count per candidate).
-pub fn score_calibration(
+/// The calibration fold: scores each candidate's results (cases
+/// outermost, seed blocks innermost, as [`CalibrationGrid::cells`] lays
+/// them out) and ranks the candidates.
+fn score(
     grid: &CalibrationGrid,
-    sweeps: &[SweepReport],
-) -> Result<CalibrationReport, String> {
-    grid.validate()?;
-    let candidates = grid.candidates();
+    candidates: Vec<(CandidateSpec, ExperimentConfig)>,
+    cell_results: &[ExperimentResult],
+) -> CalibrationReport {
     let n_cases = grid.cases.len();
     let n_blocks = grid.seed_blocks.len();
     let targets: Vec<f64> = grid.cases.iter().map(|&c| paper_target(c)).collect();
-    if sweeps.len() != candidates.len() {
-        return Err(format!(
-            "{} sweep reports for {} candidates",
-            sweeps.len(),
-            candidates.len()
-        ));
-    }
-
     let mut results: Vec<CandidateResult> = Vec::with_capacity(candidates.len());
-    for (candidate, report) in candidates.into_iter().zip(sweeps) {
-        let sweep = grid.sweep_for(&candidate)?;
-        if report.cells.len() != n_cases * n_blocks {
-            return Err(format!(
-                "candidate {} sweep has {} cells, expected {}",
-                candidate.id,
-                report.cells.len(),
-                n_cases * n_blocks
-            ));
-        }
-        // Cells arrive cases-outermost, seed-blocks-innermost.
-        let per_case_coop: Vec<f64> = (0..n_cases)
-            .map(|ci| {
-                let blocks = &report.cells[ci * n_blocks..(ci + 1) * n_blocks];
+    let per_candidate = cell_results.chunks(n_cases * n_blocks);
+    for ((candidate, config), cells) in candidates.into_iter().zip(per_candidate) {
+        let per_case_coop: Vec<f64> = (cells.chunks(n_blocks))
+            .map(|blocks| {
                 blocks
                     .iter()
                     .map(|cell| cell.final_coop.mean().unwrap_or(0.0))
@@ -474,9 +470,8 @@ pub fn score_calibration(
         // single-environment cases; the mean per-environment distance to
         // Table 5's column for the multi-environment cases (which an
         // aggregate would blur) — see [`case_error`].
-        let per_case_error: Vec<f64> = (0..n_cases)
-            .map(|ci| {
-                let blocks = &report.cells[ci * n_blocks..(ci + 1) * n_blocks];
+        let per_case_error: Vec<f64> = (cells.chunks(n_blocks).enumerate())
+            .map(|(ci, blocks)| {
                 let n_envs = blocks[0].per_env_coop.len();
                 let per_env: Vec<f64> = (0..n_envs)
                     .map(|e| {
@@ -491,14 +486,13 @@ pub fn score_calibration(
             })
             .collect();
         let loss = per_case_error.iter().sum();
-        let config_hash = crate::config::canonical_hash(&sweep.base).unwrap_or(0);
         results.push(CandidateResult {
             spec: candidate,
             per_case_coop,
             per_case_error,
             loss,
             pareto: false,
-            config_hash,
+            config_hash: crate::config::canonical_hash(&config).unwrap_or(0),
         });
     }
 
@@ -568,7 +562,7 @@ pub fn score_calibration(
             .join("; ")
     };
 
-    Ok(CalibrationReport {
+    CalibrationReport {
         schema: "ahn-calibrate/1".into(),
         cases: grid.cases.clone(),
         targets,
@@ -578,7 +572,7 @@ pub fn score_calibration(
         candidates: results,
         harsh,
         summary,
-    })
+    }
 }
 
 /// Renders a calibration report as an aligned text table (best
@@ -769,28 +763,37 @@ mod tests {
     }
 
     #[test]
-    fn score_calibration_reproduces_run_calibration_and_checks_shape() {
+    fn the_fold_of_single_experiments_reproduces_run_calibration() {
+        // A runner that computes each cell as its own experiment, as a
+        // worker does, folds to exactly the in-process report.
         let grid = CalibrationGrid::smoke();
-        // Scoring locally-run sweeps is exactly run_calibration.
-        let sweeps: Vec<_> = grid
-            .candidates()
-            .iter()
-            .map(|c| crate::run_sweep(&grid.sweep_for(c).unwrap()).unwrap())
-            .collect();
-        let scored = score_calibration(&grid, &sweeps).unwrap();
+        let folded = run_calibration_with(&grid, |cells| {
+            Ok::<_, String>(
+                (cells.cells().iter())
+                    .map(|(config, case)| crate::run_experiment(config, case))
+                    .collect(),
+            )
+        })
+        .unwrap();
         let direct = run_calibration(&grid).unwrap();
-        assert_eq!(scored, direct);
         assert_eq!(
-            serde_json::to_string(&scored).unwrap(),
+            serde_json::to_string(&folded).unwrap(),
             serde_json::to_string(&direct).unwrap()
         );
-        // Misaligned inputs fail loudly instead of mis-scoring.
-        let err = score_calibration(&grid, &sweeps[..1]).unwrap_err();
-        assert!(err.contains("sweep reports"), "{err}");
-        let mut short = sweeps.clone();
-        short[1].cells.pop();
-        let err = score_calibration(&grid, &short).unwrap_err();
-        assert!(err.contains("expected"), "{err}");
+        // A bad grid fails before the runner sees a cell.
+        let mut bad = grid;
+        bad.cases = vec![9];
+        let err = run_calibration_with(&bad, |_| -> Result<Vec<ExperimentResult>, String> {
+            panic!("a bad grid reached the runner")
+        })
+        .unwrap_err();
+        assert!(err.contains("cases 1..=4"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "one result per cell")]
+    fn a_runner_returns_one_result_per_cell() {
+        let _ = run_calibration_with(&CalibrationGrid::smoke(), |_| Ok::<_, String>(Vec::new()));
     }
 
     #[test]

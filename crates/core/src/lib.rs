@@ -69,7 +69,7 @@ pub mod threads;
 
 pub use ahn_net::PathMode;
 pub use atlas::{render_atlas, run_atlas, AtlasGrid, AtlasReport};
-pub use calibrate::{run_calibration, score_calibration, CalibrationGrid, CalibrationReport};
+pub use calibrate::{run_calibration, run_calibration_with, CalibrationGrid, CalibrationReport};
 pub use cases::CaseSpec;
 pub use cells::{run_cells, Cell};
 pub use config::{canonical_hash, ExperimentConfig, StrategyCodec};
@@ -79,8 +79,8 @@ pub use experiment::{
 };
 pub use scenarios::{builtin_scenarios, find_scenario, resolve_scenario, AttackerShare, Scenario};
 pub use sweeps::{
-    cell_from_result, merge_sweep, run_sweep, run_sweep_traced, SweepCell, SweepCellSpec,
-    SweepGrid, SweepReport,
+    cell_from_result, run_sweep, run_sweep_with, GridCells, SweepCell, SweepCellSpec, SweepGrid,
+    SweepReport,
 };
 
 /// Builds the [`ahn_game::GameConfig`] an [`ExperimentConfig`] implies

@@ -35,8 +35,26 @@
 //!   scheduled them, so a cell equals `run_experiment` on its resolved
 //!   inputs bit for bit (`tests/determinism.rs`).
 //!
-//! The CLI front end is `ahn-exp sweep`; the serving front end is
-//! `POST /v1/sweeps` (each cell cached under its canonical hash).
+//! # One grid pipeline
+//!
+//! A sweep or a calibration ([`crate::calibrate`]) takes one path from
+//! its grid to its report, whoever computes the cells:
+//!
+//! 1. one pass resolves every cell in report order and runs
+//!    [`crate::check_cell`] on it once ([`SweepGrid::cells`],
+//!    [`crate::CalibrationGrid::cells`]), so a bad grid fails before any
+//!    cell runs or is queued;
+//! 2. a *cell runner* turns those [`GridCells`] into one
+//!    [`ExperimentResult`] per cell, in the same order — in-process
+//!    ([`GridCells::run`]) or through a serve node
+//!    (`ahn_serve::run_cells_via`);
+//! 3. one fold turns the results into the report
+//!    ([`run_sweep_with`], [`crate::calibrate::run_calibration_with`]).
+//!
+//! So a grid gives the same bytes locally and through a node, repeated
+//! axis values included. The CLI front end is `ahn-exp sweep`; the
+//! serving front end is `POST /v1/sweeps`, which submits the cells of
+//! the same pass (each cached under its canonical hash).
 
 use crate::cases::CaseSpec;
 use crate::cells::Cell;
@@ -261,6 +279,24 @@ impl SweepGrid {
     /// they resolve to, so a bad grid fails before any cell runs or is
     /// queued.
     pub fn validate(&self) -> Result<(), String> {
+        self.each_cell(|_, _| ())
+    }
+
+    /// The grid's cells in report order, each resolved and checked once
+    /// (see [`SweepGrid::validate`]).
+    pub fn cells(&self) -> Result<GridCells, String> {
+        let mut cells = GridCells::default();
+        self.each_cell(|spec, cell| cells.push(spec, cell))?;
+        Ok(cells)
+    }
+
+    /// The one pass over the grid: validates the axes, then resolves
+    /// every cell in report order, runs [`crate::check_cell`] on it and
+    /// hands it to `visit`.
+    pub(crate) fn each_cell(
+        &self,
+        mut visit: impl FnMut(SweepCellSpec, Cell),
+    ) -> Result<(), String> {
         self.base.validate()?;
         if self.cell_count() == 0 {
             return Err("every sweep axis needs at least one value".into());
@@ -281,6 +317,7 @@ impl SweepGrid {
         for spec in self.cell_specs() {
             let (config, case) = self.resolve(&spec)?;
             crate::check_cell(&config, &case)?;
+            visit(spec, (config, case));
         }
         Ok(())
     }
@@ -378,14 +415,13 @@ pub struct SweepReport {
 }
 
 /// Reduces the [`ExperimentResult`] of a cell's resolved
-/// `(config, case)` to the [`SweepCell`] a local [`run_sweep`] would
-/// have produced — bit for bit, because `run_experiment` and
-/// [`run_sweep`] run the cell through the same engine, and the engine's
+/// `(config, case)` to its [`SweepCell`]: the per-cell step of the
+/// sweep fold ([`run_sweep_with`]). The result is the same bit for bit
+/// whoever computed it — `run_experiment`, a batch of [`run_sweep`] or
+/// a worker running the ordinary single-experiment job that `ahn_serve`
+/// caches — because all run the cell through the same engine, whose
 /// result does not depend on how it scheduled the batch
-/// (`tests/determinism.rs`). This is the bridge distributed
-/// workers use: a worker computes the ordinary single-experiment job
-/// (the exact thing `ahn_serve` caches) and the coordinator folds it
-/// back into the sweep.
+/// (`tests/determinism.rs`).
 pub fn cell_from_result(
     spec: SweepCellSpec,
     config: &ExperimentConfig,
@@ -401,135 +437,99 @@ pub fn cell_from_result(
     }
 }
 
-/// Assembles a [`SweepReport`] from cells evaluated elsewhere — in any
-/// arrival order, duplicates tolerated — re-keyed to the grid's
-/// canonical [`SweepGrid::cell_specs`] order, so the merged report is
-/// byte-identical to a single-process [`run_sweep`] regardless of how
-/// many workers produced the cells or how their completions
-/// interleaved.
-///
-/// # Errors
-/// Errors when the grid is invalid, a cell is missing, a cell's
-/// coordinates don't belong to the grid, or two completions of the same
-/// cell disagree (which would mean a worker broke the purity contract).
-pub fn merge_sweep(grid: &SweepGrid, cells: &[SweepCell]) -> Result<SweepReport, String> {
-    grid.validate()?;
-    let specs = grid.cell_specs();
-    type CellKey<'a> = (Option<&'a str>, usize, &'a str, usize, u64);
-    fn key(spec: &SweepCellSpec) -> CellKey<'_> {
-        (
-            spec.scenario.as_deref(),
-            spec.case_no,
-            spec.payoff.as_str(),
-            spec.size,
-            spec.seed_block,
-        )
-    }
-    let index: std::collections::HashMap<CellKey<'_>, usize> =
-        specs.iter().enumerate().map(|(i, s)| (key(s), i)).collect();
-    let mut slots: Vec<Option<&SweepCell>> = vec![None; specs.len()];
-    for cell in cells {
-        let key = key(&cell.spec);
-        let Some(&i) = index.get(&key) else {
-            return Err(format!("cell {:?} does not belong to this grid", cell.spec));
-        };
-        match slots[i] {
-            None => slots[i] = Some(cell),
-            // First completion wins; an unequal duplicate means some
-            // worker violated the pure-function contract — fail loudly
-            // rather than merge nondeterminism.
-            Some(first) if first == cell => {}
-            Some(_) => {
-                return Err(format!(
-                    "conflicting duplicate completions for cell {:?}",
-                    cell.spec
-                ));
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(specs.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(cell) => out.push(cell.clone()),
-            None => return Err(format!("cell {:?} was never completed", specs[i])),
-        }
-    }
-    Ok(SweepReport {
-        schema: "ahn-sweep/1".into(),
-        replications: grid.base.replications,
-        cells: out,
-    })
+/// The cells of a sweep or calibration grid, resolved and checked
+/// once, in report order ([`SweepGrid::cells`],
+/// [`crate::CalibrationGrid::cells`]): what a cell runner runs. A
+/// runner returns one [`ExperimentResult`] per cell, in the same order.
+#[derive(Debug, Default)]
+pub struct GridCells {
+    specs: Vec<SweepCellSpec>,
+    cells: Vec<Cell>,
 }
 
-/// Runs every cell of the grid as one batch of the cell engine (every
-/// replication of every cell in parallel, bounded by `AHN_THREADS` like
-/// all rayon fan-out in this workspace).
+impl GridCells {
+    pub(crate) fn push(&mut self, spec: SweepCellSpec, cell: Cell) {
+        self.specs.push(spec);
+        self.cells.push(cell);
+    }
+
+    /// Each cell's coordinates: a calibration cell's are those in its
+    /// candidate's sweep ([`crate::CalibrationGrid::sweep_for`]).
+    pub fn specs(&self) -> &[SweepCellSpec] {
+        &self.specs
+    }
+
+    /// Each cell's resolved `(config, case)`, which passed
+    /// [`crate::check_cell`].
+    pub fn cells(&self) -> &[Cell] {
+        &self.cells
+    }
+
+    /// Runs every cell in-process as one batch of the cell engine
+    /// (every replication of every cell in parallel, bounded by
+    /// `AHN_THREADS` like all rayon fan-out in this workspace). Traced
+    /// into `trace`, every cell emits a `cell_start` span naming its
+    /// coordinates, one `generation` span per generation of every
+    /// replication, and a `cell_done` span (cells run in parallel, so
+    /// spans of different cells interleave); the results are
+    /// bit-identical either way.
+    pub fn run(&self, trace: Option<&ahn_obs::TraceLog>) -> Vec<ExperimentResult> {
+        crate::threads::log_once("sweep");
+        crate::cells::run_cells(&self.cells, trace, |i| {
+            let spec = &self.specs[i];
+            let scenario = spec
+                .scenario
+                .as_deref()
+                .map(|s| format!("scenario {s} "))
+                .unwrap_or_default();
+            format!(
+                "{scenario}case {} payoff {} size {} seed_block {}",
+                spec.case_no, spec.payoff, spec.size, spec.seed_block
+            )
+        })
+    }
+}
+
+/// Runs every cell of the grid in-process ([`GridCells::run`]).
 ///
 /// # Errors
 /// Errors when the grid fails [`SweepGrid::validate`]; never errors
 /// mid-run.
 pub fn run_sweep(grid: &SweepGrid) -> Result<SweepReport, String> {
-    run_sweep_traced(grid, None)
+    run_sweep_with(grid, |cells| Ok(cells.run(None)))
 }
 
-/// [`run_sweep`], traced into `trace` when one is given: every cell
-/// emits a `cell_start` span naming its coordinates, one `generation`
-/// span per generation of every replication, and a `cell_done` span,
-/// keyed by its [`SweepCell::config_hash`] (cells run in parallel, so
-/// spans of different cells interleave). Without a log every
-/// replication runs under [`ahn_obs::NoopRecorder`], so the untraced
-/// path pays nothing; either way the report is bit-identical.
+/// Resolves the grid's cells once ([`SweepGrid::cells`]), runs them
+/// through `run` — in-process ([`GridCells::run`]) or through a serve
+/// node (`ahn_serve::run_cells_via`) — and folds the results into the
+/// report ([`cell_from_result`]). The report is the same bytes whichever
+/// runner computed the cells.
 ///
 /// # Errors
-/// Errors when the grid fails [`SweepGrid::validate`]; never errors
-/// mid-run.
-pub fn run_sweep_traced(
+/// Errors when the grid fails [`SweepGrid::validate`] (converted into
+/// `E`) or with the runner's error; nothing runs for a bad grid.
+///
+/// # Panics
+/// Panics if `run` does not return one result per cell.
+pub fn run_sweep_with<E: From<String>>(
     grid: &SweepGrid,
-    trace: Option<&ahn_obs::TraceLog>,
-) -> Result<SweepReport, String> {
-    grid.validate()?;
-    let mut reports = run_grids(std::slice::from_ref(grid), trace);
-    Ok(reports.pop().expect("one grid, one report"))
-}
-
-/// Runs the cells of every grid as one batch of the cell engine and
-/// returns one report per grid. Every cell must resolve, which
-/// [`SweepGrid::validate`] checks.
-pub(crate) fn run_grids(
-    grids: &[SweepGrid],
-    trace: Option<&ahn_obs::TraceLog>,
-) -> Vec<SweepReport> {
-    crate::threads::log_once("sweep");
-    let specs: Vec<(&SweepGrid, SweepCellSpec)> = (grids.iter())
-        .flat_map(|grid| grid.cell_specs().into_iter().map(move |spec| (grid, spec)))
-        .collect();
-    let cells: Vec<Cell> = (specs.iter())
-        .map(|(grid, spec)| grid.resolve(spec).expect("validated by the caller"))
-        .collect();
-    let results = crate::cells::run_cells(&cells, trace, |i| {
-        let spec = &specs[i].1;
-        let scenario = spec
-            .scenario
-            .as_deref()
-            .map(|s| format!("scenario {s} "))
-            .unwrap_or_default();
-        format!(
-            "{scenario}case {} payoff {} size {} seed_block {}",
-            spec.case_no, spec.payoff, spec.size, spec.seed_block
-        )
-    });
-    let mut done = specs.into_iter().zip(&cells).zip(&results);
-    (grids.iter())
-        .map(|grid| SweepReport {
-            schema: "ahn-sweep/1".into(),
-            replications: grid.base.replications,
-            cells: (done.by_ref().take(grid.cell_count()))
-                .map(|(((_, spec), (config, case)), result)| {
-                    cell_from_result(spec, config, case, result)
-                })
-                .collect(),
-        })
-        .collect()
+    run: impl FnOnce(&GridCells) -> Result<Vec<ExperimentResult>, E>,
+) -> Result<SweepReport, E> {
+    let cells = grid.cells()?;
+    let results = run(&cells)?;
+    assert_eq!(
+        results.len(),
+        cells.cells.len(),
+        "a cell runner returns one result per cell"
+    );
+    let GridCells { specs, cells } = cells;
+    Ok(SweepReport {
+        schema: "ahn-sweep/1".into(),
+        replications: grid.base.replications,
+        cells: (specs.into_iter().zip(&cells).zip(&results))
+            .map(|((spec, (config, case)), result)| cell_from_result(spec, config, case, result))
+            .collect(),
+    })
 }
 
 /// Renders a sweep report as an aligned text table. The scenario
@@ -805,38 +805,6 @@ mod tests {
             let rebuilt = cell_from_result(spec, &config, &case, &result);
             assert_eq!(&rebuilt, expected);
         }
-    }
-
-    #[test]
-    fn merge_sweep_is_order_and_duplicate_insensitive() {
-        let grid = SweepGrid::new(grid_cfg(), &[1, 2], &[10, 12], 1);
-        let local = run_sweep(&grid).unwrap();
-        // Reversed arrival order plus a duplicated cell merges to the
-        // exact local report (and identical bytes).
-        let mut shuffled: Vec<SweepCell> = local.cells.iter().rev().cloned().collect();
-        shuffled.push(local.cells[1].clone());
-        let merged = merge_sweep(&grid, &shuffled).unwrap();
-        assert_eq!(merged, local);
-        assert_eq!(
-            serde_json::to_string(&merged).unwrap(),
-            serde_json::to_string(&local).unwrap()
-        );
-        // A missing cell fails.
-        let partial = &local.cells[..3];
-        let err = merge_sweep(&grid, partial).unwrap_err();
-        assert!(err.contains("never completed"), "{err}");
-        // A stray cell from another grid fails.
-        let mut stray = local.cells.clone();
-        stray[0].spec.seed_block = 7;
-        let err = merge_sweep(&grid, &stray).unwrap_err();
-        assert!(err.contains("does not belong"), "{err}");
-        // A conflicting duplicate fails.
-        let mut conflict = local.cells.clone();
-        let mut twin = conflict[0].clone();
-        twin.config_hash ^= 1;
-        conflict.push(twin);
-        let err = merge_sweep(&grid, &conflict).unwrap_err();
-        assert!(err.contains("conflicting duplicate"), "{err}");
     }
 
     #[test]

@@ -1,29 +1,32 @@
-//! The distributed coordinator: runs a sweep or calibration *through* a
-//! serve node instead of in-process, one `POST /v1/experiments` job per
-//! grid cell, and merges the completed cells into a report bit-identical
-//! to the single-process `run_sweep` / `run_calibration` fold.
+//! The distributed coordinator: a cell runner that computes a sweep's
+//! or calibration's cells *through* a serve node instead of in-process,
+//! one `POST /v1/experiments` job per cell. [`run_cells_via`] takes the
+//! cells the core pass resolved and checked ([`ahn_core::GridCells`])
+//! and returns one result per cell in cell order, so the core fold
+//! ([`ahn_core::run_sweep_with`],
+//! [`ahn_core::calibrate::run_calibration_with`]) builds a report
+//! bit-identical to the in-process run.
 //!
 //! Why per-cell submissions instead of `POST /v1/sweeps`: each cell
 //! rides the server's full cache/coalesce/queue flow under its own
 //! `canonical_hash` key, so distributed sweeps share cached cells with
 //! direct submissions, other sweeps, and calibration searches — and a
 //! full queue backpressures one cell at a time (the coordinator retries
-//! 503s) instead of bouncing a whole grid.
+//! 503s) instead of bouncing a whole grid. Cells that share a key (a
+//! repeated axis value, calibration candidates sharing a cell) are
+//! submitted once and share the result.
 //!
 //! Determinism: the coordinator never folds floats from wire text.
-//! Each reply is decoded once, straight into a typed
-//! [`JobReply`] whose results are [`ExperimentResult`]s (the vendored
-//! JSON writer emits shortest-round-trip f64, so the parse is
-//! lossless). They become [`SweepCell`]s via
-//! [`ahn_core::cell_from_result`] and are merged by
-//! [`ahn_core::merge_sweep`] in grid order — worker count, arrival
-//! order, duplicate completions and crash/resume cannot change a byte
-//! of the output.
+//! Each reply is decoded once, straight into a typed [`JobReply`] whose
+//! results are [`ExperimentResult`]s (the vendored JSON writer emits
+//! shortest-round-trip f64, so the parse is lossless), and results are
+//! returned in cell order — worker count, arrival order, duplicate
+//! completions and crash/resume cannot change a byte of the output.
 //!
 //! One JSON pass per document: each cell's [`JobSpec`] is encoded once,
 //! into the submission body, and its cache key is the FNV-1a hash of
 //! that body (which is what [`JobSpec::cache_key`] computes); each reply
-//! is decoded once, as it arrives; results stay typed until the merge.
+//! is decoded once, as it arrives; results stay typed until the fold.
 //!
 //! Checkpoint/resume: with a journal path every completed cell is
 //! appended (checksummed, flushed) before the coordinator moves on; a
@@ -35,12 +38,7 @@
 use crate::journal::{replay, Journal};
 use crate::protocol::{JobReply, JobSpec};
 use crate::worker::Transport;
-use ahn_core::cases::CaseSpec;
-use ahn_core::config::ExperimentConfig;
-use ahn_core::{
-    cell_from_result, merge_sweep, score_calibration, CalibrationGrid, CalibrationReport,
-    ExperimentResult, SweepCell, SweepCellSpec, SweepGrid, SweepReport,
-};
+use ahn_core::{ExperimentResult, GridCells, SweepGrid, SweepReport};
 use ahn_obs::{fnv1a64, trace_id_of_key, TraceEvent, TraceLog};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -55,53 +53,52 @@ const MAX_POLL_ROUNDS: usize = 15_000;
 /// absorb before the coordinator gives up.
 const MAX_BACKPRESSURE_RETRIES: usize = 10_000;
 
-/// One grid cell, resolved far enough to submit and to rebuild its
-/// [`SweepCell`] from the wire result.
+/// One cell as the node sees it.
 struct CellTask {
-    sweep_index: usize,
-    cell_spec: SweepCellSpec,
-    config: ExperimentConfig,
-    case: CaseSpec,
     /// The cell's `JobSpec::Experiment`, encoded once.
     body: String,
     /// `fnv1a64(body)`: the cell's `JobSpec::cache_key`.
     key: u64,
 }
 
-/// Expands `grid` into submission-ready cell tasks tagged with
-/// `sweep_index` (which per-candidate sweep they belong to).
-fn cell_tasks(grid: &SweepGrid, sweep_index: usize) -> Result<Vec<CellTask>, String> {
-    let mut out = Vec::with_capacity(grid.cell_count());
-    for cell_spec in grid.cell_specs() {
-        let (config, case) = grid.resolve(&cell_spec)?;
-        let spec = JobSpec::Experiment {
-            config: config.clone(),
-            cases: vec![case.clone()],
-        };
-        let body =
-            serde_json::to_string(&spec).map_err(|e| format!("cannot serialize cell: {e}"))?;
-        out.push(CellTask {
-            sweep_index,
-            cell_spec,
-            config,
-            case,
-            key: fnv1a64(body.as_bytes()),
-            body,
-        });
-    }
-    Ok(out)
+/// Encodes every cell as its submission.
+fn cell_tasks(cells: &GridCells) -> Result<Vec<CellTask>, String> {
+    (cells.cells().iter())
+        .map(|(config, case)| {
+            let spec = JobSpec::Experiment {
+                config: config.clone(),
+                cases: vec![case.clone()],
+            };
+            let body =
+                serde_json::to_string(&spec).map_err(|e| format!("cannot serialize cell: {e}"))?;
+            Ok(CellTask {
+                key: fnv1a64(body.as_bytes()),
+                body,
+            })
+        })
+        .collect()
 }
 
-/// Drives every task through the serve node: journal replay → submit
-/// missing → poll → journal append. Returns each cell's result by
-/// cache key.
-fn execute_cells(
+/// Runs every cell through the serve node behind `transport` and
+/// returns one result per cell, in cell order: journal replay → submit
+/// the missing cells → poll → journal append. `journal_path` enables
+/// checkpoint/resume. With `trace`, the coordinator emits a `submit`
+/// event per cell submission and a `merge` event per checkpoint, so its
+/// view joins with the server's and the workers' via the shared
+/// key-derived trace id; tracing never touches the results.
+///
+/// # Errors
+/// Names the cell or job: a transport failure, a rejected submission, a
+/// queue that stays full, a failed job, a job that does not finish in
+/// time, an unusable reply, or a journal that cannot be read or written.
+pub fn run_cells_via(
     transport: &mut dyn Transport,
-    tasks: &[CellTask],
+    cells: &GridCells,
     journal_path: Option<&Path>,
     poll_ms: u64,
     trace: Option<&TraceLog>,
-) -> Result<HashMap<u64, ExperimentResult>, String> {
+) -> Result<Vec<ExperimentResult>, String> {
+    let tasks = cell_tasks(cells)?;
     let emit = |event: TraceEvent| {
         if let Some(log) = trace {
             log.emit(event);
@@ -131,8 +128,8 @@ fn execute_cells(
         }
     };
 
-    // Submit every cell not already checkpointed (distinct keys once —
-    // calibration candidates can share cells).
+    // Submit every cell not already checkpointed, each distinct key
+    // once.
     let mut polling: Vec<(usize, u64)> = Vec::new(); // (task index, job id)
     let mut submitted: HashSet<u64> = HashSet::new();
     for (index, task) in tasks.iter().enumerate() {
@@ -156,7 +153,7 @@ fn execute_cells(
             if status != 200 && status != 202 {
                 return Err(format!("cell submission rejected: {status} {response}"));
             }
-            let in_cell = |e: String| format!("cell {:?}: {e}", task.cell_spec);
+            let in_cell = |e: String| format!("cell {:?}: {e}", cells.specs()[index]);
             let reply = decode(&response).map_err(in_cell)?;
             if status == 200 {
                 // Cache hit: the result is inline.
@@ -229,7 +226,22 @@ fn execute_cells(
             }
         }
     }
-    Ok(done)
+
+    // One result per cell, in cell order: a key several cells share is
+    // cloned for all but its last cell.
+    let last: HashMap<u64, usize> = (tasks.iter().enumerate())
+        .map(|(index, task)| (task.key, index))
+        .collect();
+    (tasks.iter().enumerate())
+        .map(|(index, task)| {
+            let result = if last[&task.key] == index {
+                done.remove(&task.key)
+            } else {
+                done.get(&task.key).cloned()
+            };
+            result.ok_or_else(|| format!("cell {:?} has no result", cells.specs()[index]))
+        })
+        .collect()
 }
 
 /// Decodes one reply; the caller names the cell or job in the error.
@@ -266,29 +278,8 @@ fn checkpoint(
     Ok(())
 }
 
-/// Rebuilds the typed [`SweepCell`]s of one sweep from the results.
-fn build_cells(
-    tasks: &[&CellTask],
-    results: &HashMap<u64, ExperimentResult>,
-) -> Result<Vec<SweepCell>, String> {
-    tasks
-        .iter()
-        .map(|task| {
-            let result = results
-                .get(&task.key)
-                .ok_or_else(|| format!("cell {:?} has no result", task.cell_spec))?;
-            Ok(cell_from_result(
-                task.cell_spec.clone(),
-                &task.config,
-                &task.case,
-                result,
-            ))
-        })
-        .collect()
-}
-
-/// Runs `grid` through the serve node behind `transport` and merges the
-/// cells into a [`SweepReport`] bit-identical to
+/// Runs `grid` through the serve node behind `transport`
+/// ([`run_cells_via`]) into a [`SweepReport`] bit-identical to
 /// [`ahn_core::run_sweep`]. `journal_path` enables checkpoint/resume.
 pub fn run_sweep_via(
     transport: &mut dyn Transport,
@@ -296,57 +287,9 @@ pub fn run_sweep_via(
     journal_path: Option<&Path>,
     poll_ms: u64,
 ) -> Result<SweepReport, String> {
-    run_sweep_via_traced(transport, grid, journal_path, poll_ms, None)
-}
-
-/// [`run_sweep_via`] with span tracing: when `trace` is set the
-/// coordinator emits a `submit` event per cell submission and a `merge`
-/// event per checkpoint, so the coordinator's view joins with the
-/// server's and the workers' via the shared key-derived trace id. The
-/// report stays bit-identical — tracing never touches the fold.
-pub fn run_sweep_via_traced(
-    transport: &mut dyn Transport,
-    grid: &SweepGrid,
-    journal_path: Option<&Path>,
-    poll_ms: u64,
-    trace: Option<&TraceLog>,
-) -> Result<SweepReport, String> {
-    grid.validate()?;
-    let tasks = cell_tasks(grid, 0)?;
-    let results = execute_cells(transport, &tasks, journal_path, poll_ms, trace)?;
-    let refs: Vec<&CellTask> = tasks.iter().collect();
-    let cells = build_cells(&refs, &results)?;
-    merge_sweep(grid, &cells)
-}
-
-/// Runs `grid` through the serve node behind `transport` and scores the
-/// merged per-candidate sweeps into a [`CalibrationReport`] — Pareto
-/// front included — bit-identical to [`ahn_core::run_calibration`].
-/// `journal_path` enables checkpoint/resume, and `trace` span tracing
-/// with the same contract as [`run_sweep_via_traced`].
-pub fn run_calibration_via_traced(
-    transport: &mut dyn Transport,
-    grid: &CalibrationGrid,
-    journal_path: Option<&Path>,
-    poll_ms: u64,
-    trace: Option<&TraceLog>,
-) -> Result<CalibrationReport, String> {
-    grid.validate()?;
-    let mut sweep_grids = Vec::new();
-    let mut tasks = Vec::new();
-    for (index, candidate) in grid.candidates().into_iter().enumerate() {
-        let sweep = grid.sweep_for(&candidate)?;
-        tasks.extend(cell_tasks(&sweep, index)?);
-        sweep_grids.push(sweep);
-    }
-    let results = execute_cells(transport, &tasks, journal_path, poll_ms, trace)?;
-    let mut sweeps = Vec::with_capacity(sweep_grids.len());
-    for (index, sweep_grid) in sweep_grids.iter().enumerate() {
-        let refs: Vec<&CellTask> = tasks.iter().filter(|t| t.sweep_index == index).collect();
-        let cells = build_cells(&refs, &results)?;
-        sweeps.push(merge_sweep(sweep_grid, &cells)?);
-    }
-    score_calibration(grid, &sweeps)
+    ahn_core::run_sweep_with(grid, |cells| {
+        run_cells_via(transport, cells, journal_path, poll_ms, None)
+    })
 }
 
 #[cfg(test)]
@@ -355,18 +298,17 @@ mod tests {
 
     #[test]
     fn a_task_key_is_its_spec_cache_key() {
-        let grid = CalibrationGrid::smoke();
-        let candidate = grid.candidates().swap_remove(0);
-        let sweep = grid.sweep_for(&candidate).unwrap();
-        let tasks = cell_tasks(&sweep, 0).unwrap();
-        assert_eq!(tasks.len(), sweep.cell_count());
-        for task in &tasks {
+        let grid = ahn_core::CalibrationGrid::smoke();
+        let (_, cells) = grid.cells().unwrap();
+        let tasks = cell_tasks(&cells).unwrap();
+        assert_eq!(tasks.len(), grid.cell_count());
+        for (task, (config, case)) in tasks.iter().zip(cells.cells()) {
             let spec: JobSpec = serde_json::from_str(&task.body).unwrap();
             assert_eq!(
                 spec,
                 JobSpec::Experiment {
-                    config: task.config.clone(),
-                    cases: vec![task.case.clone()],
+                    config: config.clone(),
+                    cases: vec![case.clone()],
                 }
             );
             assert_eq!(task.key, spec.cache_key().unwrap());

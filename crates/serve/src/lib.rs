@@ -25,8 +25,9 @@
 //!   behind checkpoint/resume;
 //! * [`worker`] — the pull worker driving `POST /v1/work/claim` /
 //!   `complete` (the `ahn-exp worker` subcommand);
-//! * [`coordinator`] — distributed sweeps/calibrations: submit cells,
-//!   checkpoint completions, merge bit-identically to the local fold;
+//! * [`coordinator`] — the remote cell runner of sweeps and
+//!   calibrations: submit cells, checkpoint completions, return the
+//!   results in cell order for the core fold;
 //! * [`faults`] — the seeded [`faults::FlakyTransport`] chaos harness
 //!   (drop/latency/stall/partial-write) behind the distributed tests
 //!   and the `--chaos-*` worker flags;
@@ -85,7 +86,7 @@ pub mod resilience;
 pub mod server;
 pub mod worker;
 
-pub use coordinator::{run_calibration_via_traced, run_sweep_via, run_sweep_via_traced};
+pub use coordinator::{run_cells_via, run_sweep_via};
 pub use faults::{FaultPlan, FlakyTransport};
 pub use loadtest::{run_loadtest, LoadtestConfig, LoadtestReport};
 pub use metrics::{LatencySnapshot, Snapshot};

@@ -57,7 +57,7 @@ use crate::protocol::{
     presets, ClaimRequest, JobSpec, SubmitAck, WorkCompletion, WorkGrant, DEFAULT_LEASE_MS,
     MAX_LEASE_MS,
 };
-use ahn_core::sweeps::{SweepCellSpec, SweepGrid};
+use ahn_core::{GridCells, SweepGrid};
 use ahn_obs::{trace_id_of_key, TraceEvent, TraceLog};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -435,11 +435,10 @@ fn decode<T: serde::de::DeserializeOwned>(body: &[u8], what: &str) -> Result<T, 
     serde_json::from_str(text).map_err(|e| bad_request(&format!("cannot parse {what}: {e}")))
 }
 
-/// Runs one resolved spec through validation, hashing and the store's
+/// Runs one resolved, validated spec through hashing and the store's
 /// cache → coalesce → enqueue flow, counting the submission and
 /// emitting the cell's root trace spans (submit/enqueue/coalesce).
 fn submit_spec(shared: &Shared, spec: JobSpec) -> Result<Submitted, Reply> {
-    spec.validate().map_err(|e| bad_request(&e))?;
     let key = spec.cache_key().map_err(|e| (500, error_body(&e)))?;
     let metrics = &shared.metrics;
     Metrics::bump(&metrics.submissions);
@@ -475,11 +474,12 @@ fn submit_spec(shared: &Shared, spec: JobSpec) -> Result<Submitted, Reply> {
     Ok(submitted)
 }
 
-/// The `POST /v1/experiments` flow: decode, resolve, then
+/// The `POST /v1/experiments` flow: decode, resolve, validate, then
 /// [`submit_spec`].
 fn submit(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
     let spec = decode::<JobSpec>(body, "JobSpec")?;
     let spec = spec.resolve().map_err(|e| bad_request(&e))?;
+    spec.validate().map_err(|e| bad_request(&e))?;
     let ack = |job_id: u64, status: JobStatus| {
         let ack = SubmitAck {
             job_id,
@@ -518,33 +518,32 @@ fn cap_cells(what: &str, cells: usize, advice: &str) -> Result<(), Reply> {
     Ok(())
 }
 
-/// Submits every cell of `sweep` in grid order as a single-case
-/// experiment job, through the same flow as `POST /v1/experiments`, and
-/// appends one response entry per cell to `cells`: cached cells carry
-/// their result inline, fresh and coalesced cells a `job_id` to poll at
-/// `GET /v1/jobs/{id}`, and cells bounced by a full queue the status
-/// `"rejected"` (the caller retries just those). `coords` renders a
-/// cell's coordinates for its entry.
+/// Submits every cell in order as a single-case experiment job, through
+/// the same flow as `POST /v1/experiments` (the grid pass already ran
+/// [`ahn_core::check_cell`] on each), and answers one entry per cell:
+/// cached cells carry their result inline, fresh and coalesced cells a
+/// `job_id` to poll at `GET /v1/jobs/{id}`, and cells bounced by a full
+/// queue the status `"rejected"` (the caller retries just those).
+/// `coords(i)` renders cell `i`'s coordinates for its entry.
 fn submit_cells(
     shared: &Shared,
-    sweep: &SweepGrid,
-    coords: impl Fn(&SweepCellSpec) -> String,
-    cells: &mut Vec<String>,
-) -> Result<(), Reply> {
-    for cell in sweep.cell_specs() {
-        let (config, case) = sweep.resolve(&cell).map_err(|e| bad_request(&e))?;
+    cells: &GridCells,
+    coords: impl Fn(usize) -> String,
+) -> Result<Reply, Reply> {
+    let mut entries = Vec::with_capacity(cells.cells().len());
+    for (i, (config, case)) in cells.cells().iter().enumerate() {
         let spec = JobSpec::Experiment {
-            config,
-            cases: vec![case],
+            config: config.clone(),
+            cases: vec![case.clone()],
         };
-        let coords = coords(&cell);
+        let coords = coords(i);
         let job = |id: u64, status: JobStatus| {
             format!(
                 "{{\"spec\":{coords},\"job_id\":{id},\"status\":\"{}\",\"cached\":false}}",
                 status.as_str()
             )
         };
-        cells.push(match submit_spec(shared, spec)? {
+        entries.push(match submit_spec(shared, spec)? {
             Submitted::Cached(result) => format!(
                 "{{\"spec\":{coords},\"job_id\":null,\"status\":\"done\",\
                  \"cached\":true,\"result\":{result}}}"
@@ -557,14 +556,14 @@ fn submit_cells(
             ),
         });
     }
-    Ok(())
+    Ok((200, format!("{{\"cells\":[{}]}}", entries.join(","))))
 }
 
-/// The `POST /v1/sweeps` flow: decode a [`SweepGrid`] and submit its
-/// cells (see [`submit_cells`]). Because a cell's job spec is
-/// byte-identical to the equivalent direct submission, cells share the
-/// result cache with single experiments (and with every other sweep
-/// that contains them).
+/// The `POST /v1/sweeps` flow: decode a [`SweepGrid`], resolve and check
+/// its cells once ([`SweepGrid::cells`]) and submit them (see
+/// [`submit_cells`]). Because a cell's job spec is byte-identical to
+/// the equivalent direct submission, cells share the result cache with
+/// single experiments (and with every other sweep that contains them).
 fn submit_sweep(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
     let grid: SweepGrid = decode(body, "SweepGrid")?;
     cap_cells(
@@ -572,20 +571,19 @@ fn submit_sweep(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
         grid.cell_count(),
         "split the grid into smaller submissions",
     )?;
-    grid.validate().map_err(|e| bad_request(&e))?;
-    let mut cells = Vec::with_capacity(grid.cell_count());
-    let coords = |cell: &SweepCellSpec| serde_json::to_string(cell).unwrap_or_else(|_| "{}".into());
-    submit_cells(shared, &grid, coords, &mut cells)?;
-    Ok((200, format!("{{\"cells\":[{}]}}", cells.join(","))))
+    let cells = grid.cells().map_err(|e| bad_request(&e))?;
+    submit_cells(shared, &cells, |i| {
+        serde_json::to_string(&cells.specs()[i]).unwrap_or_else(|_| "{}".into())
+    })
 }
 
 /// The `POST /v1/calibrations` flow: decode an
-/// [`ahn_core::calibrate::CalibrationGrid`] and submit the cells of
-/// each candidate's sweep, candidates outermost (see [`submit_cells`]).
-/// A calibration cell resolves to exactly the `(config, case)` pair the
-/// equivalent direct submission or sweep would use, so repeated
-/// searches — and searches overlapping a sweep — hit the result cache
-/// per cell.
+/// [`ahn_core::calibrate::CalibrationGrid`], resolve and check its
+/// cells once ([`ahn_core::CalibrationGrid::cells`]: candidates
+/// outermost) and submit them (see [`submit_cells`]). A calibration cell
+/// resolves to exactly the `(config, case)` pair the equivalent direct
+/// submission or sweep would use, so repeated searches — and searches
+/// overlapping a sweep — hit the result cache per cell.
 fn submit_calibration(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
     let grid: ahn_core::calibrate::CalibrationGrid = decode(body, "CalibrationGrid")?;
     cap_cells(
@@ -593,19 +591,17 @@ fn submit_calibration(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
         grid.cell_count(),
         "lower max_candidates or split the search",
     )?;
-    grid.validate().map_err(|e| bad_request(&e))?;
-    let mut cells = Vec::with_capacity(grid.cell_count());
-    for candidate in grid.candidates() {
-        let sweep = grid.sweep_for(&candidate).map_err(|e| bad_request(&e))?;
-        let coords = |cell: &SweepCellSpec| {
-            format!(
-                "{{\"candidate\":{},\"case_no\":{},\"seed_block\":{}}}",
-                candidate.id, cell.case_no, cell.seed_block
-            )
-        };
-        submit_cells(shared, &sweep, coords, &mut cells)?;
-    }
-    Ok((200, format!("{{\"cells\":[{}]}}", cells.join(","))))
+    let (candidates, cells) = grid.cells().map_err(|e| bad_request(&e))?;
+    let per_candidate = grid.cases.len() * grid.seed_blocks.len();
+    submit_cells(shared, &cells, |i| {
+        let cell = &cells.specs()[i];
+        format!(
+            "{{\"candidate\":{},\"case_no\":{},\"seed_block\":{}}}",
+            candidates[i / per_candidate].0.id,
+            cell.case_no,
+            cell.seed_block
+        )
+    })
 }
 
 /// The `GET /v1/jobs/{id}` flow.

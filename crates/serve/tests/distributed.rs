@@ -9,8 +9,8 @@ use ahn_serve::loadtest::one_shot;
 use ahn_serve::protocol::{JobReply, WorkCompletion, WorkGrant};
 use ahn_serve::server::{spawn, ServerConfig, ServerHandle};
 use ahn_serve::{
-    run_calibration_via_traced, run_sweep_via, run_worker_observed, BackoffPolicy, CircuitBreaker,
-    FaultPlan, FlakyTransport, HttpTransport, Transport, WorkerConfig, WorkerReport,
+    run_cells_via, run_sweep_via, run_worker_observed, BackoffPolicy, CircuitBreaker, FaultPlan,
+    FlakyTransport, HttpTransport, Transport, WorkerConfig, WorkerReport,
 };
 use serde_json::Value;
 use std::path::PathBuf;
@@ -416,8 +416,10 @@ fn distributed_calibration_matches_local_including_pareto_front() {
         .map(|_| start_worker(&addr, FaultPlan::none(), 60_000))
         .collect();
     let mut transport = HttpTransport::new(&addr);
-    let report = run_calibration_via_traced(&mut transport, &grid, Some(&journal), 2, None)
-        .expect("distributed calibration");
+    let report = ahn_core::run_calibration_with(&grid, |cells| {
+        run_cells_via(&mut transport, cells, Some(&journal), 2, None)
+    })
+    .expect("distributed calibration");
     assert_eq!(
         serde_json::to_string_pretty(&report).unwrap(),
         local_json,
@@ -432,8 +434,10 @@ fn distributed_calibration_matches_local_including_pareto_front() {
     // workers anywhere can still produce the full report.
     let (handle, addr) = boot(0, None);
     let mut transport = HttpTransport::new(&addr);
-    let resumed = run_calibration_via_traced(&mut transport, &grid, Some(&journal), 2, None)
-        .expect("journal-only calibration");
+    let resumed = ahn_core::run_calibration_with(&grid, |cells| {
+        run_cells_via(&mut transport, cells, Some(&journal), 2, None)
+    })
+    .expect("journal-only calibration");
     assert_eq!(
         serde_json::to_string_pretty(&resumed).unwrap(),
         local_json,
@@ -441,6 +445,47 @@ fn distributed_calibration_matches_local_including_pareto_front() {
     );
     handle.shutdown();
     let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
+fn repeated_axis_values_give_the_local_bytes_through_a_node() {
+    let sweep = |cases: &[usize], sizes: &[usize]| ahn_core::SweepGrid {
+        cases: cases.to_vec(),
+        sizes: sizes.to_vec(),
+        seed_blocks: vec![0],
+        ..small_grid()
+    };
+    let mut calibration = ahn_core::CalibrationGrid::smoke();
+    calibration.cases = vec![1, 1];
+    calibration.base.replications = 1;
+
+    let (handle, addr) = boot(0, None);
+    let worker = start_worker(&addr, FaultPlan::none(), 60_000);
+    let mut transport = HttpTransport::new(&addr);
+    for grid in [sweep(&[1, 1], &[10]), sweep(&[2], &[10, 10])] {
+        let local = ahn_core::run_sweep(&grid).expect("local sweep");
+        let via = run_sweep_via(&mut transport, &grid, None, 2)
+            .unwrap_or_else(|e| panic!("{:?} x {:?}: {e}", grid.cases, grid.sizes));
+        assert_eq!(local.cells.len(), 2);
+        assert_eq!(
+            serde_json::to_string_pretty(&via).unwrap(),
+            serde_json::to_string_pretty(&local).unwrap()
+        );
+    }
+    let local = ahn_core::run_calibration(&calibration).expect("local calibration");
+    let via = ahn_core::run_calibration_with(&calibration, |cells| {
+        run_cells_via(&mut transport, cells, None, 2, None)
+    })
+    .expect("calibration through the node");
+    assert_eq!(
+        serde_json::to_string_pretty(&via).unwrap(),
+        serde_json::to_string_pretty(&local).unwrap()
+    );
+    // Each distinct cell was computed once: one per sweep, one per
+    // calibration candidate.
+    assert_eq!(metric_u64(&addr, "cells_completed_external"), 1 + 1 + 2);
+    worker.join().expect("worker thread").0.expect("clean exit");
+    handle.shutdown();
 }
 
 #[test]

@@ -135,87 +135,60 @@ fn strategies_in_results_render_in_paper_notation() {
 }
 
 // ---------------------------------------------------------------------
-// Distributed-merge determinism: however cell completions arrive —
-// permuted, duplicated, split across checkpoints — `merge_sweep` must
-// reproduce the serial `run_sweep` report bit for bit. This is the
-// property the distributed coordinator (`ahn::serve::run_sweep_via`)
-// leans on.
+// The grid fold: a sweep folded from cells that ran as ordinary single
+// experiments — the job a distributed worker runs — has the bytes of
+// the in-process batch. This is the property the distributed
+// coordinator (`ahn::serve::run_sweep_via`) leans on.
 
-use ahn::core::{merge_sweep, run_sweep, SweepCell, SweepGrid, SweepReport};
-use ahn::obs::splitmix64;
-use proptest::prelude::*;
-use std::sync::OnceLock;
+use ahn::core::{run_sweep, run_sweep_with, SweepGrid};
 
-/// One serial reference run, shared by every proptest case.
-fn sweep_fixture() -> &'static (SweepGrid, SweepReport, String) {
-    static FIXTURE: OnceLock<(SweepGrid, SweepReport, String)> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let mut base = cfg();
-        base.generations = 3;
-        base.replications = 1;
-        let grid = SweepGrid {
-            base,
-            scenarios: None,
-            cases: vec![1, 3],
-            payoffs: vec!["paper".into()],
-            sizes: vec![10],
-            seed_blocks: vec![0, 1],
-        };
-        let report = run_sweep(&grid).expect("reference sweep");
-        let json = serde_json::to_string(&report).expect("serialize reference");
-        (grid, report, json)
-    })
-}
-
-/// A reference sweep over the scenario axis (base + two attacker
-/// scenarios), shared by the scenario-axis proptest.
-fn scenario_sweep_fixture() -> &'static (SweepGrid, SweepReport, String) {
-    static FIXTURE: OnceLock<(SweepGrid, SweepReport, String)> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let mut base = cfg();
-        base.generations = 3;
-        base.replications = 1;
-        let grid = SweepGrid {
-            base,
-            scenarios: Some(vec![
-                "base".into(),
-                "slanderers".into(),
-                "whitewashers".into(),
-            ]),
-            cases: vec![1],
-            payoffs: vec!["paper".into()],
-            sizes: vec![10],
-            seed_blocks: vec![0, 1],
-        };
-        let report = run_sweep(&grid).expect("reference scenario sweep");
-        let json = serde_json::to_string(&report).expect("serialize reference");
-        (grid, report, json)
-    })
+/// A base-model sweep: cases with one and four environments, so cells
+/// of uneven cost, over two seed blocks.
+fn sweep_grid() -> SweepGrid {
+    let mut base = cfg();
+    base.generations = 3;
+    base.replications = 1;
+    SweepGrid {
+        base,
+        scenarios: None,
+        cases: vec![1, 3],
+        payoffs: vec!["paper".into()],
+        sizes: vec![10],
+        seed_blocks: vec![0, 1],
+    }
 }
 
 /// The scenario axis keeps the purity contract: resolving every cell
 /// and running it as an ordinary single experiment (the distributed
-/// worker path) merges to the exact bytes of the parallel
-/// `run_sweep` — so scenario cells are bit-identical no matter how
-/// many threads or workers computed them.
+/// worker path) folds to the exact bytes of the parallel `run_sweep` —
+/// so scenario cells are bit-identical no matter how many threads or
+/// workers computed them. The base-model grid holds it too.
 #[test]
 fn scenario_cells_from_single_experiments_merge_to_the_sweep_bytes() {
-    use ahn::core::cell_from_result;
-    let (grid, _, reference_json) = scenario_sweep_fixture();
-    let cells: Vec<SweepCell> = grid
-        .cell_specs()
-        .into_iter()
-        .map(|spec| {
-            let (config, case) = grid.resolve(&spec).expect("resolve scenario cell");
-            let result = run_experiment(&config, &case);
-            cell_from_result(spec, &config, &case, &result)
+    let scenarios = SweepGrid {
+        scenarios: Some(vec![
+            "base".into(),
+            "slanderers".into(),
+            "whitewashers".into(),
+        ]),
+        cases: vec![1],
+        ..sweep_grid()
+    };
+    for grid in [scenarios, sweep_grid()] {
+        let folded = run_sweep_with(&grid, |cells| {
+            Ok::<_, String>(
+                (cells.cells().iter())
+                    .map(|(config, case)| run_experiment(config, case))
+                    .collect(),
+            )
         })
-        .collect();
-    let merged = merge_sweep(grid, &cells).expect("merge worker-path cells");
-    assert_eq!(
-        &serde_json::to_string(&merged).expect("serialize merged"),
-        reference_json
-    );
+        .expect("fold worker-path cells");
+        let reference = run_sweep(&grid).expect("reference sweep");
+        assert_eq!(
+            serde_json::to_string(&folded).expect("serialize folded"),
+            serde_json::to_string(&reference).expect("serialize reference")
+        );
+    }
 }
 
 /// A base-scenario coordinate (`Some("base")`) resolves to the same
@@ -224,7 +197,7 @@ fn scenario_cells_from_single_experiments_merge_to_the_sweep_bytes() {
 /// both paths apply.
 #[test]
 fn base_scenario_cells_match_legacy_cells() {
-    let (grid, _, _) = sweep_fixture();
+    let grid = sweep_grid();
     let mut with_axis = grid.clone();
     with_axis.scenarios = Some(vec!["base".into()]);
     let legacy = grid.cell_specs();
@@ -239,125 +212,11 @@ fn base_scenario_cells_match_legacy_cells() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Any interleaving of completions — an arbitrary permutation, an
-    /// arbitrary subset delivered twice, an arbitrary checkpoint split —
-    /// merges to the serial report's exact bytes. A merge of only the
-    /// first checkpoint's cells either already covers the grid or fails
-    /// loudly about the missing cells; it never fabricates a report.
-    #[test]
-    fn any_completion_interleaving_merges_to_the_serial_report(
-        perm_seed in any::<u64>(),
-        dup_mask in any::<u32>(),
-        split_pick in any::<u16>(),
-    ) {
-        let (grid, report, reference_json) = sweep_fixture();
-        let mut arrivals: Vec<SweepCell> = report.cells.clone();
-        let n = arrivals.len();
-
-        // Duplicate the cells selected by the mask (a worker retrying a
-        // completion the server already applied).
-        for i in 0..n {
-            if dup_mask & (1 << i) != 0 {
-                arrivals.push(report.cells[i].clone());
-            }
-        }
-        // Fisher-Yates with a seeded splitmix stream: an arbitrary
-        // arrival order across workers.
-        for i in (1..arrivals.len()).rev() {
-            let j = (splitmix64(perm_seed ^ i as u64) % (i as u64 + 1)) as usize;
-            arrivals.swap(i, j);
-        }
-
-        let merged = merge_sweep(grid, &arrivals).expect("merge interleaved completions");
-        prop_assert_eq!(
-            serde_json::to_string(&merged).expect("serialize merged"),
-            reference_json.as_str(),
-            "an interleaving changed the merged bytes"
-        );
-
-        // A partial checkpoint: merging only the first chunk must either
-        // cover every cell (then: identical bytes) or name a missing
-        // cell — and replaying the rest on top always completes.
-        let split = (split_pick as usize) % (arrivals.len() + 1);
-        let (first, rest) = arrivals.split_at(split);
-        match merge_sweep(grid, first) {
-            Ok(partial) => prop_assert_eq!(
-                serde_json::to_string(&partial).expect("serialize partial"),
-                reference_json.as_str()
-            ),
-            Err(e) => prop_assert!(e.contains("never completed"), "unexpected error: {e}"),
-        }
-        let replayed: Vec<SweepCell> = first.iter().chain(rest.iter()).cloned().collect();
-        let resumed = merge_sweep(grid, &replayed).expect("resume merge");
-        prop_assert_eq!(
-            serde_json::to_string(&resumed).expect("serialize resumed"),
-            reference_json.as_str()
-        );
-    }
-
-    /// The interleaving property holds on the scenario axis too: any
-    /// permutation + duplication of scenario-keyed cells merges to the
-    /// serial report's exact bytes, and dropping a scenario cell names
-    /// it instead of fabricating a report.
-    #[test]
-    fn scenario_axis_merges_bit_identically_across_interleavings(
-        perm_seed in any::<u64>(),
-        dup_mask in any::<u32>(),
-        drop_pick in any::<u16>(),
-    ) {
-        let (grid, report, reference_json) = scenario_sweep_fixture();
-        let mut arrivals: Vec<SweepCell> = report.cells.clone();
-        let n = arrivals.len();
-        for i in 0..n {
-            if dup_mask & (1 << i) != 0 {
-                arrivals.push(report.cells[i].clone());
-            }
-        }
-        for i in (1..arrivals.len()).rev() {
-            let j = (splitmix64(perm_seed ^ i as u64) % (i as u64 + 1)) as usize;
-            arrivals.swap(i, j);
-        }
-        let merged = merge_sweep(grid, &arrivals).expect("merge scenario cells");
-        prop_assert_eq!(
-            serde_json::to_string(&merged).expect("serialize merged"),
-            reference_json.as_str(),
-            "an interleaving changed the scenario-sweep bytes"
-        );
-
-        // Removing every completion of one cell must fail loudly.
-        let victim = report.cells[(drop_pick as usize) % n].spec.clone();
-        let partial: Vec<SweepCell> = arrivals
-            .iter()
-            .filter(|c| c.spec != victim)
-            .cloned()
-            .collect();
-        let err = merge_sweep(grid, &partial).expect_err("missing cell must not merge");
-        prop_assert!(err.contains("never completed"), "unexpected error: {err}");
-    }
-
-    /// A completion that violates the purity contract — same cell
-    /// coordinates, different numbers — must fail the merge loudly
-    /// instead of silently picking a winner.
-    #[test]
-    fn conflicting_duplicates_fail_the_merge(which in 0usize..4, delta in 1u32..1000) {
-        let (grid, report, _) = sweep_fixture();
-        let mut arrivals: Vec<SweepCell> = report.cells.clone();
-        let mut corrupt = arrivals[which].clone();
-        corrupt.final_coop.add(delta as f64 / 1000.0);
-        arrivals.push(corrupt);
-        let err = merge_sweep(grid, &arrivals).expect_err("conflicting cells must not merge");
-        prop_assert!(err.contains("conflicting"), "unexpected error: {err}");
-    }
-}
-
 // ---------------------------------------------------------------------
 // Tracing never changes results, and a traced local run's span log
 // joins back into one complete span tree per cell.
 
-use ahn::core::{run_cells, run_sweep_traced, Cell};
+use ahn::core::{run_cells, Cell};
 use ahn::obs::{join_traces, read_trace, TraceLog};
 use std::path::{Path, PathBuf};
 
@@ -405,7 +264,8 @@ fn traced_sweep_matches_untraced_and_joins_into_complete_cells() {
     };
     let path = fresh_trace_path("sweep");
     let log = TraceLog::open(&path, "test").expect("open trace");
-    let traced = run_sweep_traced(&grid, Some(&log)).expect("traced sweep");
+    let traced = run_sweep_with(&grid, |cells| Ok::<_, String>(cells.run(Some(&log))))
+        .expect("traced sweep");
     drop(log);
     let untraced = run_sweep(&grid).expect("untraced sweep");
     assert_eq!(

@@ -171,12 +171,11 @@ fn print_usage() {
 struct Options {
     config: ExperimentConfig,
     out_dir: Option<std::path::PathBuf>,
-    /// `--trace FILE` as given; [`Options::finish`] opens it.
+    /// `--trace FILE` as given; [`Options::open_trace`] opens it.
     trace_path: Option<String>,
-    /// The span log: local runs record each cell's lifecycle and
-    /// per-generation hot-loop samples into it, `--via` runs the
-    /// coordinator's side of every cell.
-    trace: Option<ahn_obs::TraceLog>,
+    /// The role the span log names this process by, set by
+    /// [`Options::finish`]: `ahn-exp`, or `coordinator` for `--via`.
+    role: &'static str,
 }
 
 impl Options {
@@ -241,13 +240,22 @@ impl Options {
         apply().map_err(CliError::with_usage)
     }
 
-    /// Validates the configuration and opens the `--trace` log as node
-    /// `role`, once the whole command line has parsed. The usage follows
-    /// any error.
-    fn finish(&mut self, role: &str) -> Result<(), CliError> {
+    /// Validates the configuration, once the whole command line has
+    /// parsed, and names the process `role` in its span log. The usage
+    /// follows any error.
+    fn finish(&mut self, role: &'static str) -> Result<(), CliError> {
         self.config.validate().map_err(Usage)?;
-        self.trace = open_trace(self.trace_path.as_deref(), role).map_err(CliError::with_usage)?;
+        self.role = role;
         Ok(())
+    }
+
+    /// Opens the `--trace` span log. Local runs record each cell's
+    /// lifecycle and per-generation hot-loop samples into it, `--via`
+    /// runs the coordinator's side of every cell. Called once the
+    /// command's cells pass their check, so a rejected command leaves no
+    /// file behind.
+    fn open_trace(&self) -> Result<Option<ahn_obs::TraceLog>, CliError> {
+        open_trace(self.trace_path.as_deref(), self.role)
     }
 
     fn maybe_write(&self, name: &str, contents: &str) {
@@ -292,11 +300,12 @@ fn run_cases(opts: &Options, case_nos: &[usize]) -> Result<Vec<ExperimentResult>
         .map(|&n| (config.clone(), CaseSpec::paper(n)))
         .collect();
     check_cells(&cells)?;
+    let trace = opts.open_trace()?;
     eprintln!(
         "running cases {case_nos:?} ({} replications x {} generations, R={})...",
         config.replications, config.generations, config.rounds
     );
-    Ok(ahn_core::run_cells(&cells, opts.trace.as_ref(), |i| {
+    Ok(ahn_core::run_cells(&cells, trace.as_ref(), |i| {
         cells[i].1.name.clone()
     }))
 }
@@ -483,8 +492,9 @@ fn study(opts: &Options, command: &str) -> Result<(), CliError> {
     };
     let (labels, cells): (Vec<String>, Vec<_>) = cells.into_iter().unzip();
     check_cells(&cells)?;
+    let trace = opts.open_trace()?;
     eprintln!("running {title} ({} cells)...", cells.len());
-    let results = ahn_core::run_cells(&cells, opts.trace.as_ref(), |i| labels[i].clone());
+    let results = ahn_core::run_cells(&cells, trace.as_ref(), |i| labels[i].clone());
     let rows: Vec<_> = (labels.into_iter())
         .zip(results.into_iter().map(|r| r.final_coop))
         .collect();
@@ -704,17 +714,18 @@ impl GridFlags {
     /// Runs a grid's cells where the flags say — through the serve node
     /// at `--via`, checkpointed to `--journal`, or in-process — traced
     /// to `--trace` either way: the cell runner of `sweep` and
-    /// `calibrate`. Whatever fails once the cells run (node, transport,
-    /// job or journal) is a runtime failure.
+    /// `calibrate`, which the grid calls once its cells pass their check.
+    /// Whatever fails once the cells run (node, transport, job or
+    /// journal) is a runtime failure.
     fn run(&self, cells: &GridCells) -> Result<Vec<ExperimentResult>, CliError> {
-        let trace = self.opts.trace.as_ref();
+        let trace = self.opts.open_trace()?;
         let Some(addr) = &self.via else {
-            return Ok(cells.run(trace));
+            return Ok(cells.run(trace.as_ref()));
         };
         eprintln!("  distributing via {addr}...");
         let mut transport = ahn_serve::HttpTransport::new(addr);
         let journal = self.journal.as_deref().map(std::path::Path::new);
-        ahn_serve::run_cells_via(&mut transport, cells, journal, 10, trace).map_err(Failed)
+        ahn_serve::run_cells_via(&mut transport, cells, journal, 10, trace.as_ref()).map_err(Failed)
     }
 
     /// Prints the report — its JSON with `--json`, else `rendered` — and
@@ -768,17 +779,19 @@ fn parse_sweep_flags(args: &[String]) -> Result<(ahn_core::SweepGrid, GridFlags)
 /// the same report either way.
 fn sweep(args: &[String]) -> Result<(), CliError> {
     let (grid, f) = parse_sweep_flags(args)?;
-    eprintln!(
-        "sweeping {} cells ({} scenarios x {} cases x {} payoffs x {} sizes x {} seed blocks, {} replications each)...",
-        grid.cell_count(),
-        grid.scenarios.as_ref().map(Vec::len).unwrap_or(1),
-        grid.cases.len(),
-        grid.payoffs.len(),
-        grid.sizes.len(),
-        grid.seed_blocks.len(),
-        grid.base.replications
-    );
-    let report = ahn_core::run_sweep_with(&grid, |cells| f.run(cells))?;
+    let report = ahn_core::run_sweep_with(&grid, |cells| {
+        eprintln!(
+            "sweeping {} cells ({} scenarios x {} cases x {} payoffs x {} sizes x {} seed blocks, {} replications each)...",
+            grid.cell_count(),
+            grid.scenarios.as_ref().map(Vec::len).unwrap_or(1),
+            grid.cases.len(),
+            grid.payoffs.len(),
+            grid.sizes.len(),
+            grid.seed_blocks.len(),
+            grid.base.replications
+        );
+        f.run(cells)
+    })?;
     f.print(
         serde_json::to_string_pretty(&report),
         || sweeps::render_sweep_report(&report),
@@ -835,15 +848,17 @@ fn parse_calibrate_flags(
 /// `smoke` preset; override with the usual experiment flags.
 fn calibrate(args: &[String]) -> Result<(), CliError> {
     let (grid, f) = parse_calibrate_flags(args)?;
-    eprintln!(
-        "searching {} candidates ({} cases x {} seed blocks = {} cells, {} replications each)...",
-        grid.candidate_count(),
-        grid.cases.len(),
-        grid.seed_blocks.len(),
-        grid.cell_count(),
-        grid.base.replications
-    );
-    let report = ahn_core::run_calibration_with(&grid, |cells| f.run(cells))?;
+    let report = ahn_core::run_calibration_with(&grid, |cells| {
+        eprintln!(
+            "searching {} candidates ({} cases x {} seed blocks = {} cells, {} replications each)...",
+            grid.candidate_count(),
+            grid.cases.len(),
+            grid.seed_blocks.len(),
+            grid.cell_count(),
+            grid.base.replications
+        );
+        f.run(cells)
+    })?;
     f.print(
         serde_json::to_string_pretty(&report),
         || ahn_core::calibrate::render_calibration_report(&report),
@@ -911,6 +926,7 @@ fn scenario_run(args: &[String]) -> Result<(), CliError> {
     let case = CaseSpec::mini(name, &[0], size, ahn_core::PathMode::Shorter);
     let cell = scenario.apply(&config, &case)?;
     check_cells(std::slice::from_ref(&cell))?;
+    let trace = opts.open_trace()?;
     eprintln!(
         "running scenario {name:?} (hash {:016x}) against {defense:?}, \
          {size} participants, {} replications...",
@@ -918,7 +934,7 @@ fn scenario_run(args: &[String]) -> Result<(), CliError> {
         cell.0.replications
     );
     let detail = format!("scenario {name} defense {defense} size {size}");
-    let result = &ahn_core::run_cells(&[cell], opts.trace.as_ref(), |_| detail.clone())[0];
+    let result = &ahn_core::run_cells(&[cell], trace.as_ref(), |_| detail.clone())[0];
     println!(
         "scenario {name} vs {defense}: cooperation {} ± {}",
         ahn_stats::pct(result.final_coop.mean().unwrap_or(0.0), 1),
@@ -1337,6 +1353,7 @@ fn parse_worker_flags(args: &[String]) -> Result<WorkerFlags, CliError> {
 fn worker(args: &[String]) -> Result<(), CliError> {
     let flags = parse_worker_flags(args)?;
     eprintln!("worker: pulling cells from {}...", flags.addr);
+    ahn_core::threads::log_once("worker");
     if flags.chaos.is_active() {
         eprintln!("worker: chaos enabled: {:?}", flags.chaos);
     }
@@ -1883,7 +1900,7 @@ mod tests {
         assert_eq!(o.config.replications, 3);
         assert_eq!(o.config.base_seed, 9);
         assert!(o.out_dir.is_none());
-        assert!(o.trace.is_none());
+        assert!(o.open_trace().unwrap().is_none());
         let o = options(&["--out", "/tmp/x"]).unwrap();
         assert_eq!(o.out_dir.as_deref(), Some(std::path::Path::new("/tmp/x")));
     }
@@ -1907,28 +1924,31 @@ mod tests {
         assert_eq!(f.trace.as_deref(), Some("w.trace"));
         assert!(parse_worker_flags(&args(&[])).unwrap().trace.is_none());
 
-        // sweep and calibrate open theirs like every experiment command:
-        // as the coordinator with --via, else for the local run.
+        // sweep and calibrate name theirs like every experiment command:
+        // as the coordinator with --via, else for the local run. Parsing
+        // opens nothing; the command opens the log once its cells pass.
         let path = tmp("grid.trace");
+        let exists = || std::path::Path::new(&path).exists();
         let (_, f) = parse_sweep_flags(&args(&["--trace", &path])).unwrap();
+        assert!(!exists(), "parsing created the trace log");
+        let log = f.opts.open_trace().unwrap();
         assert_eq!(
-            f.opts.trace.map(|log| log.node().starts_with("ahn-exp:")),
+            log.map(|log| log.node().starts_with("ahn-exp:")),
             Some(true)
         );
+        assert!(exists());
         let (_, f) =
             parse_calibrate_flags(&args(&["--via", "127.0.0.1:7172", "--trace", &path])).unwrap();
-        let coordinator = f
-            .opts
-            .trace
-            .map(|log| log.node().starts_with("coordinator:"));
+        let coordinator =
+            (f.opts.open_trace().unwrap()).map(|log| log.node().starts_with("coordinator:"));
         assert_eq!(coordinator, Some(true));
         let (_, f) = parse_calibrate_flags(&args(&["--trace", &path])).unwrap();
-        assert!(f.opts.trace.is_some());
+        assert!(f.opts.open_trace().unwrap().is_some());
         let _ = std::fs::remove_file(&path);
 
         let path = tmp("options.trace");
         let o = options(&["--trace", &path]).unwrap();
-        assert!(o.trace.is_some());
+        assert!(o.open_trace().unwrap().is_some());
         let _ = std::fs::remove_file(&path);
     }
 

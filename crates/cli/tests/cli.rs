@@ -333,3 +333,39 @@ fn every_traced_command_joins_into_its_cells_or_refuses_the_flag() {
         let _ = std::fs::remove_file(path);
     }
 }
+
+#[test]
+fn a_command_whose_cells_fail_their_check_leaves_no_trace_file() {
+    let path = std::env::temp_dir().join(format!("ahn-cli-rejected-{}.trace", std::process::id()));
+    let path = path.to_str().expect("a UTF-8 temp path");
+    let rejected: [&[&str]; 3] = [
+        &["sweep", "--cases", "9", "--gens", "1", "--reps", "1"],
+        &["calibrate", "--cases", "9", "--gens", "1", "--reps", "1"],
+        // The smoke population cannot fill the paper cases.
+        &["fig4", "--preset", "smoke", "--gens", "1", "--reps", "1"],
+    ];
+    for line in rejected {
+        let _ = std::fs::remove_file(path);
+        let out = ahn_exp(&[line, &["--trace", path]].concat());
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line:?}: {stderr}");
+        assert!(
+            !stderr.contains("sweeping") && !stderr.contains("searching"),
+            "{line:?} announced a run it refused: {stderr}"
+        );
+        assert!(
+            !std::path::Path::new(path).exists(),
+            "{line:?} left a trace file behind"
+        );
+    }
+    // A valid traced sweep still writes its cell's spans.
+    let line = [
+        "sweep", "--preset", "smoke", "--cases", "1", "--sizes", "10", "--gens", "1", "--reps",
+        "1", "--trace", path,
+    ];
+    let out = ahn_exp(&line);
+    assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
+    let join = ahn_exp(&["trace", "--require-complete", "1", path]);
+    assert_eq!(join.status.code(), Some(0), "{}", text(&join.stdout));
+    let _ = std::fs::remove_file(path);
+}

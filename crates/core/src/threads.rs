@@ -5,8 +5,9 @@
 //! already parallelize at a higher level, but historically invisible:
 //! nothing reported whether a sweep ran on 8 cores or was quietly
 //! pinned to 1. This module is the single place that reads the cap for
-//! reporting purposes; sweep/bench/serve startup call [`log_once`], and
-//! the serve `/metrics` endpoint exposes [`effective`].
+//! reporting purposes; sweep/atlas/bench/serve/worker startup call
+//! [`log_once`], the serve `/metrics` endpoint exposes [`effective`],
+//! and a pull worker sizes its cells in flight by it.
 
 use std::sync::Once;
 

@@ -18,7 +18,7 @@
 //!   consumers, and the first completion wins. A later one — a late
 //!   external worker, the pool recomputing a requeued cell — changes no
 //!   cache entry, job record or coalescing entry, and its caller counts
-//!   nothing.
+//!   it only as a duplicate.
 //! * [`JobStore::sweep_expired`] requeues each pending job whose
 //!   external lease passed its deadline at the *front* of the queue, so
 //!   a crashed worker can never strand a cell. [`JobStore::outstanding`]

@@ -47,8 +47,10 @@ pub struct Metrics {
     /// `POST /v1/work/complete` results accepted (first completion of a
     /// job).
     pub work_completed: AtomicU64,
-    /// `POST /v1/work/complete` results discarded as duplicates of an
-    /// already-finished job.
+    /// Results discarded as duplicates of an already-finished job: a
+    /// `POST /v1/work/complete` replay or late delivery, or a pool
+    /// thread's recompute of a requeued cell that an external worker
+    /// settled first (work the node did for nothing).
     pub work_duplicate: AtomicU64,
     /// Expired leases requeued by the lazy sweep (each one is a cell a
     /// crashed or stalled worker abandoned).
@@ -309,7 +311,8 @@ pub struct Snapshot {
     pub work_claim_empty: u64,
     /// External completions accepted.
     pub work_completed: u64,
-    /// External completions discarded as duplicates.
+    /// Results discarded as duplicates: external completions, and pool
+    /// recomputes an external completion beat.
     pub work_duplicate: u64,
     /// Expired leases requeued by the lazy sweep.
     pub lease_requeues: u64,

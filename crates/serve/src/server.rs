@@ -767,8 +767,8 @@ fn work_complete(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
 
 /// Pool thread body: take jobs until the store closes, settling each
 /// through the same [`JobStore::settle`] as `/v1/work/complete`. A cell
-/// an external worker finished first settles as a duplicate and counts
-/// nothing.
+/// an external worker finished first settles as a duplicate: its
+/// recompute was wasted, and it counts in `work_duplicate` only.
 fn worker_loop(shared: &Shared) {
     while let Some(LeasedJob { lease_id, job }) = shared.store.take() {
         let metrics = &shared.metrics;
@@ -800,6 +800,7 @@ fn worker_loop(shared: &Shared) {
         let span = if settled == Settle::Recorded {
             "complete"
         } else {
+            Metrics::bump(&metrics.work_duplicate);
             "duplicate"
         };
         shared.emit(

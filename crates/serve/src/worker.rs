@@ -4,6 +4,20 @@
 //! results via `POST /v1/work/complete` (the `ahn-exp worker`
 //! subcommand).
 //!
+//! One worker keeps busy as many cores as a local sweep would. It keeps
+//! up to [`ahn_core::threads::effective`] (the host's cores, capped by
+//! `AHN_THREADS`) replication items in flight, the unit the cell engine
+//! fans out over: an experiment cell counts `replications × cases`, an
+//! IPDRP cell 1. Granted cells run on that many compute threads,
+//! started at the first grant; the loop thread makes every claim and
+//! delivery, and claims only while the items in flight are below the
+//! thread count. Once a cell
+//! that alone reaches the count is granted (a paper cell), nothing more
+//! is claimed until it finishes, so it fans out inside `run_job` as it
+//! would locally. A granted cell never waits for a thread, so its lease
+//! covers only its own compute, and `AHN_THREADS=1` computes one cell
+//! at a time.
+//!
 //! Determinism is free: a cell is a pure function of its resolved spec,
 //! so *which* process computes it cannot change the bytes. The worker
 //! still verifies the claimed spec's `canonical_hash` against the
@@ -21,12 +35,13 @@
 
 use crate::http::{is_timeout, read_response, write_request};
 use crate::jobs::run_job;
-use crate::protocol::{WorkCompletion, WorkGrant};
+use crate::protocol::{JobSpec, WorkCompletion, WorkGrant};
 use crate::resilience::{Backoff, BackoffPolicy};
 use ahn_obs::{trace_id_of_key, AtomicHistogram, HistogramSnapshot, TraceEvent, TraceLog};
 use serde::{Deserialize, Serialize};
 use std::io::{self, BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One HTTP round trip, abstracted so tests can inject failures
@@ -170,9 +185,11 @@ pub struct WorkerConfig {
     /// Sleep between claims that found nothing (idle polling, not
     /// error retrying — retries use the backoff policy).
     pub poll_ms: u64,
-    /// Stop after processing this many cells (0 = unlimited).
+    /// Stop after this many granted cells are delivered (0 =
+    /// unlimited); the worker never holds more grants than this.
     pub max_cells: u64,
-    /// Exit after this many *consecutive* empty claims (0 = keep
+    /// Exit after this many *consecutive* empty claims made with
+    /// nothing in flight, once every result is delivered (0 = keep
     /// polling forever; the operator kills the worker).
     pub idle_exit_polls: u64,
     /// Give up after this many consecutive transport errors.
@@ -279,7 +296,15 @@ impl WorkerSummary {
 
 /// Runs the claim → compute → complete loop until an exit condition of
 /// `config` fires, returning what happened. `Err` means the worker gave
-/// up (transport dead, or a protocol violation).
+/// up (transport dead, or a protocol violation); it returns once the
+/// cells it was computing finish, and abandons them to lease expiry.
+///
+/// Until the first grant the worker only claims. From then on it keeps
+/// up to [`ahn_core::threads::effective`] replication items in flight
+/// (see the module docs): granted cells run on a pool of compute
+/// threads, while this thread makes every claim and delivery over the
+/// one `transport`. When a cell finishes, its replacement is claimed
+/// before the cell is delivered.
 ///
 /// Each claim reports the breaker trips observed since the last
 /// *acknowledged* claim (`breaker_trips` in the body), so the server's
@@ -313,9 +338,8 @@ pub fn run_worker_observed(
     }
 }
 
-/// Live histograms behind [`WorkerTelemetry`] (the worker is
-/// single-threaded; [`AtomicHistogram`] is simply the zero-allocation
-/// recorder we already have).
+/// Live histograms behind [`WorkerTelemetry`], shared by the loop
+/// thread and the compute threads.
 #[derive(Debug, Default)]
 struct WorkerHistograms {
     claim_rtt_us: AtomicHistogram,
@@ -329,180 +353,347 @@ fn run_worker_loop(
     trace: Option<&TraceLog>,
     telemetry: &WorkerHistograms,
 ) -> Result<WorkerReport, String> {
-    let emit = |event: TraceEvent| {
-        if let Some(log) = trace {
-            log.emit(event);
+    let pause = Duration::from_millis(config.poll_ms.max(1));
+    let mut pull = Puller {
+        transport,
+        config,
+        trace,
+        telemetry,
+        report: WorkerReport::default(),
+        backoff: Backoff::new(config.backoff),
+        consecutive_errors: 0,
+        idle_polls: 0,
+        granted: 0,
+        trips_reported: 0,
+        trips_traced: 0,
+        backoff_ms_pending: 0,
+    };
+    // Idle until the first grant: no compute thread, no channel, and no
+    // read of the thread count (which reads cgroup files), so an entry
+    // that finds the queue empty costs what a claim costs.
+    let first = loop {
+        match pull.claim()? {
+            Some(claimed) => break claimed,
+            None if pull.idle_exit() => return Ok(pull.report),
+            None => std::thread::sleep(pause),
         }
     };
-    // Records a backoff sleep everywhere it is taken: the histogram, the
-    // next claim body (server-side sample) and the trace.
-    let sleep_backoff = |backoff: &mut Backoff, pending_ms: &mut u64, trace_id: u64, why: &str| {
-        let delay = backoff.next_delay();
+    let budget = ahn_core::threads::effective();
+    let (work_tx, work_rx) = mpsc::channel::<Granted>();
+    let (done_tx, done_rx) = mpsc::channel::<Computed>();
+    let work_rx = Mutex::new(work_rx);
+    std::thread::scope(|scope| -> Result<(), String> {
+        // One compute thread per core suffices: every cell counts at
+        // least one item, so at most `budget` cells are in flight.
+        for _ in 0..budget {
+            let (work_rx, done_tx) = (&work_rx, done_tx.clone());
+            std::thread::Builder::new()
+                .name("ahn-worker-cell".into())
+                .spawn_scoped(scope, move || loop {
+                    // `Err` once the loop has returned: a worker that gave
+                    // up abandons what is still queued or computing.
+                    let next = work_rx.lock().expect("no thread panics holding it").recv();
+                    let Ok(cell) = next else { break };
+                    let _ = done_tx.send(compute(cell, telemetry, trace));
+                })
+                .map_err(|e| format!("cannot start a compute thread: {e}"))?;
+        }
+        // Moved in, so it drops when the loop returns and the compute
+        // threads stop.
+        let work_tx = work_tx;
+        let start = |cell: Granted| {
+            let items = cell.items;
+            work_tx
+                .send(cell)
+                .expect("the compute threads outlive the loop");
+            items
+        };
+        // None is in flight exactly when `items` is 0.
+        let mut items = start(first);
+        let mut finished = None;
+        loop {
+            // Claim while the items in flight leave a thread free: a
+            // finished cell's replacement goes out before the cell is
+            // delivered, and an empty claim while cells compute waits
+            // for one of them to finish.
+            let mut emptied = false;
+            while !emptied && items < budget && pull.may_claim() {
+                match pull.claim()? {
+                    Some(claimed) => items += start(claimed),
+                    None => emptied = true,
+                }
+            }
+            if let Some(done) = finished.take() {
+                pull.deliver(done)?;
+            }
+            if items == 0 {
+                // Nothing computes and nothing is left to deliver: the
+                // last claim found the queue empty, or `max_cells` is
+                // spent.
+                if !emptied || pull.idle_exit() {
+                    return Ok(());
+                }
+                std::thread::sleep(pause);
+                continue;
+            }
+            let done = done_rx.recv().expect("the loop thread holds a sender");
+            items -= done.cell.items;
+            finished = Some(done);
+        }
+    })?;
+    Ok(pull.report)
+}
+
+/// Replication items of a granted cell, the unit the cell engine fans
+/// out over: one per (case, replication) of an experiment, one for an
+/// IPDRP run.
+fn replication_items(spec: &JobSpec) -> usize {
+    match spec {
+        JobSpec::Experiment { config, cases } => {
+            config.replications.saturating_mul(cases.len()).max(1)
+        }
+        JobSpec::Ipdrp { .. } | JobSpec::Preset { .. } => 1,
+    }
+}
+
+/// A granted cell, from claim to delivery.
+struct Granted {
+    grant: WorkGrant,
+    trace_id: u64,
+    granted_at: Instant,
+    /// [`replication_items`] of its spec.
+    items: usize,
+}
+
+impl Granted {
+    fn event(&self, span: &str) -> TraceEvent {
+        TraceEvent::new(self.trace_id, span)
+            .key(self.grant.key)
+            .job(self.grant.job_id)
+            .lease(self.grant.lease_id)
+    }
+}
+
+/// A computed cell, sent from a compute thread to the loop thread.
+struct Computed {
+    cell: Granted,
+    succeeded: bool,
+    /// The serialized `WorkCompletion` to deliver.
+    completion: Result<String, String>,
+}
+
+/// A compute thread's work on one cell: the per-cell idempotency check
+/// (the canonical hash of the spec must be the key the server indexed
+/// it under), then [`run_job`], then the completion body.
+fn compute(cell: Granted, telemetry: &WorkerHistograms, trace: Option<&TraceLog>) -> Computed {
+    let started = Instant::now();
+    let grant = &cell.grant;
+    let outcome = match grant.spec.cache_key() {
+        Ok(key) if key == grant.key => run_job(&grant.spec),
+        Ok(key) => Err(format!(
+            "claimed spec hashes to {key:#018x} but the server granted key {:#018x} \
+             (corrupted claim?)",
+            grant.key
+        )),
+        Err(e) => Err(e),
+    };
+    let compute_us = started.elapsed().as_micros() as u64;
+    telemetry.compute_us.record(compute_us);
+    let succeeded = outcome.is_ok();
+    if let Some(log) = trace {
+        log.emit(cell.event("compute").dur_us(compute_us).outcome(succeeded));
+    }
+    let completion = WorkCompletion {
+        lease_id: grant.lease_id,
+        job_id: grant.job_id,
+        key: grant.key,
+        result: outcome.as_ref().ok().cloned(),
+        error: outcome.err(),
+        trace_id: Some(cell.trace_id),
+        compute_us: Some(compute_us),
+    };
+    let completion =
+        serde_json::to_string(&completion).map_err(|e| format!("cannot serialize completion: {e}"));
+    Computed {
+        cell,
+        succeeded,
+        completion,
+    }
+}
+
+/// The loop thread's state: the transport, the counters and the retry
+/// policy behind every claim and delivery.
+struct Puller<'a> {
+    transport: &'a mut dyn Transport,
+    config: &'a WorkerConfig,
+    trace: Option<&'a TraceLog>,
+    telemetry: &'a WorkerHistograms,
+    report: WorkerReport,
+    backoff: Backoff,
+    consecutive_errors: u64,
+    /// Consecutive empty claims made with nothing in flight.
+    idle_polls: u64,
+    /// Cells granted so far, bounded by `max_cells`.
+    granted: u64,
+    trips_reported: u64,
+    trips_traced: u64,
+    /// Backoff milliseconds slept since the last acknowledged claim,
+    /// reported in the next claim body (same at-least-once contract as
+    /// `breaker_trips`).
+    backoff_ms_pending: u64,
+}
+
+impl Puller<'_> {
+    fn emit(&self, event: TraceEvent) {
+        if let Some(log) = self.trace {
+            log.emit(event);
+        }
+    }
+
+    /// True while `max_cells` leaves room for another grant.
+    fn may_claim(&self) -> bool {
+        self.config.max_cells == 0 || self.granted < self.config.max_cells
+    }
+
+    /// Counts an empty claim made with nothing in flight; true once
+    /// `idle_exit_polls` of them come in a row.
+    fn idle_exit(&mut self) -> bool {
+        self.idle_polls += 1;
+        self.config.idle_exit_polls > 0 && self.idle_polls >= self.config.idle_exit_polls
+    }
+
+    /// Survives one transport error: gives up after
+    /// `max_consecutive_errors` in a row, else sleeps a backoff delay and
+    /// records it everywhere it is taken (the histogram, the next claim
+    /// body and the trace).
+    fn transport_error(&mut self, e: String, trace_id: u64, why: &str) -> Result<(), String> {
+        self.report.transport_errors += 1;
+        self.consecutive_errors += 1;
+        if self.consecutive_errors >= self.config.max_consecutive_errors {
+            return Err(format!(
+                "giving up after {} consecutive transport errors: {e}",
+                self.consecutive_errors
+            ));
+        }
+        let delay = self.backoff.next_delay();
         let delay_ms = delay.as_millis() as u64;
-        telemetry.backoff_ms.record(delay_ms);
-        *pending_ms += delay_ms;
-        emit(
+        self.telemetry.backoff_ms.record(delay_ms);
+        self.backoff_ms_pending += delay_ms;
+        self.emit(
             TraceEvent::new(trace_id, "retry")
                 .dur_us(delay.as_micros() as u64)
                 .detail(why.to_owned()),
         );
         std::thread::sleep(delay);
-    };
+        Ok(())
+    }
 
-    let pause = Duration::from_millis(config.poll_ms.max(1));
-    let mut backoff = Backoff::new(config.backoff);
-    let mut report = WorkerReport::default();
-    let mut consecutive_errors = 0u64;
-    let mut idle_polls = 0u64;
-    let mut processed = 0u64;
-    let mut trips_reported = 0u64;
-    let mut trips_traced = 0u64;
-    // Backoff milliseconds slept since the last acknowledged claim,
-    // reported in the next claim body (same at-least-once contract as
-    // `breaker_trips`).
-    let mut backoff_ms_pending = 0u64;
+    fn answered(&mut self) {
+        self.consecutive_errors = 0;
+        self.backoff.reset();
+    }
 
-    loop {
-        if config.max_cells > 0 && processed >= config.max_cells {
-            return Ok(report);
-        }
-        let trips_now = transport.breaker_opens();
-        if trips_now > trips_traced {
-            // trace_id 0: a node-local event — the breaker is not tied
-            // to any one cell.
-            emit(TraceEvent::new(0, "breaker_open").detail(format!(
-                "trips={} total={trips_now}",
-                trips_now - trips_traced
-            )));
-            trips_traced = trips_now;
-        }
-        let claim_body = format!(
-            "{{\"lease_ms\":{},\"breaker_trips\":{},\"backoff_ms\":{}}}",
-            config.lease_ms,
-            trips_now - trips_reported,
-            backoff_ms_pending
-        );
-        let claim_started = Instant::now();
-        let body = match transport.request("POST", "/v1/work/claim", &claim_body) {
-            Ok((200, body)) => {
-                trips_reported = trips_now;
-                backoff_ms_pending = 0;
-                body
+    /// One claim, retried through transport errors: a granted cell, or
+    /// `None` when the queue was empty.
+    fn claim(&mut self) -> Result<Option<Granted>, String> {
+        let (body, claim_started) = loop {
+            let trips_now = self.transport.breaker_opens();
+            if trips_now > self.trips_traced {
+                // trace_id 0: a node-local event — the breaker is not
+                // tied to any one cell.
+                self.emit(TraceEvent::new(0, "breaker_open").detail(format!(
+                    "trips={} total={trips_now}",
+                    trips_now - self.trips_traced
+                )));
+                self.trips_traced = trips_now;
             }
-            Ok((status, body)) => return Err(format!("claim rejected: {status} {body}")),
-            Err(e) => {
-                report.transport_errors += 1;
-                consecutive_errors += 1;
-                if consecutive_errors >= config.max_consecutive_errors {
-                    return Err(format!(
-                        "giving up after {consecutive_errors} consecutive transport errors: {e}"
-                    ));
+            let claim_body = format!(
+                "{{\"lease_ms\":{},\"breaker_trips\":{},\"backoff_ms\":{}}}",
+                self.config.lease_ms,
+                trips_now - self.trips_reported,
+                self.backoff_ms_pending
+            );
+            let claim_started = Instant::now();
+            match self
+                .transport
+                .request("POST", "/v1/work/claim", &claim_body)
+            {
+                Ok((200, body)) => {
+                    self.trips_reported = trips_now;
+                    self.backoff_ms_pending = 0;
+                    break (body, claim_started);
                 }
-                sleep_backoff(&mut backoff, &mut backoff_ms_pending, 0, "claim failed");
-                continue;
+                Ok((status, body)) => return Err(format!("claim rejected: {status} {body}")),
+                Err(e) => self.transport_error(e, 0, "claim failed")?,
             }
         };
-        consecutive_errors = 0;
-        backoff.reset();
-
+        self.answered();
         let grant: WorkGrant = match serde_json::from_str(&body) {
             Ok(grant) => grant,
             Err(_) if body.contains("\"empty\"") => {
-                report.empty_polls += 1;
-                idle_polls += 1;
-                if config.idle_exit_polls > 0 && idle_polls >= config.idle_exit_polls {
-                    return Ok(report);
-                }
-                std::thread::sleep(pause);
-                continue;
+                self.report.empty_polls += 1;
+                return Ok(None);
             }
             Err(e) => return Err(format!("cannot parse claim response: {e} in {body}")),
         };
-        idle_polls = 0;
-        // Echo the server's trace id; derive it from the key when an
-        // old server omitted the field (same pure function both ends).
-        let trace_id = grant.trace_id.unwrap_or_else(|| trace_id_of_key(grant.key));
-        let granted_at = Instant::now();
-        emit(
-            TraceEvent::new(trace_id, "claim")
-                .key(grant.key)
-                .job(grant.job_id)
-                .lease(grant.lease_id)
+        self.idle_polls = 0;
+        self.granted += 1;
+        let cell = Granted {
+            // Echo the server's trace id; derive it from the key when an
+            // old server omitted the field (same pure function both
+            // ends).
+            trace_id: grant.trace_id.unwrap_or_else(|| trace_id_of_key(grant.key)),
+            granted_at: Instant::now(),
+            items: replication_items(&grant.spec),
+            grant,
+        };
+        self.emit(
+            cell.event("claim")
                 .dur_us(claim_started.elapsed().as_micros() as u64),
         );
+        Ok(Some(cell))
+    }
 
-        // Per-cell idempotency check: the canonical hash of the spec we
-        // are about to run must be the key the server indexed it under.
-        let compute_started = Instant::now();
-        let outcome = match grant.spec.cache_key() {
-            Ok(key) if key == grant.key => run_job(&grant.spec),
-            Ok(key) => Err(format!(
-                "claimed spec hashes to {key:#018x} but the server granted key {:#018x} \
-                 (corrupted claim?)",
-                grant.key
-            )),
-            Err(e) => Err(e),
-        };
-        let compute_us = compute_started.elapsed().as_micros() as u64;
-        telemetry.compute_us.record(compute_us);
-        let succeeded = outcome.is_ok();
-        emit(
-            TraceEvent::new(trace_id, "compute")
-                .key(grant.key)
-                .job(grant.job_id)
-                .lease(grant.lease_id)
-                .dur_us(compute_us)
-                .outcome(succeeded),
-        );
-        let completion = WorkCompletion {
-            lease_id: grant.lease_id,
-            job_id: grant.job_id,
-            key: grant.key,
-            result: outcome.as_ref().ok().cloned(),
-            error: outcome.err(),
-            trace_id: Some(trace_id),
-            compute_us: Some(compute_us),
-        };
-        let completion_body = serde_json::to_string(&completion)
-            .map_err(|e| format!("cannot serialize completion: {e}"))?;
-
-        // Deliver at-least-once: retry transport errors until the
-        // server answers; it deduplicates replays.
+    /// Delivers a computed cell at-least-once: transport errors are
+    /// retried until the server answers; it deduplicates replays.
+    fn deliver(&mut self, done: Computed) -> Result<(), String> {
+        let Computed {
+            cell,
+            succeeded,
+            completion,
+        } = done;
+        let completion = completion?;
         loop {
-            match transport.request("POST", "/v1/work/complete", &completion_body) {
+            match self
+                .transport
+                .request("POST", "/v1/work/complete", &completion)
+            {
                 Ok((200, response)) => {
                     let duplicate = response.contains("\"duplicate\"");
                     if duplicate {
-                        report.duplicates += 1;
+                        self.report.duplicates += 1;
                     } else if succeeded {
-                        report.completed += 1;
+                        self.report.completed += 1;
                     } else {
-                        report.failed += 1;
+                        self.report.failed += 1;
                     }
-                    telemetry
+                    self.telemetry
                         .claim_rtt_us
-                        .record(granted_at.elapsed().as_micros() as u64);
-                    let mut deliver = TraceEvent::new(trace_id, "deliver")
-                        .key(grant.key)
-                        .job(grant.job_id)
-                        .lease(grant.lease_id)
-                        .outcome(true);
+                        .record(cell.granted_at.elapsed().as_micros() as u64);
+                    let mut deliver = cell.event("deliver").outcome(true);
                     if duplicate {
                         deliver = deliver.detail("duplicate".into());
                     }
-                    emit(deliver);
+                    self.emit(deliver);
                     break;
                 }
                 Ok((404, _)) => {
                     // The server forgot the job (restart, pruning):
                     // nothing to deliver to; the cell will be
                     // resubmitted and recomputed identically.
-                    report.dropped += 1;
-                    emit(
-                        TraceEvent::new(trace_id, "deliver")
-                            .key(grant.key)
-                            .job(grant.job_id)
-                            .lease(grant.lease_id)
+                    self.report.dropped += 1;
+                    self.emit(
+                        cell.event("deliver")
                             .outcome(false)
                             .detail("dropped: server forgot the job".into()),
                     );
@@ -511,26 +702,10 @@ fn run_worker_loop(
                 Ok((status, response)) => {
                     return Err(format!("completion rejected: {status} {response}"))
                 }
-                Err(e) => {
-                    report.transport_errors += 1;
-                    consecutive_errors += 1;
-                    if consecutive_errors >= config.max_consecutive_errors {
-                        return Err(format!(
-                            "giving up after {consecutive_errors} consecutive transport \
-                             errors: {e}"
-                        ));
-                    }
-                    sleep_backoff(
-                        &mut backoff,
-                        &mut backoff_ms_pending,
-                        trace_id,
-                        "completion delivery failed",
-                    );
-                }
+                Err(e) => self.transport_error(e, cell.trace_id, "completion delivery failed")?,
             }
         }
-        consecutive_errors = 0;
-        backoff.reset();
-        processed += 1;
+        self.answered();
+        Ok(())
     }
 }

@@ -998,3 +998,215 @@ fn journal_records_hold_the_bytes_a_worker_delivers() {
         let _ = std::fs::remove_file(path);
     }
 }
+
+/// A one-worker node in memory, as a [`Transport`]: grants `queue` in
+/// order, answers `{"status":"empty"}` once it is spent (and to the
+/// claim numbered `empty_claim`, counted from 0), and records each
+/// completion after checking it against `run_job` on its spec, byte for
+/// byte.
+///
+/// It sees what the worker computes through the worker's span log: a
+/// cell is *computing* from its grant until its `compute` span is
+/// written. A compute thread writes that span before the loop thread
+/// learns the cell finished, so at every claim the cells seen computing
+/// are a subset of those the loop counts in flight.
+struct ScriptedNode {
+    queue: std::collections::VecDeque<ahn_serve::JobSpec>,
+    empty_claim: Option<usize>,
+    log: PathBuf,
+    /// Granted and undelivered: job id → (trace id, replication items).
+    held: std::collections::HashMap<u64, (u64, usize)>,
+    specs: std::collections::HashMap<u64, ahn_serve::JobSpec>,
+    claims: usize,
+    granted: usize,
+    delivered: Vec<u64>,
+    /// Most cells held at once.
+    most_held: usize,
+    /// Most replication items computing once a grant lands.
+    most_computing: usize,
+    /// Claims made while a cell computed.
+    claims_while_computing: usize,
+}
+
+impl ScriptedNode {
+    fn new(queue: Vec<ahn_serve::JobSpec>, log: PathBuf) -> ScriptedNode {
+        ScriptedNode {
+            queue: queue.into(),
+            empty_claim: None,
+            log,
+            held: Default::default(),
+            specs: Default::default(),
+            claims: 0,
+            granted: 0,
+            delivered: Vec::new(),
+            most_held: 0,
+            most_computing: 0,
+            claims_while_computing: 0,
+        }
+    }
+
+    /// Replication items of the held cells without a `compute` span.
+    fn computing(&self) -> usize {
+        let computed: std::collections::HashSet<u64> = ahn_obs::read_trace(&self.log)
+            .expect("read the worker's span log")
+            .events
+            .into_iter()
+            .filter(|event| event.span == "compute")
+            .map(|event| event.trace_id)
+            .collect();
+        (self.held.values())
+            .filter(|(trace_id, _)| !computed.contains(trace_id))
+            .map(|&(_, items)| items)
+            .sum()
+    }
+}
+
+impl Transport for ScriptedNode {
+    fn request(&mut self, method: &str, path: &str, body: &str) -> Result<(u16, String), String> {
+        match (method, path) {
+            ("POST", "/v1/work/claim") => {
+                let claim = self.claims;
+                self.claims += 1;
+                let computing = self.computing();
+                if computing > 0 {
+                    self.claims_while_computing += 1;
+                }
+                if self.empty_claim == Some(claim) {
+                    return Ok((200, "{\"status\":\"empty\"}".into()));
+                }
+                let Some(spec) = self.queue.pop_front() else {
+                    return Ok((200, "{\"status\":\"empty\"}".into()));
+                };
+                let items = match &spec {
+                    ahn_serve::JobSpec::Experiment { config, cases } => {
+                        config.replications * cases.len()
+                    }
+                    _ => 1,
+                };
+                self.granted += 1;
+                let job_id = self.granted as u64;
+                let key = spec.cache_key().unwrap();
+                let trace_id = ahn_obs::trace_id_of_key(key);
+                self.held.insert(job_id, (trace_id, items));
+                self.most_held = self.most_held.max(self.held.len());
+                self.most_computing = self.most_computing.max(computing + items);
+                self.specs.insert(job_id, spec.clone());
+                let grant = WorkGrant {
+                    lease_id: job_id,
+                    job_id,
+                    key,
+                    lease_ms: 60_000,
+                    trace_id: Some(trace_id),
+                    spec,
+                };
+                Ok((200, serde_json::to_string(&grant).unwrap()))
+            }
+            ("POST", "/v1/work/complete") => {
+                let completion: WorkCompletion = serde_json::from_str(body).unwrap();
+                let id = completion.job_id;
+                assert!(self.held.remove(&id).is_some(), "job {id} delivered twice");
+                let expected = run_job(&self.specs[&id]).expect("the cell computes");
+                assert_eq!(
+                    completion.result.as_deref(),
+                    Some(expected.as_str()),
+                    "job {id}"
+                );
+                self.delivered.push(id);
+                Ok((200, "{\"status\":\"recorded\"}".into()))
+            }
+            _ => Err(format!("unexpected {method} {path}")),
+        }
+    }
+}
+
+/// `cells` distinct smoke cells of `replications` replications each.
+fn smoke_cells(cells: u64, replications: usize) -> Vec<ahn_serve::JobSpec> {
+    (0..cells)
+        .map(|i| {
+            let mut spec = ahn_serve::loadtest::smoke_spec(100 + i);
+            if let ahn_serve::JobSpec::Experiment { config, .. } = &mut spec {
+                config.generations = 1;
+                config.replications = replications;
+            }
+            spec
+        })
+        .collect()
+}
+
+/// Runs one traced worker against `node` until it exits, returning its
+/// report; the node checks every delivery.
+fn run_scripted(node: &mut ScriptedNode, config: WorkerConfig) -> WorkerReport {
+    let _ = std::fs::remove_file(&node.log);
+    let trace = ahn_obs::TraceLog::open(&node.log, "worker:test").expect("open span log");
+    let (report, _) = run_worker_observed(node, &config, Some(&trace)).expect("worker exits Ok");
+    assert!(node.held.is_empty(), "undelivered: {:?}", node.held);
+    let _ = std::fs::remove_file(&node.log);
+    report
+}
+
+fn scripted_config(idle_exit_polls: u64, max_cells: u64) -> WorkerConfig {
+    WorkerConfig {
+        poll_ms: 1,
+        max_cells,
+        idle_exit_polls,
+        ..WorkerConfig::default()
+    }
+}
+
+#[test]
+fn a_worker_keeps_up_to_the_thread_count_of_replications_in_flight() {
+    let threads = ahn_core::threads::effective();
+    let mut node = ScriptedNode::new(smoke_cells(8, 1), tmp("in-flight.trace"));
+    let report = run_scripted(&mut node, scripted_config(1, 0));
+    assert_eq!(report.completed, 8);
+    assert_eq!(node.delivered.len(), 8);
+    assert!(
+        node.most_computing <= threads,
+        "{} replication items computed at once on {threads} threads",
+        node.most_computing
+    );
+    if threads > 1 {
+        assert!(
+            node.most_held >= 2,
+            "one cell at a time on {threads} threads"
+        );
+    }
+}
+
+#[test]
+fn a_cell_that_fills_the_thread_count_is_never_granted_alongside_another() {
+    // Twelve replications, as a paper cell has, or more on a larger host.
+    let replications = 12.max(ahn_core::threads::effective());
+    let mut node = ScriptedNode::new(smoke_cells(3, replications), tmp("alone.trace"));
+    let report = run_scripted(&mut node, scripted_config(1, 0));
+    assert_eq!(report.completed, 3);
+    assert_eq!(
+        node.claims_while_computing, 0,
+        "a claim went out while a full cell computed"
+    );
+    assert_eq!(node.most_computing, replications);
+}
+
+#[test]
+fn an_empty_claim_while_cells_compute_still_delivers_every_cell() {
+    let mut node = ScriptedNode::new(smoke_cells(4, 1), tmp("empty-busy.trace"));
+    // With more than one thread the second claim goes out right after
+    // the first grant, while that cell is in flight. With one thread it
+    // would come after, and the empty answer would end the worker.
+    if ahn_core::threads::effective() > 1 {
+        node.empty_claim = Some(1);
+    }
+    let report = run_scripted(&mut node, scripted_config(1, 0));
+    assert_eq!(report.completed, 4);
+    assert_eq!(node.delivered.len(), 4);
+}
+
+#[test]
+fn max_cells_bounds_the_grants() {
+    let mut node = ScriptedNode::new(smoke_cells(6, 1), tmp("max-cells.trace"));
+    // The worker stops at its third delivery, before any empty claim.
+    let report = run_scripted(&mut node, scripted_config(1, 3));
+    assert_eq!(report.completed, 3);
+    assert_eq!((node.granted, node.delivered.len()), (3, 3));
+    assert_eq!(node.queue.len(), 3, "the worker claimed past max_cells");
+}

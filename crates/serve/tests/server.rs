@@ -1094,12 +1094,15 @@ fn a_cell_settled_by_a_late_worker_while_the_pool_recomputes_it_counts_once() {
     let race = race_the_pool_and_a_late_worker(8);
     let addr = &race.addr;
     await_pool_computes(addr, 2);
-    let (_, metrics) = get(addr, "/metrics");
-    // The occupier and the cell, each once; the pool's losing result
-    // counts nothing, not even its games.
+    // The pool's losing result is wasted work: it counts as a duplicate
+    // once it settles, and nowhere else.
+    let metrics = await_metrics(addr, "the pool's recompute to count", |m| {
+        m["work_duplicate"] == Value::U64(1)
+    });
+    // The occupier and the cell, each once; not even the pool's games.
     assert_eq!(metrics["jobs_completed"], Value::U64(2), "{metrics:?}");
     assert_eq!(metrics["cells_completed_external"], Value::U64(1));
-    assert_eq!(metrics["work_duplicate"], Value::U64(0));
+    assert_eq!(metrics["work_completed"], Value::U64(1));
     assert_eq!(metrics["games_simulated"], Value::U64(race.occupier_games));
     // The winner's bytes answer the next submission.
     let (status, hit) = post(

@@ -253,9 +253,9 @@ impl Options {
     /// lifecycle and per-generation hot-loop samples into it, `--via`
     /// runs the coordinator's side of every cell. Called once the
     /// command's cells pass their check, so a rejected command leaves no
-    /// file behind.
+    /// file behind. The usage follows an error.
     fn open_trace(&self) -> Result<Option<ahn_obs::TraceLog>, CliError> {
-        open_trace(self.trace_path.as_deref(), self.role)
+        open_trace(self.trace_path.as_deref(), self.role).map_err(CliError::with_usage)
     }
 
     fn maybe_write(&self, name: &str, contents: &str) {
@@ -715,10 +715,11 @@ impl GridFlags {
     /// at `--via`, checkpointed to `--journal`, or in-process — traced
     /// to `--trace` either way: the cell runner of `sweep` and
     /// `calibrate`, which the grid calls once its cells pass their check.
-    /// Whatever fails once the cells run (node, transport, job or
-    /// journal) is a runtime failure.
-    fn run(&self, cells: &GridCells) -> Result<Vec<ExperimentResult>, CliError> {
+    /// It prints `banner` once the log opens. Whatever fails once the
+    /// cells run (node, transport, job or journal) is a runtime failure.
+    fn run(&self, cells: &GridCells, banner: String) -> Result<Vec<ExperimentResult>, CliError> {
         let trace = self.opts.open_trace()?;
+        eprintln!("{banner}");
         let Some(addr) = &self.via else {
             return Ok(cells.run(trace.as_ref()));
         };
@@ -780,7 +781,7 @@ fn parse_sweep_flags(args: &[String]) -> Result<(ahn_core::SweepGrid, GridFlags)
 fn sweep(args: &[String]) -> Result<(), CliError> {
     let (grid, f) = parse_sweep_flags(args)?;
     let report = ahn_core::run_sweep_with(&grid, |cells| {
-        eprintln!(
+        let banner = format!(
             "sweeping {} cells ({} scenarios x {} cases x {} payoffs x {} sizes x {} seed blocks, {} replications each)...",
             grid.cell_count(),
             grid.scenarios.as_ref().map(Vec::len).unwrap_or(1),
@@ -790,7 +791,7 @@ fn sweep(args: &[String]) -> Result<(), CliError> {
             grid.seed_blocks.len(),
             grid.base.replications
         );
-        f.run(cells)
+        f.run(cells, banner)
     })?;
     f.print(
         serde_json::to_string_pretty(&report),
@@ -849,7 +850,7 @@ fn parse_calibrate_flags(
 fn calibrate(args: &[String]) -> Result<(), CliError> {
     let (grid, f) = parse_calibrate_flags(args)?;
     let report = ahn_core::run_calibration_with(&grid, |cells| {
-        eprintln!(
+        let banner = format!(
             "searching {} candidates ({} cases x {} seed blocks = {} cells, {} replications each)...",
             grid.candidate_count(),
             grid.cases.len(),
@@ -857,7 +858,7 @@ fn calibrate(args: &[String]) -> Result<(), CliError> {
             grid.cell_count(),
             grid.base.replications
         );
-        f.run(cells)
+        f.run(cells, banner)
     })?;
     f.print(
         serde_json::to_string_pretty(&report),

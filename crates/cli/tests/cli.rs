@@ -368,4 +368,18 @@ fn a_command_whose_cells_fail_their_check_leaves_no_trace_file() {
     let join = ahn_exp(&["trace", "--require-complete", "1", path]);
     assert_eq!(join.status.code(), Some(0), "{}", text(&join.stdout));
     let _ = std::fs::remove_file(path);
+    // A log that cannot be opened is a bad flag: exit 2 and the usage.
+    let unopenable = format!("{path}.missing-dir/trace");
+    let out = ahn_exp(&[&line[..line.len() - 1], &[unopenable.as_str()]].concat());
+    let stderr = text(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("cannot open trace log"), "{stderr}");
+    assert!(
+        !stderr.contains("sweeping"),
+        "announced a run it refused: {stderr}"
+    );
+    assert!(
+        text(&out.stdout).starts_with("ahn-exp — regenerate"),
+        "no usage after an unopenable trace log: {stderr}"
+    );
 }

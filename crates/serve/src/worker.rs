@@ -4,19 +4,22 @@
 //! results via `POST /v1/work/complete` (the `ahn-exp worker`
 //! subcommand).
 //!
-//! One worker keeps busy as many cores as a local sweep would. It keeps
-//! up to [`ahn_core::threads::effective`] (the host's cores, capped by
-//! `AHN_THREADS`) replication items in flight, the unit the cell engine
+//! One worker keeps busy as many cores as a local sweep would. It counts
+//! the cells in flight in replication items, the unit the cell engine
 //! fans out over: an experiment cell counts `replications × cases`, an
-//! IPDRP cell 1. Granted cells run on that many compute threads,
-//! started at the first grant; the loop thread makes every claim and
-//! delivery, and claims only while the items in flight are below the
-//! thread count. Once a cell
-//! that alone reaches the count is granted (a paper cell), nothing more
-//! is claimed until it finishes, so it fans out inside `run_job` as it
-//! would locally. A granted cell never waits for a thread, so its lease
-//! covers only its own compute, and `AHN_THREADS=1` computes one cell
-//! at a time.
+//! IPDRP cell 1. The budget is [`ahn_core::threads::effective`] (the
+//! host's cores, capped by `AHN_THREADS`), read at the first grant of a
+//! busy spell, which also starts that many compute threads. The loop
+//! thread makes every claim and delivery. It claims while nothing
+//! computes, or while another cell the size of the last one granted fits
+//! in the budget. So a queue of equal cells, a sweep's, never has more
+//! items in flight than the budget, and a cell that alone fills it (a
+//! 12-replication `scaled` cell below 24 threads) runs alone and fans out
+//! inside `run_job` as it would locally. A queue that mixes cell sizes
+//! can overshoot: a larger cell granted after a smaller one joins it,
+//! for at most `budget − 1` items plus the larger cell's. A granted
+//! cell never waits for a thread, so its lease covers only its own
+//! compute, and `AHN_THREADS=1` computes one cell at a time.
 //!
 //! Determinism is free: a cell is a pure function of its resolved spec,
 //! so *which* process computes it cannot change the bytes. The worker
@@ -299,9 +302,9 @@ impl WorkerSummary {
 /// up (transport dead, or a protocol violation); it returns once the
 /// cells it was computing finish, and abandons them to lease expiry.
 ///
-/// Until the first grant the worker only claims. From then on it keeps
-/// up to [`ahn_core::threads::effective`] replication items in flight
-/// (see the module docs): granted cells run on a pool of compute
+/// While nothing is in flight the worker only claims. From a grant on it
+/// keeps up to [`ahn_core::threads::effective`] replication items in
+/// flight (see the module docs): granted cells run on a pool of compute
 /// threads, while this thread makes every claim and delivery over the
 /// one `transport`. When a cell finishes, its replacement is claimed
 /// before the cell is delivered.
@@ -368,80 +371,23 @@ fn run_worker_loop(
         trips_traced: 0,
         backoff_ms_pending: 0,
     };
-    // Idle until the first grant: no compute thread, no channel, and no
-    // read of the thread count (which reads cgroup files), so an entry
-    // that finds the queue empty costs what a claim costs.
-    let first = loop {
-        match pull.claim()? {
-            Some(claimed) => break claimed,
-            None if pull.idle_exit() => return Ok(pull.report),
-            None => std::thread::sleep(pause),
-        }
-    };
-    let budget = ahn_core::threads::effective();
-    let (work_tx, work_rx) = mpsc::channel::<Granted>();
-    let (done_tx, done_rx) = mpsc::channel::<Computed>();
-    let work_rx = Mutex::new(work_rx);
-    std::thread::scope(|scope| -> Result<(), String> {
-        // One compute thread per core suffices: every cell counts at
-        // least one item, so at most `budget` cells are in flight.
-        for _ in 0..budget {
-            let (work_rx, done_tx) = (&work_rx, done_tx.clone());
-            std::thread::Builder::new()
-                .name("ahn-worker-cell".into())
-                .spawn_scoped(scope, move || loop {
-                    // `Err` once the loop has returned: a worker that gave
-                    // up abandons what is still queued or computing.
-                    let next = work_rx.lock().expect("no thread panics holding it").recv();
-                    let Ok(cell) = next else { break };
-                    let _ = done_tx.send(compute(cell, telemetry, trace));
-                })
-                .map_err(|e| format!("cannot start a compute thread: {e}"))?;
-        }
-        // Moved in, so it drops when the loop returns and the compute
-        // threads stop.
-        let work_tx = work_tx;
-        let start = |cell: Granted| {
-            let items = cell.items;
-            work_tx
-                .send(cell)
-                .expect("the compute threads outlive the loop");
-            items
-        };
-        // None is in flight exactly when `items` is 0.
-        let mut items = start(first);
-        let mut finished = None;
-        loop {
-            // Claim while the items in flight leave a thread free: a
-            // finished cell's replacement goes out before the cell is
-            // delivered, and an empty claim while cells compute waits
-            // for one of them to finish.
-            let mut emptied = false;
-            while !emptied && items < budget && pull.may_claim() {
-                match pull.claim()? {
-                    Some(claimed) => items += start(claimed),
-                    None => emptied = true,
-                }
+    // Idle while nothing is in flight: no compute thread, no channel,
+    // and no read of the thread count (which reads cgroup files), so an
+    // entry that finds the queue empty costs what a claim costs.
+    loop {
+        if let Some(first) = pull.claim()? {
+            pull.compute_from(first)?;
+            if !pull.may_claim() {
+                return Ok(pull.report);
             }
-            if let Some(done) = finished.take() {
-                pull.deliver(done)?;
-            }
-            if items == 0 {
-                // Nothing computes and nothing is left to deliver: the
-                // last claim found the queue empty, or `max_cells` is
-                // spent.
-                if !emptied || pull.idle_exit() {
-                    return Ok(());
-                }
-                std::thread::sleep(pause);
-                continue;
-            }
-            let done = done_rx.recv().expect("the loop thread holds a sender");
-            items -= done.cell.items;
-            finished = Some(done);
+            // The busy spell ended on an empty claim made with nothing
+            // in flight.
         }
-    })?;
-    Ok(pull.report)
+        if pull.idle_exit() {
+            return Ok(pull.report);
+        }
+        std::thread::sleep(pause);
+    }
 }
 
 /// Replication items of a granted cell, the unit the cell engine fans
@@ -591,6 +537,89 @@ impl Puller<'_> {
     fn answered(&mut self) {
         self.consecutive_errors = 0;
         self.backoff.reset();
+    }
+
+    /// Computes from the grant `first` until nothing is in flight: the
+    /// last claim found the queue empty, or `max_cells` is spent. Every
+    /// result is delivered when it returns `Ok`.
+    ///
+    /// Granted cells run on a pool of compute threads while this thread
+    /// claims and delivers. It claims while nothing computes, or while
+    /// another cell the size of the last one granted fits in the thread
+    /// count. A finished cell's replacement is claimed before the cell is
+    /// delivered, and an empty claim while cells compute waits for one of
+    /// them to finish.
+    fn compute_from(&mut self, first: Granted) -> Result<(), String> {
+        let budget = ahn_core::threads::effective();
+        let (telemetry, trace) = (self.telemetry, self.trace);
+        let (work_tx, work_rx) = mpsc::channel::<Granted>();
+        let (done_tx, done_rx) = mpsc::channel::<Computed>();
+        let work_rx = Mutex::new(work_rx);
+        std::thread::scope(|scope| {
+            // One compute thread per core suffices: a claim leaves room
+            // for at least one more item or finds nothing in flight, and
+            // every cell counts at least one, so at most `budget` cells
+            // are in flight and none waits for a thread.
+            for _ in 0..budget {
+                let (work_rx, done_tx) = (&work_rx, done_tx.clone());
+                std::thread::Builder::new()
+                    .name("ahn-worker-cell".into())
+                    .spawn_scoped(scope, move || loop {
+                        // `Err` once the loop has returned and every cell
+                        // it started is taken: a worker that gives up
+                        // still finishes those, and leaves their leases to
+                        // expire.
+                        let next = work_rx.lock().expect("no thread panics holding it").recv();
+                        let Ok(cell) = next else { break };
+                        let _ = done_tx.send(compute(cell, telemetry, trace));
+                    })
+                    .map_err(|e| format!("cannot start a compute thread: {e}"))?;
+            }
+            // Moved in, so it drops when the loop returns and the compute
+            // threads stop.
+            let work_tx = work_tx;
+            let start = |cell: Granted| {
+                let items = cell.items;
+                work_tx
+                    .send(cell)
+                    .expect("the compute threads outlive the loop");
+                items
+            };
+            let mut last = start(first);
+            // None is in flight exactly when `items` is 0.
+            let mut items = last;
+            let mut finished = None;
+            loop {
+                let mut emptied = false;
+                while !emptied && (items == 0 || items + last <= budget) && self.may_claim() {
+                    match self.claim() {
+                        Ok(Some(claimed)) => {
+                            last = start(claimed);
+                            items += last;
+                        }
+                        Ok(None) => emptied = true,
+                        Err(e) => {
+                            // Deliver what is done before giving up, as a
+                            // worker that delivers before it claims would
+                            // (one attempt when the transport is dead).
+                            if let Some(done) = finished.take() {
+                                let _ = self.deliver(done);
+                            }
+                            return Err(e);
+                        }
+                    }
+                }
+                if let Some(done) = finished.take() {
+                    self.deliver(done)?;
+                }
+                if items == 0 {
+                    return Ok(());
+                }
+                let done = done_rx.recv().expect("the loop thread holds a sender");
+                items -= done.cell.items;
+                finished = Some(done);
+            }
+        })
     }
 
     /// One claim, retried through transport errors: a granted cell, or

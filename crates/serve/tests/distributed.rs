@@ -1013,6 +1013,8 @@ fn journal_records_hold_the_bytes_a_worker_delivers() {
 struct ScriptedNode {
     queue: std::collections::VecDeque<ahn_serve::JobSpec>,
     empty_claim: Option<usize>,
+    /// The claim, counted from 0, answered `503`.
+    refused_claim: Option<usize>,
     log: PathBuf,
     /// Granted and undelivered: job id → (trace id, replication items).
     held: std::collections::HashMap<u64, (u64, usize)>,
@@ -1033,6 +1035,7 @@ impl ScriptedNode {
         ScriptedNode {
             queue: queue.into(),
             empty_claim: None,
+            refused_claim: None,
             log,
             held: Default::default(),
             specs: Default::default(),
@@ -1073,6 +1076,9 @@ impl Transport for ScriptedNode {
                 }
                 if self.empty_claim == Some(claim) {
                     return Ok((200, "{\"status\":\"empty\"}".into()));
+                }
+                if self.refused_claim == Some(claim) {
+                    return Ok((503, "{\"error\":\"refused\"}".into()));
                 }
                 let Some(spec) = self.queue.pop_front() else {
                     return Ok((200, "{\"status\":\"empty\"}".into()));
@@ -1133,14 +1139,21 @@ fn smoke_cells(cells: u64, replications: usize) -> Vec<ahn_serve::JobSpec> {
         .collect()
 }
 
-/// Runs one traced worker against `node` until it exits, returning its
-/// report; the node checks every delivery.
-fn run_scripted(node: &mut ScriptedNode, config: WorkerConfig) -> WorkerReport {
+/// Runs one traced worker against `node` until it exits; the node
+/// checks every delivery.
+fn run_traced(node: &mut ScriptedNode, config: WorkerConfig) -> Result<WorkerReport, String> {
     let _ = std::fs::remove_file(&node.log);
     let trace = ahn_obs::TraceLog::open(&node.log, "worker:test").expect("open span log");
-    let (report, _) = run_worker_observed(node, &config, Some(&trace)).expect("worker exits Ok");
-    assert!(node.held.is_empty(), "undelivered: {:?}", node.held);
+    let outcome = run_worker_observed(node, &config, Some(&trace));
     let _ = std::fs::remove_file(&node.log);
+    outcome.map(|(report, _)| report)
+}
+
+/// [`run_traced`], for a worker that must exit `Ok` with every cell it
+/// was granted delivered.
+fn run_scripted(node: &mut ScriptedNode, config: WorkerConfig) -> WorkerReport {
+    let report = run_traced(node, config).expect("worker exits Ok");
+    assert!(node.held.is_empty(), "undelivered: {:?}", node.held);
     report
 }
 
@@ -1175,16 +1188,40 @@ fn a_worker_keeps_up_to_the_thread_count_of_replications_in_flight() {
 
 #[test]
 fn a_cell_that_fills_the_thread_count_is_never_granted_alongside_another() {
-    // Twelve replications, as a paper cell has, or more on a larger host.
-    let replications = 12.max(ahn_core::threads::effective());
-    let mut node = ScriptedNode::new(smoke_cells(3, replications), tmp("alone.trace"));
+    // Twelve replications, as a scaled-preset cell has. Below 24 threads
+    // a second one does not fit beside it.
+    let threads = ahn_core::threads::effective();
+    let mut node = ScriptedNode::new(smoke_cells(3, 12), tmp("alone.trace"));
     let report = run_scripted(&mut node, scripted_config(1, 0));
     assert_eq!(report.completed, 3);
-    assert_eq!(
-        node.claims_while_computing, 0,
-        "a claim went out while a full cell computed"
+    assert!(
+        node.most_computing <= threads.max(12),
+        "{} replication items computed at once on {threads} threads",
+        node.most_computing
     );
-    assert_eq!(node.most_computing, replications);
+    if threads < 24 {
+        assert_eq!(
+            node.claims_while_computing, 0,
+            "a claim went out while a full cell computed"
+        );
+        assert_eq!(node.most_computing, 12);
+    }
+}
+
+#[test]
+fn a_worker_that_gives_up_on_a_claim_first_delivers_the_cell_it_finished() {
+    // The claim after the first cell is refused. Below 24 threads that
+    // claim waits for the 12-replication cell to finish, as it would in
+    // a worker that delivers before it claims.
+    if ahn_core::threads::effective() >= 24 {
+        return;
+    }
+    let mut node = ScriptedNode::new(smoke_cells(2, 12), tmp("refused.trace"));
+    node.refused_claim = Some(1);
+    let error = run_traced(&mut node, scripted_config(1, 0)).expect_err("a refused claim ends it");
+    assert!(error.contains("claim rejected: 503"), "{error}");
+    assert_eq!(node.delivered, [1], "the finished cell was not delivered");
+    assert_eq!(node.queue.len(), 1);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! that layout for arbitrary group widths, and [`BitStr`]'s
 //! [`std::str::FromStr`] accepts both the compact and the grouped form.
 
-use crate::BitStr;
+use crate::{BitStr, MAX_BITS};
 use std::fmt;
 
 impl fmt::Display for BitStr {
@@ -22,7 +22,8 @@ impl fmt::Display for BitStr {
 /// Error returned when parsing a [`BitStr`] from text fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseBitStrError {
-    /// Offending character.
+    /// Offending character: neither a bit nor whitespace, or the bit
+    /// past the [`MAX_BITS`]th.
     pub ch: char,
     /// Byte offset of the offending character in the input.
     pub at: usize,
@@ -30,10 +31,13 @@ pub struct ParseBitStrError {
 
 impl fmt::Display for ParseBitStrError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (ch, at) = (self.ch, self.at);
+        if matches!(ch, '0' | '1') {
+            return write!(f, "more than {MAX_BITS} bits (bit {ch:?} at byte {at})");
+        }
         write!(
             f,
-            "invalid character {:?} at byte {} (expected '0', '1' or whitespace)",
-            self.ch, self.at
+            "invalid character {ch:?} at byte {at} (expected '0', '1' or whitespace)"
         )
     }
 }
@@ -44,18 +48,22 @@ impl std::str::FromStr for BitStr {
     type Err = ParseBitStrError;
 
     /// Parses `0`/`1` characters; whitespace is ignored so the paper's
-    /// grouped notation (`"010 101 101 111 1"`) parses directly.
+    /// grouped notation (`"010 101 101 111 1"`) parses directly. Fails at
+    /// the first character that is not a bit or whitespace, and at the
+    /// bit after the [`MAX_BITS`]th.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut bits = Vec::with_capacity(s.len());
+        let mut bits = BitStr::zeros(0);
         for (at, ch) in s.char_indices() {
             match ch {
-                '0' => bits.push(false),
-                '1' => bits.push(true),
+                '0' | '1' if bits.len < MAX_BITS => {
+                    bits.word |= u64::from(ch == '1') << bits.len;
+                    bits.len += 1;
+                }
                 c if c.is_whitespace() => {}
                 _ => return Err(ParseBitStrError { ch, at }),
             }
         }
-        Ok(BitStr::from_bits(bits))
+        Ok(bits)
     }
 }
 
@@ -102,9 +110,20 @@ mod tests {
     #[test]
     fn parse_rejects_garbage() {
         let err = "0102".parse::<BitStr>().unwrap_err();
-        assert_eq!(err.ch, '2');
-        assert_eq!(err.at, 3);
+        assert_eq!(err, ParseBitStrError { ch: '2', at: 3 });
         assert!(err.to_string().contains("'2'"));
+    }
+
+    #[test]
+    fn parse_rejects_more_than_max_bits() {
+        let longest = "01".repeat(MAX_BITS / 2);
+        assert_eq!(longest.parse::<BitStr>().unwrap().len(), MAX_BITS);
+        let err = format!("{longest}1").parse::<BitStr>().unwrap_err();
+        assert_eq!(err, ParseBitStrError { ch: '1', at: 64 });
+        assert!(err.to_string().contains("more than 64 bits"), "{err}");
+        // Whitespace does not count: here the 65th bit sits at byte 65.
+        let err = format!("0 {longest}").parse::<BitStr>().unwrap_err();
+        assert_eq!(err, ParseBitStrError { ch: '1', at: 65 });
     }
 
     #[test]
@@ -125,7 +144,7 @@ mod tests {
     fn display_parse_roundtrip() {
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-        for len in [0usize, 1, 13, 64, 65, 200] {
+        for len in [0usize, 1, 13, 63, 64] {
             let s = BitStr::random(&mut rng, len);
             let back: BitStr = s.to_string().parse().unwrap();
             assert_eq!(s, back);

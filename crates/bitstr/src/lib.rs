@@ -13,17 +13,13 @@
 //! * serde support (serialized as the compact `0`/`1` string), behind
 //!   the optional `serde` feature.
 //!
-//! Bits are stored little-endian inside `u64` words: bit `i` of the string
-//! lives in word `i / 64` at position `i % 64`. Bit index 0 is the first
-//! (leftmost) character of the textual form, matching the paper's "bit
-//! no. 0" convention.
-//!
-//! Strings of at most 64 bits — every genome this workspace evolves (13
-//! bits for the full strategy, 5 for the reduced codec and the IPDRP
-//! baseline) — are stored **inline** in a single word, so constructing,
-//! cloning and breeding them never touches the heap. Longer strings
-//! transparently spill to a `Vec<u64>`; the public API is identical for
-//! both representations.
+//! A string holds at most [`MAX_BITS`] = 64 bits, stored in one `u64`
+//! word: bit `i` of the string is bit `i` of the word. Bit index 0 is
+//! the first (leftmost) character of the textual form, matching the
+//! paper's "bit no. 0" convention. Every genome this workspace evolves
+//! fits (13 bits for the full strategy, 5 for the reduced codec and the
+//! IPDRP baseline), so constructing, copying and breeding one never
+//! touches the heap.
 //!
 //! # Example
 //!
@@ -47,145 +43,69 @@ mod serde_impl;
 
 use rand::Rng;
 
-/// A fixed-length string of bits.
+/// The most bits a [`BitStr`] holds: one `u64` word.
+pub const MAX_BITS: usize = 64;
+
+/// A fixed-length string of at most [`MAX_BITS`] bits.
 ///
-/// The length is fixed at construction time; all binary operations
-/// (crossover, Hamming distance, ...) panic if the operands' lengths
-/// differ, because mixing genome lengths is always a logic error in this
-/// workspace.
-#[derive(Clone)]
+/// The length is fixed at construction time, and every constructor
+/// panics when asked for more than [`MAX_BITS`] bits. All binary
+/// operations (crossover, Hamming distance, ...) panic if the operands'
+/// lengths differ, because mixing genome lengths is always a logic error
+/// in this workspace. Equality and order are those of `(len, word)`: by
+/// length first, then by the bits as an integer with bit 0 least
+/// significant.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BitStr {
-    /// Number of valid bits.
+    /// Number of valid bits, at most [`MAX_BITS`].
     len: usize,
-    /// Bit storage; bits past `len` in the last word are always zero
-    /// (the *canonical form* invariant, relied upon by `Eq`/`Hash`).
-    repr: Repr,
+    /// Bit `i` at position `i`; the bits from `len` up are always zero,
+    /// which the derived comparisons rely on.
+    word: u64,
 }
 
-/// Bit storage: genomes of at most one word live inline (the hot case —
-/// cloning them is a copy), longer strings on the heap. The variant is a
-/// pure function of `len` (≤ 64 bits ⇒ `Inline`), so representation
-/// never leaks into equality or ordering.
-#[derive(Clone)]
-enum Repr {
-    /// Up to 64 bits, stored directly.
-    Inline(u64),
-    /// More than 64 bits, one `u64` per 64-bit chunk.
-    Heap(Vec<u64>),
-}
-
-const WORD_BITS: usize = 64;
-
-#[inline]
-fn words_for(len: usize) -> usize {
-    len.div_ceil(WORD_BITS)
+/// The low `len` bits of a word set (`len` ≤ [`MAX_BITS`]).
+fn mask(len: usize) -> u64 {
+    u64::MAX.checked_shr((MAX_BITS - len) as u32).unwrap_or(0)
 }
 
 impl BitStr {
-    /// The storage words, valid bits first. A zero-length string reports
-    /// one (all-zero) inline word; every bit-level operation guards on
-    /// `len`, and logical comparisons go through this accessor on both
-    /// sides, so the padding word is never observable.
-    #[inline]
-    fn words(&self) -> &[u64] {
-        match &self.repr {
-            Repr::Inline(w) => std::slice::from_ref(w),
-            Repr::Heap(v) => v,
-        }
-    }
-
-    /// Mutable view of the storage words.
-    #[inline]
-    fn words_mut(&mut self) -> &mut [u64] {
-        match &mut self.repr {
-            Repr::Inline(w) => std::slice::from_mut(w),
-            Repr::Heap(v) => v,
+    /// The string of `len` bits held in the low bits of `word`.
+    fn with_word(len: usize, word: u64) -> Self {
+        assert!(len <= MAX_BITS, "{len} bits exceed MAX_BITS ({MAX_BITS})");
+        BitStr {
+            len,
+            word: word & mask(len),
         }
     }
 
     /// Creates a string of `len` zero bits.
     pub fn zeros(len: usize) -> Self {
-        let repr = if len <= WORD_BITS {
-            Repr::Inline(0)
-        } else {
-            Repr::Heap(vec![0; words_for(len)])
-        };
-        BitStr { len, repr }
+        BitStr::with_word(len, 0)
     }
 
     /// Creates a string of `len` one bits.
     pub fn ones(len: usize) -> Self {
-        let repr = if len == 0 {
-            Repr::Inline(0)
-        } else if len <= WORD_BITS {
-            Repr::Inline(!0u64)
-        } else {
-            Repr::Heap(vec![!0u64; words_for(len)])
-        };
-        let mut s = BitStr { len, repr };
-        s.mask_tail();
-        s
+        BitStr::with_word(len, u64::MAX)
     }
 
     /// Creates a string from an iterator of bits; the length is the number
-    /// of items yielded. Stays allocation-free for up to 64 bits.
+    /// of items yielded.
     pub fn from_bits<I: IntoIterator<Item = bool>>(bits: I) -> Self {
-        let mut len = 0usize;
-        let mut word = 0u64;
-        let mut heap: Vec<u64> = Vec::new();
+        let mut s = BitStr::zeros(0);
         for b in bits {
-            if len > 0 && len.is_multiple_of(WORD_BITS) {
-                heap.push(word);
-                word = 0;
-            }
-            if b {
-                word |= 1u64 << (len % WORD_BITS);
-            }
-            len += 1;
+            assert!(s.len < MAX_BITS, "more than MAX_BITS ({MAX_BITS}) bits");
+            s.word |= u64::from(b) << s.len;
+            s.len += 1;
         }
-        if len <= WORD_BITS {
-            BitStr {
-                len,
-                repr: Repr::Inline(word),
-            }
-        } else {
-            heap.push(word);
-            debug_assert_eq!(heap.len(), words_for(len));
-            BitStr {
-                len,
-                repr: Repr::Heap(heap),
-            }
-        }
-    }
-
-    /// Creates a uniformly random string of `len` bits (one RNG draw per
-    /// storage word, so seeded streams are representation-independent).
-    pub fn random<R: Rng + ?Sized>(rng: &mut R, len: usize) -> Self {
-        let repr = if len == 0 {
-            Repr::Inline(0)
-        } else if len <= WORD_BITS {
-            Repr::Inline(rng.gen::<u64>())
-        } else {
-            Repr::Heap((0..words_for(len)).map(|_| rng.gen::<u64>()).collect())
-        };
-        let mut s = BitStr { len, repr };
-        s.mask_tail();
         s
     }
 
-    /// Zeroes the unused bits of the last storage word, restoring the
-    /// canonical-form invariant after whole-word writes.
-    fn mask_tail(&mut self) {
-        let used = self.len % WORD_BITS;
-        if used != 0 {
-            if let Some(last) = self.words_mut().last_mut() {
-                *last &= (1u64 << used) - 1;
-            }
-        } else if self.len == 0 {
-            if let Repr::Inline(w) = &mut self.repr {
-                *w = 0;
-            }
-        }
+    /// Creates a uniformly random string of `len` bits from one RNG draw
+    /// (none for an empty string).
+    pub fn random<R: Rng + ?Sized>(rng: &mut R, len: usize) -> Self {
+        let word = if len == 0 { 0 } else { rng.gen::<u64>() };
+        BitStr::with_word(len, word)
     }
 
     /// Number of bits in the string.
@@ -207,10 +127,7 @@ impl BitStr {
     #[inline]
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit index {i} out of range 0..{}", self.len);
-        match &self.repr {
-            Repr::Inline(w) => (w >> i) & 1 == 1,
-            Repr::Heap(v) => (v[i / WORD_BITS] >> (i % WORD_BITS)) & 1 == 1,
-        }
+        (self.word >> i) & 1 == 1
     }
 
     /// Sets bit `i` to `value`.
@@ -220,38 +137,20 @@ impl BitStr {
     #[inline]
     pub fn set(&mut self, i: usize, value: bool) {
         assert!(i < self.len, "bit index {i} out of range 0..{}", self.len);
-        let word = match &mut self.repr {
-            Repr::Inline(w) => w,
-            Repr::Heap(v) => &mut v[i / WORD_BITS],
-        };
-        let mask = 1u64 << (i % WORD_BITS);
-        if value {
-            *word |= mask;
-        } else {
-            *word &= !mask;
-        }
+        self.word = (self.word & !(1 << i)) | (u64::from(value) << i);
     }
 
     /// Flips bit `i` and returns its new value.
     #[inline]
     pub fn flip(&mut self, i: usize) -> bool {
         assert!(i < self.len, "bit index {i} out of range 0..{}", self.len);
-        match &mut self.repr {
-            Repr::Inline(w) => {
-                *w ^= 1u64 << i;
-                (*w >> i) & 1 == 1
-            }
-            Repr::Heap(v) => {
-                let w = &mut v[i / WORD_BITS];
-                *w ^= 1u64 << (i % WORD_BITS);
-                (*w >> (i % WORD_BITS)) & 1 == 1
-            }
-        }
+        self.word ^= 1 << i;
+        self.get(i)
     }
 
     /// Number of one bits.
     pub fn count_ones(&self) -> usize {
-        self.words().iter().map(|w| w.count_ones() as usize).sum()
+        self.word.count_ones() as usize
     }
 
     /// Hamming distance to `other`.
@@ -260,11 +159,7 @@ impl BitStr {
     /// Panics if the lengths differ.
     pub fn hamming(&self, other: &Self) -> usize {
         assert_eq!(self.len, other.len, "hamming distance of unequal lengths");
-        self.words()
-            .iter()
-            .zip(other.words())
-            .map(|(a, b)| (a ^ b).count_ones() as usize)
-            .sum()
+        (self.word ^ other.word).count_ones() as usize
     }
 
     /// Iterates over the bits from index 0 upward.
@@ -276,12 +171,9 @@ impl BitStr {
     /// as an unsigned integer. Used to extract sub-strategies.
     ///
     /// # Panics
-    /// Panics if the range is out of bounds or wider than 64 bits.
+    /// Panics if the range is out of bounds.
     pub fn slice_value(&self, range: std::ops::Range<usize>) -> u64 {
-        assert!(
-            range.end <= self.len && range.len() <= 64,
-            "bad slice {range:?}"
-        );
+        assert!(range.end <= self.len, "bad slice {range:?}");
         let mut v = 0u64;
         for i in range {
             v = (v << 1) | self.get(i) as u64;
@@ -293,41 +185,8 @@ impl BitStr {
     /// most significant bit first (inverse of [`BitStr::slice_value`] for a
     /// full-width slice).
     pub fn from_value(value: u64, width: usize) -> Self {
-        assert!(width <= 64, "width {width} exceeds 64");
+        assert!(width <= MAX_BITS, "width {width} exceeds {MAX_BITS}");
         BitStr::from_bits((0..width).map(|i| (value >> (width - 1 - i)) & 1 == 1))
-    }
-}
-
-impl PartialEq for BitStr {
-    fn eq(&self, other: &Self) -> bool {
-        // Canonical form (masked tails, len-determined representation)
-        // makes word comparison exact.
-        self.len == other.len && self.words() == other.words()
-    }
-}
-
-impl Eq for BitStr {}
-
-impl std::hash::Hash for BitStr {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.len.hash(state);
-        self.words().hash(state);
-    }
-}
-
-impl PartialOrd for BitStr {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for BitStr {
-    /// Orders by length first, then by storage words — the same total
-    /// order the pre-inline derived implementation produced.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.len
-            .cmp(&other.len)
-            .then_with(|| self.words().cmp(other.words()))
     }
 }
 
@@ -345,7 +204,7 @@ mod tests {
 
     #[test]
     fn zeros_and_ones_have_expected_counts() {
-        for len in [0, 1, 5, 13, 63, 64, 65, 130] {
+        for len in [0, 1, 5, 13, 63, 64] {
             assert_eq!(BitStr::zeros(len).count_ones(), 0, "len={len}");
             assert_eq!(BitStr::ones(len).count_ones(), len, "len={len}");
         }
@@ -365,13 +224,15 @@ mod tests {
 
     #[test]
     fn ones_is_canonical_across_word_boundary() {
-        // Equality relies on masked tail bits.
-        let a = BitStr::ones(65);
-        let mut b = BitStr::zeros(65);
-        for i in 0..65 {
-            b.set(i, true);
+        // Equality relies on the bits past `len` being zero, up to the
+        // word's last bit.
+        for len in [0, 1, 13, 63, 64] {
+            let mut b = BitStr::zeros(len);
+            for i in 0..len {
+                b.set(i, true);
+            }
+            assert_eq!(BitStr::ones(len), b, "len={len}");
         }
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -422,21 +283,43 @@ mod tests {
     fn random_is_seed_deterministic() {
         let mut r1 = ChaCha8Rng::seed_from_u64(7);
         let mut r2 = ChaCha8Rng::seed_from_u64(7);
-        assert_eq!(BitStr::random(&mut r1, 130), BitStr::random(&mut r2, 130));
+        assert_eq!(BitStr::random(&mut r1, 64), BitStr::random(&mut r2, 64));
     }
 
     #[test]
     fn random_long_string_is_roughly_balanced() {
+        // The longest string, drawn 157 times: about 10 000 bits.
         let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let s = BitStr::random(&mut rng, 10_000);
-        let ones = s.count_ones();
+        let ones: usize = (0..157)
+            .map(|_| BitStr::random(&mut rng, 64).count_ones())
+            .sum();
         assert!((4_500..=5_500).contains(&ones), "ones={ones}");
+    }
+
+    #[test]
+    fn random_takes_one_draw_unless_empty() {
+        for len in 0..=MAX_BITS {
+            let mut rng = ChaCha8Rng::seed_from_u64(len as u64);
+            let mut twin = rng.clone();
+            let s = BitStr::random(&mut rng, len);
+            if len > 0 {
+                let word = twin.gen::<u64>();
+                assert_eq!(s, BitStr::with_word(len, word), "len={len}");
+            }
+            assert_eq!(rng.gen::<u64>(), twin.gen::<u64>(), "len={len}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more than MAX_BITS")]
+    fn from_bits_panics_past_max_bits() {
+        let _ = BitStr::from_bits(std::iter::repeat_n(true, MAX_BITS + 1));
     }
 
     #[test]
     fn iter_matches_get() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let s = BitStr::random(&mut rng, 77);
+        let s = BitStr::random(&mut rng, 61);
         let collected: Vec<bool> = s.iter().collect();
         for (i, b) in collected.iter().enumerate() {
             assert_eq!(*b, s.get(i));

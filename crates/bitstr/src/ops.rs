@@ -11,7 +11,7 @@
 //!   a parent).
 //! * Mutation flips every bit independently with probability `p`.
 
-use crate::BitStr;
+use crate::{mask, BitStr};
 use rand::Rng;
 
 /// Builds **one** child of a one-point crossover without materializing
@@ -28,11 +28,11 @@ pub fn one_point_child(a: &BitStr, b: &BitStr, cut: usize, take_second: bool) ->
     assert_eq!(a.len(), b.len(), "crossover of unequal lengths");
     assert!(cut <= a.len(), "cut {cut} out of range");
     let (head, tail) = if take_second { (b, a) } else { (a, b) };
-    let mut child = head.clone();
-    for i in cut..a.len() {
-        child.set(i, tail.get(i));
+    let low = mask(cut);
+    BitStr {
+        len: a.len,
+        word: (head.word & low) | (tail.word & !low),
     }
-    child
 }
 
 /// Uniform bit-flip mutation: flips each bit independently with
@@ -88,7 +88,7 @@ mod tests {
         // Each child is one parent up to the cut and the other after it,
         // and the two children split every position's bits between them.
         let mut r = rng(21);
-        for len in [2usize, 13, 64, 90] {
+        for len in [2usize, 13, 63, 64] {
             let a = BitStr::random(&mut r, len);
             let b = BitStr::random(&mut r, len);
             for cut in 0..=len {
@@ -139,7 +139,7 @@ mod tests {
         // A 1-bit genome has no interior cut: either cut clones the parents.
         let a = BitStr::zeros(1);
         let b = BitStr::ones(1);
-        assert_eq!(children(&a, &b, 0), (b.clone(), a.clone()));
+        assert_eq!(children(&a, &b, 0), (b, a));
         assert_eq!(children(&a, &b, 1), (a, b));
     }
 
@@ -160,7 +160,7 @@ mod tests {
     fn mutation_zero_and_one_probabilities() {
         let mut r = rng(7);
         let mut g = BitStr::random(&mut r, 64);
-        let orig = g.clone();
+        let orig = g;
         assert_eq!(bit_flip_mutation(&mut r, &mut g, 0.0), 0);
         assert_eq!(g, orig);
         assert_eq!(bit_flip_mutation(&mut r, &mut g, 1.0), 64);

@@ -35,4 +35,14 @@ mod tests {
         let r: Result<BitStr, _> = serde_json::from_str("\"01x\"");
         assert!(r.is_err());
     }
+
+    #[test]
+    fn deserialize_rejects_more_than_max_bits() {
+        let longest = format!("\"{}\"", "1".repeat(crate::MAX_BITS));
+        let back: BitStr = serde_json::from_str(&longest).unwrap();
+        assert_eq!(back, BitStr::ones(crate::MAX_BITS));
+        let too_long = format!("\"{}\"", "1".repeat(crate::MAX_BITS + 1));
+        let err = serde_json::from_str::<BitStr>(&too_long).unwrap_err();
+        assert!(err.to_string().contains("more than 64 bits"), "{err}");
+    }
 }

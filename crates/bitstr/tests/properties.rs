@@ -1,11 +1,11 @@
 //! Property-based tests for the bit-string genome type.
 
-use ahn_bitstr::{fmt::Grouped, ops, BitStr};
+use ahn_bitstr::{fmt::Grouped, ops, BitStr, MAX_BITS};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// Strategy producing an arbitrary bit string up to 200 bits.
+/// Strategy producing an arbitrary bit string of up to `max_len` bits.
 fn bitstr(max_len: usize) -> impl Strategy<Value = BitStr> {
     proptest::collection::vec(any::<bool>(), 0..=max_len).prop_map(BitStr::from_bits)
 }
@@ -31,7 +31,7 @@ fn children(rng: &mut ChaCha8Rng, a: &BitStr, b: &BitStr) -> (BitStr, BitStr) {
 
 proptest! {
     #[test]
-    fn display_parse_roundtrip(s in bitstr(200)) {
+    fn display_parse_roundtrip(s in bitstr(MAX_BITS)) {
         let back: BitStr = s.to_string().parse().unwrap();
         prop_assert_eq!(&s, &back);
         let grouped: BitStr = Grouped(&s, 3).to_string().parse().unwrap();
@@ -39,19 +39,19 @@ proptest! {
     }
 
     #[test]
-    fn serde_roundtrip(s in bitstr(200)) {
+    fn serde_roundtrip(s in bitstr(MAX_BITS)) {
         let json = serde_json::to_string(&s).unwrap();
         let back: BitStr = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(s, back);
     }
 
     #[test]
-    fn count_ones_matches_iter(s in bitstr(200)) {
+    fn count_ones_matches_iter(s in bitstr(MAX_BITS)) {
         prop_assert_eq!(s.count_ones(), s.iter().filter(|&b| b).count());
     }
 
     #[test]
-    fn hamming_is_a_metric((a, b) in bitstr_pair(128)) {
+    fn hamming_is_a_metric((a, b) in bitstr_pair(MAX_BITS)) {
         prop_assert_eq!(a.hamming(&b), b.hamming(&a));
         prop_assert_eq!(a.hamming(&a), 0);
         // Identity of indiscernibles.
@@ -60,7 +60,7 @@ proptest! {
 
     #[test]
     fn crossover_children_at_each_position_use_parent_bits(
-        (a, b) in bitstr_pair(128),
+        (a, b) in bitstr_pair(MAX_BITS),
         seed in any::<u64>(),
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -77,7 +77,7 @@ proptest! {
     }
 
     #[test]
-    fn crossover_conserves_total_ones((a, b) in bitstr_pair(128), seed in any::<u64>()) {
+    fn crossover_conserves_total_ones((a, b) in bitstr_pair(MAX_BITS), seed in any::<u64>()) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let total = a.count_ones() + b.count_ones();
         let (c, d) = children(&mut rng, &a, &b);
@@ -85,9 +85,9 @@ proptest! {
     }
 
     #[test]
-    fn mutation_flip_count_equals_hamming(s in bitstr(128), seed in any::<u64>()) {
+    fn mutation_flip_count_equals_hamming(s in bitstr(MAX_BITS), seed in any::<u64>()) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut m = s.clone();
+        let mut m = s;
         let flips = ops::bit_flip_mutation(&mut rng, &mut m, 0.1);
         prop_assert_eq!(flips, s.hamming(&m));
     }

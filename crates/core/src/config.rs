@@ -49,8 +49,8 @@ impl StrategyCodec {
     /// Panics if the genome width does not match the codec.
     pub fn decode(self, genome: &BitStr) -> Strategy {
         match self {
-            StrategyCodec::Full => Strategy::from_bits(genome.clone()),
-            StrategyCodec::TrustOnly => ReducedStrategy::from_bits(genome.clone()).lift(),
+            StrategyCodec::Full => Strategy::from_bits(*genome),
+            StrategyCodec::TrustOnly => ReducedStrategy::from_bits(*genome).lift(),
         }
     }
 }

@@ -125,7 +125,7 @@ pub fn next_generation_into<R: Rng + ?Sized>(
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         for &i in ranked.iter().take(params.elitism) {
-            next.push(population[i].clone());
+            next.push(population[i]);
         }
     }
 
@@ -138,9 +138,9 @@ pub fn next_generation_into<R: Rng + ?Sized>(
                 // No interior cut point exists: the "children" are the
                 // parents themselves.
                 if rng.gen_bool(0.5) {
-                    a.clone()
+                    *a
                 } else {
-                    b.clone()
+                    *b
                 }
             } else {
                 let cut = rng.gen_range(1..a.len());
@@ -151,9 +151,9 @@ pub fn next_generation_into<R: Rng + ?Sized>(
                 ops::one_point_child(a, b, cut, !keep_first)
             }
         } else if rng.gen_bool(0.5) {
-            a.clone()
+            *a
         } else {
-            b.clone()
+            *b
         };
         ops::bit_flip_mutation(rng, &mut child, params.mutation_prob);
         next.push(child);
@@ -226,7 +226,7 @@ mod tests {
 
     #[test]
     fn into_variant_matches_with_elitism_and_tiny_genomes() {
-        for (bits, elitism) in [(1usize, 0usize), (13, 3), (64, 1), (70, 0)] {
+        for (bits, elitism) in [(1usize, 0usize), (13, 3), (63, 0), (64, 1)] {
             let mut r = rng(bits as u64);
             let pop: Vec<BitStr> = (0..10).map(|_| BitStr::random(&mut r, bits)).collect();
             let fit = ones_fitness(&pop);

@@ -75,7 +75,7 @@ pub fn run_ipdrp<R: Rng + ?Sized>(rng: &mut R, config: &IpdrpConfig) -> Vec<Ipdr
     for generation in 0..config.generations {
         let strategies: Vec<IpdrpStrategy> = population
             .iter()
-            .map(|b| IpdrpStrategy::from_bits(b.clone()))
+            .map(|b| IpdrpStrategy::from_bits(*b))
             .collect();
         let mut totals = vec![0.0f64; config.population];
         let mut memory: Vec<Option<(Move, Move)>> = vec![None; config.population];

@@ -154,14 +154,6 @@ impl EnergyLedger {
             + self.tx_packets as f64 * PACKET_AIRTIME_S * profile.transmit_mw
             + self.rx_packets as f64 * PACKET_AIRTIME_S * profile.receive_mw
     }
-
-    /// Merges another ledger into this one.
-    pub fn merge(&mut self, other: &EnergyLedger) {
-        self.idle_s += other.idle_s;
-        self.sleep_s += other.sleep_s;
-        self.tx_packets += other.tx_packets;
-        self.rx_packets += other.rx_packets;
-    }
 }
 
 #[cfg(test)]
@@ -222,21 +214,6 @@ mod tests {
         // Discarding saves exactly the transmit energy.
         let diff = fwd.total_mj(&p) - drop.total_mj(&p);
         assert!((diff - PACKET_AIRTIME_S * p.transmit_mw).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = EnergyLedger::new();
-        a.add_idle(1.0);
-        a.add_tx();
-        let mut b = EnergyLedger::new();
-        b.add_sleep(2.0);
-        b.add_forward();
-        a.merge(&b);
-        assert_eq!(a.idle_s, 1.0);
-        assert_eq!(a.sleep_s, 2.0);
-        assert_eq!(a.tx_packets, 2);
-        assert_eq!(a.rx_packets, 1);
     }
 
     #[test]

@@ -28,6 +28,13 @@
 //! that body (which is what [`JobSpec::cache_key`] computes); each reply
 //! is decoded once, as it arrives; results stay typed until the fold.
 //!
+//! Polling gives up only on a job that stays queued: `MAX_QUEUED_POLLS`
+//! polls that find it queued fail the run, while polls that find it
+//! running do not count, so a cell may compute as long as it needs.
+//! Each poll first runs the node's lazy lease sweep, so a cell whose
+//! worker died reads queued again once its lease expires, and a run with
+//! no live worker still fails.
+//!
 //! Checkpoint/resume: with a journal path every completed cell is
 //! appended (checksummed, flushed) before the coordinator moves on; a
 //! restarted coordinator replays the journal, decodes the records of
@@ -44,10 +51,11 @@ use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::time::Duration;
 
-/// How many poll rounds a cell may take before the coordinator gives
-/// up (multiplied by `poll_ms`; 15 000 × the 2 ms test cadence = 30 s,
-/// matching the loadtest budget).
-const MAX_POLL_ROUNDS: usize = 15_000;
+/// How many polls may find a cell's job still queued before the
+/// coordinator gives up (multiplied by `poll_ms`: 150 s at the CLI's
+/// 10 ms). Polls that find it running do not count, however long the
+/// cell computes.
+const MAX_QUEUED_POLLS: usize = 15_000;
 
 /// How many consecutive 503 (queue full) answers a single cell may
 /// absorb before the coordinator gives up.
@@ -89,8 +97,8 @@ fn cell_tasks(cells: &GridCells) -> Result<Vec<CellTask>, String> {
 ///
 /// # Errors
 /// Names the cell or job: a transport failure, a rejected submission, a
-/// queue that stays full, a failed job, a job that does not finish in
-/// time, an unusable reply, or a journal that cannot be read or written.
+/// queue that stays full, a failed job, a job that no worker takes, an
+/// unusable reply, or a journal that cannot be read or written.
 pub fn run_cells_via(
     transport: &mut dyn Transport,
     cells: &GridCells,
@@ -191,7 +199,7 @@ pub fn run_cells_via(
     for (index, job_id) in polling {
         let task = &tasks[index];
         let in_job = |e: String| format!("job {job_id}: {e}");
-        let mut rounds = 0usize;
+        let mut queued_polls = 0usize;
         loop {
             let (status, response) = transport
                 .request("GET", &format!("/v1/jobs/{job_id}"), "")
@@ -216,13 +224,18 @@ pub fn run_cells_via(
                     let error = serde_json::to_string(&reply.error).unwrap_or_default();
                     return Err(format!("cell job {job_id} failed: {error}"));
                 }
-                _ => {
-                    rounds += 1;
-                    if rounds >= MAX_POLL_ROUNDS {
-                        return Err(format!("cell job {job_id} did not finish in time"));
+                "queued" => {
+                    queued_polls += 1;
+                    if queued_polls >= MAX_QUEUED_POLLS {
+                        return Err(format!(
+                            "cell job {job_id} still queued after {queued_polls} polls \
+                             (no worker took it)"
+                        ));
                     }
                     std::thread::sleep(pause);
                 }
+                // Running: a worker holds the cell, however long it computes.
+                _ => std::thread::sleep(pause),
             }
         }
     }
@@ -295,6 +308,71 @@ pub fn run_sweep_via(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A node holding one job: the submission is queued as job 1, and
+    /// each poll answers the next of `polls`, then `done` with `result`.
+    struct OneJob {
+        polls: std::vec::IntoIter<&'static str>,
+        result: String,
+    }
+
+    impl Transport for OneJob {
+        fn request(&mut self, method: &str, path: &str, _: &str) -> Result<(u16, String), String> {
+            match (method, path) {
+                ("POST", "/v1/experiments") => {
+                    Ok((202, "{\"job_id\":1,\"status\":\"queued\"}".into()))
+                }
+                ("GET", "/v1/jobs/1") => Ok((
+                    200,
+                    match self.polls.next() {
+                        Some(status) => format!("{{\"status\":\"{status}\"}}"),
+                        None => format!("{{\"status\":\"done\",\"result\":{}}}", self.result),
+                    },
+                )),
+                _ => Err(format!("unexpected {method} {path}")),
+            }
+        }
+    }
+
+    /// Runs the one-cell smoke grid against a node answering `polls`.
+    fn run_one(polls: Vec<&'static str>) -> (Result<Vec<ExperimentResult>, String>, String) {
+        let mut base = ahn_core::ExperimentConfig::smoke();
+        (base.generations, base.replications) = (1, 1);
+        let grid = SweepGrid {
+            base,
+            scenarios: None,
+            cases: vec![1],
+            payoffs: vec!["paper".into()],
+            sizes: vec![10],
+            seed_blocks: vec![0],
+        };
+        let cells = grid.cells().unwrap();
+        let local = ahn_core::run_cells(cells.cells(), None, |_| String::new());
+        let result = serde_json::to_string(&local).unwrap();
+        let mut node = OneJob {
+            polls: polls.into_iter(),
+            result: result.clone(),
+        };
+        (run_cells_via(&mut node, &cells, None, 1, None), result)
+    }
+
+    #[test]
+    fn a_running_job_is_polled_past_the_queued_bound() {
+        let mut polls = vec!["queued"; 2];
+        polls.extend(vec!["running"; MAX_QUEUED_POLLS]);
+        let (results, local) = run_one(polls);
+        assert_eq!(serde_json::to_string(&results.unwrap()).unwrap(), local);
+    }
+
+    #[test]
+    fn a_job_that_stays_queued_fails_the_run() {
+        let (results, _) = run_one(vec!["queued"; MAX_QUEUED_POLLS]);
+        let error = results.unwrap_err();
+        assert!(
+            error.contains("cell job 1 still queued after 15000 polls"),
+            "{error}"
+        );
+    }
 
     #[test]
     fn a_task_key_is_its_spec_cache_key() {

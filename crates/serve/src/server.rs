@@ -157,8 +157,8 @@ impl Shared {
     }
 
     /// Requeues expired leases, counting them. Sweeps are request
-    /// driven (claims, completions, `/metrics`, the drain loop), so an
-    /// idle node never spins.
+    /// driven (claims, completions, job polls, `/metrics`, the drain
+    /// loop), so an idle node never spins.
     fn sweep_expired(&self) {
         let requeued = self.store.sweep_expired();
         Metrics::add(&self.metrics.lease_requeues, requeued as u64);
@@ -385,8 +385,9 @@ fn route(shared: &Shared, req: &Request) -> Result<Reply, Reply> {
         ("GET", "/metrics") => {
             // A metrics scrape doubles as a lazy lease sweep: cells
             // abandoned by crashed workers are requeued here (and on
-            // every claim/complete), never by a background thread — an
-            // idle node does zero work between requests.
+            // every claim, completion and job poll), never by a
+            // background thread — an idle node does zero work between
+            // requests.
             shared.sweep_expired();
             let (depth, cached) = (shared.store.depth(), shared.store.cached());
             let snapshot = shared
@@ -604,12 +605,14 @@ fn submit_calibration(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
     })
 }
 
-/// The `GET /v1/jobs/{id}` flow.
+/// The `GET /v1/jobs/{id}` flow: sweep expired leases, so a cell whose
+/// worker died reads `queued` again, then report the job.
 fn job_status(shared: &Shared, path: &str) -> Result<Reply, Reply> {
     let id_text = &path["/v1/jobs/".len()..];
     let Ok(id) = id_text.parse::<u64>() else {
         return Err(bad_request(&format!("bad job id {id_text:?}")));
     };
+    shared.sweep_expired();
     // The store hands out a copy (the result is an Arc): format outside
     // its lock.
     let Some(job) = shared.store.status(id) else {

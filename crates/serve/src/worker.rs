@@ -21,6 +21,15 @@
 //! cell never waits for a thread, so its lease covers only its own
 //! compute, and `AHN_THREADS=1` computes one cell at a time.
 //!
+//! A finished cell is delivered before the next claim goes out: every
+//! claim first requeues the cells whose leases have expired, so a cell
+//! still undelivered when it outlived its lease would be granted
+//! straight back and computed again. A cell that computes longer than
+//! its lease can still be requeued by a claim made while it computes
+//! (this worker's, for another cell, or another worker's), and then
+//! computed twice, so the lease (`--lease-ms`) must exceed a cell's
+//! compute time.
+//!
 //! Determinism is free: a cell is a pure function of its resolved spec,
 //! so *which* process computes it cannot change the bytes. The worker
 //! still verifies the claimed spec's `canonical_hash` against the
@@ -306,8 +315,9 @@ impl WorkerSummary {
 /// keeps up to [`ahn_core::threads::effective`] replication items in
 /// flight (see the module docs): granted cells run on a pool of compute
 /// threads, while this thread makes every claim and delivery over the
-/// one `transport`. When a cell finishes, its replacement is claimed
-/// before the cell is delivered.
+/// one `transport`. When a cell finishes, it is delivered before its
+/// replacement is claimed, so the claim's lease sweep cannot requeue a
+/// finished cell that waits for delivery.
 ///
 /// Each claim reports the breaker trips observed since the last
 /// *acknowledged* claim (`breaker_trips` in the body), so the server's
@@ -546,8 +556,8 @@ impl Puller<'_> {
     /// Granted cells run on a pool of compute threads while this thread
     /// claims and delivers. It claims while nothing computes, or while
     /// another cell the size of the last one granted fits in the thread
-    /// count. A finished cell's replacement is claimed before the cell is
-    /// delivered, and an empty claim while cells compute waits for one of
+    /// count. A finished cell is delivered before its replacement is
+    /// claimed, and an empty claim while cells compute waits for one of
     /// them to finish.
     fn compute_from(&mut self, first: Granted) -> Result<(), String> {
         let budget = ahn_core::threads::effective();
@@ -588,36 +598,18 @@ impl Puller<'_> {
             let mut last = start(first);
             // None is in flight exactly when `items` is 0.
             let mut items = last;
-            let mut finished = None;
             loop {
-                let mut emptied = false;
-                while !emptied && (items == 0 || items + last <= budget) && self.may_claim() {
-                    match self.claim() {
-                        Ok(Some(claimed)) => {
-                            last = start(claimed);
-                            items += last;
-                        }
-                        Ok(None) => emptied = true,
-                        Err(e) => {
-                            // Deliver what is done before giving up, as a
-                            // worker that delivers before it claims would
-                            // (one attempt when the transport is dead).
-                            if let Some(done) = finished.take() {
-                                let _ = self.deliver(done);
-                            }
-                            return Err(e);
-                        }
-                    }
-                }
-                if let Some(done) = finished.take() {
-                    self.deliver(done)?;
+                while (items == 0 || items + last <= budget) && self.may_claim() {
+                    let Some(claimed) = self.claim()? else { break };
+                    last = start(claimed);
+                    items += last;
                 }
                 if items == 0 {
                     return Ok(());
                 }
                 let done = done_rx.recv().expect("the loop thread holds a sender");
                 items -= done.cell.items;
-                finished = Some(done);
+                self.deliver(done)?;
             }
         })
     }

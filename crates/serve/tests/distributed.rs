@@ -825,6 +825,54 @@ fn every_job_reply_the_server_writes_decodes_through_one_type() {
     assert_eq!((empty.job_id, empty.result), (Some(5), None));
 }
 
+#[test]
+fn a_poll_after_a_lease_expires_reads_queued() {
+    // The poll runs the lease sweep itself, so a cell whose worker died
+    // reads queued again without waiting for another claim.
+    let (handle, addr) = boot(0, None);
+    let body = serde_json::to_string(&ahn_serve::loadtest::smoke_spec(13)).unwrap();
+    assert_eq!(post(&addr, "/v1/experiments", &body).0, 202);
+    let (_, granted) = post(&addr, "/v1/work/claim", "{\"lease_ms\":1}");
+    let grant: WorkGrant = serde_json::from_str(&granted).expect("work grant");
+    std::thread::sleep(Duration::from_millis(20));
+    let (status, poll) = get(&addr, &format!("/v1/jobs/{}", grant.job_id));
+    assert_eq!(
+        (status, &poll["status"]),
+        (200, &Value::String("queued".into()))
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn a_cell_that_outlives_its_lease_is_delivered_before_the_next_claim() {
+    // One cell that fills the worker's threads, under a 1 ms lease: it
+    // finishes long after the lease expired. Delivered first, it is
+    // recorded; claimed past, the claim's sweep would grant it straight
+    // back and the worker would compute it twice.
+    let (handle, addr) = boot(0, None);
+    let mut spec = ahn_serve::loadtest::smoke_spec(14);
+    if let ahn_serve::JobSpec::Experiment { config, .. } = &mut spec {
+        config.replications = ahn_core::threads::effective();
+    }
+    let body = serde_json::to_string(&spec).unwrap();
+    assert_eq!(post(&addr, "/v1/experiments", &body).0, 202);
+    let config = WorkerConfig {
+        lease_ms: 1,
+        poll_ms: 1,
+        idle_exit_polls: 1,
+        ..WorkerConfig::default()
+    };
+    let (report, telemetry) =
+        run_worker_observed(&mut HttpTransport::new(&addr), &config, None).expect("clean exit");
+    assert!(
+        telemetry.compute_us.max >= 1_000,
+        "the cell outlived its lease"
+    );
+    assert_eq!((report.completed, report.duplicates), (1, 0));
+    assert_eq!(metric_u64(&addr, "work_claims"), 1, "one grant");
+    handle.shutdown();
+}
+
 /// A transport that answers from a script, one reply per request, and
 /// records the requests it saw.
 struct Scripted {
@@ -1211,8 +1259,8 @@ fn a_cell_that_fills_the_thread_count_is_never_granted_alongside_another() {
 #[test]
 fn a_worker_that_gives_up_on_a_claim_first_delivers_the_cell_it_finished() {
     // The claim after the first cell is refused. Below 24 threads that
-    // claim waits for the 12-replication cell to finish, as it would in
-    // a worker that delivers before it claims.
+    // claim waits for the 12-replication cell to finish, and the worker
+    // delivers the cell before it claims.
     if ahn_core::threads::effective() >= 24 {
         return;
     }

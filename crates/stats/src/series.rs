@@ -35,16 +35,6 @@ impl Series {
         }
     }
 
-    /// Merges another series index-wise.
-    pub fn merge(&mut self, other: &Series) {
-        if other.points.len() > self.points.len() {
-            self.points.resize(other.points.len(), Summary::new());
-        }
-        for (mine, theirs) in self.points.iter_mut().zip(&other.points) {
-            mine.merge(theirs);
-        }
-    }
-
     /// Number of indices.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -112,21 +102,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.point(0).unwrap().count(), 2);
         assert_eq!(s.point(1).unwrap().count(), 1);
-    }
-
-    #[test]
-    fn merge_matches_sequential() {
-        let mut a = Series::new();
-        a.add_run(&[1.0, 2.0]);
-        let mut b = Series::new();
-        b.add_run(&[3.0, 4.0, 9.0]);
-        let mut merged = a.clone();
-        merged.merge(&b);
-        let mut seq = Series::new();
-        seq.add_run(&[1.0, 2.0]);
-        seq.add_run(&[3.0, 4.0, 9.0]);
-        assert_eq!(merged.means(), seq.means());
-        assert_eq!(merged.len(), 3);
     }
 
     #[test]

@@ -39,26 +39,6 @@ impl Summary {
         self.max = self.max.max(x);
     }
 
-    /// Merges another summary into this one (parallel Welford/Chan).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -145,31 +125,6 @@ mod tests {
         assert_eq!(s.mean(), Some(3.5));
         assert_eq!(s.variance(), None);
         assert_eq!(s.min(), Some(3.5));
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let seq: Summary = xs.iter().copied().collect();
-        let mut a: Summary = xs[..37].iter().copied().collect();
-        let b: Summary = xs[37..].iter().copied().collect();
-        a.merge(&b);
-        assert_eq!(a.count(), seq.count());
-        assert!((a.mean().unwrap() - seq.mean().unwrap()).abs() < 1e-10);
-        assert!((a.variance().unwrap() - seq.variance().unwrap()).abs() < 1e-8);
-        assert_eq!(a.min(), seq.min());
-        assert_eq!(a.max(), seq.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s: Summary = [1.0, 2.0].into_iter().collect();
-        let before = s.clone();
-        s.merge(&Summary::new());
-        assert_eq!(s, before);
-        let mut e = Summary::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 
     #[test]

@@ -19,25 +19,6 @@ proptest! {
         prop_assert_eq!(s.max().unwrap(), xs.iter().copied().fold(f64::NEG_INFINITY, f64::max));
     }
 
-    /// Merging partitions is equivalent to a single pass, wherever the
-    /// split point falls.
-    #[test]
-    fn summary_merge_any_split(
-        xs in proptest::collection::vec(-1e3f64..1e3, 2..100),
-        split_frac in 0.0f64..=1.0,
-    ) {
-        let split = ((xs.len() as f64 * split_frac) as usize).min(xs.len());
-        let whole: Summary = xs.iter().copied().collect();
-        let mut left: Summary = xs[..split].iter().copied().collect();
-        let right: Summary = xs[split..].iter().copied().collect();
-        left.merge(&right);
-        prop_assert_eq!(left.count(), whole.count());
-        prop_assert!((left.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-9);
-        if xs.len() > 1 {
-            prop_assert!((left.variance().unwrap() - whole.variance().unwrap()).abs() < 1e-6);
-        }
-    }
-
     /// Series means are invariant to the order runs are added in.
     #[test]
     fn series_run_order_invariance(

@@ -51,20 +51,6 @@ impl StrategyCensus {
         }
     }
 
-    /// Merges another census (e.g. from another replication).
-    pub fn merge(&mut self, other: &StrategyCensus) {
-        for (&k, &n) in &other.full {
-            *self.full.entry(k).or_insert(0) += n;
-        }
-        for t in 0..4 {
-            for (&k, &n) in &other.sub[t] {
-                *self.sub[t].entry(k).or_insert(0) += n;
-            }
-        }
-        self.unknown_forward += other.unknown_forward;
-        self.total += other.total;
-    }
-
     /// Total strategies observed.
     pub fn total(&self) -> u64 {
         self.total
@@ -186,19 +172,6 @@ mod tests {
         assert!((c.forward_at_least(TrustLevel::T0, 2) - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(c.forward_at_least(TrustLevel::T0, 1), 1.0);
         assert_eq!(c.forward_at_least(TrustLevel::T1, 1), 0.0);
-    }
-
-    #[test]
-    fn merge_combines_counts() {
-        let mut a = StrategyCensus::new();
-        a.add(&strat("111 111 111 111 1"));
-        let mut b = StrategyCensus::new();
-        b.add(&strat("111 111 111 111 1"));
-        b.add(&strat("000 000 000 000 0"));
-        a.merge(&b);
-        assert_eq!(a.total(), 3);
-        let top = a.top_strategies(1);
-        assert_eq!(top[0].0, strat("111 111 111 111 1"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Lock-free log2-bucketed latency histograms.
+//! Lock-free log-linear latency histograms.
 //!
 //! [`AtomicHistogram`] is the one shared distribution primitive of the
 //! workspace: the serve layer records request latency, queue wait,
@@ -9,19 +9,20 @@
 //! Design constraints, in order:
 //!
 //! 1. **Zero allocation, no locks on the record path.** A record is a
-//!    handful of `Relaxed` atomic RMWs on a fixed 64-slot array — safe
-//!    to call from any thread, any signal-adjacent context, any hot
-//!    loop (`tests/zero_alloc.rs` pins this).
+//!    handful of `Relaxed` atomic RMWs on a fixed [`BUCKETS`]-slot
+//!    array — safe to call from any thread, any signal-adjacent
+//!    context, any hot loop (`tests/zero_alloc.rs` pins this).
 //! 2. **Deterministic merge.** Buckets add and maxima max; both
 //!    commute, so merging per-thread histograms in any order — or
 //!    recording the same multiset of values from any number of threads
 //!    — yields byte-identical [`HistogramSnapshot`]s (the proptests in
 //!    `tests/properties.rs` pin this).
-//! 3. **Bounded, known error.** Bucket `i ≥ 1` spans
-//!    `[2^(i-1), 2^i - 1]` (bucket 0 is exactly `{0}`), so a reported
-//!    percentile is the upper bound of its bucket: never below the true
-//!    value and less than 2x above it. `max` is exact, and percentiles
-//!    are clamped to it.
+//! 3. **Bounded, known error.** Values 0–7 get a bucket each; every
+//!    power of two above, `[2^k, 2^(k+1) - 1]` for `k ≥ 3`, splits into
+//!    [`SUB_BUCKETS`] equal linear buckets. A reported percentile is the
+//!    upper bound of its bucket: never below the true value and less
+//!    than 12.5 % (one eighth) above it. `count`, `sum` and `max` are
+//!    exact, and percentiles are clamped to `max`.
 //!
 //! Units are chosen by the call site (the serve layer records
 //! microseconds; field names carry a `_us`/`_ms` suffix).
@@ -29,30 +30,46 @@
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of power-of-two buckets: one per possible `u64` bit width,
-/// with the top bucket absorbing the (unreachable in practice) overflow.
-pub const BUCKETS: usize = 64;
+/// Linear buckets per power of two (and the count of exact small
+/// values, 0 to `SUB_BUCKETS - 1`).
+pub const SUB_BUCKETS: usize = 8;
 
-/// The bucket a value lands in: its bit width (0 for 0), clamped so
-/// 64-bit-wide values share the top bucket.
+/// `log2(SUB_BUCKETS)`.
+const SUB_BITS: u32 = SUB_BUCKETS.trailing_zeros();
+
+/// Number of buckets: the exact small values, then [`SUB_BUCKETS`] for
+/// each power of two from `2^3` up to `2^63`.
+pub const BUCKETS: usize = SUB_BUCKETS * (u64::BITS - SUB_BITS + 1) as usize;
+
+/// The bucket a value lands in: the value itself below
+/// [`SUB_BUCKETS`]; above, its power of two picks a group of
+/// [`SUB_BUCKETS`] buckets and the bits below its leading one pick the
+/// bucket within the group.
 #[inline]
 fn bucket_of(value: u64) -> usize {
-    ((u64::BITS - value.leading_zeros()) as usize).min(BUCKETS - 1)
-}
-
-/// The inclusive upper bound of bucket `index` (`0` for bucket 0,
-/// `2^index - 1` in between, `u64::MAX` for the open-ended top bucket).
-pub fn bucket_bound(index: usize) -> u64 {
-    match index {
-        0 => 0,
-        i if i >= BUCKETS - 1 => u64::MAX,
-        i => (1u64 << i) - 1,
+    let width = u64::BITS - value.leading_zeros();
+    if width <= SUB_BITS {
+        return value as usize;
     }
+    let shift = width - SUB_BITS - 1;
+    let sub = (value >> shift) as usize & (SUB_BUCKETS - 1);
+    (((width - SUB_BITS) as usize) << SUB_BITS) | sub
 }
 
-/// A lock-free log2-bucketed histogram: 64 relaxed `AtomicU64` bucket
-/// counters plus an exact running sum and maximum. See the module docs
-/// for the guarantees.
+/// The inclusive upper bound of bucket `index` (`index` itself for the
+/// exact small values, `u64::MAX` for the last bucket).
+pub fn bucket_bound(index: usize) -> u64 {
+    if index < SUB_BUCKETS {
+        return index as u64;
+    }
+    let shift = (index >> SUB_BITS) - 1;
+    let sub = (index & (SUB_BUCKETS - 1)) as u128;
+    (((SUB_BUCKETS as u128 + sub + 1) << shift) - 1) as u64
+}
+
+/// A lock-free log-linear histogram: [`BUCKETS`] relaxed `AtomicU64`
+/// bucket counters plus an exact running sum and maximum. See the
+/// module docs for the guarantees.
 #[derive(Debug)]
 pub struct AtomicHistogram {
     buckets: [AtomicU64; BUCKETS],
@@ -166,8 +183,8 @@ pub struct BucketCount {
 }
 
 /// A serializable point-in-time readout of an [`AtomicHistogram`]:
-/// exact count/sum/max, log2-resolution percentiles, and the non-empty
-/// buckets for full-distribution dumps.
+/// exact count/sum/max, percentiles within 12.5 % above the true value,
+/// and the non-empty buckets for full-distribution dumps.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Number of recorded values.
@@ -177,7 +194,7 @@ pub struct HistogramSnapshot {
     /// Exact maximum recorded value (0 when empty).
     pub max: u64,
     /// Median, as the containing bucket's upper bound (see module docs
-    /// for the <2x error bound).
+    /// for the 12.5 % error bound).
     pub p50: u64,
     /// 90th percentile, same resolution as `p50`.
     pub p90: u64,
@@ -225,22 +242,29 @@ mod tests {
 
     #[test]
     fn bucket_mapping_covers_every_boundary() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(1023), 10);
-        assert_eq!(bucket_of(1024), 11);
+        // Exact below 16, then 8 buckets per power of two.
+        for value in 0..16u64 {
+            assert_eq!(bucket_of(value), value as usize);
+        }
+        assert_eq!(bucket_of(17), 16);
+        assert_eq!(bucket_of(18), 17);
+        assert_eq!(bucket_of(31), 23);
+        assert_eq!(bucket_of(32), 24);
+        assert_eq!(bucket_of(1023), 63);
+        assert_eq!(bucket_of(1024), 64);
         assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
+        assert_eq!(bucket_bound(BUCKETS - 1), u64::MAX);
         // Every value fits under its bucket's bound and above the
-        // previous bucket's.
-        for value in [0u64, 1, 2, 7, 8, 1000, 1 << 40, u64::MAX] {
+        // previous bucket's, and bounds rise bucket after bucket.
+        for value in [0u64, 1, 2, 7, 8, 17, 1000, 40_000, 1 << 40, u64::MAX] {
             let b = bucket_of(value);
             assert!(value <= bucket_bound(b), "{value} > bound of bucket {b}");
             if b > 0 {
                 assert!(value > bucket_bound(b - 1));
             }
+        }
+        for b in 1..BUCKETS {
+            assert!(bucket_bound(b) > bucket_bound(b - 1), "bucket {b}");
         }
     }
 
@@ -252,12 +276,27 @@ mod tests {
         }
         let s = h.snapshot();
         assert_eq!((s.count, s.sum, s.max), (5, 2000, 1000));
-        // Median record is 300 (bucket [256, 511]): reported as 511.
-        assert_eq!(s.p50, 511);
+        // Median record is 300 (bucket [288, 319]): reported as 319.
+        assert_eq!(s.p50, 319);
         // p90 and p99 land on the max record: clamped to exactly 1000.
         assert_eq!(s.p90, 1000);
         assert_eq!(s.p99, 1000);
         assert!(s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.max);
+    }
+
+    /// Medians 1.3x apart within one power of two read apart; a bucket
+    /// per power of two reported both as 65 535.
+    #[test]
+    fn percentiles_resolve_a_change_under_2x() {
+        let median = |value: u64| {
+            let h = AtomicHistogram::new();
+            for v in [value, value, value, 2 * value] {
+                h.record(v);
+            }
+            h.snapshot().p50
+        };
+        assert_eq!(median(40_000), 40_959);
+        assert_eq!(median(52_000), 53_247);
     }
 
     #[test]
@@ -285,7 +324,7 @@ mod tests {
         let s = h.snapshot();
         // One record: every percentile clamps to the exact max.
         assert_eq!((s.p50, s.p90, s.p99, s.max), (777, 777, 777, 777));
-        assert_eq!(s.buckets, vec![BucketCount { le: 1023, count: 1 }]);
+        assert_eq!(s.buckets, vec![BucketCount { le: 831, count: 1 }]);
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //!
 //! Three pieces, each usable alone, plus two shared utilities:
 //!
-//! * [`hist`] — [`AtomicHistogram`], a lock-free log2-bucketed
-//!   histogram (64 relaxed `AtomicU64` buckets, zero allocation on the
-//!   record path) with deterministic merge and p50/p90/p99/max
-//!   readout. Backs the `/metrics` `ahn-serve-metrics/2` distribution
-//!   blocks, the worker exit summary and the loadtest percentiles.
+//! * [`hist`] — [`AtomicHistogram`], a lock-free log-linear
+//!   histogram (8 relaxed `AtomicU64` buckets per power of two, zero
+//!   allocation on the record path) with deterministic merge and
+//!   p50/p90/p99/max readout within 12.5 %. Backs the `/metrics`
+//!   `ahn-serve-metrics/2` distribution blocks, the worker exit summary
+//!   and the loadtest percentiles.
 //! * [`trace`] — [`TraceLog`], a checksummed JSON-lines span log, plus
 //!   [`join_traces`]/[`render_tree`], which reconstruct one cell's
 //!   cross-node lifecycle (submit → enqueue → lease → compute →

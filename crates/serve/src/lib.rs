@@ -14,8 +14,9 @@
 //!   unbounded work;
 //! * [`jobs`] — the owner of the job lifecycle: the [`jobs::JobStore`]
 //!   holds the result cache, job table, coalescing map, queue, leases
-//!   and optional completion journal behind one lock, and settles every
-//!   job first-completion-wins for the pool and pull workers alike;
+//!   and optional completion journal behind one lock, sweeps expired
+//!   leases, settles every job first-completion-wins for the pool and
+//!   pull workers alike, and counts and times each of those decisions;
 //!   also the single place compute happens;
 //! * [`cache`] — an LRU result cache keyed by
 //!   [`ahn_core::config::canonical_hash`] of the resolved job spec;
@@ -34,11 +35,10 @@
 //! * [`resilience`] — seeded decorrelated-jitter backoff and the
 //!   [`resilience::CircuitBreaker`] transport wrapper (trip after N
 //!   consecutive failures, half-open probe);
-//! * [`metrics`] — `/metrics` counters: requests served, cache hit
-//!   rate, queue depth, work claims/leases, games/s, the hardening
-//!   counters (timeouts, breaker trips, drain time), plus the v2
-//!   latency histograms (per-route requests, queue wait, compute,
-//!   claim round trip, backoff sleeps) and uptime;
+//! * [`metrics`] — the `/metrics` report: the HTTP layer's own counters
+//!   (requests, connections, timeouts, breaker trips, drain time,
+//!   per-route latency and backoff sleeps) joined with the job store's
+//!   counters and timings;
 //! * [`http`] — the minimal HTTP/1.1 reader/writer both sides share;
 //! * [`loadtest`] — a std-only load generator reporting
 //!   p50/p90/p99/max latency, the full latency histogram and

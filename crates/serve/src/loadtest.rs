@@ -65,7 +65,7 @@ pub struct LoadtestReport {
     /// Worst observed submit latency, milliseconds (exact, not a bucket
     /// bound).
     pub max_ms: f64,
-    /// The full submit-latency distribution (log2 buckets,
+    /// The full submit-latency distribution (log-linear buckets,
     /// microseconds), merged across connections.
     pub latency: HistogramSnapshot,
     /// Wall-clock seconds for the whole run.
@@ -219,7 +219,7 @@ pub fn render(report: &LoadtestReport) -> String {
         report.rejected,
         report.errors,
     );
-    // The distribution itself: one line per occupied log2 bucket.
+    // The distribution itself: one line per occupied bucket.
     for bucket in &report.latency.buckets {
         out.push_str(&format!(
             "latency <= {:>9.3} ms : {}\n",

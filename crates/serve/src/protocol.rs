@@ -182,9 +182,8 @@ pub struct WorkGrant {
     pub lease_ms: u64,
     /// Trace id of the cell's span tree (`trace_id_of_key(key)`), echoed
     /// back by tracing workers so one cell's lifecycle joins across the
-    /// server's and the worker's trace logs. Omitted by pre-observability
-    /// servers.
-    pub trace_id: Option<u64>,
+    /// server's and the worker's trace logs.
+    pub trace_id: u64,
     /// The resolved spec to run.
     pub spec: JobSpec,
 }
@@ -206,12 +205,10 @@ pub struct WorkCompletion {
     /// Failure message when the job could not be run.
     pub error: Option<String>,
     /// Trace id echoed from the grant, for cross-node span joins.
-    /// Omitted by pre-observability workers.
-    pub trace_id: Option<u64>,
+    pub trace_id: u64,
     /// Self-reported compute time in microseconds; the server samples
-    /// it into the `job_compute_us` histogram. Omitted by
-    /// pre-observability workers.
-    pub compute_us: Option<u64>,
+    /// it into the `job_compute_us` histogram.
+    pub compute_us: u64,
 }
 
 /// One entry of `GET /v1/presets`.
@@ -406,7 +403,7 @@ mod tests {
             job_id: 9,
             key: spec.cache_key().unwrap(),
             lease_ms: DEFAULT_LEASE_MS,
-            trace_id: Some(ahn_obs::trace_id_of_key(spec.cache_key().unwrap())),
+            trace_id: ahn_obs::trace_id_of_key(spec.cache_key().unwrap()),
             spec,
         };
         let json = serde_json::to_string(&grant).unwrap();
@@ -421,29 +418,11 @@ mod tests {
             result: Some("[{\"x\":1}]".into()),
             error: None,
             trace_id: grant.trace_id,
-            compute_us: Some(1_200),
+            compute_us: 1_200,
         };
         let json = serde_json::to_string(&done).unwrap();
         let back: WorkCompletion = serde_json::from_str(&json).unwrap();
         assert_eq!(done, back);
-    }
-
-    /// Grants and completions from pre-observability nodes omit the
-    /// `trace_id`/`compute_us` fields; both directions must still parse
-    /// so mixed-version fleets interoperate.
-    #[test]
-    fn pre_observability_wire_bodies_still_parse() {
-        let spec_json = serde_json::to_string(&presets()[0].body).unwrap();
-        let old_grant = format!(
-            "{{\"lease_id\":1,\"job_id\":2,\"key\":3,\"lease_ms\":60000,\"spec\":{spec_json}}}"
-        );
-        let grant: WorkGrant = serde_json::from_str(&old_grant).unwrap();
-        assert_eq!(grant.trace_id, None);
-
-        let old_done = "{\"lease_id\":1,\"job_id\":2,\"key\":3,\"result\":\"[]\",\"error\":null}";
-        let done: WorkCompletion = serde_json::from_str(old_done).unwrap();
-        assert_eq!(done.trace_id, None);
-        assert_eq!(done.compute_us, None);
     }
 
     #[test]

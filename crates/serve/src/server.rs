@@ -1,9 +1,11 @@
 //! The HTTP job server: routing, request decoding, response encoding,
 //! metrics and spans. A job's state and lifecycle — result cache, job
-//! table, coalescing, queue, leases, journal, first-completion-wins
-//! settling — belong to the [`JobStore`] of [`crate::jobs`]; this module
-//! turns requests into store calls and store outcomes into responses,
-//! counters and trace events.
+//! table, coalescing, queue, leases and their expiry, journal,
+//! first-completion-wins settling, draining — belong to the [`JobStore`]
+//! of [`crate::jobs`], which also counts and times every decision it
+//! makes. This module turns requests into store calls and store
+//! outcomes into responses and trace events; its [`Metrics`] count only
+//! what the HTTP layer sees.
 //!
 //! ```text
 //! POST /v1/experiments   submit a JobSpec; cache hit -> result inline,
@@ -25,7 +27,8 @@
 //!                        routing; liveness stays green)
 //! GET  /metrics          counters: requests, cache hit rate, queue
 //!                        depth (current + peak), job compute seconds,
-//!                        games/s, hardening (timeouts/breaker/drain)
+//!                        games/s, hardening (timeouts/breaker/drain),
+//!                        latency histograms
 //! POST /v1/work/claim    lease one queued cell to an external worker
 //!                        (empty queue -> {"status":"empty"})
 //! POST /v1/work/complete deliver a leased cell's result; duplicates of
@@ -51,7 +54,7 @@
 //! next request instead of answering it.
 
 use crate::http::{read_request_deadlined, write_response, Deadlines, ReadOutcome, Request};
-use crate::jobs::{run_job, JobStatus, JobStore, LeasedJob, Settle, Submitted};
+use crate::jobs::{run_job, JobStatus, JobStore, LeasedJob, NoGrant, Settle, Settler, Submitted};
 use crate::metrics::Metrics;
 use crate::protocol::{
     presets, ClaimRequest, JobSpec, SubmitAck, WorkCompletion, WorkGrant, DEFAULT_LEASE_MS,
@@ -137,11 +140,9 @@ struct Shared {
     local_addr: SocketAddr,
     metrics: Metrics,
     store: JobStore,
+    /// Cleared once a drain ([`JobStore::start_draining`]) has settled
+    /// the work or spent its budget.
     running: AtomicBool,
-    /// Set the moment a shutdown is requested: readiness flips to 503,
-    /// submissions bounce, claims answer empty. `running` only follows
-    /// once the drain budget is spent or the work is settled.
-    draining: AtomicBool,
     /// Structured trace log, when `--trace` is configured.
     trace: Option<TraceLog>,
 }
@@ -154,14 +155,6 @@ impl Shared {
         if let Some(trace) = &self.trace {
             trace.emit(event);
         }
-    }
-
-    /// Requeues expired leases, counting them. Sweeps are request
-    /// driven (claims, completions, job polls, `/metrics`, the drain
-    /// loop), so an idle node never spins.
-    fn sweep_expired(&self) {
-        let requeued = self.store.sweep_expired();
-        Metrics::add(&self.metrics.lease_requeues, requeued as u64);
     }
 }
 
@@ -227,7 +220,6 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         local_addr,
         metrics: Metrics::default(),
         running: AtomicBool::new(true),
-        draining: AtomicBool::new(false),
         trace,
     });
 
@@ -264,7 +256,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        Metrics::bump(&shared.metrics.connections_accepted);
+        (shared.metrics.connections_accepted).fetch_add(1, Ordering::Relaxed);
         let conn_shared = Arc::clone(shared);
         let _ = std::thread::Builder::new()
             .name("ahn-serve-conn".into())
@@ -272,31 +264,28 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
     }
 }
 
-/// Graceful drain, then stop. The first caller flips `draining` (so
-/// readiness answers 503, submissions bounce and claims answer empty),
-/// waits up to `drain_ms` for outstanding work — queued cells, leased
-/// cells, jobs inside in-process workers — to settle (completions keep
-/// being accepted and journaled throughout), then stops the accept
+/// Graceful drain, then stop. The first caller starts the store's drain
+/// (so readiness answers 503, submissions bounce and claims answer
+/// empty), waits up to `drain_ms` for outstanding work — queued cells,
+/// leased cells, jobs inside in-process workers — to settle (completions
+/// keep being accepted and journaled throughout), then stops the accept
 /// loop, poking it with a throwaway connection so it observes the flag.
 /// Leases still outstanding at the deadline are abandoned safely: their
 /// cells were journaled if finished, and requeue on resubmission
 /// otherwise.
 fn initiate_shutdown(shared: &Shared) {
-    if shared.draining.swap(true, Ordering::SeqCst) {
+    if !shared.store.start_draining() {
         return; // another caller is already draining
     }
     let started = Instant::now();
     let budget = Duration::from_millis(shared.config.drain_ms);
     loop {
-        // The lazy lease sweep keeps running during the drain so a cell
+        // Counting the outstanding work sweeps expired leases, so a cell
         // abandoned by a crashed worker still requeues (and can be
         // picked up by in-process workers) instead of pinning the wait.
-        shared.sweep_expired();
         let outstanding = shared.store.outstanding();
-        Metrics::set(
-            &shared.metrics.drain_nanos,
-            started.elapsed().as_nanos() as u64,
-        );
+        let drained = started.elapsed().as_nanos() as u64;
+        shared.metrics.drain_nanos.store(drained, Ordering::Relaxed);
         if outstanding == 0 || started.elapsed() >= budget {
             break;
         }
@@ -334,7 +323,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 if !shared.running.load(Ordering::SeqCst) {
                     break;
                 }
-                Metrics::bump(&shared.metrics.http_requests);
+                shared.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
                 let started = Instant::now();
                 let (status, body) = route(shared, &req).unwrap_or_else(|reply| reply);
                 shared
@@ -351,14 +340,14 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 }
             }
             Ok(ReadOutcome::Malformed(reason)) => {
-                Metrics::bump(&shared.metrics.http_requests);
+                shared.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
                 let _ = write_response(&mut stream, 400, &error_body(&reason), true);
                 break;
             }
             Ok(ReadOutcome::TimedOut) => {
                 // A started-but-stalled request: evict loudly so the
                 // slowloris shows up in metrics, then hang up.
-                Metrics::bump(&shared.metrics.requests_timed_out);
+                (shared.metrics.requests_timed_out).fetch_add(1, Ordering::Relaxed);
                 let _ = write_response(&mut stream, 408, &error_body("request deadline"), true);
                 break;
             }
@@ -374,7 +363,7 @@ type Reply = (u16, String);
 /// Dispatches one request. `POST /v1/shutdown` answers here; the
 /// connection loop then starts the drain.
 fn route(shared: &Shared, req: &Request) -> Result<Reply, Reply> {
-    let draining = shared.draining.load(Ordering::SeqCst);
+    let draining = shared.store.draining();
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Ok((200, "{\"status\":\"ok\"}".into())),
         // Readiness, distinct from liveness: a draining node is alive
@@ -383,17 +372,8 @@ fn route(shared: &Shared, req: &Request) -> Result<Reply, Reply> {
         ("GET", "/readyz") if draining => Ok((503, "{\"status\":\"draining\"}".into())),
         ("GET", "/readyz") => Ok((200, "{\"status\":\"ready\"}".into())),
         ("GET", "/metrics") => {
-            // A metrics scrape doubles as a lazy lease sweep: cells
-            // abandoned by crashed workers are requeued here (and on
-            // every claim, completion and job poll), never by a
-            // background thread — an idle node does zero work between
-            // requests.
-            shared.sweep_expired();
-            let (depth, cached) = (shared.store.depth(), shared.store.cached());
-            let snapshot = shared
-                .metrics
-                .snapshot(depth, cached, shared.config.workers);
-            Ok(json(&snapshot))
+            let stats = shared.store.stats();
+            Ok(json(&shared.metrics.snapshot(stats, shared.config.workers)))
         }
         ("GET", "/v1/presets") => Ok(json(&presets())),
         // The adversary-zoo registry: pure data straight from
@@ -402,14 +382,10 @@ fn route(shared: &Shared, req: &Request) -> Result<Reply, Reply> {
         ("GET", "/v1/scenarios") => Ok(json(&ahn_core::builtin_scenarios())),
         // A draining node takes no new work: submissions answer 503 so
         // callers retry elsewhere (or later), and claims answer empty
-        // so pull workers idle out instead of erroring. Completions for
-        // work already leased keep landing below.
+        // (`work_claim`) so pull workers idle out instead of erroring.
+        // Completions for work already leased keep landing below.
         ("POST", "/v1/experiments" | "/v1/sweeps" | "/v1/calibrations") if draining => {
             Ok((503, error_body("server is draining, no new submissions")))
-        }
-        ("POST", "/v1/work/claim") if draining => {
-            Metrics::bump(&shared.metrics.work_claim_empty);
-            Ok((200, "{\"status\":\"empty\",\"reason\":\"draining\"}".into()))
         }
         ("POST", "/v1/experiments") => submit(shared, &req.body),
         ("POST", "/v1/sweeps") => submit_sweep(shared, &req.body),
@@ -437,25 +413,11 @@ fn decode<T: serde::de::DeserializeOwned>(body: &[u8], what: &str) -> Result<T, 
 }
 
 /// Runs one resolved, validated spec through hashing and the store's
-/// cache → coalesce → enqueue flow, counting the submission and
-/// emitting the cell's root trace spans (submit/enqueue/coalesce).
+/// cache → coalesce → enqueue flow, emitting the cell's root trace spans
+/// (submit/enqueue/coalesce).
 fn submit_spec(shared: &Shared, spec: JobSpec) -> Result<Submitted, Reply> {
     let key = spec.cache_key().map_err(|e| (500, error_body(&e)))?;
-    let metrics = &shared.metrics;
-    Metrics::bump(&metrics.submissions);
     let submitted = shared.store.submit(spec, key);
-    match &submitted {
-        Submitted::Cached(_) => Metrics::bump(&metrics.cache_hits),
-        Submitted::Coalesced { .. } => Metrics::bump(&metrics.coalesced),
-        Submitted::Enqueued { depth, .. } => {
-            Metrics::bump(&metrics.cache_misses);
-            Metrics::raise(&metrics.queue_depth_peak, *depth as u64);
-        }
-        Submitted::QueueFull => {
-            Metrics::bump(&metrics.cache_misses);
-            Metrics::bump(&metrics.rejected_queue_full);
-        }
-    }
     if shared.trace.is_some() {
         let event = |span: &str| TraceEvent::new(trace_id_of_key(key), span).key(key);
         match &submitted {
@@ -605,14 +567,13 @@ fn submit_calibration(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
     })
 }
 
-/// The `GET /v1/jobs/{id}` flow: sweep expired leases, so a cell whose
-/// worker died reads `queued` again, then report the job.
+/// The `GET /v1/jobs/{id}` flow: report the job (the store sweeps
+/// first, so a cell whose worker died reads `queued` again).
 fn job_status(shared: &Shared, path: &str) -> Result<Reply, Reply> {
     let id_text = &path["/v1/jobs/".len()..];
     let Ok(id) = id_text.parse::<u64>() else {
         return Err(bad_request(&format!("bad job id {id_text:?}")));
     };
-    shared.sweep_expired();
     // The store hands out a copy (the result is an Arc): format outside
     // its lock.
     let Some(job) = shared.store.status(id) else {
@@ -633,9 +594,9 @@ fn job_status(shared: &Shared, path: &str) -> Result<Reply, Reply> {
     Ok((200, body))
 }
 
-/// The `POST /v1/work/claim` flow: sweep expired leases, then lease the
-/// front of the queue to the caller. An empty queue answers
-/// `{"status":"empty"}`.
+/// The `POST /v1/work/claim` flow: fold the worker's telemetry, then
+/// lease the front of the queue to the caller. An empty queue answers
+/// `{"status":"empty"}`, a draining node adds `"reason":"draining"`.
 fn work_claim(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
     // An empty body is a valid claim with the default lease.
     let request: ClaimRequest = if body.trim_ascii().is_empty() {
@@ -651,7 +612,7 @@ fn work_claim(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
     // (best-effort telemetry; deltas lost with a dropped claim are
     // re-sent with the worker's next claim).
     if let Some(trips) = request.breaker_trips {
-        Metrics::add(&shared.metrics.breaker_open_total, trips);
+        (shared.metrics.breaker_open_total).fetch_add(trips, Ordering::Relaxed);
     }
     // Same contract for backoff sleep: each claim samples the worker's
     // sleep total since its last acknowledged claim.
@@ -659,19 +620,13 @@ fn work_claim(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
         shared.metrics.backoff_sleep_ms.record(backoff_ms);
     }
 
-    shared.sweep_expired();
-    let Some(LeasedJob { lease_id, job }) = shared.store.claim(Duration::from_millis(lease_ms))
-    else {
-        Metrics::bump(&shared.metrics.work_claim_empty);
-        return Ok((200, "{\"status\":\"empty\"}".into()));
+    let LeasedJob { lease_id, job } = match shared.store.claim(Duration::from_millis(lease_ms)) {
+        Ok(leased) => leased,
+        Err(NoGrant::Empty) => return Ok((200, "{\"status\":\"empty\"}".into())),
+        Err(NoGrant::Draining) => {
+            return Ok((200, "{\"status\":\"empty\",\"reason\":\"draining\"}".into()))
+        }
     };
-    Metrics::bump(&shared.metrics.work_claims);
-    // The cell just left the queue: that ends its queue wait and starts
-    // its claim round trip.
-    shared
-        .metrics
-        .queue_wait_us
-        .record(job.enqueued_at.elapsed().as_micros() as u64);
     let trace_id = trace_id_of_key(job.key);
     shared.emit(
         TraceEvent::new(trace_id, "lease")
@@ -684,7 +639,7 @@ fn work_claim(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
         job_id: job.id,
         key: job.key,
         lease_ms,
-        trace_id: Some(trace_id),
+        trace_id,
         spec: job.spec,
     }))
 }
@@ -695,8 +650,9 @@ fn work_claim(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
 /// retried leases, expired leases whose worker finished late, a cell
 /// the pool recomputed first — are discarded as
 /// `{"status":"duplicate"}`. A completion is accepted even when its
-/// lease already expired: the result is still bit-identical, only the
-/// lease bookkeeping is gone.
+/// lease already expired: the result is still bit-identical. Its
+/// compute time is the worker's own report: the server cannot see the
+/// remote clock, so it trusts it (telemetry, not accounting).
 fn work_complete(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
     let completion: WorkCompletion = decode(body, "completion")?;
     let outcome = match (completion.result, completion.error) {
@@ -704,57 +660,32 @@ fn work_complete(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
         (None, Some(error)) => Err(error),
         _ => return Err(bad_request("exactly one of result and error must be set")),
     };
-    shared.sweep_expired();
-    // Compute time is worker-measured: the server cannot see the remote
-    // clock, so it trusts the self-report (telemetry, not accounting).
-    if let Some(compute_us) = completion.compute_us {
-        shared.metrics.job_compute_us.record(compute_us);
-    }
     let succeeded = outcome.is_ok();
-    let metrics = &shared.metrics;
-    let (settled, granted_at) = shared.store.settle(
+    let settled = shared.store.settle(
         completion.lease_id,
         completion.job_id,
         completion.key,
         outcome,
-        || {
-            if succeeded {
-                Metrics::bump(&metrics.jobs_completed);
-                Metrics::bump(&metrics.work_completed);
-                // Externally computed cells count here, *not* in
-                // `games_simulated`: that gauge stays honest local
-                // compute (this node never simulated these games).
-                Metrics::bump(&metrics.cells_completed_external);
-            } else {
-                Metrics::bump(&metrics.jobs_failed);
-            }
+        Settler::External {
+            compute_us: completion.compute_us,
         },
     );
-    // The completion ends its lease's round trip (grant → accepted). A
-    // lease the sweep already requeued has no grant time left, so a late
-    // completion for it goes unsampled.
-    if let Some(granted_at) = granted_at {
-        metrics
-            .claim_rtt_us
-            .record(granted_at.elapsed().as_micros() as u64);
-    }
     let event = |span: &str| {
-        TraceEvent::new(trace_id_of_key(completion.key), span)
+        TraceEvent::new(completion.trace_id, span)
             .key(completion.key)
             .job(completion.job_id)
             .lease(completion.lease_id)
     };
     match settled {
         Settle::Recorded => {
-            let mut complete = event("complete").outcome(succeeded);
-            if let Some(compute_us) = completion.compute_us {
-                complete = complete.dur_us(compute_us);
-            }
-            shared.emit(complete);
+            shared.emit(
+                event("complete")
+                    .outcome(succeeded)
+                    .dur_us(completion.compute_us),
+            );
             Ok((200, "{\"status\":\"recorded\"}".into()))
         }
         Settle::Duplicate => {
-            Metrics::bump(&metrics.work_duplicate);
             shared.emit(event("duplicate"));
             Ok((200, "{\"status\":\"duplicate\"}".into()))
         }
@@ -771,47 +702,27 @@ fn work_complete(shared: &Shared, body: &[u8]) -> Result<Reply, Reply> {
 /// Pool thread body: take jobs until the store closes, settling each
 /// through the same [`JobStore::settle`] as `/v1/work/complete`. A cell
 /// an external worker finished first settles as a duplicate: its
-/// recompute was wasted, and it counts in `work_duplicate` only.
+/// recompute was wasted, and the store counts it in `work_duplicate`
+/// only.
 fn worker_loop(shared: &Shared) {
     while let Some(LeasedJob { lease_id, job }) = shared.store.take() {
-        let metrics = &shared.metrics;
-        metrics
-            .queue_wait_us
-            .record(job.enqueued_at.elapsed().as_micros() as u64);
         let trace_id = trace_id_of_key(job.key);
         let started = Instant::now();
         let outcome = run_job(&job.spec);
-        let elapsed_nanos = started.elapsed().as_nanos() as u64;
-        metrics.job_compute_us.record(elapsed_nanos / 1_000);
+        let compute = started.elapsed();
         let succeeded = outcome.is_ok();
-        shared.emit(
-            TraceEvent::new(trace_id, "compute")
-                .key(job.key)
-                .job(job.id)
-                .dur_us(elapsed_nanos / 1_000)
-                .outcome(succeeded),
-        );
-        let (settled, _) = shared.store.settle(lease_id, job.id, job.key, outcome, || {
-            if succeeded {
-                Metrics::bump(&metrics.jobs_completed);
-                Metrics::add(&metrics.games_simulated, job.spec.games());
-                Metrics::add(&metrics.busy_nanos, elapsed_nanos);
-            } else {
-                Metrics::bump(&metrics.jobs_failed);
-            }
-        });
-        let span = if settled == Settle::Recorded {
-            "complete"
-        } else {
-            Metrics::bump(&metrics.work_duplicate);
-            "duplicate"
+        let event = |span: &str| TraceEvent::new(trace_id, span).key(job.key).job(job.id);
+        let compute_us = compute.as_micros() as u64;
+        shared.emit(event("compute").dur_us(compute_us).outcome(succeeded));
+        let by = Settler::Pool {
+            games: job.spec.games(),
+            compute,
         };
-        shared.emit(
-            TraceEvent::new(trace_id, span)
-                .key(job.key)
-                .job(job.id)
-                .outcome(succeeded),
-        );
+        let span = match shared.store.settle(lease_id, job.id, job.key, outcome, by) {
+            Settle::Recorded => "complete",
+            _ => "duplicate",
+        };
+        shared.emit(event(span).outcome(succeeded));
     }
 }
 

@@ -49,7 +49,7 @@ use crate::http::{is_timeout, read_response, write_request};
 use crate::jobs::run_job;
 use crate::protocol::{JobSpec, WorkCompletion, WorkGrant};
 use crate::resilience::{Backoff, BackoffPolicy};
-use ahn_obs::{trace_id_of_key, AtomicHistogram, HistogramSnapshot, TraceEvent, TraceLog};
+use ahn_obs::{AtomicHistogram, HistogramSnapshot, TraceEvent, TraceLog};
 use serde::{Deserialize, Serialize};
 use std::io::{self, BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -415,7 +415,6 @@ fn replication_items(spec: &JobSpec) -> usize {
 /// A granted cell, from claim to delivery.
 struct Granted {
     grant: WorkGrant,
-    trace_id: u64,
     granted_at: Instant,
     /// [`replication_items`] of its spec.
     items: usize,
@@ -423,7 +422,7 @@ struct Granted {
 
 impl Granted {
     fn event(&self, span: &str) -> TraceEvent {
-        TraceEvent::new(self.trace_id, span)
+        TraceEvent::new(self.grant.trace_id, span)
             .key(self.grant.key)
             .job(self.grant.job_id)
             .lease(self.grant.lease_id)
@@ -465,8 +464,8 @@ fn compute(cell: Granted, telemetry: &WorkerHistograms, trace: Option<&TraceLog>
         key: grant.key,
         result: outcome.as_ref().ok().cloned(),
         error: outcome.err(),
-        trace_id: Some(cell.trace_id),
-        compute_us: Some(compute_us),
+        trace_id: grant.trace_id,
+        compute_us,
     };
     let completion =
         serde_json::to_string(&completion).map_err(|e| format!("cannot serialize completion: {e}"));
@@ -660,10 +659,6 @@ impl Puller<'_> {
         self.idle_polls = 0;
         self.granted += 1;
         let cell = Granted {
-            // Echo the server's trace id; derive it from the key when an
-            // old server omitted the field (same pure function both
-            // ends).
-            trace_id: grant.trace_id.unwrap_or_else(|| trace_id_of_key(grant.key)),
             granted_at: Instant::now(),
             items: replication_items(&grant.spec),
             grant,
@@ -723,7 +718,9 @@ impl Puller<'_> {
                 Ok((status, response)) => {
                     return Err(format!("completion rejected: {status} {response}"))
                 }
-                Err(e) => self.transport_error(e, cell.trace_id, "completion delivery failed")?,
+                Err(e) => {
+                    self.transport_error(e, cell.grant.trace_id, "completion delivery failed")?
+                }
             }
         }
         self.answered();

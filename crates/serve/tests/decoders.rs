@@ -35,8 +35,8 @@ fn routes() -> Vec<(&'static str, Vec<u8>)> {
         key: spec.cache_key().unwrap(),
         result: Some("[]".into()),
         error: None,
-        trace_id: Some(7),
-        compute_us: Some(5),
+        trace_id: 7,
+        compute_us: 5,
     };
     vec![
         ("/v1/experiments", serde_json::to_string(&spec)),

@@ -315,7 +315,7 @@ fn duplicate_completion_keeps_the_first_result() {
         result: Some(result.clone()),
         error: None,
         trace_id: grant.trace_id,
-        compute_us: None,
+        compute_us: 0,
     })
     .unwrap();
 
@@ -328,7 +328,7 @@ fn duplicate_completion_keeps_the_first_result() {
         (200, "{\"status\":\"duplicate\"}")
     );
     assert_eq!(metric_u64(&addr, "work_duplicate"), 1);
-    assert_eq!(metric_u64(&addr, "work_completed"), 1);
+    assert_eq!(metric_u64(&addr, "cells_completed_external"), 1);
 
     // The job's recorded result is the first delivery, bit for bit.
     let (status, job) = get(&addr, &format!("/v1/jobs/{}", grant.job_id));
@@ -751,7 +751,7 @@ fn complete(addr: &str, grant: &WorkGrant, result: Option<String>, error: Option
         result,
         error,
         trace_id: grant.trace_id,
-        compute_us: None,
+        compute_us: 0,
     })
     .unwrap();
     let (status, reply) = post(addr, "/v1/work/complete", &completion);
@@ -848,7 +848,8 @@ fn a_cell_that_outlives_its_lease_is_delivered_before_the_next_claim() {
     // One cell that fills the worker's threads, under a 1 ms lease: it
     // finishes long after the lease expired. Delivered first, it is
     // recorded; claimed past, the claim's sweep would grant it straight
-    // back and the worker would compute it twice.
+    // back and the worker would compute it twice. Its settle sweeps
+    // nothing, so the expired lease is never requeued either.
     let (handle, addr) = boot(0, None);
     let mut spec = ahn_serve::loadtest::smoke_spec(14);
     if let ahn_serve::JobSpec::Experiment { config, .. } = &mut spec {
@@ -870,6 +871,59 @@ fn a_cell_that_outlives_its_lease_is_delivered_before_the_next_claim() {
     );
     assert_eq!((report.completed, report.duplicates), (1, 0));
     assert_eq!(metric_u64(&addr, "work_claims"), 1, "one grant");
+    assert_eq!(metric_u64(&addr, "lease_requeues"), 0);
+    handle.shutdown();
+}
+
+/// Once the queue is idle, every submission is a hit, a coalesce or a
+/// miss, and every miss the queue took settled exactly once — on a node
+/// where the pool and a pull worker on a 1 ms lease drain one queue of
+/// two slots, and every cell is submitted several times.
+#[test]
+fn job_counters_add_up_once_the_queue_is_idle() {
+    let grid = small_grid();
+    let local = ahn_core::run_sweep(&grid).expect("local sweep");
+    let handle = spawn(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        queue_cap: 2,
+        drain_ms: 250,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let addr = handle.addr().to_string();
+    let worker = start_worker(&addr, FaultPlan::none(), 1);
+    // Two direct submissions of the whole grid: the second coalesces
+    // onto (or hits) what the first queued, and a full queue rejects.
+    let body = serde_json::to_string(&grid).unwrap();
+    for _ in 0..2 {
+        assert_eq!(post(&addr, "/v1/sweeps", &body).0, 200);
+    }
+    let mut transport = HttpTransport::new(&addr);
+    for pass in ["cold", "warm"] {
+        let report = run_sweep_via(&mut transport, &grid, None, 2).expect(pass);
+        assert_eq!(report, local, "{pass} pass");
+    }
+    let (outcome, _) = worker.join().expect("worker thread");
+    outcome.expect("clean exit");
+
+    let (status, m) = get(&addr, "/metrics");
+    assert_eq!(status, 200);
+    let count = |field: &str| match m[field] {
+        Value::U64(n) => n,
+        ref other => panic!("metric {field} should be an integer, got {other:?}"),
+    };
+    assert_eq!(
+        count("submissions"),
+        count("cache_hits") + count("coalesced") + count("cache_misses"),
+        "{m:?}"
+    );
+    assert_eq!(
+        count("jobs_completed") + count("jobs_failed"),
+        count("cache_misses") - count("rejected_queue_full"),
+        "{m:?}"
+    );
+    assert!(count("cache_hits") >= 4, "the warm pass hits every cell");
     handle.shutdown();
 }
 
@@ -1150,7 +1204,7 @@ impl Transport for ScriptedNode {
                     job_id,
                     key,
                     lease_ms: 60_000,
-                    trace_id: Some(trace_id),
+                    trace_id,
                     spec,
                 };
                 Ok((200, serde_json::to_string(&grant).unwrap()))

@@ -746,28 +746,36 @@ fn work_endpoints_validate_count_and_never_spin_when_idle() {
         panic!("{grant2:?}");
     };
 
+    // A completion body: the lease, job and key, then the outcome.
+    let body = |lease_id: u64, job_id: u64, key: u64, outcome: &str| {
+        format!(
+            "{{\"lease_id\":{lease_id},\"job_id\":{job_id},\"key\":{key},{outcome},\
+             \"trace_id\":0,\"compute_us\":0}}"
+        )
+    };
     // Both result and error set: rejected.
-    let both = format!(
-        "{{\"lease_id\":{lease_id},\"job_id\":{job_id},\"key\":{key},\"result\":\"[]\",\"error\":\"x\"}}"
+    let both = body(lease_id, job_id, key, "\"result\":\"[]\",\"error\":\"x\"");
+    let (status, err) = post(&addr, "/v1/work/complete", &both);
+    assert_eq!(status, 400, "{err:?}");
+    assert_eq!(
+        err["error"],
+        Value::String("exactly one of result and error must be set".into())
     );
-    let (status, _) = post(&addr, "/v1/work/complete", &both);
-    assert_eq!(status, 400);
     // A key that disagrees with the job's spec hash: rejected.
-    let wrong_key = format!(
-        "{{\"lease_id\":{lease_id},\"job_id\":{job_id},\"key\":{},\"error\":\"x\"}}",
-        key ^ 1
-    );
+    let wrong_key = body(lease_id, job_id, key ^ 1, "\"error\":\"x\"");
     let (status, err) = post(&addr, "/v1/work/complete", &wrong_key);
     assert_eq!(status, 400, "{err:?}");
+    assert_eq!(
+        err["error"],
+        Value::String("completion key does not match the job's spec hash".into())
+    );
     // A job the server never issued: 404.
-    let unknown = format!("{{\"lease_id\":0,\"job_id\":999999,\"key\":{key},\"error\":\"x\"}}");
+    let unknown = body(0, 999_999, key, "\"error\":\"x\"");
     let (status, _) = post(&addr, "/v1/work/complete", &unknown);
     assert_eq!(status, 404);
 
     // Delivering an error settles the job as failed.
-    let failure = format!(
-        "{{\"lease_id\":{lease_id},\"job_id\":{job_id},\"key\":{key},\"error\":\"worker exploded\"}}"
-    );
+    let failure = body(lease_id, job_id, key, "\"error\":\"worker exploded\"");
     let (status, recorded) = post(&addr, "/v1/work/complete", &failure);
     assert_eq!(status, 200);
     assert_eq!(recorded["status"], Value::String("recorded".into()));
@@ -1001,8 +1009,8 @@ fn deliver(addr: &str, grant: &Value, result: &str) -> (u16, Value) {
         key: u64_field(grant, "key"),
         result: Some(result.into()),
         error: None,
-        trace_id: None,
-        compute_us: None,
+        trace_id: u64_field(grant, "trace_id"),
+        compute_us: 0,
     };
     post(
         addr,
@@ -1023,13 +1031,13 @@ fn await_metrics(addr: &str, what: &str, done: impl Fn(&Value) -> bool) -> Value
     }
 }
 
-/// Waits until the pool has computed `jobs` jobs, then a little longer:
-/// the pool samples a compute time just before it settles the job.
-fn await_pool_computes(addr: &str, jobs: u64) {
-    await_metrics(addr, "the pool's compute", |m| {
-        m["latency"]["job_compute_us"]["count"] == Value::U64(jobs)
-    });
-    std::thread::sleep(Duration::from_millis(50));
+/// Waits until `settles` completions have settled, the pool's and
+/// external ones alike: the store samples each one's compute time under
+/// the lock of its settle.
+fn await_settles(addr: &str, settles: u64) -> Value {
+    await_metrics(addr, "the settles", |m| {
+        m["latency"]["job_compute_us"]["count"] == Value::U64(settles)
+    })
 }
 
 /// A node with one pool thread where the pool and an external worker
@@ -1093,16 +1101,14 @@ fn race_the_pool_and_a_late_worker(cache_cap: usize) -> Race {
 fn a_cell_settled_by_a_late_worker_while_the_pool_recomputes_it_counts_once() {
     let race = race_the_pool_and_a_late_worker(8);
     let addr = &race.addr;
-    await_pool_computes(addr, 2);
-    // The pool's losing result is wasted work: it counts as a duplicate
-    // once it settles, and nowhere else.
-    let metrics = await_metrics(addr, "the pool's recompute to count", |m| {
-        m["work_duplicate"] == Value::U64(1)
-    });
+    // The occupier, the worker's result and the pool's recompute.
+    let metrics = await_settles(addr, 3);
+    // The pool's losing result is wasted work: it counts as a duplicate,
+    // and nowhere else.
+    assert_eq!(metrics["work_duplicate"], Value::U64(1), "{metrics:?}");
     // The occupier and the cell, each once; not even the pool's games.
     assert_eq!(metrics["jobs_completed"], Value::U64(2), "{metrics:?}");
     assert_eq!(metrics["cells_completed_external"], Value::U64(1));
-    assert_eq!(metrics["work_completed"], Value::U64(1));
     assert_eq!(metrics["games_simulated"], Value::U64(race.occupier_games));
     // The winner's bytes answer the next submission.
     let (status, hit) = post(
@@ -1147,8 +1153,9 @@ fn a_late_pool_result_leaves_a_resubmitted_cell_completable() {
     assert_eq!(grant["job_id"], ack["job_id"]);
 
     // The pool's late result must not unlink the new job, so its
-    // worker's honest completion is recorded.
-    await_pool_computes(addr, 2);
+    // worker's honest completion is recorded. Settled so far: the
+    // occupier, both worker results and the pool's recompute.
+    await_settles(addr, 4);
     let (status, answer) = deliver(addr, &grant, &race.cell_result);
     assert_eq!(status, 200, "{answer:?}");
     assert_eq!(answer["status"], Value::String("recorded".into()));
